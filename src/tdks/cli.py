@@ -16,11 +16,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import ObjectiveSpec, adjoint_sources, optimize
-from .domain import DomainSpec, build_basis, project, synthesize
-from .potentials import PotentialConfig, build_coulomb_kernel, density_from_grid, sample_field
-from .propagate import adjoint_context, forward_context, solve_adjoint, solve_forward
+from .control import ControlError, LineSearchError, ObjectiveSpec, adjoint_sources, optimize
+from .domain import DomainError, DomainSpec, build_basis, project, synthesize
+from .potentials import (
+    PotentialConfig,
+    PotentialError,
+    build_coulomb_kernel,
+    density_from_grid,
+    sample_field,
+)
+from .propagate import (
+    PropagationError,
+    adjoint_context,
+    forward_context,
+    solve_adjoint,
+    solve_forward,
+)
 from .signals import ControlSignal
+from .system import SystemError as SystemContextError
 from .system import bound_constants
 from .verify import (
     check_coefficient_lipschitz,
@@ -611,6 +624,19 @@ _SUBCOMMANDS = {
 }
 
 
+# failures reported as one "error:" line and exit status 1 instead of a traceback
+_RUN_ERRORS = (
+    ConfigError,
+    OSError,
+    PropagationError,
+    ControlError,
+    LineSearchError,
+    SystemContextError,
+    DomainError,
+    PotentialError,
+)
+
+
 def run(config, subcommand, out_dir, quiet=False):
     """Validate, execute, and write artifacts; returns the exit status."""
     if subcommand not in _SUBCOMMANDS:
@@ -619,9 +645,10 @@ def run(config, subcommand, out_dir, quiet=False):
         config = RunConfig(raw={**config.raw, "mode": "adjoint"})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.echo.json").write_text(emit_config(config))
     rng = np.random.default_rng([config.seed, 0])
-    return _SUBCOMMANDS[subcommand](config, out, rng, quiet)
+    status = _SUBCOMMANDS[subcommand](config, out, rng, quiet)
+    (out / "config.echo.json").write_text(emit_config(config))
+    return status
 
 
 def main(argv=None):
@@ -646,7 +673,7 @@ def main(argv=None):
             config = RunConfig(raw={**config.raw, "seed": int(args.seed)})
         out_dir = args.out if args.out else Path(config.raw["output_dir"]) / args.subcommand
         return run(config, args.subcommand, out_dir, quiet=args.quiet)
-    except (ConfigError, OSError) as exc:
+    except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

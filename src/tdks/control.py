@@ -29,8 +29,12 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .domain import grid_inner, synthesize
-from .potentials import density_from_grid, vxc_rho_derivative
-from .propagate import solve_forward
+from .propagate import (
+    _kinetic_phase,
+    _potential_stage_fields,
+    _potential_stage_vjp,
+    solve_forward,
+)
 from .signals import ControlSignal
 
 
@@ -180,16 +184,8 @@ def backward_sweep(spec, ctx, traj):
     mu(t) = -i P(t) + O(dt^2).  Returns (coupling gradient per u sample on
     the control grid, backward states on the time grid).
     """
-    basis = ctx.basis
-    values = basis.values
-    weights = basis.weights
-    lam_eig = basis.eigenvalues
-    vu = ctx._vu
     dt = float(traj.times[1] - traj.times[0])
     steps = len(traj.times) - 1
-    n_dim = basis.spec.dimension
-    pot = ctx.potentials
-    hartree_on = pot.include_hartree
 
     omega = np.full(steps + 1, dt)
     omega[0] = omega[-1] = 0.5 * dt
@@ -204,31 +200,17 @@ def backward_sweep(spec, ctx, traj):
     g_mid = np.empty(steps)
     mu_path = np.empty_like(traj.states)
     mu_path[-1] = mu
-    half_kin = np.exp(0.5j * lam_eig * dt)[:, None]
     for n in range(steps - 1, -1, -1):
         t_mid = traj.times[n] + 0.5 * dt
-        # recompute the forward stage internals from the stored state
-        a = np.exp(-0.5j * lam_eig * dt)[:, None] * traj.states[n]
-        psi = values.T @ a
-        rho = density_from_grid(psi)
-        v = ctx.external_at(t_mid)
-        if hartree_on or pot.include_exchange or pot.include_correlation:
-            v = v + ctx._ks_grid(rho)
-        phase = np.exp(-1j * dt * v)
-        phi = phase[:, None] * psi
-
-        mu_b = half_kin * mu
-        mu_phi = weights[:, None] * (values.T @ mu_b)
-        r = dt * (
-            np.einsum("qj,qj->q", phi.imag, mu_phi.real)
-            - np.einsum("qj,qj->q", phi.real, mu_phi.imag)
+        # recompute the stage from the stored state, then pull mu back through
+        # the kinetic half-steps (their transpose is the conjugate phase)
+        fields = _potential_stage_fields(
+            ctx, t_mid, _kinetic_phase(ctx, traj.states[n], 0.5 * dt)
         )
-        g_mid[n] = float(vu @ r)
-        s = vxc_rho_derivative(pot, rho, n_dim) * r
-        if hartree_on:
-            s = s + ctx.kernel.matrix.T @ r
-        mu_psi = np.conj(phase)[:, None] * mu_phi + 2.0 * s[:, None] * psi
-        mu = half_kin * (values @ mu_psi)
+        a_bar, g_mid[n] = _potential_stage_vjp(
+            ctx, dt, *fields, _kinetic_phase(ctx, mu, -0.5 * dt)
+        )
+        mu = _kinetic_phase(ctx, a_bar, -0.5 * dt)
         if spec.j1 == "trajectory":
             mu = mu + 2.0 * omega[n] * (traj.states[n] - spec.target_at(traj.times[n]))
         mu_path[n] = mu

@@ -69,6 +69,11 @@ class PotentialConfig:
                     raise PotentialError(f"{name} field must be finite everywhere")
                 object.__setattr__(self, name, field)
 
+    @property
+    def has_ks(self):
+        """Whether any density-dependent (Hartree, exchange, correlation) term is on."""
+        return self.include_hartree or self.include_exchange or self.include_correlation
+
     def with_fields(self, confinement=None, control_shape=None):
         return replace(self, confinement=confinement, control_shape=control_shape)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .domain import norms, project, synthesize
-from .potentials import density_from_grid
+from .potentials import density_from_grid, hartree, vxc_rho_derivative
 from .signals import zero_control
 from .system import SystemContext, _bounded_apply, bilinear_B, bound_constants
 
@@ -104,34 +104,58 @@ def _kinetic_phase(ctx, d, dt):
     return np.exp(-1j * ctx.basis.eigenvalues * dt)[:, None] * d
 
 
+def _stage_potential(ctx, t_mid, rho):
+    """External plus (when switched on) Kohn-Sham potential on the grid."""
+    v = ctx.external_at(t_mid)
+    if ctx.potentials.has_ks:
+        v = v + ctx._ks_grid(rho)
+    return v
+
+
+def _potential_stage_fields(ctx, t_mid, a):
+    """Grid state psi, density rho and potential v of the half-kicked coefficients a."""
+    psi = synthesize(ctx.basis, a)
+    rho = density_from_grid(psi)
+    return psi, rho, _stage_potential(ctx, t_mid, rho)
+
+
 def _potential_stage_forward(ctx, t_mid, dt, d):
-    psi = synthesize(ctx.basis, d)
-    vext = ctx.external_at(t_mid)
-    has_ks = (
-        ctx.potentials.include_hartree
-        or ctx.potentials.include_exchange
-        or ctx.potentials.include_correlation
-    )
+    psi, _, v = _potential_stage_fields(ctx, t_mid, d)
     f = ctx.source_coefficients(t_mid)
     if f is None:
-        v = vext
-        if has_ks:
-            v = v + ctx._ks_grid(density_from_grid(psi))
         psi = _kernels.phase_apply(psi, v, dt)
     else:
         f_grid = synthesize(ctx.basis, f)
-        v = vext
-        if has_ks:
-            v = v + ctx._ks_grid(density_from_grid(psi))
         # midpoint density prediction: with a source the modulus is not conserved
         psi_half = psi - 0.5j * dt * (v[:, None] * psi + f_grid)
-        v = vext
-        if has_ks:
-            v = v + ctx._ks_grid(density_from_grid(psi_half))
+        v = _stage_potential(ctx, t_mid, density_from_grid(psi_half))
         psi = _kernels.phase_apply(psi, v, dt) - 1j * dt * _kernels.phase_apply(
             f_grid, v, 0.5 * dt
         )
     return project(ctx.basis, psi)
+
+
+def _potential_stage_vjp(ctx, dt, psi, rho, v, b_bar):
+    """Exact transpose of the source-free potential stage under Re<., .>.
+
+    (psi, rho, v) are the stage fields of the input coefficients a and b_bar
+    is the cotangent of the output project(phase(v) * psi).  Returns the
+    cotangent of a and the derivative with respect to u(t_mid).  Grid
+    cotangents stay unweighted: the transpose of project is
+    weights * synthesize, and K.T @ (weights * r) = weights * (K @ r) because
+    w(x_q - x_r) is symmetric, so the weights enter once, in the final project.
+    """
+    y = synthesize(ctx.basis, b_bar)
+    phi = _kernels.phase_apply(psi, v, dt)
+    # cotangent of v: d phi = -i dt dv phi pairs with y through Im(phi conj y)
+    r = dt * (
+        np.einsum("qj,qj->q", phi.imag, y.real) - np.einsum("qj,qj->q", phi.real, y.imag)
+    )
+    s = vxc_rho_derivative(ctx.potentials, rho, ctx.basis.spec.dimension) * r
+    if ctx.potentials.include_hartree:
+        s = s + hartree(ctx.kernel, r)
+    a_bar = project(ctx.basis, _kernels.phase_apply(y, v, -dt) + 2.0 * s[:, None] * psi)
+    return a_bar, float(ctx._vu @ (ctx.basis.weights * r))
 
 
 def _potential_stage_adjoint(ctx, t_mid, dt, d, tol, max_iter):

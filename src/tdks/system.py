@@ -10,8 +10,7 @@ where "frozen" is the stored forward solution interpolated in coefficient
 space.  The coupling terms pair the unknown with the frozen state through
 the pointwise real channel product and feed it back through the Hartree
 kernel and the density derivative of the local potentials; they are
-real-linear (not complex-linear), so they are applied matrix-free.  A dense
-tabulated form exists purely for cross-checking.
+real-linear (not complex-linear), so they are applied matrix-free.
 
 Inner products are linear in the first argument and conjugated in the
 second.
@@ -142,11 +141,7 @@ def _bounded_apply(ctx, t, d):
     psi = synthesize(ctx.basis, d)
     fld = ctx.external_at(t)[:, None] * psi
     if ctx.alpha == 1:
-        if (
-            ctx.potentials.include_hartree
-            or ctx.potentials.include_exchange
-            or ctx.potentials.include_correlation
-        ):
+        if ctx.potentials.has_ks:
             rho = density_from_grid(psi)
             fld += ctx._ks_grid(rho)[:, None] * psi
     else:
@@ -174,13 +169,14 @@ def rhs(ctx, t, d):
 def bilinear_B(ctx, t, psi, phi):
     """Quadratic form value B(psi, phi; u(t)); sesquilinear, kinetic + external
     plus (for alpha=0) the frozen coupling potential and the adjoint terms."""
+    same = phi is psi
     psi = np.atleast_2d(np.asarray(psi, dtype=np.complex128).T).T
-    phi = np.atleast_2d(np.asarray(phi, dtype=np.complex128).T).T
+    phi = psi if same else np.atleast_2d(np.asarray(phi, dtype=np.complex128).T).T
     kin = complex(
         np.sum(ctx.basis.eigenvalues[:, None] * psi * np.conj(phi))
     )
     psi_g = synthesize(ctx.basis, psi)
-    phi_g = synthesize(ctx.basis, phi)
+    phi_g = psi_g if same else synthesize(ctx.basis, phi)
     total = kin + grid_inner(ctx.basis, ctx.external_at(t)[:, None] * psi_g, phi_g)
     if ctx.alpha == 0:
         lam = synthesize(ctx.basis, ctx.lambda_at(t))
@@ -230,46 +226,6 @@ def project_F(ctx, t):
         n = ctx.basis.spec.particles
         return np.zeros((m, n), dtype=np.complex128)
     return f
-
-
-def dense_coupling_tables(ctx, t):
-    """Materialised real-linear coupling map, for cross-checking the
-    matrix-free path: D(d) = T_re @ Re-part-action + T_im @ Im-part-action.
-
-    Returns (t_re, t_im) of shape (modes*particles, modes*particles) complex,
-    acting on the flattened coefficient vector.
-    """
-    m = ctx.basis.size
-    n = ctx.basis.spec.particles
-    lam = synthesize(ctx.basis, ctx.lambda_at(t))
-    rho_lam = density_from_grid(lam)
-    t_re = np.zeros((m * n, m * n), dtype=np.complex128)
-    t_im = np.zeros((m * n, m * n), dtype=np.complex128)
-    unit = np.zeros((m, n), dtype=np.complex128)
-    for l in range(m):
-        for j in range(n):
-            unit[l, j] = 1.0
-            col = project(
-                ctx.basis,
-                ctx._coupling_field(synthesize(ctx.basis, unit), lam, rho_lam),
-            )
-            t_re[:, l * n + j] = col.reshape(-1)
-            unit[l, j] = 1.0j
-            col = project(
-                ctx.basis,
-                ctx._coupling_field(synthesize(ctx.basis, unit), lam, rho_lam),
-            )
-            t_im[:, l * n + j] = col.reshape(-1)
-            unit[l, j] = 0.0
-    return t_re, t_im
-
-
-def apply_dense_coupling(tables, d):
-    t_re, t_im = tables
-    flat_re = d.real.reshape(-1)
-    flat_im = d.imag.reshape(-1)
-    out = t_re @ flat_re + t_im @ flat_im
-    return out.reshape(d.shape)
 
 
 def bound_constants(ctx, sample_times=None):

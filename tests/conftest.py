@@ -1,12 +1,10 @@
 import numpy as np
-import pytest
 
 from tdks import (
     DomainSpec,
     PotentialConfig,
     build_basis,
     build_coulomb_kernel,
-    forward_context,
     sample_field,
 )
 
@@ -61,13 +59,3 @@ def unit_state(basis, mode, particles=1, particle=0, amplitude=1.0):
     d = np.zeros((basis.size, particles), dtype=np.complex128)
     d[mode, particle] = amplitude
     return d
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger jit compilation once so timed tests measure the physics."""
-    basis, pot, kernel = make_setup(grid=(8,), modes=(3,), steps=4)
-    ctx = forward_context(basis, pot, kernel=kernel)
-    from tdks import solve_forward
-
-    solve_forward(ctx, unit_state(basis, 0))

@@ -133,6 +133,27 @@ def test_corrupt_config_exits_nonzero_without_artifacts(tmp_path):
     assert not out.exists()
 
 
+def test_solver_failure_exits_nonzero_without_artifacts(tmp_path, capsys):
+    # one fixed-point sweep per step cannot converge: the adjoint solve fails
+    cfg_path = tmp_path / "starved.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "domain": {"lengths": [3.0], "grid": [16], "particles": 2, "steps": 40},
+                "basis": {"modes": [4]},
+                "objective": {"j2": "terminal", "target_state": {"kind": "lowest_modes"}},
+                "integrator": {"fixed_point_max_iter": 1},
+            }
+        )
+    )
+    out = tmp_path / "out"
+    status = main(["adjoint", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: fixed-point iteration")
+    assert list(out.iterdir()) == []
+
+
 def test_converge_subcommand(tmp_path):
     cfg = _fast_config(
         domain={"lengths": [3.0], "grid": [32], "horizon": 0.5, "steps": 150},

@@ -8,12 +8,22 @@ from tdks import (
     PropagationError,
     adjoint_context,
     forward_context,
+    hartree,
+    ks_potential,
+    project,
     random_coefficients,
     rhs,
     solve_adjoint,
     solve_forward,
     step,
+    synthesize,
+    vxc_rho_derivative,
     zero_control,
+)
+from tdks.propagate import (
+    _potential_stage_fields,
+    _potential_stage_forward,
+    _potential_stage_vjp,
 )
 from tdks.signals import SignalError
 
@@ -284,3 +294,56 @@ def test_control_signal_h1_machinery():
         ControlSignal(samples=np.array([1.0, np.nan]), horizon=1.0)
     with pytest.raises(SignalError):
         ControlSignal(samples=np.zeros(5), horizon=0.0)
+
+
+def _stage_tangent(ctx, t_mid, dt, a, da, du):
+    """Tangent-linear map of the source-free potential stage, written out directly."""
+    dim = ctx.basis.spec.dimension
+    psi, dpsi = synthesize(ctx.basis, a), synthesize(ctx.basis, da)
+    rho = np.sum(np.abs(psi) ** 2, axis=1)
+    drho = 2.0 * np.sum((np.conj(psi) * dpsi).real, axis=1)
+    v = ctx.external_at(t_mid) + ks_potential(ctx.potentials, ctx.kernel, rho, dim)
+    dv = du * ctx._vu + vxc_rho_derivative(ctx.potentials, rho, dim) * drho
+    dv = dv + hartree(ctx.kernel, drho)
+    phase = np.exp(-1j * dt * v)[:, None]
+    return project(ctx.basis, phase * dpsi - 1j * dt * dv[:, None] * phase * psi)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_potential_stage_vjp_dot_product(dimension):
+    basis, pot, kernel = make_setup(
+        lengths=(3.0,) * dimension,
+        grid=(24,) * dimension,
+        modes=(6,) * dimension,
+        particles=2,
+        confinement={"kind": "harmonic", "amplitude": 1.0},
+        control_shape={"kind": "dipole", "amplitude": 1.0},
+    )
+    steps, u0, t_mid, dt = basis.spec.steps, 0.3, 0.4, 0.05
+
+    def ctx_at(u):
+        return forward_context(
+            basis, pot, kernel=kernel, control=ControlSignal(np.full(steps + 1, u), 1.0)
+        )
+
+    ctx = ctx_at(u0)
+    rng = np.random.default_rng(dimension)
+    a, x, y = (random_coefficients(basis, 2, rng, 1.0) for _ in range(3))
+    du = 0.7
+
+    # the oracle is the stage's derivative ...
+    eps = 1e-6
+    fd = (
+        _potential_stage_forward(ctx_at(u0 + eps * du), t_mid, dt, a + eps * x)
+        - _potential_stage_forward(ctx_at(u0 - eps * du), t_mid, dt, a - eps * x)
+    ) / (2 * eps)
+    jx = _stage_tangent(ctx, t_mid, dt, a, x, du)
+    assert np.abs(fd - jx).max() < 1e-6 * np.abs(jx).max()
+
+    # ... and the VJP is its exact transpose under Re<., .>
+    a_bar, u_bar = _potential_stage_vjp(
+        ctx, dt, *_potential_stage_fields(ctx, t_mid, a), y
+    )
+    lhs = float(np.sum(jx * np.conj(y)).real)
+    rhs_ = float(np.sum(x * np.conj(a_bar)).real) + du * u_bar
+    assert abs(lhs - rhs_) <= 1e-12 * abs(lhs)

@@ -15,7 +15,9 @@ from tdks import (
     solve_forward,
     synthesize,
 )
-from tdks.system import SystemContext, SystemError, apply_dense_coupling, dense_coupling_tables
+from tdks.domain import project
+from tdks.potentials import density_from_grid
+from tdks.system import SystemContext, SystemError
 
 from conftest import make_setup, unit_state
 
@@ -137,20 +139,48 @@ def test_adjoint_coupling_bound(adjoint_pair):
         assert abs(d_h + d_xc) <= bound
 
 
+def dense_coupling_tables(ctx, t):
+    """Materialised real-linear coupling map: D(d) = T_re @ Re(d) + T_im @ Im(d).
+
+    Returns (t_re, t_im) of shape (modes*particles, modes*particles) complex,
+    acting on the flattened coefficient vector.
+    """
+    m = ctx.basis.size
+    n = ctx.basis.spec.particles
+    lam = synthesize(ctx.basis, ctx.lambda_at(t))
+    rho_lam = density_from_grid(lam)
+    t_re = np.zeros((m * n, m * n), dtype=np.complex128)
+    t_im = np.zeros((m * n, m * n), dtype=np.complex128)
+    unit = np.zeros((m, n), dtype=np.complex128)
+    for l in range(m):
+        for j in range(n):
+            for table, value in ((t_re, 1.0), (t_im, 1.0j)):
+                unit[l, j] = value
+                col = project(
+                    ctx.basis,
+                    ctx._coupling_field(synthesize(ctx.basis, unit), lam, rho_lam),
+                )
+                table[:, l * n + j] = col.reshape(-1)
+            unit[l, j] = 0.0
+    return t_re, t_im
+
+
+def apply_dense_coupling(tables, d):
+    t_re, t_im = tables
+    out = t_re @ d.real.reshape(-1) + t_im @ d.imag.reshape(-1)
+    return out.reshape(d.shape)
+
+
 def test_dense_coupling_tables_match_matrix_free(adjoint_pair):
     _, actx, _ = adjoint_pair
     tables = dense_coupling_tables(actx, 0.4)
     rng = np.random.default_rng(7)
     lam = actx.lambda_at(0.4)
     lam_g = synthesize(actx.basis, lam)
-    from tdks.potentials import density_from_grid
-
     rho = density_from_grid(lam_g)
     for _ in range(5):
         d = random_coefficients(actx.basis, 2, rng, 1.0)
         dense = apply_dense_coupling(tables, d)
-        from tdks.domain import project
-
         free = project(
             actx.basis, actx._coupling_field(synthesize(actx.basis, d), lam_g, rho)
         )
