@@ -7,15 +7,19 @@ The coupling potential is the LDA-style sum
     V_x    = c * rho**beta                        (c < 0, 0 < beta < 1),
     V_c    = -a / (r_s(rho) + b)                  (Wigner form),
 
-with r_s the radius of the n-ball of volume 1/rho.  The Coulomb kernel is a
-dense quadrature matrix; its singular diagonal is replaced by the analytic
-cell average of w over one grid cell, which keeps second-order accuracy.
-In one dimension w is not integrable, so a softened kernel
-1/sqrt(x^2 + softening^2) with softening > 0 is required there.
+with r_s the radius of the n-ball of volume 1/rho.  V_H is the trapezoid
+quadrature sum over the uniform grid, which depends on a node pair only
+through its per-axis index offset, so the Coulomb kernel is stored as the
+table of w over those offsets (see ``CoulombKernel``).  The singular value
+at offset 0 is replaced by the analytic cell average of w over one grid
+cell, which keeps second-order accuracy.  In one dimension w is not
+integrable, so a softened kernel 1/sqrt(x^2 + softening^2) with
+softening > 0 is required there.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +30,11 @@ DEFAULT_EXCHANGE_C = -((3.0 / math.pi) ** (1.0 / 3.0))
 DEFAULT_EXCHANGE_BETA = 1.0 / 3.0
 DEFAULT_WIGNER_A = 0.44
 DEFAULT_WIGNER_B = 7.8
+
+# grids with at most this many nodes apply K as a gathered dense matrix (a few
+# microseconds per call); larger ones use the FFT convolution, which wins above
+# roughly 450-650 nodes and never allocates a (nodes x nodes) array
+DENSE_MAX_NODES = 512
 
 
 class PotentialError(ValueError):
@@ -80,15 +89,32 @@ class PotentialConfig:
 
 @dataclass(frozen=True, eq=False)
 class CoulombKernel:
-    """Dense Hartree quadrature matrix K[q, r] = w(x_q - x_r) * weight_r."""
+    """Hartree quadrature operator K[q, r] = w(x_q - x_r) * weight_r.
 
-    matrix: np.ndarray
+    On the uniform grid, w(x_q - x_r) depends only on the per-axis index
+    offsets of q and r, so K is block Toeplitz and fixed by the offset table
+    of w.  Grids of at most ``DENSE_MAX_NODES`` nodes hold K itself in
+    ``matrix``, gathered from that table.  Larger grids hold ``spectrum``,
+    the (real) FFT of the table embedded circulantly on 2*grid points per
+    axis, and apply K as an exact zero-padded convolution; their ``matrix``
+    is None.
+    """
+
     softening: float
     dimension: int
+    nodes_per_axis: tuple
+    weights: np.ndarray
+    matrix: np.ndarray = None
+    spectrum: np.ndarray = None
 
     @property
+    def node_count(self):
+        return self.weights.shape[0]
+
+    @cached_property
     def row_sum_max(self):
-        return float(self.matrix.sum(axis=1).max())
+        """Largest row sum of K (every entry is positive), computed once on first use."""
+        return float(hartree(self, np.ones(self.node_count)).max())
 
 
 def _corner_integral(half_widths):
@@ -118,8 +144,30 @@ def _cell_average(spacings, softening):
     return total / math.prod(spacings)
 
 
+def _offset_table(spacings, softening, offsets):
+    """w at the per-axis index offsets ``offsets[i]`` (non-negative), as an n-d table.
+
+    The entry at offset 0 is the cell average (the raw value is singular
+    for softening == 0).
+    """
+    n = len(offsets)
+    d2 = float(softening) ** 2
+    for axis, (o, h) in enumerate(zip(offsets, spacings)):
+        x = (o * h).reshape((-1,) + (1,) * (n - 1 - axis))
+        d2 = x * x + d2
+    origin = (0,) * n
+    d2[origin] = 1.0  # placeholder, overwritten below
+    table = 1.0 / np.sqrt(d2)
+    table[origin] = _cell_average(spacings, softening)
+    return table
+
+
 def build_coulomb_kernel(basis, softening=0.0):
-    """Assemble the dense Coulomb kernel for the basis quadrature grid."""
+    """Build the Coulomb kernel for the basis quadrature grid.
+
+    A (nodes x nodes) array is allocated only for grids of at most
+    ``DENSE_MAX_NODES`` nodes.
+    """
     n = basis.spec.dimension
     if n == 1:
         if softening <= 0:
@@ -130,9 +178,29 @@ def build_coulomb_kernel(basis, softening=0.0):
         raise PotentialError(
             "softening is a 1-d regularisation; the exact kernel is used for n >= 2"
         )
-    diag = _cell_average(basis.spec.spacings, softening)
-    w = _kernels.pairwise_inverse_distance(basis.nodes, softening, diag)
-    return CoulombKernel(matrix=w * basis.weights[None, :], softening=softening, dimension=n)
+    spacings = basis.spec.spacings
+    shape = tuple(m + 1 for m in basis.spec.grid)
+    matrix = spectrum = None
+    if basis.node_count <= DENSE_MAX_NODES:
+        table = _offset_table(spacings, softening, [np.arange(m) for m in shape])
+        index = np.indices(shape).reshape(n, -1)
+        matrix = table[tuple(np.abs(i[:, None] - i[None, :]) for i in index)]
+        matrix *= basis.weights[None, :]
+    else:
+        # circulant embedding on 2*cells points per axis: slot j holds offset
+        # min(j, 2*cells - j); the one slot two offsets share (+-cells) holds
+        # the same value for both, so the wrapped convolution is the linear one
+        folded = [np.minimum(np.arange(2 * m), np.arange(2 * m, 0, -1)) for m in basis.spec.grid]
+        # the table is even in every axis, so its spectrum is real
+        spectrum = np.fft.rfftn(_offset_table(spacings, softening, folded)).real
+    return CoulombKernel(
+        softening=softening,
+        dimension=n,
+        nodes_per_axis=shape,
+        weights=basis.weights,
+        matrix=matrix,
+        spectrum=spectrum,
+    )
 
 
 def density(basis, d):
@@ -151,12 +219,21 @@ def density_from_grid(psi):
 
 
 def hartree(kernel, rho):
+    """V_H = K @ rho on the grid nodes."""
     rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape[0] != kernel.matrix.shape[0]:
+    if rho.shape[0] != kernel.node_count:
         raise PotentialError(
-            f"density has {rho.shape[0]} nodes but kernel expects {kernel.matrix.shape[0]}"
+            f"density has {rho.shape[0]} nodes but kernel expects {kernel.node_count}"
         )
-    return kernel.matrix @ rho
+    if kernel.matrix is not None:
+        return kernel.matrix @ rho
+    # linear convolution of the offset table with weight*rho, read at the nodes
+    shape = kernel.nodes_per_axis
+    padded = tuple(2 * (m - 1) for m in shape)
+    axes = tuple(range(len(shape)))
+    x = np.fft.rfftn((kernel.weights * rho).reshape(shape), s=padded, axes=axes)
+    out = np.fft.irfftn(x * kernel.spectrum, s=padded, axes=axes)
+    return out[tuple(slice(0, m) for m in shape)].reshape(-1)
 
 
 def exchange(config, rho):

@@ -7,6 +7,7 @@ from tdks import (
     build_coulomb_kernel,
     sample_field,
 )
+from tdks.potentials import _cell_average
 
 
 def make_setup(
@@ -53,6 +54,22 @@ def make_setup(
 def galerkin_matrix(basis, v_field):
     """Independent assembly of the m x m Hamiltonian for a static potential."""
     return np.diag(basis.eigenvalues) + (basis.values * (basis.weights * v_field)) @ basis.values.T
+
+
+def dense_coulomb_rows(basis, softening, rows=None):
+    """Oracle rows K[q, :] = w(x_q - x_r) * weight_r (all rows by default).
+
+    Assembled pair by pair from the node coordinates, independently of the
+    offset table; the self pair gets the cell average of w.
+    """
+    rows = np.arange(basis.node_count) if rows is None else np.asarray(rows)
+    diff = basis.nodes[rows, None, :] - basis.nodes[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff) + float(softening) ** 2
+    self_pairs = (np.arange(rows.size), rows)
+    d2[self_pairs] = 1.0  # placeholder, fixed below
+    w = 1.0 / np.sqrt(d2)
+    w[self_pairs] = _cell_average(basis.spec.spacings, softening)
+    return w * basis.weights[None, :]
 
 
 def unit_state(basis, mode, particles=1, particle=0, amplitude=1.0):

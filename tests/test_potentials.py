@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,14 @@ from tdks import (
     external,
     grid_inner,
     hartree,
+    potentials,
     random_coefficients,
     sample_field,
     synthesize,
     vxc_rho_derivative,
 )
 
-from conftest import make_setup, unit_state
+from conftest import dense_coulomb_rows, make_setup, unit_state
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +64,8 @@ def test_hartree_point_density_gives_kernel_column(setup_1d):
     rho = np.zeros(basis.node_count)
     rho[q0] = 1.0 / basis.weights[q0]  # unit integral concentrated on one node
     vh = hartree(kernel, rho)
-    assert np.abs(vh - kernel.matrix[:, q0] / basis.weights[q0]).max() < 1e-12
+    column = dense_coulomb_rows(basis, kernel.softening)[:, q0] / basis.weights[q0]
+    assert np.abs(vh - column).max() < 1e-12
 
 
 def test_hartree_positive_for_nonnegative_density(setup_1d):
@@ -104,7 +108,60 @@ def test_kernel_dimension_policy():
     with pytest.raises(PotentialError):
         build_coulomb_kernel(b2, 0.1)
     kernel = build_coulomb_kernel(b2, 0.0)
-    assert np.isfinite(kernel.matrix).all() and kernel.matrix.min() >= 0
+    columns = np.column_stack([hartree(kernel, e) for e in np.eye(b2.node_count)])
+    assert np.isfinite(columns).all() and columns.min() >= 0
+
+
+KERNEL_CASES = {
+    "1d-softened": ((1.0,), (48,), 0.1),
+    "2d": ((3.0, 3.0), (16, 16), 0.0),
+    "3d": ((3.0, 3.0, 3.0), (8, 8, 8), 0.0),
+    "3d-anisotropic": ((3.0, 2.5, 2.0), (10, 8, 6), 0.0),
+}
+
+
+@pytest.mark.parametrize("branch", ["dense", "fft"])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_branches_match_dense_oracle(monkeypatch, case, branch):
+    lengths, grid, softening = KERNEL_CASES[case]
+    spec = DomainSpec(dimension=len(grid), lengths=lengths, grid=grid, particles=1)
+    basis = build_basis(spec, (2,) * len(grid))
+    limit = basis.node_count if branch == "dense" else basis.node_count - 1
+    monkeypatch.setattr(potentials, "DENSE_MAX_NODES", limit)
+    kernel = build_coulomb_kernel(basis, softening)
+    assert (kernel.matrix is None) == (branch == "fft")
+
+    oracle = dense_coulomb_rows(basis, softening)
+    rho = np.random.default_rng(0).random(basis.node_count)
+    expect = oracle @ rho
+    assert np.abs(hartree(kernel, rho) - expect).max() <= 1e-13 * np.abs(expect).max()
+    row_sum_max = oracle.sum(axis=1).max()
+    assert abs(kernel.row_sum_max - row_sum_max) <= 1e-13 * row_sum_max
+
+
+def test_kernel_large_grid_never_builds_dense_matrix():
+    # 33^3 nodes: the dense matrix would take about 10 GB
+    spec = DomainSpec(dimension=3, lengths=(3.0, 3.0, 3.0), grid=(32, 32, 32), particles=1)
+    basis = build_basis(spec, (2, 2, 2))
+    rho = np.random.default_rng(11).random(basis.node_count)
+    tracemalloc.start()
+    try:
+        kernel = build_coulomb_kernel(basis, 0.0)
+        vh = hartree(kernel, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.matrix is None
+    assert peak < 100e6
+    rows = [0, 1234, basis.node_count // 2, basis.node_count - 1]
+    expect = dense_coulomb_rows(basis, 0.0, rows) @ rho
+    assert np.abs(vh[rows] - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def test_hartree_rejects_mismatched_density(setup_1d):
+    basis, _, kernel = setup_1d
+    with pytest.raises(PotentialError, match="nodes but kernel expects"):
+        hartree(kernel, np.zeros(basis.node_count + 1))
 
 
 def test_exchange_constant_and_zero_density(setup_1d):

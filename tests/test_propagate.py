@@ -10,6 +10,7 @@ from tdks import (
     forward_context,
     hartree,
     ks_potential,
+    potentials,
     project,
     random_coefficients,
     rhs,
@@ -309,8 +310,18 @@ def _stage_tangent(ctx, t_mid, dt, a, da, du):
     return project(ctx.basis, phase * dpsi - 1j * dt * dv[:, None] * phase * psi)
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_potential_stage_vjp_dot_product(dimension):
+@pytest.mark.parametrize(
+    "dimension, dense_max_nodes",
+    [
+        pytest.param(1, None, id="1"),  # 25 nodes: dense Hartree apply
+        pytest.param(2, None, id="2"),  # 625 nodes: FFT Hartree apply
+        pytest.param(1, 0, id="1-fft"),
+        pytest.param(2, 10**4, id="2-dense"),
+    ],
+)
+def test_potential_stage_vjp_dot_product(monkeypatch, dimension, dense_max_nodes):
+    if dense_max_nodes is not None:
+        monkeypatch.setattr(potentials, "DENSE_MAX_NODES", dense_max_nodes)
     basis, pot, kernel = make_setup(
         lengths=(3.0,) * dimension,
         grid=(24,) * dimension,
@@ -327,6 +338,7 @@ def test_potential_stage_vjp_dot_product(dimension):
         )
 
     ctx = ctx_at(u0)
+    assert (kernel.matrix is None) == (basis.node_count > potentials.DENSE_MAX_NODES)
     rng = np.random.default_rng(dimension)
     a, x, y = (random_coefficients(basis, 2, rng, 1.0) for _ in range(3))
     du = 0.7
