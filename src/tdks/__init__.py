@@ -31,8 +31,6 @@ from .potentials import (
     density,
     density_from_grid,
     exchange,
-    exchange_apply,
-    external,
     hartree,
     ks_potential,
     sample_field,

@@ -13,6 +13,13 @@ resolvable sine modes are integrated exactly (discrete sine orthogonality).
 States are stored as complex coefficient matrices ``d`` of shape
 ``(modes, particles)``; grid fields are arrays of shape ``(nodes,)`` or
 ``(nodes, particles)`` (real dtype for real-valued fields).
+
+Because the basis is a tensor product, only the per-axis sine tables
+``(modes_i, nodes_i)`` are stored (sum_i modes_i * nodes_i entries), and
+``synthesize`` / ``project`` contract the coefficient or field tensor one
+axis at a time (sum factorization, Orszag 1980): one small product per
+axis in place of one O(modes * nodes) product.  No (modes x nodes) table
+is ever formed.
 """
 
 from dataclasses import dataclass
@@ -73,10 +80,14 @@ class DomainSpec:
 
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
-    """Tabulated sine basis on the quadrature grid.
+    """Sine basis on the quadrature grid, tabulated one axis at a time.
 
-    ``values[k, q]`` holds phi_k at node q with modes flattened
-    lexicographically by multi-index (first axis slowest).
+    ``axis_tables[i][j, q]`` holds sqrt(2/L_i) * sin((j+1) * pi * x_q / L_i)
+    at node q of axis i.  The basis function phi_k is the product of one row
+    per axis; modes and nodes are both flattened lexicographically by
+    multi-index (first axis slowest).  The tables hold
+    sum_i modes_i * nodes_i entries, and ``synthesize`` / ``project`` apply
+    them axis by axis instead of forming the (modes x nodes) product table.
     """
 
     spec: DomainSpec
@@ -85,25 +96,16 @@ class SpectralBasis:
     eigenvalues: np.ndarray  # (modes,)
     nodes: np.ndarray  # (nodes, dimension)
     weights: np.ndarray  # (nodes,)
-    values: np.ndarray  # (modes, nodes)
+    axis_tables: tuple  # per axis (modes_i, nodes_i)
+    node_tables: tuple  # per axis (nodes_i, modes_i), transposed views of axis_tables
 
     @property
     def size(self):
-        return self.values.shape[0]
+        return self.mode_indices.shape[0]
 
     @property
     def node_count(self):
-        return self.values.shape[1]
-
-
-def _outer_flatten(factors):
-    """Row-major outer product of a list of (rows_i, cols_i) tables."""
-
-    def combine(a, b):
-        out = a[:, None, :, None] * b[None, :, None, :]
-        return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-    return reduce(combine, factors)
+        return self.weights.shape[0]
 
 
 def build_basis(spec, modes_per_axis):
@@ -136,8 +138,7 @@ def build_basis(spec, modes_per_axis):
         k = np.arange(1, k_max + 1)
         axis_tables.append(np.sqrt(2.0 / l) * np.sin(np.outer(k, np.pi * x / l)))
 
-    values = _outer_flatten(axis_tables)
-    weights = _outer_flatten([w[None, :] for w in axis_weights])[0]
+    weights = reduce(np.multiply.outer, axis_weights).reshape(-1)
 
     mesh = np.meshgrid(*axis_nodes, indexing="ij")
     nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -155,7 +156,8 @@ def build_basis(spec, modes_per_axis):
         eigenvalues=eigenvalues,
         nodes=nodes,
         weights=weights,
-        values=values,
+        axis_tables=tuple(axis_tables),
+        node_tables=tuple(t.T for t in axis_tables),
     )
 
 
@@ -172,17 +174,41 @@ def _as_state(basis, d):
     return d
 
 
+def _along_axes(tables, a):
+    """Apply ``tables[i]`` (out_i, in_i) along axis i of a flattened tensor.
+
+    ``a`` is (prod in_i, channels) with the tensor axes first-axis-slowest;
+    the result is (prod out_i, channels) in the same order and dtype.  One
+    axis is the plain matrix product.  Otherwise each step is one matmul
+    broadcast over the axes already contracted, with complex input split
+    into real and imaginary channels so that every product is real.
+    """
+    if len(tables) == 1:
+        return tables[0] @ a
+    split = a.dtype == np.complex128
+    if split:
+        a = np.ascontiguousarray(a).view(np.float64)
+    lead = 1
+    for t in tables:
+        out, inner = t.shape
+        a = np.matmul(t, a.reshape(lead, inner, -1))
+        lead *= out
+    a = a.reshape(lead, -1)
+    return a.view(np.complex128) if split else a
+
+
 def synthesize(basis, d):
     """Evaluate the represented wave functions on the grid: (nodes, particles)."""
     d = _as_state(basis, d)
-    return basis.values.T @ d
+    return _along_axes(basis.node_tables, d)
 
 
 def project(basis, field):
     """Quadrature projection <field, phi_k> onto every basis mode.
 
     Accepts single-channel (nodes,) or multi-channel (nodes, particles)
-    fields and preserves that shape convention in the result.
+    fields and preserves that shape convention in the result; real fields
+    give real coefficients.
     """
     field = np.asarray(field)
     single = field.ndim == 1
@@ -192,7 +218,7 @@ def project(basis, field):
         raise DomainError(
             f"field has {field.shape[0]} nodes, expected {basis.node_count}"
         )
-    coeff = basis.values @ (basis.weights[:, None] * field)
+    coeff = _along_axes(basis.axis_tables, basis.weights[:, None] * field)
     return coeff[:, 0] if single else coeff
 
 

@@ -241,10 +241,6 @@ def exchange(config, rho):
     return config.exchange_c * rho**config.exchange_beta
 
 
-def exchange_apply(config, rho, psi_grid):
-    return exchange(config, rho)[:, None] * np.asarray(psi_grid)
-
-
 def _ball_radius_prefactor(dimension):
     # r_s = prefactor * rho**(-1/n): radius of the n-ball of volume 1/rho
     n = dimension
@@ -295,19 +291,6 @@ def ks_potential(config, kernel, rho, dimension):
     if config.include_correlation:
         v += correlation(config, rho, dimension)
     return v
-
-
-def external(config, u_value):
-    """External potential V0 + u * Vu on the grid."""
-    v0 = config.confinement
-    vu = config.control_shape
-    if v0 is None and vu is None:
-        raise PotentialError("external potential needs at least one grid field")
-    if v0 is None:
-        v0 = np.zeros_like(vu)
-    if vu is None:
-        vu = np.zeros_like(v0)
-    return v0 + float(u_value) * vu
 
 
 _PRESETS = ("zero", "harmonic", "well", "dipole", "array")

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 
 from tdks import (
@@ -51,9 +53,24 @@ def make_setup(
     return basis, pot, kernel
 
 
+def dense_basis_values(basis):
+    """Oracle (modes, nodes) table: values[k, q] = phi_k at node q.
+
+    The row-major outer product of the per-axis sine tables (modes and nodes
+    both first axis slowest); in 1-d it is the single axis table itself.
+    """
+
+    def combine(a, b):
+        out = a[:, None, :, None] * b[None, :, None, :]
+        return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+    return reduce(combine, basis.axis_tables)
+
+
 def galerkin_matrix(basis, v_field):
     """Independent assembly of the m x m Hamiltonian for a static potential."""
-    return np.diag(basis.eigenvalues) + (basis.values * (basis.weights * v_field)) @ basis.values.T
+    values = dense_basis_values(basis)
+    return np.diag(basis.eigenvalues) + (values * (basis.weights * v_field)) @ values.T
 
 
 def dense_coulomb_rows(basis, softening, rows=None):

@@ -13,8 +13,6 @@ from tdks import (
     density,
     density_from_grid,
     exchange,
-    exchange_apply,
-    external,
     grid_inner,
     hartree,
     potentials,
@@ -25,6 +23,24 @@ from tdks import (
 )
 
 from conftest import dense_coulomb_rows, make_setup, unit_state
+
+
+def exchange_apply(config, rho, psi_grid):
+    """Exchange potential applied to every grid channel of psi."""
+    return exchange(config, rho)[:, None] * np.asarray(psi_grid)
+
+
+def external(config, u_value):
+    """External potential V0 + u * Vu on the grid."""
+    v0 = config.confinement
+    vu = config.control_shape
+    if v0 is None and vu is None:
+        raise PotentialError("external potential needs at least one grid field")
+    if v0 is None:
+        v0 = np.zeros_like(vu)
+    if vu is None:
+        vu = np.zeros_like(v0)
+    return v0 + float(u_value) * vu
 
 
 @pytest.fixture(scope="module")

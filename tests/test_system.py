@@ -19,7 +19,7 @@ from tdks.domain import project
 from tdks.potentials import density_from_grid
 from tdks.system import SystemContext, SystemError
 
-from conftest import make_setup, unit_state
+from conftest import dense_basis_values, make_setup, unit_state
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +229,7 @@ def test_project_f_zero_and_single_mode(nonlinear_ctx):
     assert out.shape == (nonlinear_ctx.basis.size, 1) and np.abs(out).max() == 0
 
     basis = nonlinear_ctx.basis
-    phi3 = basis.values[2].astype(np.complex128)
+    phi3 = dense_basis_values(basis)[2].astype(np.complex128)
     ctx = forward_context(basis, nonlinear_ctx.potentials, kernel=nonlinear_ctx.kernel,
                           source=lambda t: phi3)
     f = project_F(ctx, 0.7)
