@@ -8,7 +8,6 @@ sorted keys, and no timestamps or wall-clock data enter any file.
 """
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from .propagate import (
     forward_context,
     solve_adjoint,
     solve_forward,
+    write_csv,
 )
 from .signals import ControlSignal
 from .system import SystemError as SystemContextError
@@ -124,7 +124,19 @@ def _merge_section(path, defaults, given):
     out = {}
     for key, default in defaults.items():
         out[key] = given.get(key, default)
+        # a key whose default is an integer count (or a list of them) takes only that
+        # form; checked here, before anything converts or allocates with the value
+        if _has_count_form(default, default) and not _has_count_form(out[key], default):
+            form = "an integer" if isinstance(default, int) else f"integers as in {default!r}"
+            raise ConfigError(f"{path}.{key}: expected {form}, got {out[key]!r}")
     return out
+
+
+def _has_count_form(value, like):
+    """Whether value is a JSON integer, or a list of values in the form of like[0]."""
+    if isinstance(like, list):
+        return isinstance(value, list) and all(_has_count_form(v, like[0]) for v in value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_preset(path, value, allowed):
@@ -176,17 +188,7 @@ def parse_config(text):
             raw[section] = data.get(section, defaults)
 
     dom = raw["domain"]
-    try:
-        spec = DomainSpec(
-            dimension=dom["dimension"],
-            lengths=tuple(dom["lengths"]),
-            grid=tuple(dom["grid"]),
-            particles=dom["particles"],
-            horizon=dom["horizon"],
-            steps=dom["steps"],
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"domain: {exc}") from exc
+    spec = _domain_spec(dom)
 
     modes = raw["basis"]["modes"]
     if len(modes) != spec.dimension:
@@ -250,6 +252,20 @@ def parse_config(text):
     return RunConfig(raw=_canonical(raw))
 
 
+def _domain_spec(dom):
+    try:
+        return DomainSpec(
+            dimension=dom["dimension"],
+            lengths=tuple(dom["lengths"]),
+            grid=tuple(dom["grid"]),
+            particles=dom["particles"],
+            horizon=dom["horizon"],
+            steps=dom["steps"],
+        )
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"domain: {exc}") from exc
+
+
 def _canonical(obj):
     if isinstance(obj, dict):
         return {k: _canonical(obj[k]) for k in obj}
@@ -276,18 +292,9 @@ def default_config():
 # ---------------------------------------------------------------------------
 
 
-def _build_instruments(config, modes=None):
+def _build_instruments(config):
     raw = config.raw
-    dom = raw["domain"]
-    spec = DomainSpec(
-        dimension=dom["dimension"],
-        lengths=tuple(dom["lengths"]),
-        grid=tuple(dom["grid"]),
-        particles=dom["particles"],
-        horizon=dom["horizon"],
-        steps=dom["steps"],
-    )
-    basis = build_basis(spec, modes if modes is not None else tuple(raw["basis"]["modes"]))
+    basis = build_basis(_domain_spec(raw["domain"]), tuple(raw["basis"]["modes"]))
     pot = raw["potentials"]
     v0_spec = dict(pot["confinement"])
     vu_spec = dict(pot["control_shape"])
@@ -311,7 +318,7 @@ def _build_instruments(config, modes=None):
     return basis, potentials, kernel
 
 
-def _build_state(config, basis, preset, rng):
+def _build_state(basis, preset):
     kind = preset["kind"]
     n = basis.spec.particles
     if kind == "lowest_modes":
@@ -352,7 +359,7 @@ def _build_state(config, basis, preset, rng):
     raise ConfigError(f"initial_state.kind: unknown preset {kind!r}")
 
 
-def _build_control(config, preset, horizon, steps):
+def _build_control(preset, horizon, steps):
     kind = preset["kind"]
     if kind == "zero":
         return ControlSignal(samples=np.zeros(steps + 1), horizon=horizon)
@@ -376,11 +383,13 @@ def _build_control(config, preset, horizon, steps):
     raise ConfigError(f"control.kind: unknown preset {kind!r}")
 
 
-def _objective_from_config(config, basis, rng):
+def _objective_from_config(config, basis, purpose):
     obj = config.raw["objective"]
+    if obj["j1"] == "none" and obj["j2"] == "none":
+        raise ConfigError(f"objective: {purpose} needs a tracking objective (j1 or j2)")
     target = None
     if obj["target_state"] is not None:
-        target = _build_state(config, basis, obj["target_state"], rng)
+        target = _build_state(basis, obj["target_state"])
     return ObjectiveSpec(
         j1=obj["j1"],
         j2=obj["j2"],
@@ -397,16 +406,6 @@ def _objective_from_config(config, basis, rng):
 
 def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_density_csv(path, basis, rho):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(basis.spec.dimension)] + ["weight", "rho"])
-        for q in range(basis.node_count):
-            row = [repr(float(c)) for c in basis.nodes[q]]
-            row += [repr(float(basis.weights[q])), repr(float(rho[q]))]
-            writer.writerow(row)
 
 
 def _reports_payload(reports):
@@ -431,11 +430,11 @@ def _print_report_table(reports, quiet):
 # ---------------------------------------------------------------------------
 
 
-def _run_simulate(config, out, rng, quiet):
+def _run_simulate(config, out, quiet):
     basis, potentials, kernel = _build_instruments(config)
     steps = basis.spec.steps
-    control = _build_control(config, config.raw["control"], basis.spec.horizon, steps)
-    psi0 = _build_state(config, basis, config.raw["initial_state"], rng)
+    control = _build_control(config.raw["control"], basis.spec.horizon, steps)
+    psi0 = _build_state(basis, config.raw["initial_state"])
     tol = config.raw["integrator"]["fixed_point_tol"]
     max_iter = config.raw["integrator"]["fixed_point_max_iter"]
 
@@ -443,11 +442,7 @@ def _run_simulate(config, out, rng, quiet):
     traj = solve_forward(fwd_ctx, psi0, fixed_point_tol=tol, fixed_point_max_iter=max_iter)
     mode = config.raw["mode"]
     if mode == "adjoint":
-        objective = _objective_from_config(config, basis, rng)
-        if objective.j1 == "none" and objective.j2 == "none":
-            raise ConfigError(
-                "objective: the adjoint run needs a tracking objective (j1 or j2)"
-            )
+        objective = _objective_from_config(config, basis, "the adjoint run")
         terminal, source = adjoint_sources(objective, traj)
         adj_ctx = adjoint_context(
             basis, potentials, forward=traj, kernel=kernel, control=control, source=source
@@ -467,9 +462,11 @@ def _run_simulate(config, out, rng, quiet):
     density_times = config.raw["output"]["density_times"]
     if density_times is None:
         density_times = [basis.spec.horizon]
+    header = [f"x{i}" for i in range(basis.spec.dimension)] + ["weight", "rho"]
     for i, t in enumerate(density_times):
         rho = density_from_grid(synthesize(basis, main.state_at(float(t))))
-        _write_density_csv(out / f"density_{i}.csv", basis, rho)
+        table = np.column_stack((basis.nodes, basis.weights, rho))
+        write_csv(out / f"density_{i}.csv", header, map(np.ndarray.tolist, table))
     summary = {
         "mode": mode,
         "l2_initial": float(main.l2[0]),
@@ -494,8 +491,7 @@ def run_verification_suite(config):
     """
     seed = config.seed
     basis, potentials, kernel = _build_instruments(config)
-    rng = np.random.default_rng([seed, 1])
-    psi0 = _build_state(config, basis, config.raw["initial_state"], rng)
+    psi0 = _build_state(basis, config.raw["initial_state"])
 
     reports = []
     reports.append(check_coulomb_lp(3, 2, 1.0, 96))
@@ -532,18 +528,8 @@ def run_verification_suite(config):
         )
     )
 
-    def builder(modes):
-        b = build_basis(basis.spec, modes)
-        k = build_coulomb_kernel(b, potentials.coulomb_softening) if potentials.include_hartree else None
-        ctx = forward_context(b, potentials, kernel=k)
-        d0 = np.zeros((b.size, b.spec.particles), dtype=np.complex128)
-        for j in range(b.spec.particles):
-            d0[j, j] = 1.0
-        return ctx, d0
-
-    reports.append(
-        check_galerkin_convergence(builder, config.raw["converge"]["mode_list"])
-    )
+    builder = _galerkin_builder(basis.spec, potentials, {"kind": "lowest_modes"})
+    reports.append(check_galerkin_convergence(builder, config.raw["converge"]["mode_list"]))
     reports.append(
         check_potential_continuity(
             basis, potentials, kernel, seed=seed, particles=basis.spec.particles
@@ -553,7 +539,7 @@ def run_verification_suite(config):
     return reports
 
 
-def _run_verify(config, out, rng, quiet):
+def _run_verify(config, out, quiet):
     reports = run_verification_suite(config)
     _write_json(out / "reports.json", _reports_payload(reports))
     _print_report_table(reports, quiet)
@@ -563,31 +549,34 @@ def _run_verify(config, out, rng, quiet):
     return 1 if failed else 0
 
 
-def _run_converge(config, out, rng, quiet):
-    basis, potentials, kernel = _build_instruments(config)
+def _galerkin_builder(spec, potentials, preset):
+    """builder(modes) -> (forward context, initial state from preset) on that basis."""
 
     def builder(modes):
-        b = build_basis(basis.spec, modes)
-        k = build_coulomb_kernel(b, potentials.coulomb_softening) if potentials.include_hartree else None
-        ctx = forward_context(b, potentials, kernel=k)
-        rng_local = np.random.default_rng([config.seed, 1])
-        d0 = _build_state(config, b, config.raw["initial_state"], rng_local)
-        return ctx, d0
+        basis = build_basis(spec, modes)
+        kernel = None
+        if potentials.include_hartree:
+            kernel = build_coulomb_kernel(basis, potentials.coulomb_softening)
+        return forward_context(basis, potentials, kernel=kernel), _build_state(basis, preset)
 
+    return builder
+
+
+def _run_converge(config, out, quiet):
+    basis, potentials, kernel = _build_instruments(config)
+    builder = _galerkin_builder(basis.spec, potentials, config.raw["initial_state"])
     report = check_galerkin_convergence(builder, config.raw["converge"]["mode_list"])
     _write_json(out / "reports.json", _reports_payload([report]))
     _print_report_table([report], quiet)
     return 0 if report.passed else 1
 
 
-def _run_optimize(config, out, rng, quiet):
+def _run_optimize(config, out, quiet):
     basis, potentials, kernel = _build_instruments(config)
     steps = basis.spec.steps
-    control = _build_control(config, config.raw["control"], basis.spec.horizon, steps)
-    objective = _objective_from_config(config, basis, rng)
-    if objective.j1 == "none" and objective.j2 == "none":
-        raise ConfigError("objective: optimisation needs a tracking objective (j1 or j2)")
-    psi0 = _build_state(config, basis, config.raw["initial_state"], rng)
+    control = _build_control(config.raw["control"], basis.spec.horizon, steps)
+    objective = _objective_from_config(config, basis, "optimisation")
+    psi0 = _build_state(basis, config.raw["initial_state"])
     ctx = forward_context(basis, potentials, kernel=kernel, control=control)
     opts = config.raw["optimize"]
     u_star, history = optimize(
@@ -598,11 +587,11 @@ def _run_optimize(config, out, rng, quiet):
         iters=opts["iterations"],
         step_rule={"initial": opts["step_initial"], "grad_tol": opts["grad_tol"]},
     )
-    with open(out / "optimize_history.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective", "grad_h1_norm", "step"])
-        for i, (j, g, s) in enumerate(history):
-            writer.writerow([i, repr(float(j)), repr(float(g)), repr(float(s))])
+    write_csv(
+        out / "optimize_history.csv",
+        ["iteration", "objective", "grad_h1_norm", "step"],
+        [[i, *map(float, row)] for i, row in enumerate(history)],
+    )
     _write_json(
         out / "control_optimized.json",
         {"horizon": basis.spec.horizon, "samples": [float(v) for v in u_star.samples]},
@@ -645,8 +634,7 @@ def run(config, subcommand, out_dir, quiet=False):
         config = RunConfig(raw={**config.raw, "mode": "adjoint"})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng([config.seed, 0])
-    status = _SUBCOMMANDS[subcommand](config, out, rng, quiet)
+    status = _SUBCOMMANDS[subcommand](config, out, quiet)
     (out / "config.echo.json").write_text(emit_config(config))
     return status
 

@@ -18,7 +18,7 @@ softening > 0 is required there.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -82,9 +82,6 @@ class PotentialConfig:
     def has_ks(self):
         """Whether any density-dependent (Hartree, exchange, correlation) term is on."""
         return self.include_hartree or self.include_exchange or self.include_correlation
-
-    def with_fields(self, confinement=None, control_shape=None):
-        return replace(self, confinement=confinement, control_shape=control_shape)
 
 
 @dataclass(frozen=True, eq=False)

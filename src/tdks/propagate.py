@@ -24,7 +24,14 @@ from . import _kernels
 from .domain import norms, project, synthesize
 from .potentials import density_from_grid, hartree, vxc_rho_derivative
 from .signals import zero_control
-from .system import SystemContext, _bounded_apply, bilinear_B, bound_constants
+from .system import (
+    SystemContext,
+    _bounded_fields,
+    _bounded_map,
+    bilinear_B,
+    bound_constants,
+    interpolate_states,
+)
 
 BLOWUP_FACTOR = 1.0e6
 
@@ -60,44 +67,33 @@ class Trajectory:
         return float(self.times[-1])
 
     def state_at(self, t):
-        times = self.times
-        t = float(np.clip(t, times[0], times[-1]))
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        i = min(max(i, 0), len(times) - 2)
-        w = (t - times[i]) / (times[i + 1] - times[i])
-        return (1.0 - w) * self.states[i] + w * self.states[i + 1]
+        return interpolate_states(self.times, self.states, t)
 
     def export_csv(self, path):
         """Dump t followed by re/im of every coefficient, mode-major then particle."""
         steps, m, n = self.states.shape
-        header = ["t"]
-        for k in range(m):
-            for j in range(n):
-                header += [f"re_d_k{k}_p{j}", f"im_d_k{k}_p{j}"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(steps):
-                row = [repr(float(self.times[i]))]
-                flat = self.states[i].reshape(-1)
-                for z in flat:
-                    row += [repr(float(z.real)), repr(float(z.imag))]
-                writer.writerow(row)
+        header = ["t"] + [
+            f"{part}_d_k{k}_p{j}" for k in range(m) for j in range(n) for part in ("re", "im")
+        ]
+        flat = np.ascontiguousarray(self.states, dtype=np.complex128).reshape(steps, -1)
+        table = np.column_stack((self.times, flat.view(np.float64)))
+        write_csv(path, header, map(np.ndarray.tolist, table))
 
     def export_diagnostics_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "l2_norm", "h1_norm", "re_b", "im_b"])
-            for i in range(len(self.times)):
-                writer.writerow(
-                    [
-                        repr(float(self.times[i])),
-                        repr(float(self.l2[i])),
-                        repr(float(self.h1[i])),
-                        repr(float(self.re_b[i])),
-                        repr(float(self.im_b[i])),
-                    ]
-                )
+        table = np.column_stack((self.times, self.l2, self.h1, self.re_b, self.im_b))
+        write_csv(path, ["t", "l2_norm", "h1_norm", "re_b", "im_b"], map(np.ndarray.tolist, table))
+
+
+def write_csv(path, header, rows):
+    """A header row, then the rows; csv writes Python floats with their shortest repr.
+
+    Array tables are passed as ``map(np.ndarray.tolist, table)``, so only one
+    row at a time exists as Python floats.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _kinetic_phase(ctx, d, dt):
@@ -159,11 +155,16 @@ def _potential_stage_vjp(ctx, dt, psi, rho, v, b_bar):
 
 
 def _potential_stage_adjoint(ctx, t_mid, dt, d, tol, max_iter):
-    """Implicit midpoint for the bounded part: y = d + dt*g((d+y)/2)."""
+    """Implicit midpoint for the bounded part: y = d + dt*g((d+y)/2).
+
+    The external potential, the frozen fields and the source at t_mid are
+    evaluated once; each fixed-point sweep applies only the state-dependent map.
+    """
+    fields = _bounded_fields(ctx, t_mid)
+    f = ctx.source_coefficients(t_mid)
 
     def g(z):
-        h = _bounded_apply(ctx, t_mid, z)
-        f = ctx.source_coefficients(t_mid)
+        h = _bounded_map(ctx, fields, z)
         if f is not None:
             h = h + f
         return -1j * h
@@ -198,15 +199,14 @@ def step(ctx, t, dt, d, fixed_point_tol=1e-10, fixed_point_max_iter=50):
     return _kinetic_phase(ctx, d, 0.5 * dt)
 
 
-def _source_y_norm_sq(ctx, times):
-    """Trapezoid of ||F(t)||_L2^2 over the solve grid (coefficient norms)."""
-    if ctx.source is None:
-        return 0.0
-    vals = np.empty(len(times))
-    for i, t in enumerate(times):
-        f = ctx.source_coefficients(t)
-        vals[i] = 0.0 if f is None else float(np.sum(f.real**2 + f.imag**2))
-    return float(np.trapezoid(vals, times))
+def _source_norms_sq(ctx, times):
+    """||F(t)||_L2^2 (coefficient norm) at every time; zeros without a source."""
+    vals = np.zeros(len(times))
+    if ctx.source is not None:
+        for i, t in enumerate(times):
+            f = ctx.source_coefficients(t)
+            vals[i] = np.sum(f.real**2 + f.imag**2)
+    return vals
 
 
 def _record(ctx, t, d, out, i):
@@ -219,8 +219,9 @@ def _record(ctx, t, d, out, i):
     return l2
 
 
-def _check_envelope(ctx, traj, start_norm_sq, f_y_sq):
+def _check_envelope(ctx, traj, start_norm_sq):
     ing = bound_constants(ctx, sample_times=traj.times)
+    f_y_sq = float(np.trapezoid(_source_norms_sq(ctx, traj.times), traj.times))
     ctilde0 = (1 - ctx.alpha) * ing["c0"]
     horizon = abs(float(traj.times[-1] - traj.times[0]))
     bound = np.exp((1.0 + 2.0 * ctilde0) * horizon) * (start_norm_sq + f_y_sq)
@@ -234,64 +235,53 @@ def _check_envelope(ctx, traj, start_norm_sq, f_y_sq):
         )
 
 
-def solve_forward(
-    ctx,
-    psi0,
-    steps=None,
-    fixed_point_tol=1e-10,
-    fixed_point_max_iter=50,
-):
-    """Integrate the alpha=1 problem from psi0 over [0, T]."""
-    if ctx.alpha != 1:
-        raise PropagationError("solve_forward needs an alpha=1 context")
+def _solve(ctx, start, steps, fixed_point_tol, fixed_point_max_iter):
+    """Step from the start state toward T (alpha=1) or toward 0 (alpha=0).
+
+    Every state is stored at its place on the increasing time grid; a blow-up
+    carries the last good time and the good states, in time order.
+    """
     spec = ctx.basis.spec
-    steps = int(steps if steps is not None else spec.steps)
     dt = spec.horizon / steps
-    d = np.asarray(psi0, dtype=np.complex128)
+    d = np.asarray(start, dtype=np.complex128)
     if d.ndim == 1:
         d = d[:, None]
-    m, n = d.shape
     times = np.linspace(0.0, spec.horizon, steps + 1)
-    states = np.empty((steps + 1, m, n), dtype=np.complex128)
+    states = np.empty((steps + 1,) + d.shape, dtype=np.complex128)
     out = {k: np.empty(steps + 1) for k in ("l2", "h1", "re_b", "im_b")}
-    states[0] = d
-    l2_init = _record(ctx, 0.0, d, out, 0)
-    guard = max(l2_init, 1.0) * BLOWUP_FACTOR
-    for i in range(steps):
-        d = step(ctx, times[i], dt, d, fixed_point_tol, fixed_point_max_iter)
-        states[i + 1] = d
+    forward = ctx.alpha == 1
+    order = range(steps + 1) if forward else range(steps, -1, -1)
+    h = dt if forward else -dt
+    states[order[0]] = d
+    l2_start = _record(ctx, times[order[0]], d, out, order[0])
+    guard = max(l2_start, 1.0) * BLOWUP_FACTOR
+    for last, i in zip(order, order[1:]):
+        d = step(ctx, times[last], h, d, fixed_point_tol, fixed_point_max_iter)
+        states[i] = d
+        good = states[: last + 1] if forward else states[last:]
         if not np.all(np.isfinite(d)):
+            raise BlowUpError(f"non-finite state at t={times[i]}", times[last], good)
+        if _record(ctx, times[i], d, out, i) > guard:
             raise BlowUpError(
-                f"non-finite state at t={times[i + 1]}", times[i], states[: i + 1]
+                f"norm exceeded {BLOWUP_FACTOR:g} x {'initial' if forward else 'terminal'}"
+                f" at t={times[i]}",
+                times[last],
+                good,
             )
-        l2 = _record(ctx, times[i + 1], d, out, i + 1)
-        if l2 > guard:
-            raise BlowUpError(
-                f"norm exceeded {BLOWUP_FACTOR:g} x initial at t={times[i + 1]}",
-                times[i],
-                states[: i + 1],
-            )
-    traj = Trajectory(
-        times=times,
-        states=states,
-        l2=out["l2"],
-        h1=out["h1"],
-        re_b=out["re_b"],
-        im_b=out["im_b"],
-        alpha=1,
-        meta={"dt": dt},
-    )
-    _check_envelope(ctx, traj, l2_init**2, _source_y_norm_sq(ctx, times))
+    traj = Trajectory(times=times, states=states, **out, alpha=ctx.alpha, meta={"dt": dt})
+    _check_envelope(ctx, traj, l2_start**2)
     return traj
 
 
-def solve_adjoint(
-    ctx,
-    terminal,
-    steps=None,
-    fixed_point_tol=1e-10,
-    fixed_point_max_iter=50,
-):
+def solve_forward(ctx, psi0, steps=None, fixed_point_tol=1e-10, fixed_point_max_iter=50):
+    """Integrate the alpha=1 problem from psi0 over [0, T]."""
+    if ctx.alpha != 1:
+        raise PropagationError("solve_forward needs an alpha=1 context")
+    steps = int(steps if steps is not None else ctx.basis.spec.steps)
+    return _solve(ctx, psi0, steps, fixed_point_tol, fixed_point_max_iter)
+
+
+def solve_adjoint(ctx, terminal, steps=None, fixed_point_tol=1e-10, fixed_point_max_iter=50):
     """Integrate the alpha=0 problem backward from the terminal state.
 
     Implemented as a negative-step solve in physical time; the returned
@@ -312,66 +302,25 @@ def solve_adjoint(
                 f"adjoint grid ({steps} steps) must be an integer refinement of the "
                 f"forward grid ({fwd_steps} steps)"
             )
-    dt = spec.horizon / steps
-    d = np.asarray(terminal, dtype=np.complex128)
-    if d.ndim == 1:
-        d = d[:, None]
-    m, n = d.shape
-    times = np.linspace(0.0, spec.horizon, steps + 1)
-    states = np.empty((steps + 1, m, n), dtype=np.complex128)
-    out = {k: np.empty(steps + 1) for k in ("l2", "h1", "re_b", "im_b")}
-    states[steps] = d
-    l2_term = _record(ctx, spec.horizon, d, out, steps)
-    guard = max(l2_term, 1.0) * BLOWUP_FACTOR
-    for i in range(steps, 0, -1):
-        d = step(ctx, times[i], -dt, d, fixed_point_tol, fixed_point_max_iter)
-        states[i - 1] = d
-        if not np.all(np.isfinite(d)):
-            raise BlowUpError(
-                f"non-finite state at t={times[i - 1]}", times[i], states[i:]
-            )
-        l2 = _record(ctx, times[i - 1], d, out, i - 1)
-        if l2 > guard:
-            raise BlowUpError(
-                f"norm exceeded {BLOWUP_FACTOR:g} x terminal at t={times[i - 1]}",
-                times[i],
-                states[i:],
-            )
-    traj = Trajectory(
-        times=times,
-        states=states,
-        l2=out["l2"],
-        h1=out["h1"],
-        re_b=out["re_b"],
-        im_b=out["im_b"],
-        alpha=0,
-        meta={"dt": dt, "direction": "backward"},
-    )
-    _check_envelope(ctx, traj, l2_term**2, _source_y_norm_sq(ctx, times))
-    return traj
+    return _solve(ctx, terminal, steps, fixed_point_tol, fixed_point_max_iter)
 
 
 def forward_context(basis, potentials, kernel=None, control=None, source=None):
-    if control is None:
-        control = zero_control(basis.spec.horizon, basis.spec.steps)
-    return SystemContext(
-        basis=basis,
-        potentials=potentials,
-        kernel=kernel,
-        alpha=1,
-        control=control,
-        source=source,
-    )
+    return _context(basis, potentials, 1, kernel, control, None, source)
 
 
 def adjoint_context(basis, potentials, forward, kernel=None, control=None, source=None):
+    return _context(basis, potentials, 0, kernel, control, forward, source)
+
+
+def _context(basis, potentials, alpha, kernel, control, forward, source):
     if control is None:
         control = zero_control(basis.spec.horizon, basis.spec.steps)
     return SystemContext(
         basis=basis,
         potentials=potentials,
         kernel=kernel,
-        alpha=0,
+        alpha=alpha,
         control=control,
         forward=forward,
         source=source,

@@ -1,6 +1,7 @@
 """Uniformly sampled control signals with discrete H1(0,T) machinery."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,12 +35,12 @@ class ControlSignal:
     def step(self):
         return self.horizon / (self.samples.size - 1)
 
-    @property
+    @cached_property
     def times(self):
         return np.linspace(0.0, self.horizon, self.samples.size)
 
     def value(self, t):
-        return float(np.interp(np.clip(t, 0.0, self.horizon), self.times, self.samples))
+        return float(np.interp(min(max(t, 0.0), self.horizon), self.times, self.samples))
 
     @property
     def sup(self):

@@ -16,6 +16,7 @@ Inner products are linear in the first argument and conjugated in the
 second.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +33,15 @@ from .potentials import (
 
 class SystemError(ValueError):
     pass
+
+
+def interpolate_states(times, states, t):
+    """Piecewise-linear value at t (clamped to the grid) of states stored at times."""
+    t = float(np.clip(t, times[0], times[-1]))
+    i = int(np.searchsorted(times, t, side="right") - 1)
+    i = min(max(i, 0), len(times) - 2)
+    w = (t - times[i]) / (times[i + 1] - times[i])
+    return (1.0 - w) * states[i] + w * states[i + 1]
 
 
 @dataclass(eq=False)
@@ -80,12 +90,7 @@ class SystemContext:
 
     def lambda_at(self, t):
         if self._lambda_states is not None:
-            times = self._lambda_times
-            t = float(np.clip(t, times[0], times[-1]))
-            i = int(np.searchsorted(times, t, side="right") - 1)
-            i = min(max(i, 0), len(times) - 2)
-            w = (t - times[i]) / (times[i + 1] - times[i])
-            return (1.0 - w) * self._lambda_states[i] + w * self._lambda_states[i + 1]
+            return interpolate_states(self._lambda_times, self._lambda_states, t)
         if callable(self.forward):
             return np.asarray(self.forward(t), dtype=np.complex128)
         raise SystemError("no forward solution available")
@@ -103,19 +108,6 @@ class SystemContext:
 
     def _ks_grid(self, rho):
         return ks_potential(self.potentials, self.kernel, rho, self.basis.spec.dimension)
-
-    def _coupling_field(self, psi_grid, lam_grid, rho_lam):
-        """Adjoint coupling applied to grid channels: (V_H(s) + dV*s) * lambda,
-        where s = 2 * sum_j Re(psi_j * conj(lambda_j)) pointwise."""
-        s = 2.0 * np.einsum("qj,qj->q", psi_grid.real, lam_grid.real) + 2.0 * np.einsum(
-            "qj,qj->q", psi_grid.imag, lam_grid.imag
-        )
-        v = np.zeros_like(s)
-        if self.potentials.include_hartree:
-            v += hartree(self.kernel, s)
-        dv = vxc_rho_derivative(self.potentials, rho_lam, self.basis.spec.dimension)
-        v += dv * s
-        return v[:, None] * lam_grid
 
     def source_coefficients(self, t):
         """Inhomogeneity projected onto the basis as (modes, particles), or None."""
@@ -136,20 +128,53 @@ class SystemContext:
         return f
 
 
+# grid fields of a frozen state: lambda (nodes, particles), rho(lambda), V(rho), dV/drho(rho)
+FrozenFields = namedtuple("FrozenFields", "grid rho potential dv")
+
+
+def frozen_fields(ctx, lam):
+    """``FrozenFields`` of the frozen coefficients lam."""
+    lam_g = synthesize(ctx.basis, lam)
+    rho = density_from_grid(lam_g)
+    dv = vxc_rho_derivative(ctx.potentials, rho, ctx.basis.spec.dimension)
+    return FrozenFields(lam_g, rho, ctx._ks_grid(rho), dv)
+
+
+def coupling_potentials(ctx, psi_g, frozen):
+    """Hartree and xc parts (v_H(s) or None, dV*s) of the coupling potential of the
+    grid state psi_g, where s = 2 * sum_j Re(psi_j * conj(lambda_j)) pointwise."""
+    lam_g = frozen.grid
+    s = 2.0 * np.einsum("qj,qj->q", psi_g.real, lam_g.real) + 2.0 * np.einsum(
+        "qj,qj->q", psi_g.imag, lam_g.imag
+    )
+    v_h = hartree(ctx.kernel, s) if ctx.potentials.include_hartree else None
+    return v_h, frozen.dv * s
+
+
+def _bounded_fields(ctx, t):
+    """State-independent fields of the bounded operator at t: (V_ext, frozen fields or None)."""
+    frozen = frozen_fields(ctx, ctx.lambda_at(t)) if ctx.alpha == 0 else None
+    return ctx.external_at(t), frozen
+
+
+def _bounded_map(ctx, fields, d):
+    """Non-kinetic operator terms applied to d, given ``_bounded_fields``."""
+    v_ext, frozen = fields
+    psi = synthesize(ctx.basis, d)
+    fld = v_ext[:, None] * psi
+    if frozen is None:
+        if ctx.potentials.has_ks:
+            fld += ctx._ks_grid(density_from_grid(psi))[:, None] * psi
+    else:
+        fld += frozen.potential[:, None] * psi
+        v_h, v_xc = coupling_potentials(ctx, psi, frozen)
+        fld += (v_xc if v_h is None else v_h + v_xc)[:, None] * frozen.grid
+    return project(ctx.basis, fld)
+
+
 def _bounded_apply(ctx, t, d):
     """All non-kinetic operator terms applied to d, as coefficients (without f)."""
-    psi = synthesize(ctx.basis, d)
-    fld = ctx.external_at(t)[:, None] * psi
-    if ctx.alpha == 1:
-        if ctx.potentials.has_ks:
-            rho = density_from_grid(psi)
-            fld += ctx._ks_grid(rho)[:, None] * psi
-    else:
-        lam = synthesize(ctx.basis, ctx.lambda_at(t))
-        rho_lam = density_from_grid(lam)
-        fld += ctx._ks_grid(rho_lam)[:, None] * psi
-        fld += ctx._coupling_field(psi, lam, rho_lam)
-    return project(ctx.basis, fld)
+    return _bounded_map(ctx, _bounded_fields(ctx, t), d)
 
 
 def rhs(ctx, t, d):
@@ -179,36 +204,27 @@ def bilinear_B(ctx, t, psi, phi):
     phi_g = psi_g if same else synthesize(ctx.basis, phi)
     total = kin + grid_inner(ctx.basis, ctx.external_at(t)[:, None] * psi_g, phi_g)
     if ctx.alpha == 0:
-        lam = synthesize(ctx.basis, ctx.lambda_at(t))
-        rho_lam = density_from_grid(lam)
-        total += grid_inner(ctx.basis, ctx._ks_grid(rho_lam)[:, None] * psi_g, phi_g)
-        d_h, d_xc = _coupling_parts(ctx, psi_g, phi_g, lam, rho_lam)
+        frozen = frozen_fields(ctx, ctx.lambda_at(t))
+        total += grid_inner(ctx.basis, frozen.potential[:, None] * psi_g, phi_g)
+        d_h, d_xc = _coupling_forms(ctx, psi_g, phi_g, frozen)
         total += d_h + d_xc
     return total
 
 
-def _coupling_parts(ctx, psi_g, phi_g, lam_g, rho_lam):
-    s = 2.0 * np.einsum("qj,qj->q", psi_g.real, lam_g.real) + 2.0 * np.einsum(
-        "qj,qj->q", psi_g.imag, lam_g.imag
-    )
-    if ctx.potentials.include_hartree:
-        d_h = grid_inner(ctx.basis, hartree(ctx.kernel, s)[:, None] * lam_g, phi_g)
-    else:
-        d_h = 0.0 + 0.0j
-    dv = vxc_rho_derivative(ctx.potentials, rho_lam, ctx.basis.spec.dimension)
-    d_xc = grid_inner(ctx.basis, (dv * s)[:, None] * lam_g, phi_g)
-    return d_h, d_xc
+def _coupling_forms(ctx, psi_g, phi_g, frozen):
+    """Hartree and xc parts of the coupling form <v(s) * lambda, phi> on the grid."""
+    v_h, v_xc = coupling_potentials(ctx, psi_g, frozen)
+    lam_g = frozen.grid
+    d_h = 0j if v_h is None else grid_inner(ctx.basis, v_h[:, None] * lam_g, phi_g)
+    return d_h, grid_inner(ctx.basis, v_xc[:, None] * lam_g, phi_g)
 
 
 def adjoint_D(ctx, t, psi, phi):
     """Adjoint coupling form split into its Hartree and xc-derivative parts."""
     if ctx.alpha != 0:
         raise SystemError("the coupling form belongs to the alpha=0 problem")
-    psi_g = synthesize(ctx.basis, psi)
-    phi_g = synthesize(ctx.basis, phi)
-    lam = synthesize(ctx.basis, ctx.lambda_at(t))
-    rho_lam = density_from_grid(lam)
-    return _coupling_parts(ctx, psi_g, phi_g, lam, rho_lam)
+    frozen = frozen_fields(ctx, ctx.lambda_at(t))
+    return _coupling_forms(ctx, synthesize(ctx.basis, psi), synthesize(ctx.basis, phi), frozen)
 
 
 def nonlinear_G(ctx, d):
@@ -242,44 +258,32 @@ def bound_constants(ctx, sample_times=None):
         "vu_sup": potential_sup(ctx.basis, ctx._vu),
         "u_sup": ctx.control.sup if ctx.control is not None else 0.0,
         "particles": float(ctx.basis.spec.particles),
+        "kernel_l1": 0.0,
+        "lambda_sup": 0.0,
+        "dv_rho_sup": 0.0,
+        "v_lambda_sup": 0.0,
     }
-    n_part = ctx.basis.spec.particles
+    c0 = 0.0
     if ctx.alpha == 0:
-        kernel_l1 = ctx.kernel.row_sum_max if ctx.potentials.include_hartree else 0.0
-        lam_sup = 0.0
-        dv_rho_sup = 0.0
-        v_lam_sup = 0.0
         if ctx._lambda_states is not None:
             snapshots = ctx._lambda_states
         elif sample_times is not None:
-            snapshots = [ctx.lambda_at(t) for t in sample_times]
+            snapshots = (ctx.lambda_at(t) for t in sample_times)
         else:
             raise SystemError(
                 "bound constants for alpha=0 need stored snapshots or sample times"
             )
-        for snap in snapshots:
-            lam_g = synthesize(ctx.basis, snap)
-            rho = density_from_grid(lam_g)
-            lam_sup = max(lam_sup, float(np.abs(lam_g).max()))
-            dv = vxc_rho_derivative(ctx.potentials, rho, ctx.basis.spec.dimension)
-            dv_rho_sup = max(dv_rho_sup, float(np.abs(dv * rho).max()))
-            v_lam_sup = max(v_lam_sup, float(np.abs(ctx._ks_grid(rho)).max()))
-        c0_xc = 2.0 * n_part**2 * dv_rho_sup
-        c0_h = 2.0 * n_part**1.5 * kernel_l1 * lam_sup**2
-        ing.update(
-            kernel_l1=kernel_l1,
-            lambda_sup=lam_sup,
-            dv_rho_sup=dv_rho_sup,
-            v_lambda_sup=v_lam_sup,
-            c0_xc=c0_xc,
-            c0_h=c0_h,
-        )
-        c0 = c0_xc + c0_h
-        coupling = c0 + v_lam_sup
-    else:
-        c0 = 0.0
-        coupling = 0.0
-        ing.update(kernel_l1=0.0, lambda_sup=0.0, dv_rho_sup=0.0, v_lambda_sup=0.0)
+        if ctx.potentials.include_hartree:
+            ing["kernel_l1"] = ctx.kernel.row_sum_max
+        for lam_g, rho, v_lam, dv in (frozen_fields(ctx, snap) for snap in snapshots):
+            ing["lambda_sup"] = max(ing["lambda_sup"], float(np.abs(lam_g).max()))
+            ing["dv_rho_sup"] = max(ing["dv_rho_sup"], float(np.abs(dv * rho).max()))
+            ing["v_lambda_sup"] = max(ing["v_lambda_sup"], float(np.abs(v_lam).max()))
+        n_part = ctx.basis.spec.particles
+        ing["c0_xc"] = 2.0 * n_part**2 * ing["dv_rho_sup"]
+        ing["c0_h"] = 2.0 * n_part**1.5 * ing["kernel_l1"] * ing["lambda_sup"] ** 2
+        c0 = ing["c0_xc"] + ing["c0_h"]
+    coupling = c0 + ing["v_lambda_sup"]
     ext = ing["v0_sup"] + ing["u_sup"] * ing["vu_sup"]
     ing["c0"] = c0
     ing["c1"] = 1.0 + coupling + ext

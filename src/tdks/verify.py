@@ -25,7 +25,7 @@ from .potentials import (
     hartree_pair_difference,
     ks_potential,
 )
-from .propagate import _source_y_norm_sq, solve_forward
+from .propagate import _source_norms_sq, solve_forward
 from .system import bilinear_B, adjoint_D, bound_constants, nonlinear_G, rhs
 
 MAX_EXP_ARG = 690.0  # keep assembled envelope constants inside float64
@@ -280,13 +280,9 @@ def check_energy_estimates(traj, ctx, seed=0):
     horizon = float(traj.times[-1] - traj.times[0])
     ctilde0 = (1 - alpha) * ing["c0"]
     start_sq = float(traj.l2[0] ** 2 if alpha == 1 else traj.l2[-1] ** 2)
-    f_y_sq = _source_y_norm_sq(ctx, traj.times)
-    f_sup_sq = 0.0
-    if ctx.source is not None:
-        for t in traj.times:
-            f = ctx.source_coefficients(t)
-            if f is not None:
-                f_sup_sq = max(f_sup_sq, float(np.sum(f.real**2 + f.imag**2)))
+    source_sq = _source_norms_sq(ctx, traj.times)
+    f_y_sq = float(np.trapezoid(source_sq, traj.times))
+    f_sup_sq = float(np.max(source_sq))
     data = start_sq + f_y_sq
 
     rng = np.random.default_rng([seed, 23])

@@ -60,6 +60,15 @@ def test_positive_exchange_constant_rejected():
         ('{"potentials": {"coulomb_softening": 0.0}}', "coulomb_softening"),
         ('{"control": {"kind": "wavelet"}}', "control.kind"),
         ("{not json", "JSON"),
+        ('{"basis": {"modes": ["x"]}}', "basis.modes"),
+        ('{"domain": {"steps": 2.5}}', "domain.steps"),
+        ('{"domain": {"grid": [32.5]}}', "domain.grid"),
+        ('{"domain": {"grid": 32}}', "domain.grid"),
+        ('{"domain": {"dimension": 1.0}}', "domain.dimension"),
+        ('{"domain": {"particles": true}}', "domain.particles"),
+        ('{"integrator": {"fixed_point_max_iter": 2.5}}', "integrator.fixed_point_max_iter"),
+        ('{"optimize": {"iterations": "5"}}', "optimize.iterations"),
+        ('{"converge": {"mode_list": [[4], [8.5], [12]]}}', "converge.mode_list"),
     ],
 )
 def test_config_violations_name_the_key(text, fragment):
@@ -131,6 +140,18 @@ def test_corrupt_config_exits_nonzero_without_artifacts(tmp_path):
     status = main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
     assert status == 1
     assert not out.exists()
+
+
+def test_non_integer_count_is_one_error_line_and_no_artifacts(tmp_path, capsys):
+    cfg_path = tmp_path / "fractional.json"
+    cfg_path.write_text('{"domain": {"steps": 2.5}}')
+    out = tmp_path / "out"
+    out.mkdir()
+    status = main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: domain.steps")
+    assert list(out.iterdir()) == []
 
 
 def test_solver_failure_exits_nonzero_without_artifacts(tmp_path, capsys):

@@ -12,12 +12,14 @@ from tdks import (
     ks_potential,
     potentials,
     project,
+    propagate,
     random_coefficients,
     rhs,
     solve_adjoint,
     solve_forward,
     step,
     synthesize,
+    system,
     vxc_rho_derivative,
     zero_control,
 )
@@ -27,6 +29,7 @@ from tdks.propagate import (
     _potential_stage_vjp,
 )
 from tdks.signals import SignalError
+from tdks.system import SystemContext
 
 from conftest import galerkin_matrix, make_setup, unit_state
 
@@ -250,6 +253,73 @@ def test_blowup_guard_trips_on_absurd_source():
     with pytest.raises(BlowUpError) as exc:
         solve_forward(ctx, unit_state(basis, 0))
     assert exc.value.t_last >= 0.0
+
+
+@pytest.mark.parametrize("direction", ["forward", "adjoint"])
+def test_blowup_carries_the_good_states_in_time_order(direction):
+    basis, pot, _ = make_setup(
+        grid=(16,),
+        modes=(4,),
+        steps=10,
+        include_hartree=False,
+        include_exchange=False,
+        include_correlation=False,
+    )
+    src = unit_state(basis, 0, amplitude=5.2e6)  # trips the guard after a few steps
+    start = unit_state(basis, 0)
+    forward = direction == "forward"
+    if forward:
+        ctx, solve = forward_context(basis, pot, source=lambda t: src), solve_forward
+    else:
+        traj = solve_forward(forward_context(basis, pot), start)
+        ctx = adjoint_context(basis, pot, forward=traj, source=lambda t: src)
+        solve = solve_adjoint
+    with pytest.raises(BlowUpError) as exc:
+        solve(ctx, start)
+
+    # replay the solve one step at a time up to the first state past the guard
+    steps = basis.spec.steps
+    times = np.linspace(0.0, basis.spec.horizon, steps + 1)
+    sign = 1 if forward else -1
+    index, good = (0 if forward else steps), [start]
+    while True:
+        d = step(ctx, times[index], sign * basis.spec.horizon / steps, good[-1])
+        if np.linalg.norm(d) > propagate.BLOWUP_FACTOR:
+            break
+        good.append(d)
+        index += sign
+    assert 1 < len(good) < steps
+    assert exc.value.t_last == times[index]
+    expect = np.stack(good if forward else good[::-1])
+    assert np.array_equal(exc.value.partial, expect)
+
+
+def test_adjoint_step_evaluates_the_frozen_state_once(monkeypatch):
+    basis, pot, kernel = make_setup(
+        grid=(32,), modes=(8,), particles=2, steps=50,
+        confinement={"kind": "harmonic", "amplitude": 1.0},
+    )
+    psi0 = np.zeros((basis.size, 2), dtype=np.complex128)
+    psi0[0, 0] = psi0[1, 1] = 1.0
+    traj = solve_forward(forward_context(basis, pot, kernel=kernel), psi0)
+    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
+    calls = {"lambda_at": 0, "sweeps": 0}
+    lambda_at, project_sweep = SystemContext.lambda_at, system.project
+
+    def counted_lambda_at(self, t):
+        calls["lambda_at"] += 1
+        return lambda_at(self, t)
+
+    def counted_project(*args):  # each fixed-point sweep projects its grid field once
+        calls["sweeps"] += 1
+        return project_sweep(*args)
+
+    monkeypatch.setattr(SystemContext, "lambda_at", counted_lambda_at)
+    monkeypatch.setattr(system, "project", counted_project)
+    d = random_coefficients(basis, 2, np.random.default_rng(12), 1.0)
+    step(actx, 0.5, -basis.spec.horizon / basis.spec.steps, d)
+    assert calls["sweeps"] > 2
+    assert calls["lambda_at"] == 1
 
 
 def test_fixed_point_divergence_reported():

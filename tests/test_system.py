@@ -16,8 +16,13 @@ from tdks import (
     synthesize,
 )
 from tdks.domain import project
-from tdks.potentials import density_from_grid
-from tdks.system import SystemContext, SystemError
+from tdks.system import (
+    SystemContext,
+    SystemError,
+    _bounded_apply,
+    coupling_potentials,
+    frozen_fields,
+)
 
 from conftest import dense_basis_values, make_setup, unit_state
 
@@ -139,6 +144,12 @@ def test_adjoint_coupling_bound(adjoint_pair):
         assert abs(d_h + d_xc) <= bound
 
 
+def coupling_field(ctx, psi_g, frozen):
+    """Adjoint coupling on the grid: (V_H(s) + dV*s) * lambda."""
+    v_h, v_xc = coupling_potentials(ctx, psi_g, frozen)
+    return (v_xc if v_h is None else v_h + v_xc)[:, None] * frozen.grid
+
+
 def dense_coupling_tables(ctx, t):
     """Materialised real-linear coupling map: D(d) = T_re @ Re(d) + T_im @ Im(d).
 
@@ -147,8 +158,7 @@ def dense_coupling_tables(ctx, t):
     """
     m = ctx.basis.size
     n = ctx.basis.spec.particles
-    lam = synthesize(ctx.basis, ctx.lambda_at(t))
-    rho_lam = density_from_grid(lam)
+    frozen = frozen_fields(ctx, ctx.lambda_at(t))
     t_re = np.zeros((m * n, m * n), dtype=np.complex128)
     t_im = np.zeros((m * n, m * n), dtype=np.complex128)
     unit = np.zeros((m, n), dtype=np.complex128)
@@ -158,7 +168,7 @@ def dense_coupling_tables(ctx, t):
                 unit[l, j] = value
                 col = project(
                     ctx.basis,
-                    ctx._coupling_field(synthesize(ctx.basis, unit), lam, rho_lam),
+                    coupling_field(ctx, synthesize(ctx.basis, unit), frozen),
                 )
                 table[:, l * n + j] = col.reshape(-1)
             unit[l, j] = 0.0
@@ -175,16 +185,25 @@ def test_dense_coupling_tables_match_matrix_free(adjoint_pair):
     _, actx, _ = adjoint_pair
     tables = dense_coupling_tables(actx, 0.4)
     rng = np.random.default_rng(7)
-    lam = actx.lambda_at(0.4)
-    lam_g = synthesize(actx.basis, lam)
-    rho = density_from_grid(lam_g)
+    frozen = frozen_fields(actx, actx.lambda_at(0.4))
     for _ in range(5):
         d = random_coefficients(actx.basis, 2, rng, 1.0)
         dense = apply_dense_coupling(tables, d)
-        free = project(
-            actx.basis, actx._coupling_field(synthesize(actx.basis, d), lam_g, rho)
-        )
+        free = project(actx.basis, coupling_field(actx, synthesize(actx.basis, d), frozen))
         assert np.abs(dense - free).max() < 1e-12
+
+
+def test_adjoint_bilinear_matches_bounded_apply(adjoint_pair):
+    # B(a, b) = sum_k lambda_k a_k conj(b_k) + <bounded part applied to a, b>
+    _, actx, _ = adjoint_pair
+    rng = np.random.default_rng(11)
+    for t in (0.0, 0.37, 1.0):
+        a = random_coefficients(actx.basis, 2, rng, rng.uniform(0.2, 2.0))
+        b = random_coefficients(actx.basis, 2, rng, rng.uniform(0.2, 2.0))
+        kin = np.sum(actx.basis.eigenvalues[:, None] * a * np.conj(b))
+        expect = kin + np.sum(_bounded_apply(actx, t, a) * np.conj(b))
+        val = bilinear_B(actx, t, a, b)
+        assert abs(val - expect) <= 1e-13 * abs(expect)
 
 
 def test_nonlinear_g_zero_and_correlation_bound():
