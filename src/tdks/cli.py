@@ -243,8 +243,8 @@ def parse_config(text):
 
     if raw["mode"] not in ("forward", "adjoint"):
         raise ConfigError("mode: must be 'forward' or 'adjoint'")
-    if not isinstance(raw["seed"], int):
-        raise ConfigError("seed: must be an integer")
+    if not _has_count_form(raw["seed"], 0):
+        raise ConfigError(f"seed: expected an integer, got {raw['seed']!r}")
     ml = raw["converge"]["mode_list"]
     if len(ml) < 3:
         raise ConfigError("converge.mode_list: need at least three nested mode counts")
@@ -529,7 +529,9 @@ def run_verification_suite(config):
     )
 
     builder = _galerkin_builder(basis.spec, potentials, {"kind": "lowest_modes"})
-    reports.append(check_galerkin_convergence(builder, config.raw["converge"]["mode_list"]))
+    reports.append(
+        check_galerkin_convergence(builder, config.raw["converge"]["mode_list"])
+    )
     reports.append(
         check_potential_continuity(
             basis, potentials, kernel, seed=seed, particles=basis.spec.particles

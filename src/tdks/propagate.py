@@ -23,11 +23,9 @@ import numpy as np
 from . import _kernels
 from .domain import norms, project, synthesize
 from .potentials import density_from_grid, hartree, vxc_rho_derivative
-from .signals import zero_control
 from .system import (
     SystemContext,
-    _bounded_fields,
-    _bounded_map,
+    _bounded_apply,
     bilinear_B,
     bound_constants,
     interpolate_states,
@@ -157,14 +155,13 @@ def _potential_stage_vjp(ctx, dt, psi, rho, v, b_bar):
 def _potential_stage_adjoint(ctx, t_mid, dt, d, tol, max_iter):
     """Implicit midpoint for the bounded part: y = d + dt*g((d+y)/2).
 
-    The external potential, the frozen fields and the source at t_mid are
-    evaluated once; each fixed-point sweep applies only the state-dependent map.
+    The source at t_mid is evaluated once; each fixed-point sweep applies the
+    bounded operator, frozen forward state included, at t_mid.
     """
-    fields = _bounded_fields(ctx, t_mid)
     f = ctx.source_coefficients(t_mid)
 
     def g(z):
-        h = _bounded_map(ctx, fields, z)
+        h = _bounded_apply(ctx, t_mid, z)
         if f is not None:
             h = h + f
         return -1j * h
@@ -268,12 +265,24 @@ def _solve(ctx, start, steps, fixed_point_tol, fixed_point_max_iter):
                 times[last],
                 good,
             )
-    traj = Trajectory(times=times, states=states, **out, alpha=ctx.alpha, meta={"dt": dt})
+    traj = Trajectory(
+        times=times,
+        states=states,
+        **out,
+        alpha=ctx.alpha,
+        meta={"dt": dt},
+    )
     _check_envelope(ctx, traj, l2_start**2)
     return traj
 
 
-def solve_forward(ctx, psi0, steps=None, fixed_point_tol=1e-10, fixed_point_max_iter=50):
+def solve_forward(
+    ctx,
+    psi0,
+    steps=None,
+    fixed_point_tol=1e-10,
+    fixed_point_max_iter=50,
+):
     """Integrate the alpha=1 problem from psi0 over [0, T]."""
     if ctx.alpha != 1:
         raise PropagationError("solve_forward needs an alpha=1 context")
@@ -281,7 +290,13 @@ def solve_forward(ctx, psi0, steps=None, fixed_point_tol=1e-10, fixed_point_max_
     return _solve(ctx, psi0, steps, fixed_point_tol, fixed_point_max_iter)
 
 
-def solve_adjoint(ctx, terminal, steps=None, fixed_point_tol=1e-10, fixed_point_max_iter=50):
+def solve_adjoint(
+    ctx,
+    terminal,
+    steps=None,
+    fixed_point_tol=1e-10,
+    fixed_point_max_iter=50,
+):
     """Integrate the alpha=0 problem backward from the terminal state.
 
     Implemented as a negative-step solve in physical time; the returned
@@ -306,21 +321,22 @@ def solve_adjoint(ctx, terminal, steps=None, fixed_point_tol=1e-10, fixed_point_
 
 
 def forward_context(basis, potentials, kernel=None, control=None, source=None):
-    return _context(basis, potentials, 1, kernel, control, None, source)
-
-
-def adjoint_context(basis, potentials, forward, kernel=None, control=None, source=None):
-    return _context(basis, potentials, 0, kernel, control, forward, source)
-
-
-def _context(basis, potentials, alpha, kernel, control, forward, source):
-    if control is None:
-        control = zero_control(basis.spec.horizon, basis.spec.steps)
     return SystemContext(
         basis=basis,
         potentials=potentials,
         kernel=kernel,
-        alpha=alpha,
+        alpha=1,
+        control=control,
+        source=source,
+    )
+
+
+def adjoint_context(basis, potentials, forward, kernel=None, control=None, source=None):
+    return SystemContext(
+        basis=basis,
+        potentials=potentials,
+        kernel=kernel,
+        alpha=0,
         control=control,
         forward=forward,
         source=source,

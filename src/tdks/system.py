@@ -29,6 +29,7 @@ from .potentials import (
     potential_sup,
     vxc_rho_derivative,
 )
+from .signals import zero_control
 
 
 class SystemError(ValueError):
@@ -48,8 +49,9 @@ def interpolate_states(times, states, t):
 class SystemContext:
     """Immutable bundle of everything the ODE right-hand side needs.
 
-    ``forward`` is required when alpha=0 and may be a trajectory-like object
-    (attributes ``times`` and ``states``) or a callable t -> coefficients.
+    ``control`` defaults to the zero signal.  ``forward`` is required when
+    alpha=0 and may be a trajectory-like object (attributes ``times`` and
+    ``states``) or a callable t -> coefficients.
     ``source`` is an optional callable t -> grid field (nodes[, particles])
     or coefficient array (modes[, particles]).
     """
@@ -71,6 +73,8 @@ class SystemContext:
             raise SystemError("alpha selects the problem instance and must be 0 or 1")
         if self.alpha == 0 and self.forward is None:
             raise SystemError("the adjoint problem (alpha=0) needs the forward solution")
+        if self.control is None:
+            self.control = zero_control(self.basis.spec.horizon, self.basis.spec.steps)
         q = self.basis.node_count
         v0 = self.potentials.confinement
         vu = self.potentials.control_shape
@@ -96,7 +100,7 @@ class SystemContext:
         raise SystemError("no forward solution available")
 
     def u_value(self, t):
-        return self.control.value(t) if self.control is not None else 0.0
+        return self.control.value(t)
 
     def external_at(self, t):
         return self._v0 + self.u_value(t) * self._vu
@@ -141,40 +145,30 @@ def frozen_fields(ctx, lam):
 
 
 def coupling_potentials(ctx, psi_g, frozen):
-    """Hartree and xc parts (v_H(s) or None, dV*s) of the coupling potential of the
-    grid state psi_g, where s = 2 * sum_j Re(psi_j * conj(lambda_j)) pointwise."""
+    """Hartree and xc parts (v_H(s), or 0.0 without Hartree, and dV*s) of the coupling
+    potential of the grid state psi_g, where s = 2 * sum_j Re(psi_j * conj(lambda_j))."""
     lam_g = frozen.grid
     s = 2.0 * np.einsum("qj,qj->q", psi_g.real, lam_g.real) + 2.0 * np.einsum(
         "qj,qj->q", psi_g.imag, lam_g.imag
     )
-    v_h = hartree(ctx.kernel, s) if ctx.potentials.include_hartree else None
+    v_h = hartree(ctx.kernel, s) if ctx.potentials.include_hartree else 0.0
     return v_h, frozen.dv * s
-
-
-def _bounded_fields(ctx, t):
-    """State-independent fields of the bounded operator at t: (V_ext, frozen fields or None)."""
-    frozen = frozen_fields(ctx, ctx.lambda_at(t)) if ctx.alpha == 0 else None
-    return ctx.external_at(t), frozen
-
-
-def _bounded_map(ctx, fields, d):
-    """Non-kinetic operator terms applied to d, given ``_bounded_fields``."""
-    v_ext, frozen = fields
-    psi = synthesize(ctx.basis, d)
-    fld = v_ext[:, None] * psi
-    if frozen is None:
-        if ctx.potentials.has_ks:
-            fld += ctx._ks_grid(density_from_grid(psi))[:, None] * psi
-    else:
-        fld += frozen.potential[:, None] * psi
-        v_h, v_xc = coupling_potentials(ctx, psi, frozen)
-        fld += (v_xc if v_h is None else v_h + v_xc)[:, None] * frozen.grid
-    return project(ctx.basis, fld)
 
 
 def _bounded_apply(ctx, t, d):
     """All non-kinetic operator terms applied to d, as coefficients (without f)."""
-    return _bounded_map(ctx, _bounded_fields(ctx, t), d)
+    psi = synthesize(ctx.basis, d)
+    fld = ctx.external_at(t)[:, None] * psi
+    if ctx.alpha == 1:
+        if ctx.potentials.has_ks:
+            rho = density_from_grid(psi)
+            fld += ctx._ks_grid(rho)[:, None] * psi
+    else:
+        frozen = frozen_fields(ctx, ctx.lambda_at(t))
+        fld += frozen.potential[:, None] * psi
+        v_h, v_xc = coupling_potentials(ctx, psi, frozen)
+        fld += (v_h + v_xc)[:, None] * frozen.grid
+    return project(ctx.basis, fld)
 
 
 def rhs(ctx, t, d):
@@ -215,7 +209,9 @@ def _coupling_forms(ctx, psi_g, phi_g, frozen):
     """Hartree and xc parts of the coupling form <v(s) * lambda, phi> on the grid."""
     v_h, v_xc = coupling_potentials(ctx, psi_g, frozen)
     lam_g = frozen.grid
-    d_h = 0j if v_h is None else grid_inner(ctx.basis, v_h[:, None] * lam_g, phi_g)
+    d_h = 0j
+    if ctx.potentials.include_hartree:
+        d_h = grid_inner(ctx.basis, v_h[:, None] * lam_g, phi_g)
     return d_h, grid_inner(ctx.basis, v_xc[:, None] * lam_g, phi_g)
 
 
@@ -223,8 +219,10 @@ def adjoint_D(ctx, t, psi, phi):
     """Adjoint coupling form split into its Hartree and xc-derivative parts."""
     if ctx.alpha != 0:
         raise SystemError("the coupling form belongs to the alpha=0 problem")
+    psi_g = synthesize(ctx.basis, psi)
+    phi_g = synthesize(ctx.basis, phi)
     frozen = frozen_fields(ctx, ctx.lambda_at(t))
-    return _coupling_forms(ctx, synthesize(ctx.basis, psi), synthesize(ctx.basis, phi), frozen)
+    return _coupling_forms(ctx, psi_g, phi_g, frozen)
 
 
 def nonlinear_G(ctx, d):
@@ -256,7 +254,7 @@ def bound_constants(ctx, sample_times=None):
     ing = {
         "v0_sup": potential_sup(ctx.basis, ctx._v0),
         "vu_sup": potential_sup(ctx.basis, ctx._vu),
-        "u_sup": ctx.control.sup if ctx.control is not None else 0.0,
+        "u_sup": ctx.control.sup,
         "particles": float(ctx.basis.spec.particles),
         "kernel_l1": 0.0,
         "lambda_sup": 0.0,

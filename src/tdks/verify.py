@@ -13,18 +13,12 @@ Reports carry the invariant  passed == (measured <= bound * (1 + tolerance)).
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .domain import grid_norm, norms, random_coefficients, synthesize
-from .potentials import (
-    correlation,
-    density_from_grid,
-    exchange,
-    hartree_pair_difference,
-    ks_potential,
-)
+from .potentials import density_from_grid, hartree_pair_difference, ks_potential
 from .propagate import _source_norms_sq, solve_forward
 from .system import bilinear_B, adjoint_D, bound_constants, nonlinear_G, rhs
 
@@ -201,49 +195,61 @@ def check_coulomb_lp(n, p, radius=1.0, resolution=128):
 # ---------------------------------------------------------------------------
 
 
-def probe_hartree_constant(basis, kernel, particles, pairs, rng, h1_cap=None):
-    """Empirical constant in the Hartree pair bound
-    ||V_H(a)a - V_H(b)b|| <= C (||a||_H1^2 + ||b||_H1^2) ||a - b||."""
+def _max_pair_ratio(basis, particles, rng, pairs, ratio, low, high, scale=1.0):
+    """Largest ratio(a, b, |a - b|) over seeded random coefficient pairs whose
+    L2 norms are uniform(low, high) * scale; pairs closer than 1e-14 are skipped."""
     best = 0.0
     for _ in range(pairs):
-        a = random_coefficients(basis, particles, rng, rng.uniform(0.2, 2.0))
-        b = random_coefficients(basis, particles, rng, rng.uniform(0.2, 2.0))
+        a = random_coefficients(basis, particles, rng, rng.uniform(low, high) * scale)
+        b = random_coefficients(basis, particles, rng, rng.uniform(low, high) * scale)
         gap = float(np.linalg.norm(a - b))
         if gap < 1e-14:
             continue
+        best = max(best, ratio(a, b, gap))
+    return best
+
+
+def probe_hartree_constant(basis, kernel, particles, pairs, rng):
+    """Empirical constant in the Hartree pair bound
+    ||V_H(a)a - V_H(b)b|| <= C (||a||_H1^2 + ||b||_H1^2) ||a - b||."""
+
+    def ratio(a, b, gap):
         _, h1a = norms(basis, a)
         _, h1b = norms(basis, b)
         num = hartree_pair_difference(
             basis, kernel, synthesize(basis, a), synthesize(basis, b)
         )
-        best = max(best, num / ((h1a**2 + h1b**2) * gap))
-    return best
+        return num / ((h1a**2 + h1b**2) * gap)
+
+    return _max_pair_ratio(basis, particles, rng, pairs, ratio, 0.2, 2.0)
 
 
 def probe_xc_lipschitz(basis, config, rng, radius, pairs, particles=1):
     """Empirical local Lipschitz constant of the enabled local terms:
     ||(V_x+V_c)(a)a - (V_x+V_c)(b)b|| <= L ||a - b|| on the L2 ball."""
     n = basis.spec.dimension
-    best = 0.0
-    for _ in range(pairs):
-        a = random_coefficients(basis, particles, rng, rng.uniform(0.05, 1.0) * radius)
-        b = random_coefficients(basis, particles, rng, rng.uniform(0.05, 1.0) * radius)
-        gap_c = float(np.linalg.norm(a - b))
-        if gap_c < 1e-14:
-            continue
+    local = replace(config, include_hartree=False)
+
+    def ratio(a, b, gap):
         ga, gb = synthesize(basis, a), synthesize(basis, b)
-        ra, rb = density_from_grid(ga), density_from_grid(gb)
-        va = np.zeros_like(ra)
-        vb = np.zeros_like(rb)
-        if config.include_exchange:
-            va += exchange(config, ra)
-            vb += exchange(config, rb)
-        if config.include_correlation:
-            va += correlation(config, ra, n)
-            vb += correlation(config, rb, n)
-        num = grid_norm(basis, va[:, None] * ga - vb[:, None] * gb)
-        best = max(best, num / gap_c)
-    return best
+        va = ks_potential(local, None, density_from_grid(ga), n)
+        vb = ks_potential(local, None, density_from_grid(gb), n)
+        return grid_norm(basis, va[:, None] * ga - vb[:, None] * gb) / gap
+
+    return _max_pair_ratio(basis, particles, rng, pairs, ratio, 0.05, 1.0, radius)
+
+
+def _probed_constants(ctx, rng, radius):
+    """(probed xc Lipschitz constant on the L2 ball of the radius, probed Hartree
+    pair constant or 0 without Hartree), 40 seeded pairs each."""
+    particles = ctx.basis.spec.particles
+    probed_l = probe_xc_lipschitz(
+        ctx.basis, ctx.potentials, rng, radius, pairs=40, particles=particles
+    )
+    probed_cu = 0.0
+    if ctx.potentials.include_hartree:
+        probed_cu = probe_hartree_constant(ctx.basis, ctx.kernel, particles, 40, rng)
+    return probed_l, probed_cu
 
 
 def check_hartree_lipschitz(basis, kernel, particles=1, pairs=30, seed=0):
@@ -286,21 +292,7 @@ def check_energy_estimates(traj, ctx, seed=0):
     data = start_sq + f_y_sq
 
     rng = np.random.default_rng([seed, 23])
-    radius = 1.1 * float(traj.l2.max())
-    probed_l = probe_xc_lipschitz(
-        ctx.basis,
-        ctx.potentials,
-        rng,
-        radius,
-        pairs=40,
-        particles=ctx.basis.spec.particles,
-    )
-    kernel = ctx.kernel
-    probed_cu = 0.0
-    if ctx.potentials.include_hartree and kernel is not None:
-        probed_cu = probe_hartree_constant(
-            ctx.basis, kernel, ctx.basis.spec.particles, 40, rng
-        )
+    probed_l, probed_cu = _probed_constants(ctx, rng, 1.1 * float(traj.l2.max()))
     k_corr = (
         ctx.potentials.correlation_a / ctx.potentials.correlation_b
         if ctx.potentials.include_correlation
@@ -386,13 +378,7 @@ def check_energy_estimates(traj, ctx, seed=0):
         dual_sq[i] = float(
             np.sum(inv_w[:, None] * (dstate.real**2 + dstate.imag**2))
         )
-        f = ctx.source_coefficients(t)
-        f_norm = 0.0 if f is None else float(np.sqrt(np.sum(f.real**2 + f.imag**2)))
-        chain = (
-            ing["c1"] * traj.h1[i]
-            + alpha * (probed_cu * c1_bound + probed_l + k_corr) * traj.l2[i]
-            + f_norm
-        )
+        chain = ing["c1"] * traj.h1[i] + k_prime * traj.l2[i] + np.sqrt(source_sq[i])
         chain_sq[i] = chain**2
     reports.append(
         make_report(
@@ -431,15 +417,7 @@ def check_uniqueness_gronwall(ctx, psi0, eps_list, seed=0, halving_eps=None):
 
     base = solve_forward(ctx, psi0)
     radius = 1.5 * float(base.l2.max()) + max(eps_list)
-    probed_l = probe_xc_lipschitz(
-        ctx.basis, ctx.potentials, rng, radius, pairs=40,
-        particles=ctx.basis.spec.particles,
-    )
-    probed_cu = 0.0
-    if ctx.potentials.include_hartree:
-        probed_cu = probe_hartree_constant(
-            ctx.basis, ctx.kernel, ctx.basis.spec.particles, 40, rng
-        )
+    probed_l, probed_cu = _probed_constants(ctx, rng, radius)
     ctilde0 = (1 - ctx.alpha) * bound_constants(ctx)["c0"]
 
     halving = float(halving_eps) if halving_eps else eps_list[len(eps_list) // 2]
@@ -583,16 +561,11 @@ def check_coefficient_lipschitz(ctx, radius=1.0, pairs=100, seed=0):
     balls: stable ratio under sample doubling, growing with the ball radius."""
     particles = ctx.basis.spec.particles
 
+    def ratio(a, b, gap):
+        return float(np.linalg.norm(nonlinear_G(ctx, a) - nonlinear_G(ctx, b))) / gap
+
     def probe(r, count, rng):
-        best = 0.0
-        for _ in range(count):
-            a = random_coefficients(ctx.basis, particles, rng, rng.uniform(0.05, 1.0) * r)
-            b = random_coefficients(ctx.basis, particles, rng, rng.uniform(0.05, 1.0) * r)
-            gap = float(np.linalg.norm(a - b))
-            if gap < 1e-14:
-                continue
-            best = max(best, float(np.linalg.norm(nonlinear_G(ctx, a) - nonlinear_G(ctx, b))) / gap)
-        return best
+        return _max_pair_ratio(ctx.basis, particles, rng, count, ratio, 0.05, 1.0, r)
 
     l_base = probe(radius, pairs, np.random.default_rng([seed, 71]))
     l_doubled = probe(radius, 2 * pairs, np.random.default_rng([seed, 71]))

@@ -69,6 +69,8 @@ def test_positive_exchange_constant_rejected():
         ('{"integrator": {"fixed_point_max_iter": 2.5}}', "integrator.fixed_point_max_iter"),
         ('{"optimize": {"iterations": "5"}}', "optimize.iterations"),
         ('{"converge": {"mode_list": [[4], [8.5], [12]]}}', "converge.mode_list"),
+        ('{"seed": true}', "seed"),
+        ('{"seed": 1.5}', "seed"),
     ],
 )
 def test_config_violations_name_the_key(text, fragment):

@@ -19,7 +19,6 @@ from tdks import (
     solve_forward,
     step,
     synthesize,
-    system,
     vxc_rho_derivative,
     zero_control,
 )
@@ -29,7 +28,6 @@ from tdks.propagate import (
     _potential_stage_vjp,
 )
 from tdks.signals import SignalError
-from tdks.system import SystemContext
 
 from conftest import galerkin_matrix, make_setup, unit_state
 
@@ -292,34 +290,6 @@ def test_blowup_carries_the_good_states_in_time_order(direction):
     assert exc.value.t_last == times[index]
     expect = np.stack(good if forward else good[::-1])
     assert np.array_equal(exc.value.partial, expect)
-
-
-def test_adjoint_step_evaluates_the_frozen_state_once(monkeypatch):
-    basis, pot, kernel = make_setup(
-        grid=(32,), modes=(8,), particles=2, steps=50,
-        confinement={"kind": "harmonic", "amplitude": 1.0},
-    )
-    psi0 = np.zeros((basis.size, 2), dtype=np.complex128)
-    psi0[0, 0] = psi0[1, 1] = 1.0
-    traj = solve_forward(forward_context(basis, pot, kernel=kernel), psi0)
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
-    calls = {"lambda_at": 0, "sweeps": 0}
-    lambda_at, project_sweep = SystemContext.lambda_at, system.project
-
-    def counted_lambda_at(self, t):
-        calls["lambda_at"] += 1
-        return lambda_at(self, t)
-
-    def counted_project(*args):  # each fixed-point sweep projects its grid field once
-        calls["sweeps"] += 1
-        return project_sweep(*args)
-
-    monkeypatch.setattr(SystemContext, "lambda_at", counted_lambda_at)
-    monkeypatch.setattr(system, "project", counted_project)
-    d = random_coefficients(basis, 2, np.random.default_rng(12), 1.0)
-    step(actx, 0.5, -basis.spec.horizon / basis.spec.steps, d)
-    assert calls["sweeps"] > 2
-    assert calls["lambda_at"] == 1
 
 
 def test_fixed_point_divergence_reported():

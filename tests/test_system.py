@@ -147,7 +147,7 @@ def test_adjoint_coupling_bound(adjoint_pair):
 def coupling_field(ctx, psi_g, frozen):
     """Adjoint coupling on the grid: (V_H(s) + dV*s) * lambda."""
     v_h, v_xc = coupling_potentials(ctx, psi_g, frozen)
-    return (v_xc if v_h is None else v_h + v_xc)[:, None] * frozen.grid
+    return (v_h + v_xc)[:, None] * frozen.grid
 
 
 def dense_coupling_tables(ctx, t):
