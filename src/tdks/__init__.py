@@ -53,7 +53,6 @@ from .system import (
     bilinear_B,
     bound_constants,
     nonlinear_G,
-    project_F,
     rhs,
 )
 from .verify import (

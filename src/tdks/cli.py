@@ -34,7 +34,6 @@ from .propagate import (
 )
 from .signals import ControlSignal
 from .system import SystemError as SystemContextError
-from .system import bound_constants
 from .verify import (
     check_coefficient_lipschitz,
     check_coulomb_lp,
@@ -395,7 +394,8 @@ def _objective_from_config(config, basis, purpose):
         j2=obj["j2"],
         nu=obj["nu"],
         target_state=target,
-        target_trajectory=None,
+        # CLI runs track the fixed target state, at every time for j1
+        target_trajectory=None if target is None else lambda t: target,
     )
 
 
@@ -439,7 +439,7 @@ def _run_simulate(config, out, quiet):
     max_iter = config.raw["integrator"]["fixed_point_max_iter"]
 
     fwd_ctx = forward_context(basis, potentials, kernel=kernel, control=control)
-    traj = solve_forward(fwd_ctx, psi0, fixed_point_tol=tol, fixed_point_max_iter=max_iter)
+    traj = solve_forward(fwd_ctx, psi0)
     mode = config.raw["mode"]
     if mode == "adjoint":
         objective = _objective_from_config(config, basis, "the adjoint run")
@@ -452,10 +452,8 @@ def _run_simulate(config, out, quiet):
         )
         traj.export_csv(out / "forward_trajectory.csv")
         traj.export_diagnostics_csv(out / "forward_diagnostics.csv")
-        ctx_for_density = adj_ctx
     else:
         main = traj
-        ctx_for_density = fwd_ctx
 
     main.export_csv(out / "trajectory.csv")
     main.export_diagnostics_csv(out / "diagnostics.csv")
@@ -474,7 +472,7 @@ def _run_simulate(config, out, quiet):
         "l2_envelope_measured": main.meta.get("l2_envelope_measured"),
         "l2_envelope_bound": main.meta.get("l2_envelope_bound"),
         "max_h1_sq": float(np.max(main.h1**2)),
-        "constants": {k: float(v) for k, v in bound_constants(ctx_for_density).items()},
+        "constants": {k: float(v) for k, v in main.meta["constants"].items()},
     }
     _write_json(out / "summary.json", summary)
     if not quiet:
@@ -524,7 +522,7 @@ def run_verification_suite(config):
 
     reports.extend(
         check_uniqueness_gronwall(
-            fwd_ctx, psi0, [1e-2, 1e-3, 1e-4], seed=seed, halving_eps=1e-3
+            fwd_ctx, traj, [1e-2, 1e-3, 1e-4], seed=seed, halving_eps=1e-3
         )
     )
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .domain import grid_inner, synthesize
 from .propagate import (
     _kinetic_phase,
     _potential_stage_fields,
@@ -36,6 +35,9 @@ from .propagate import (
     solve_forward,
 )
 from .signals import ControlSignal
+
+ARMIJO_C1 = 1e-4  # sufficient-decrease fraction of the line search
+MAX_HALVINGS = 30  # rejected step halvings before the line search gives up
 
 
 class ControlError(ValueError):
@@ -50,9 +52,9 @@ class LineSearchError(RuntimeError):
 class ObjectiveSpec:
     """Tracking objective configuration.
 
-    ``j1``: "none" or "trajectory" (needs target_trajectory: callable t -> state
-    or an object with state_at); ``j2``: "none" or "terminal" (needs
-    target_state).  ``nu`` weights the control H1 penalty and must be positive.
+    ``j1``: "none" or "trajectory" (needs target_trajectory: callable t -> state,
+    e.g. ``traj.state_at``); ``j2``: "none" or "terminal" (needs target_state).
+    ``nu`` weights the control H1 penalty and must be positive.
     """
 
     j1: str = "none"
@@ -78,10 +80,7 @@ class ObjectiveSpec:
             )
 
     def target_at(self, t):
-        tt = self.target_trajectory
-        if hasattr(tt, "state_at"):
-            return np.asarray(tt.state_at(t), dtype=np.complex128)
-        return np.asarray(tt(t), dtype=np.complex128)
+        return np.asarray(self.target_trajectory(t), dtype=np.complex128)
 
 
 def _state_sq(d):
@@ -160,19 +159,6 @@ def _riesz_solve(w, stiff, raw):
     ab[1, :] = diag
     ab[2, :-1] = off
     return solve_banded((1, 1), ab, raw)
-
-
-def coupling_density(ctx, traj_fwd, traj_adj):
-    """g(t_i) = Re<Vu * Lambda(t_i), P(t_i)> on the shared time grid."""
-    if traj_fwd.states.shape != traj_adj.states.shape:
-        raise ControlError("forward and adjoint trajectories must share the time grid")
-    vu = ctx._vu
-    out = np.empty(len(traj_fwd.times))
-    for i in range(len(traj_fwd.times)):
-        lam = synthesize(ctx.basis, traj_fwd.states[i])
-        p = synthesize(ctx.basis, traj_adj.states[i])
-        out[i] = grid_inner(ctx.basis, vu[:, None] * lam, p).real
-    return out
 
 
 def backward_sweep(spec, ctx, traj):
@@ -254,17 +240,16 @@ def reduced_gradient(spec, ctx, u, psi0, forward_traj=None):
 def optimize(spec, ctx, u0, psi0, iters=20, step_rule=None):
     """Armijo-backtracking gradient descent on J; returns (u*, history).
 
-    history rows: (J, H1 gradient norm, accepted step size); J is monotone
-    non-increasing by construction.  Raises LineSearchError after 30
-    rejected halvings of a step.
+    ``step_rule`` may set the first step size ``initial``, the stopping
+    gradient norm ``grad_tol`` and the step growth ``grow`` after an accepted
+    step.  history rows: (J, H1 gradient norm, accepted step size); J is
+    monotone non-increasing by construction.  Raises LineSearchError after
+    ``MAX_HALVINGS`` rejected halvings of a step.
     """
-    rule = {
-        "initial": 1.0,
-        "c1": 1e-4,
-        "max_halvings": 30,
-        "grad_tol": 1e-10,
-        "grow": 1.5,
-    }
+    rule = {"initial": 1.0, "grad_tol": 1e-10, "grow": 1.5}
+    unknown = set(step_rule or {}) - set(rule)
+    if unknown:
+        raise ControlError(f"step_rule: unknown key {sorted(unknown)[0]!r}")
     rule.update(step_rule or {})
     if iters < 1:
         raise ControlError("need at least one descent iteration")
@@ -284,17 +269,17 @@ def optimize(spec, ctx, u0, psi0, iters=20, step_rule=None):
         direction = -smooth.samples
         slope = float(raw @ direction)
         accepted = False
-        for _half in range(int(rule["max_halvings"]) + 1):
+        for _half in range(MAX_HALVINGS + 1):
             cand = ControlSignal(samples=u.samples + s * direction, horizon=u.horizon)
             traj_new = solve_forward(ctx.with_control(cand), psi0)
             j1, j2, reg = _objective_parts(spec, ctx, cand, traj_new)
             j_new = j1 + j2 + reg
-            if j_new <= j_val + rule["c1"] * s * slope:
+            if j_new <= j_val + ARMIJO_C1 * s * slope:
                 accepted = True
                 break
             s *= 0.5
         if not accepted:
-            raise LineSearchError("line search failed after 30 halvings")
+            raise LineSearchError(f"line search failed after {MAX_HALVINGS} halvings")
         u, traj, j_val = cand, traj_new, j_new
         s = min(s * float(rule["grow"]), float(rule["initial"]) * 1e3)
     return u, history

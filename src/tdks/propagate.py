@@ -13,6 +13,12 @@ having been split off exactly.
 
 Both stage maps are symmetric, so stepping a trajectory with the opposite
 time-step sign reproduces it (used by the reversibility tests).
+
+Every solve checks its norms against the exponential L2 envelope and keeps
+what it measured in the trajectory's ``meta``: the step ``dt``, the envelope
+``l2_envelope_measured``/``l2_envelope_bound`` and the form ``constants``
+(the ``bound_constants`` dict of its context, which readers reuse instead of
+measuring the frozen-state sups again).
 """
 
 import csv
@@ -217,7 +223,7 @@ def _record(ctx, t, d, out, i):
 
 
 def _check_envelope(ctx, traj, start_norm_sq):
-    ing = bound_constants(ctx, sample_times=traj.times)
+    ing = bound_constants(ctx)
     f_y_sq = float(np.trapezoid(_source_norms_sq(ctx, traj.times), traj.times))
     ctilde0 = (1 - ctx.alpha) * ing["c0"]
     horizon = abs(float(traj.times[-1] - traj.times[0]))
@@ -225,18 +231,19 @@ def _check_envelope(ctx, traj, start_norm_sq):
     measured = float(np.max(traj.l2**2))
     traj.meta["l2_envelope_measured"] = measured
     traj.meta["l2_envelope_bound"] = float(bound)
-    traj.meta["c0"] = ing["c0"]
+    traj.meta["constants"] = ing
     if measured > bound * 1.05 + 1e-300:
         raise PropagationError(
             f"norm growth violates the exponential envelope: {measured} > {bound}"
         )
 
 
-def _solve(ctx, start, steps, fixed_point_tol, fixed_point_max_iter):
+def _solve(ctx, start, steps, *fixed_point):
     """Step from the start state toward T (alpha=1) or toward 0 (alpha=0).
 
     Every state is stored at its place on the increasing time grid; a blow-up
     carries the last good time and the good states, in time order.
+    ``fixed_point`` is the alpha=0 (tolerance, sweep limit) pair of ``step``.
     """
     spec = ctx.basis.spec
     dt = spec.horizon / steps
@@ -253,7 +260,7 @@ def _solve(ctx, start, steps, fixed_point_tol, fixed_point_max_iter):
     l2_start = _record(ctx, times[order[0]], d, out, order[0])
     guard = max(l2_start, 1.0) * BLOWUP_FACTOR
     for last, i in zip(order, order[1:]):
-        d = step(ctx, times[last], h, d, fixed_point_tol, fixed_point_max_iter)
+        d = step(ctx, times[last], h, d, *fixed_point)
         states[i] = d
         good = states[: last + 1] if forward else states[last:]
         if not np.all(np.isfinite(d)):
@@ -276,18 +283,12 @@ def _solve(ctx, start, steps, fixed_point_tol, fixed_point_max_iter):
     return traj
 
 
-def solve_forward(
-    ctx,
-    psi0,
-    steps=None,
-    fixed_point_tol=1e-10,
-    fixed_point_max_iter=50,
-):
+def solve_forward(ctx, psi0, steps=None):
     """Integrate the alpha=1 problem from psi0 over [0, T]."""
     if ctx.alpha != 1:
         raise PropagationError("solve_forward needs an alpha=1 context")
     steps = int(steps if steps is not None else ctx.basis.spec.steps)
-    return _solve(ctx, psi0, steps, fixed_point_tol, fixed_point_max_iter)
+    return _solve(ctx, psi0, steps)
 
 
 def solve_adjoint(
@@ -308,15 +309,15 @@ def solve_adjoint(
         raise PropagationError("solve_adjoint needs an alpha=0 context")
     spec = ctx.basis.spec
     steps = int(steps if steps is not None else spec.steps)
-    if ctx._lambda_times is not None:
-        fwd_steps = len(ctx._lambda_times) - 1
-        if abs(ctx._lambda_times[-1] - spec.horizon) > 1e-12 * max(1.0, spec.horizon):
-            raise PropagationError("forward trajectory does not cover [0, T]")
-        if steps % fwd_steps != 0:
-            raise PropagationError(
-                f"adjoint grid ({steps} steps) must be an integer refinement of the "
-                f"forward grid ({fwd_steps} steps)"
-            )
+    fwd_times = ctx.forward.times
+    fwd_steps = len(fwd_times) - 1
+    if abs(fwd_times[-1] - spec.horizon) > 1e-12 * max(1.0, spec.horizon):
+        raise PropagationError("forward trajectory does not cover [0, T]")
+    if steps % fwd_steps != 0:
+        raise PropagationError(
+            f"adjoint grid ({steps} steps) must be an integer refinement of the "
+            f"forward grid ({fwd_steps} steps)"
+        )
     return _solve(ctx, terminal, steps, fixed_point_tol, fixed_point_max_iter)
 
 

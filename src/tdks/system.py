@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import grid_inner, norms, project, synthesize
+from .domain import grid_inner, project, synthesize
 from .potentials import (
     density_from_grid,
     hartree,
@@ -50,10 +50,11 @@ class SystemContext:
     """Immutable bundle of everything the ODE right-hand side needs.
 
     ``control`` defaults to the zero signal.  ``forward`` is required when
-    alpha=0 and may be a trajectory-like object (attributes ``times`` and
-    ``states``) or a callable t -> coefficients.
-    ``source`` is an optional callable t -> grid field (nodes[, particles])
-    or coefficient array (modes[, particles]).
+    alpha=0: the stored forward trajectory, i.e. an object with increasing
+    float ``times`` and complex ``states`` (times, modes, particles) arrays as
+    ``solve_forward`` returns it; the frozen state is its piecewise-linear
+    interpolant.  ``source`` is an optional callable t -> grid field
+    (nodes[, particles]) or coefficient array (modes[, particles]).
     """
 
     basis: object
@@ -65,14 +66,13 @@ class SystemContext:
     source: object = None
     _v0: np.ndarray = field(default=None, repr=False)
     _vu: np.ndarray = field(default=None, repr=False)
-    _lambda_times: np.ndarray = field(default=None, repr=False)
-    _lambda_states: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.alpha not in (0, 1):
             raise SystemError("alpha selects the problem instance and must be 0 or 1")
-        if self.alpha == 0 and self.forward is None:
-            raise SystemError("the adjoint problem (alpha=0) needs the forward solution")
+        fw = self.forward
+        if self.alpha == 0 and not (hasattr(fw, "times") and hasattr(fw, "states")):
+            raise SystemError("the adjoint problem (alpha=0) needs the stored forward trajectory")
         if self.control is None:
             self.control = zero_control(self.basis.spec.horizon, self.basis.spec.steps)
         q = self.basis.node_count
@@ -85,19 +85,11 @@ class SystemContext:
         self._vu = vu if vu is not None else np.zeros(q)
         if self.potentials.include_hartree and self.kernel is None:
             raise SystemError("Hartree term enabled but no Coulomb kernel supplied")
-        fw = self.forward
-        if fw is not None and hasattr(fw, "times") and hasattr(fw, "states"):
-            self._lambda_times = np.asarray(fw.times, dtype=np.float64)
-            self._lambda_states = np.asarray(fw.states, dtype=np.complex128)
 
     # -- frozen forward state ------------------------------------------------
 
     def lambda_at(self, t):
-        if self._lambda_states is not None:
-            return interpolate_states(self._lambda_times, self._lambda_states, t)
-        if callable(self.forward):
-            return np.asarray(self.forward(t), dtype=np.complex128)
-        raise SystemError("no forward solution available")
+        return interpolate_states(self.forward.times, self.forward.states, t)
 
     def u_value(self, t):
         return self.control.value(t)
@@ -232,24 +224,15 @@ def nonlinear_G(ctx, d):
     return project(ctx.basis, ctx._ks_grid(rho)[:, None] * psi)
 
 
-def project_F(ctx, t):
-    """Coefficient projection of the inhomogeneity at time t (zero if absent)."""
-    f = ctx.source_coefficients(t)
-    if f is None:
-        m = ctx.basis.size
-        n = ctx.basis.spec.particles
-        return np.zeros((m, n), dtype=np.complex128)
-    return f
-
-
-def bound_constants(ctx, sample_times=None):
+def bound_constants(ctx):
     """Measured ingredients and the assembled form constants.
 
     The constants follow the proof recipes with every norm measured on the
     grid: c0 bounds the coupling form, c1 the full form against H1 norms,
     c3 closes the coercivity inequality.  For alpha=1 the coupling
-    ingredients vanish identically.  With a callable forward provider the
-    frozen-state sups are taken over ``sample_times``.
+    ingredients vanish identically; for alpha=0 the frozen-state sups are
+    taken over the stored forward snapshots.  Every solve stores this dict
+    as ``meta["constants"]`` of its trajectory.
     """
     ing = {
         "v0_sup": potential_sup(ctx.basis, ctx._v0),
@@ -263,17 +246,9 @@ def bound_constants(ctx, sample_times=None):
     }
     c0 = 0.0
     if ctx.alpha == 0:
-        if ctx._lambda_states is not None:
-            snapshots = ctx._lambda_states
-        elif sample_times is not None:
-            snapshots = (ctx.lambda_at(t) for t in sample_times)
-        else:
-            raise SystemError(
-                "bound constants for alpha=0 need stored snapshots or sample times"
-            )
         if ctx.potentials.include_hartree:
             ing["kernel_l1"] = ctx.kernel.row_sum_max
-        for lam_g, rho, v_lam, dv in (frozen_fields(ctx, snap) for snap in snapshots):
+        for lam_g, rho, v_lam, dv in (frozen_fields(ctx, lam) for lam in ctx.forward.states):
             ing["lambda_sup"] = max(ing["lambda_sup"], float(np.abs(lam_g).max()))
             ing["dv_rho_sup"] = max(ing["dv_rho_sup"], float(np.abs(dv * rho).max()))
             ing["v_lambda_sup"] = max(ing["v_lambda_sup"], float(np.abs(v_lam).max()))

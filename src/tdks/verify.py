@@ -114,13 +114,15 @@ def _ball_quadrature(n, p, radius, resolution, refine_origin=True):
     subsampled inside fraction.  With ``refine_origin`` the near-origin
     cells (where the integrand curvature dominates the error) are also
     subsampled; the divergence probe turns this off so that refinement
-    exposes the unbounded growth of the plain rule.
+    exposes the unbounded growth of the plain rule.  The rule is symmetric
+    under reflection of each axis, so only the cells of the positive octant
+    are evaluated and their sum counts 2^n times.
     """
     res = int(resolution)
     if res % 2:
         res += 1
     h = 2.0 * radius / res
-    axis = -radius + (np.arange(res) + 0.5) * h
+    axis = (np.arange(res // 2) + 0.5) * h
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     centers = np.stack([m.reshape(-1) for m in mesh], axis=1)
     dist = np.sqrt((centers**2).sum(axis=1))
@@ -139,7 +141,7 @@ def _ball_quadrature(n, p, radius, resolution, refine_origin=True):
         frac = (d <= radius).mean(axis=1)
         vals = dist[boundary] ** (-p)
         total += float(np.sum(vals * frac)) * cell
-    return total
+    return total * 2**n
 
 
 def check_coulomb_lp(n, p, radius=1.0, resolution=128):
@@ -280,8 +282,11 @@ def check_hartree_lipschitz(basis, kernel, particles=1, pairs=30, seed=0):
 def check_energy_estimates(traj, ctx, seed=0):
     """Envelope checks along one solve: L2 envelope, quadratic-form bound,
     H1 sup bound, time-integrated H1 bound (all asserted), and the discrete
-    dual-norm surrogate (monitored: the sup is truncated to the basis)."""
-    ing = bound_constants(ctx)
+    dual-norm surrogate (monitored: the sup is truncated to the basis).
+
+    ``traj`` is a solve in ``ctx``; its ``meta["constants"]`` supply the
+    form constants."""
+    ing = traj.meta["constants"]
     alpha = ctx.alpha
     horizon = float(traj.times[-1] - traj.times[0])
     ctilde0 = (1 - alpha) * ing["c0"]
@@ -401,10 +406,11 @@ def check_energy_estimates(traj, ctx, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_uniqueness_gronwall(ctx, psi0, eps_list, seed=0, halving_eps=None):
+def check_uniqueness_gronwall(ctx, base, eps_list, seed=0, halving_eps=None):
     """Perturbation-growth envelope and first-order scaling of the gap.
 
-    Solves from psi0 and psi0 + eps*delta for every eps; the gap must stay
+    ``base`` is the forward solve in ``ctx`` from psi0 = ``base.states[0]``;
+    the check solves from psi0 + eps*delta for every eps.  The gap must stay
     under the exponential envelope with the rate assembled from probed
     Lipschitz constants and the measured H1 diagnostics, and halving eps
     must roughly halve the gap (ratio within [0.4, 0.6]).
@@ -415,10 +421,10 @@ def check_uniqueness_gronwall(ctx, psi0, eps_list, seed=0, halving_eps=None):
     rng = np.random.default_rng([seed, 37])
     delta = random_coefficients(ctx.basis, ctx.basis.spec.particles, rng, 1.0)
 
-    base = solve_forward(ctx, psi0)
+    psi0 = base.states[0]
     radius = 1.5 * float(base.l2.max()) + max(eps_list)
     probed_l, probed_cu = _probed_constants(ctx, rng, radius)
-    ctilde0 = (1 - ctx.alpha) * bound_constants(ctx)["c0"]
+    ctilde0 = (1 - ctx.alpha) * base.meta["constants"]["c0"]
 
     halving = float(halving_eps) if halving_eps else eps_list[len(eps_list) // 2]
     solve_at = sorted(set(eps_list) | {halving, 0.5 * halving})

@@ -1,4 +1,5 @@
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,3 +94,9 @@ def unit_state(basis, mode, particles=1, particle=0, amplitude=1.0):
     d = np.zeros((basis.size, particles), dtype=np.complex128)
     d[mode, particle] = amplitude
     return d
+
+
+def frozen_trajectory(lam, horizon):
+    """A stored forward trajectory that stays at lam: two equal snapshots at 0 and T."""
+    lam = np.asarray(lam, dtype=np.complex128)
+    return SimpleNamespace(times=np.array([0.0, float(horizon)]), states=np.stack([lam, lam]))

@@ -130,6 +130,25 @@ def test_adjoint_subcommand(tmp_path):
     assert "forward_trajectory.csv" in names and "trajectory.csv" in names
 
 
+@pytest.mark.parametrize(
+    "subcommand,artifacts",
+    [
+        ("adjoint", {"forward_trajectory.csv", "trajectory.csv", "summary.json"}),
+        ("optimize", {"optimize_history.csv", "control_optimized.json"}),
+    ],
+)
+def test_trajectory_tracking_runs_from_the_cli(tmp_path, subcommand, artifacts):
+    # j1 tracks the configured target state at every time
+    cfg = _fast_config(
+        objective={"j1": "trajectory", "target_state": {"kind": "lowest_modes"}},
+        optimize={"iterations": 2},
+    )
+    status = run(cfg, subcommand, tmp_path / "out", quiet=True)
+    assert status == 0
+    names = {p.name for p in (tmp_path / "out").iterdir()}
+    assert artifacts | {"config.echo.json"} <= names
+
+
 def test_adjoint_requires_objective(tmp_path):
     with pytest.raises(ConfigError, match="objective"):
         run(_fast_config(), "adjoint", tmp_path / "out", quiet=True)

@@ -15,8 +15,20 @@ from tdks import (
     zero_control,
 )
 from tdks.control import ControlError
+from tdks.domain import grid_inner, synthesize
 
 from conftest import make_setup, unit_state
+
+
+def coupling_density(ctx, traj_fwd, traj_adj):
+    """Continuous-adjoint oracle: g(t_i) = Re<Vu * Lambda(t_i), P(t_i)> on the shared grid."""
+    assert traj_fwd.states.shape == traj_adj.states.shape
+    out = np.empty(len(traj_fwd.times))
+    for i in range(len(traj_fwd.times)):
+        lam = synthesize(ctx.basis, traj_fwd.states[i])
+        p = synthesize(ctx.basis, traj_adj.states[i])
+        out[i] = grid_inner(ctx.basis, ctx._vu[:, None] * lam, p).real
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +62,7 @@ def test_objective_self_target_leaves_regularisation(control_setup):
         j2="terminal",
         nu=0.7,
         target_state=traj.states[-1],
-        target_trajectory=traj,
+        target_trajectory=traj.state_at,
     )
     val = evaluate_objective(spec, ctx, u, psi0)
     assert abs(val - 0.7 * u.h1_norm_sq) < 1e-12
@@ -183,11 +195,20 @@ def test_optimize_line_search_failure(control_setup):
         optimize(spec, ctx, u0, psi0, iters=2, step_rule={"initial": 1e12, "grow": 1.0})
 
 
+def test_optimize_rejects_unknown_step_rule_key(control_setup):
+    # the Armijo fraction and the halving limit are module constants, not options
+    ctx, psi0 = control_setup
+    spec = ObjectiveSpec(nu=1.0)
+    for key in ("c1", "max_halvings"):
+        with pytest.raises(ControlError, match=key):
+            optimize(spec, ctx, zero_control(1.0, 100), psi0, iters=1, step_rule={key: 1})
+
+
 def test_backward_sweep_integrates_the_adjoint_problem(control_setup):
     # the gradient back-propagation is a second-order scheme for the alpha=0
     # problem: its state equals -i * solve_adjoint(...) up to O(dt^2)
     from tdks import adjoint_context, solve_adjoint
-    from tdks.control import backward_sweep, coupling_density
+    from tdks.control import backward_sweep
 
     ctx, psi0 = control_setup
     basis = ctx.basis

@@ -7,6 +7,7 @@ from tdks import (
     ControlSignal,
     PropagationError,
     adjoint_context,
+    bound_constants,
     forward_context,
     hartree,
     ks_potential,
@@ -29,7 +30,7 @@ from tdks.propagate import (
 )
 from tdks.signals import SignalError
 
-from conftest import galerkin_matrix, make_setup, unit_state
+from conftest import frozen_trajectory, galerkin_matrix, make_setup, unit_state
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +151,8 @@ def test_adjoint_frozen_state_matches_real_linear_exponential():
     )
     rng = np.random.default_rng(5)
     lam = random_coefficients(basis, 2, rng, 1.0)
-    actx = adjoint_context(basis, pot, forward=lambda t: lam, kernel=kernel)
+    frozen = frozen_trajectory(lam, basis.spec.horizon)
+    actx = adjoint_context(basis, pot, forward=frozen, kernel=kernel)
 
     dim = basis.size * 2
     gen = np.zeros((2 * dim, 2 * dim))
@@ -184,7 +186,8 @@ def test_adjoint_trivial_cases():
 
     # frozen zero forward: the coupling terms vanish and the flow is the
     # linear external one, here compared against its exponential oracle
-    zero_fwd = adjoint_context(basis, pot, forward=lambda t: np.zeros((basis.size, 1)), kernel=kernel)
+    frozen_zero = frozen_trajectory(np.zeros((basis.size, 1)), basis.spec.horizon)
+    zero_fwd = adjoint_context(basis, pot, forward=frozen_zero, kernel=kernel)
     term = unit_state(basis, 1)
     adj = solve_adjoint(zero_fwd, term, steps=400)
     h_matrix = galerkin_matrix(basis, np.zeros(basis.node_count))
@@ -234,7 +237,29 @@ def test_adjoint_gronwall_envelope_metadata():
     actx = adjoint_context(basis, pot, forward=traj, kernel=kernel, source=source)
     adj = solve_adjoint(actx, -2.0 * (traj.states[-1] - target))
     assert adj.meta["l2_envelope_measured"] <= adj.meta["l2_envelope_bound"]
-    assert adj.meta["c0"] > 0
+    assert adj.meta["constants"]["c0"] > 0
+
+
+def test_solves_store_the_constants_of_their_context():
+    # readers take the constants from meta instead of measuring them again, so
+    # they must equal what bound_constants measures afresh on the same context
+    basis, pot, kernel = make_setup(
+        grid=(32,),
+        modes=(6,),
+        particles=2,
+        steps=60,
+        confinement={"kind": "harmonic", "amplitude": 1.0},
+        control_shape={"kind": "dipole", "amplitude": 1.0},
+    )
+    u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 61)), horizon=1.0)
+    ctx = forward_context(basis, pot, kernel=kernel, control=u)
+    psi0 = random_coefficients(basis, 2, np.random.default_rng(8), 1.0)
+    traj = solve_forward(ctx, psi0)
+    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel, control=u)
+    adj = solve_adjoint(actx, psi0)
+    for solve, solve_ctx in ((traj, ctx), (adj, actx)):
+        assert solve.meta["constants"] == bound_constants(solve_ctx)
+    assert adj.meta["constants"]["c0"] > 0 and traj.meta["constants"]["c0"] == 0.0
 
 
 def test_blowup_guard_trips_on_absurd_source():

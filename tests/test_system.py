@@ -9,7 +9,6 @@ from tdks import (
     bound_constants,
     forward_context,
     nonlinear_G,
-    project_F,
     random_coefficients,
     rhs,
     solve_forward,
@@ -24,7 +23,7 @@ from tdks.system import (
     frozen_fields,
 )
 
-from conftest import dense_basis_values, make_setup, unit_state
+from conftest import dense_basis_values, frozen_trajectory, make_setup, unit_state
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +123,8 @@ def test_adjoint_coupling_trivial_cases(adjoint_pair):
     assert abs(d_h) < 1e-12 and abs(d_xc) < 1e-12
 
     basis, pot, kernel = make_setup(grid=(32,), modes=(8,), particles=2)
-    zero_ctx = adjoint_context(basis, pot, forward=lambda t: np.zeros((8, 2)), kernel=kernel)
+    zero_fwd = frozen_trajectory(np.zeros((8, 2)), basis.spec.horizon)
+    zero_ctx = adjoint_context(basis, pot, forward=zero_fwd, kernel=kernel)
     rng = np.random.default_rng(5)
     a = random_coefficients(basis, 2, rng, 1.0)
     b = random_coefficients(basis, 2, rng, 1.0)
@@ -244,14 +244,13 @@ def test_nonlinear_g_local_lipschitz_ratio(nonlinear_ctx):
 
 
 def test_project_f_zero_and_single_mode(nonlinear_ctx):
-    out = project_F(nonlinear_ctx, 0.0)
-    assert out.shape == (nonlinear_ctx.basis.size, 1) and np.abs(out).max() == 0
+    assert nonlinear_ctx.source_coefficients(0.0) is None
 
     basis = nonlinear_ctx.basis
     phi3 = dense_basis_values(basis)[2].astype(np.complex128)
     ctx = forward_context(basis, nonlinear_ctx.potentials, kernel=nonlinear_ctx.kernel,
                           source=lambda t: phi3)
-    f = project_F(ctx, 0.7)
+    f = ctx.source_coefficients(0.7)
     expect = unit_state(basis, 2)
     assert np.abs(f - expect).max() < 1e-10
 
@@ -268,7 +267,7 @@ def test_project_f_matches_direct_quadrature(adjoint_pair):
 
     src_ctx = forward_context(basis, ctx.potentials, kernel=ctx.kernel, source=source)
     t = 0.37
-    f = project_F(src_ctx, t)
+    f = src_ctx.source_coefficients(t)
     from tdks.domain import project
 
     direct = project(basis, synthesize(basis, 2.0 * (traj.state_at(t) - target)))
@@ -285,6 +284,17 @@ def test_context_validation():
         SystemContext(basis=basis, potentials=pot, kernel=None, alpha=1)
     with pytest.raises(SystemError):
         adjoint_D(forward_context(basis, pot, kernel=kernel), 0.0, unit_state(basis, 0), unit_state(basis, 1))
+
+
+def test_adjoint_context_rejects_a_callable_forward():
+    # the frozen state comes only from a stored trajectory
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,))
+    with pytest.raises(SystemError, match="stored forward trajectory"):
+        adjoint_context(basis, pot, forward=lambda t: unit_state(basis, 0), kernel=kernel)
+    ctx = adjoint_context(
+        basis, pot, forward=frozen_trajectory(unit_state(basis, 0), 1.0), kernel=kernel
+    )
+    assert np.abs(ctx.lambda_at(0.3) - unit_state(basis, 0)).max() < 1e-15
 
 
 def test_bound_constants_coercivity_and_boundedness(adjoint_pair):

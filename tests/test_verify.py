@@ -173,9 +173,9 @@ def test_energy_estimates_nonlinear_and_adjoint(desk):
 
 def test_uniqueness_gronwall_nonlinear(desk):
     basis, pot, kernel, ctx = desk
-    psi0 = unit_state(basis, 0)
+    base = solve_forward(ctx, unit_state(basis, 0))
     env, halving = check_uniqueness_gronwall(
-        ctx, psi0, [1e-2, 1e-3], seed=2, halving_eps=1e-3
+        ctx, base, [1e-2, 1e-3], seed=2, halving_eps=1e-3
     )
     assert env.passed and halving.passed
     assert 0.4 <= halving.ingredients["ratio"] <= 0.6
@@ -184,7 +184,7 @@ def test_uniqueness_gronwall_nonlinear(desk):
 def test_uniqueness_rejects_tiny_eps(desk):
     _, _, _, ctx = desk
     with pytest.raises(ValueError):
-        check_uniqueness_gronwall(ctx, unit_state(ctx.basis, 0), [1e-12])
+        check_uniqueness_gronwall(ctx, solve_forward(ctx, unit_state(ctx.basis, 0)), [1e-12])
 
 
 def test_gap_trivial_and_linear_cases():
