@@ -4,9 +4,9 @@ import numpy as np
 
 
 def density_from_channels(psi):
-    """Particle-summed |psi|^2 on the grid; psi has shape (nodes, particles)."""
-    return np.einsum("qj,qj->q", psi.real, psi.real) + np.einsum(
-        "qj,qj->q", psi.imag, psi.imag
+    """Particle-summed |psi|^2 on the grid; psi has shape ([B,] nodes, particles)."""
+    return np.einsum("...qj,...qj->...q", psi.real, psi.real) + np.einsum(
+        "...qj,...qj->...q", psi.imag, psi.imag
     )
 
 

@@ -186,17 +186,14 @@ def backward_sweep(spec, ctx, traj):
     g_mid = np.empty(steps)
     mu_path = np.empty_like(traj.states)
     mu_path[-1] = mu
+    ahead, back = _kinetic_phase(ctx, 0.5 * dt), _kinetic_phase(ctx, -0.5 * dt)
     for n in range(steps - 1, -1, -1):
         t_mid = traj.times[n] + 0.5 * dt
         # recompute the stage from the stored state, then pull mu back through
         # the kinetic half-steps (their transpose is the conjugate phase)
-        fields = _potential_stage_fields(
-            ctx, t_mid, _kinetic_phase(ctx, traj.states[n], 0.5 * dt)
-        )
-        a_bar, g_mid[n] = _potential_stage_vjp(
-            ctx, dt, *fields, _kinetic_phase(ctx, mu, -0.5 * dt)
-        )
-        mu = _kinetic_phase(ctx, a_bar, -0.5 * dt)
+        fields = _potential_stage_fields(ctx, t_mid, ahead * traj.states[n])
+        a_bar, g_mid[n] = _potential_stage_vjp(ctx, dt, *fields, back * mu)
+        mu = back * a_bar
         if spec.j1 == "trajectory":
             mu = mu + 2.0 * omega[n] * (traj.states[n] - spec.target_at(traj.times[n]))
         mu_path[n] = mu

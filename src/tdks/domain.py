@@ -22,6 +22,7 @@ axis in place of one O(modes * nodes) product.  No (modes x nodes) table
 is ever formed.
 """
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -165,9 +166,9 @@ def _as_state(basis, d):
     d = np.asarray(d, dtype=np.complex128)
     if d.ndim == 1:
         d = d[:, None]
-    if d.shape[0] != basis.size:
+    if d.shape[-2] != basis.size:
         raise DomainError(
-            f"coefficient rows {d.shape[0]} do not match basis size {basis.size}"
+            f"coefficient rows {d.shape[-2]} do not match basis size {basis.size}"
         )
     if not np.all(np.isfinite(d)):
         raise DomainError("coefficients contain non-finite entries")
@@ -177,28 +178,35 @@ def _as_state(basis, d):
 def _along_axes(tables, a):
     """Apply ``tables[i]`` (out_i, in_i) along axis i of a flattened tensor.
 
-    ``a`` is (prod in_i, channels) with the tensor axes first-axis-slowest;
-    the result is (prod out_i, channels) in the same order and dtype.  One
+    ``a`` is (prod in_i, channels) with the tensor axes first-axis-slowest,
+    or a stack (B, prod in_i, channels) of such tensors; the result is
+    (prod out_i, channels), or its stack, in the same order and dtype.  One
     axis is the plain matrix product.  Otherwise each step is one matmul
-    broadcast over the axes already contracted, with complex input split
-    into real and imaginary channels so that every product is real.
+    broadcast over the stack and the axes already contracted, with complex
+    input split into real and imaginary channels so that every product is
+    real.  Each stack item goes through the same products as it would alone.
     """
     if len(tables) == 1:
         return tables[0] @ a
     split = a.dtype == np.complex128
     if split:
         a = np.ascontiguousarray(a).view(np.float64)
-    lead = 1
+    stack, width = a.shape[:-2], a.shape[-1]
+    lead = math.prod(stack)
     for t in tables:
         out, inner = t.shape
         a = np.matmul(t, a.reshape(lead, inner, -1))
         lead *= out
-    a = a.reshape(lead, -1)
+    a = a.reshape(stack + (-1, width))
     return a.view(np.complex128) if split else a
 
 
 def synthesize(basis, d):
-    """Evaluate the represented wave functions on the grid: (nodes, particles)."""
+    """Evaluate the represented wave functions on the grid: (nodes, particles).
+
+    A stack (B, modes, particles) of states gives the stack (B, nodes,
+    particles) of their grid values, each equal to its own single call.
+    """
     d = _as_state(basis, d)
     return _along_axes(basis.node_tables, d)
 
@@ -241,10 +249,17 @@ def grid_norm(basis, field):
 
 
 def grid_inner(basis, f, g):
-    """Quadrature inner product <f, g> (conjugation on g), summed over channels."""
+    """Quadrature inner product <f, g> (conjugation on g), summed over channels.
+
+    Stacks (B, nodes, channels) of fields give the (B,) array of the
+    products of their items; each item's sum runs along one contiguous row,
+    in the order of its single call.
+    """
     f = np.atleast_2d(np.asarray(f).T).T
     g = np.atleast_2d(np.asarray(g).T).T
-    return complex(np.sum(basis.weights[:, None] * f * np.conj(g)))
+    terms = basis.weights[:, None] * f * np.conj(g)
+    sums = np.sum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
+    return sums if sums.ndim else complex(sums)
 
 
 def random_coefficients(basis, particles, rng, l2_norm=1.0):

@@ -208,7 +208,8 @@ def density(basis, d):
 
 
 def density_from_grid(psi):
-    """Density of already-synthesized grid channels."""
+    """Density of already-synthesized grid channels (nodes[, particles]), or of
+    a stack (B, nodes, particles) of them."""
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim == 1:
         psi = psi[:, None]
@@ -216,21 +217,26 @@ def density_from_grid(psi):
 
 
 def hartree(kernel, rho):
-    """V_H = K @ rho on the grid nodes."""
+    """V_H = K @ rho on the grid nodes.
+
+    ``rho`` is (nodes,) or a stack (B, nodes) of densities; a stack gives
+    the (B, nodes) stack of potentials, each equal to its own single call.
+    """
     rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape[0] != kernel.node_count:
+    if rho.shape[-1] != kernel.node_count:
         raise PotentialError(
-            f"density has {rho.shape[0]} nodes but kernel expects {kernel.node_count}"
+            f"density has {rho.shape[-1]} nodes but kernel expects {kernel.node_count}"
         )
     if kernel.matrix is not None:
-        return kernel.matrix @ rho
+        return np.matmul(kernel.matrix, rho[..., None])[..., 0]
     # linear convolution of the offset table with weight*rho, read at the nodes
     shape = kernel.nodes_per_axis
+    stack = rho.shape[:-1]
     padded = tuple(2 * (m - 1) for m in shape)
-    axes = tuple(range(len(shape)))
-    x = np.fft.rfftn((kernel.weights * rho).reshape(shape), s=padded, axes=axes)
+    axes = tuple(range(-len(shape), 0))
+    x = np.fft.rfftn((kernel.weights * rho).reshape(stack + shape), s=padded, axes=axes)
     out = np.fft.irfftn(x * kernel.spectrum, s=padded, axes=axes)
-    return out[tuple(slice(0, m) for m in shape)].reshape(-1)
+    return out[(...,) + tuple(slice(0, m) for m in shape)].reshape(stack + (-1,))
 
 
 def exchange(config, rho):

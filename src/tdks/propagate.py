@@ -14,8 +14,12 @@ having been split off exactly.
 Both stage maps are symmetric, so stepping a trajectory with the opposite
 time-step sign reproduces it (used by the reversibility tests).
 
-Every solve checks its norms against the exponential L2 envelope and keeps
-what it measured in the trajectory's ``meta``: the step ``dt``, the envelope
+The step loop measures only the L2 and H1 norms of each new state (the L2
+norm feeds the blow-up guard).  The form values Re/Im B(psi, psi) of the
+stored states and the form constants are evaluated after the steps, over
+the stored trajectory in blocks of snapshots.  Every solve checks its norms
+against the exponential L2 envelope and keeps what it measured in the
+trajectory's ``meta``: the step ``dt``, the envelope
 ``l2_envelope_measured``/``l2_envelope_bound`` and the form ``constants``
 (the ``bound_constants`` dict of its context, which readers reuse instead of
 measuring the frozen-state sups again).
@@ -35,6 +39,7 @@ from .system import (
     bilinear_B,
     bound_constants,
     interpolate_states,
+    snapshot_blocks,
 )
 
 BLOWUP_FACTOR = 1.0e6
@@ -100,8 +105,9 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _kinetic_phase(ctx, d, dt):
-    return np.exp(-1j * ctx.basis.eigenvalues * dt)[:, None] * d
+def _kinetic_phase(ctx, dt):
+    """The exact kinetic propagator over dt, as a (modes, 1) factor of the coefficients."""
+    return np.exp(-1j * ctx.basis.eigenvalues * dt)[:, None]
 
 
 def _stage_potential(ctx, t_mid, rho):
@@ -191,7 +197,8 @@ def step(ctx, t, dt, d, fixed_point_tol=1e-10, fixed_point_max_iter=50):
     d = np.asarray(d, dtype=np.complex128)
     if d.ndim == 1:
         d = d[:, None]
-    d = _kinetic_phase(ctx, d, 0.5 * dt)
+    half = _kinetic_phase(ctx, 0.5 * dt)
+    d = half * d
     t_mid = t + 0.5 * dt
     if ctx.alpha == 1:
         d = _potential_stage_forward(ctx, t_mid, dt, d)
@@ -199,7 +206,7 @@ def step(ctx, t, dt, d, fixed_point_tol=1e-10, fixed_point_max_iter=50):
         d = _potential_stage_adjoint(
             ctx, t_mid, dt, d, fixed_point_tol, fixed_point_max_iter
         )
-    return _kinetic_phase(ctx, d, 0.5 * dt)
+    return half * d
 
 
 def _source_norms_sq(ctx, times):
@@ -212,14 +219,20 @@ def _source_norms_sq(ctx, times):
     return vals
 
 
-def _record(ctx, t, d, out, i):
-    l2, h1 = norms(ctx.basis, d)
-    b = bilinear_B(ctx, t, d, d)
+def _record(ctx, d, out, i):
+    """Store the norms of the state d at index i and return its L2 norm."""
+    l2, out["h1"][i] = norms(ctx.basis, d)
     out["l2"][i] = l2
-    out["h1"][i] = h1
-    out["re_b"][i] = b.real
-    out["im_b"][i] = b.imag
     return l2
+
+
+def _form_values(ctx, times, states):
+    """B(psi, psi; u(t)) of every stored state, evaluated over blocks of snapshots."""
+    form = np.empty(len(times), dtype=np.complex128)
+    for block in snapshot_blocks(ctx.basis, len(times)):
+        psi = states[block]
+        form[block] = bilinear_B(ctx, times[block], psi, psi)
+    return form
 
 
 def _check_envelope(ctx, traj, start_norm_sq):
@@ -242,7 +255,8 @@ def _solve(ctx, start, steps, *fixed_point):
     """Step from the start state toward T (alpha=1) or toward 0 (alpha=0).
 
     Every state is stored at its place on the increasing time grid; a blow-up
-    carries the last good time and the good states, in time order.
+    carries the last good time and the good states, in time order.  The form
+    values of the stored states are evaluated after the steps, in blocks.
     ``fixed_point`` is the alpha=0 (tolerance, sweep limit) pair of ``step``.
     """
     spec = ctx.basis.spec
@@ -252,12 +266,12 @@ def _solve(ctx, start, steps, *fixed_point):
         d = d[:, None]
     times = np.linspace(0.0, spec.horizon, steps + 1)
     states = np.empty((steps + 1,) + d.shape, dtype=np.complex128)
-    out = {k: np.empty(steps + 1) for k in ("l2", "h1", "re_b", "im_b")}
+    out = {k: np.empty(steps + 1) for k in ("l2", "h1")}
     forward = ctx.alpha == 1
     order = range(steps + 1) if forward else range(steps, -1, -1)
     h = dt if forward else -dt
     states[order[0]] = d
-    l2_start = _record(ctx, times[order[0]], d, out, order[0])
+    l2_start = _record(ctx, d, out, order[0])
     guard = max(l2_start, 1.0) * BLOWUP_FACTOR
     for last, i in zip(order, order[1:]):
         d = step(ctx, times[last], h, d, *fixed_point)
@@ -265,17 +279,20 @@ def _solve(ctx, start, steps, *fixed_point):
         good = states[: last + 1] if forward else states[last:]
         if not np.all(np.isfinite(d)):
             raise BlowUpError(f"non-finite state at t={times[i]}", times[last], good)
-        if _record(ctx, times[i], d, out, i) > guard:
+        if _record(ctx, d, out, i) > guard:
             raise BlowUpError(
                 f"norm exceeded {BLOWUP_FACTOR:g} x {'initial' if forward else 'terminal'}"
                 f" at t={times[i]}",
                 times[last],
                 good,
             )
+    form = _form_values(ctx, times, states)
     traj = Trajectory(
         times=times,
         states=states,
         **out,
+        re_b=np.ascontiguousarray(form.real),
+        im_b=np.ascontiguousarray(form.imag),
         alpha=ctx.alpha,
         meta={"dt": dt},
     )

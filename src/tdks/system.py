@@ -36,9 +36,22 @@ class SystemError(ValueError):
     pass
 
 
+# stored snapshots are evaluated in blocks of about this many grid values
+# (snapshots x nodes x particles): enough to share one call per operator among
+# the snapshots of a small grid, few enough that a block's temporaries stay a
+# small part of a run's memory
+BLOCK_GRID_VALUES = 2**11
+
+
+def snapshot_blocks(basis, count):
+    """Consecutive slices covering ``count`` stored snapshots, one per block."""
+    size = max(1, BLOCK_GRID_VALUES // (basis.node_count * basis.spec.particles))
+    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+
+
 def interpolate_states(times, states, t):
     """Piecewise-linear value at t (clamped to the grid) of states stored at times."""
-    t = float(np.clip(t, times[0], times[-1]))
+    t = float(min(max(t, times[0]), times[-1]))
     i = int(np.searchsorted(times, t, side="right") - 1)
     i = min(max(i, 0), len(times) - 2)
     w = (t - times[i]) / (times[i + 1] - times[i])
@@ -129,7 +142,7 @@ FrozenFields = namedtuple("FrozenFields", "grid rho potential dv")
 
 
 def frozen_fields(ctx, lam):
-    """``FrozenFields`` of the frozen coefficients lam."""
+    """``FrozenFields`` of the frozen coefficients lam, or of a stack of them."""
     lam_g = synthesize(ctx.basis, lam)
     rho = density_from_grid(lam_g)
     dv = vxc_rho_derivative(ctx.potentials, rho, ctx.basis.spec.dimension)
@@ -138,10 +151,12 @@ def frozen_fields(ctx, lam):
 
 def coupling_potentials(ctx, psi_g, frozen):
     """Hartree and xc parts (v_H(s), or 0.0 without Hartree, and dV*s) of the coupling
-    potential of the grid state psi_g, where s = 2 * sum_j Re(psi_j * conj(lambda_j))."""
+    potential of the grid state psi_g, where s = 2 * sum_j Re(psi_j * conj(lambda_j)).
+
+    ``psi_g`` and ``frozen`` may be stacks over a leading axis."""
     lam_g = frozen.grid
-    s = 2.0 * np.einsum("qj,qj->q", psi_g.real, lam_g.real) + 2.0 * np.einsum(
-        "qj,qj->q", psi_g.imag, lam_g.imag
+    s = 2.0 * np.einsum("...qj,...qj->...q", psi_g.real, lam_g.real) + 2.0 * np.einsum(
+        "...qj,...qj->...q", psi_g.imag, lam_g.imag
     )
     v_h = hartree(ctx.kernel, s) if ctx.potentials.include_hartree else 0.0
     return v_h, frozen.dv * s
@@ -179,22 +194,36 @@ def rhs(ctx, t, d):
 
 def bilinear_B(ctx, t, psi, phi):
     """Quadratic form value B(psi, phi; u(t)); sesquilinear, kinetic + external
-    plus (for alpha=0) the frozen coupling potential and the adjoint terms."""
+    plus (for alpha=0) the frozen coupling potential and the adjoint terms.
+
+    With a (B,) array of times ``t``, ``psi`` and ``phi`` are stacks
+    (B, modes, particles) and the result is the (B,) array of the form at
+    each time, each item equal to its own single call; a single call is
+    evaluated as the stack of one.
+    """
+    stacked = np.ndim(t) == 1
     same = phi is psi
-    psi = np.atleast_2d(np.asarray(psi, dtype=np.complex128).T).T
-    phi = psi if same else np.atleast_2d(np.asarray(phi, dtype=np.complex128).T).T
-    kin = complex(
-        np.sum(ctx.basis.eigenvalues[:, None] * psi * np.conj(phi))
+
+    def as_stack(d):
+        d = np.asarray(d, dtype=np.complex128)
+        return d if stacked else np.atleast_2d(d.T).T[None]
+
+    psi = as_stack(psi)
+    phi = psi if same else as_stack(phi)
+    times = np.atleast_1d(t)
+    kin = np.sum(
+        (ctx.basis.eigenvalues[:, None] * psi * np.conj(phi)).reshape(len(psi), -1), axis=-1
     )
     psi_g = synthesize(ctx.basis, psi)
     phi_g = psi_g if same else synthesize(ctx.basis, phi)
-    total = kin + grid_inner(ctx.basis, ctx.external_at(t)[:, None] * psi_g, phi_g)
+    external = np.stack([ctx.external_at(s) for s in times])
+    total = kin + grid_inner(ctx.basis, external[..., None] * psi_g, phi_g)
     if ctx.alpha == 0:
-        frozen = frozen_fields(ctx, ctx.lambda_at(t))
-        total += grid_inner(ctx.basis, frozen.potential[:, None] * psi_g, phi_g)
+        frozen = frozen_fields(ctx, np.stack([ctx.lambda_at(s) for s in times]))
+        total += grid_inner(ctx.basis, frozen.potential[..., None] * psi_g, phi_g)
         d_h, d_xc = _coupling_forms(ctx, psi_g, phi_g, frozen)
         total += d_h + d_xc
-    return total
+    return total if stacked else complex(total[0])
 
 
 def _coupling_forms(ctx, psi_g, phi_g, frozen):
@@ -203,8 +232,8 @@ def _coupling_forms(ctx, psi_g, phi_g, frozen):
     lam_g = frozen.grid
     d_h = 0j
     if ctx.potentials.include_hartree:
-        d_h = grid_inner(ctx.basis, v_h[:, None] * lam_g, phi_g)
-    return d_h, grid_inner(ctx.basis, v_xc[:, None] * lam_g, phi_g)
+        d_h = grid_inner(ctx.basis, v_h[..., None] * lam_g, phi_g)
+    return d_h, grid_inner(ctx.basis, v_xc[..., None] * lam_g, phi_g)
 
 
 def adjoint_D(ctx, t, psi, phi):
@@ -231,8 +260,8 @@ def bound_constants(ctx):
     grid: c0 bounds the coupling form, c1 the full form against H1 norms,
     c3 closes the coercivity inequality.  For alpha=1 the coupling
     ingredients vanish identically; for alpha=0 the frozen-state sups are
-    taken over the stored forward snapshots.  Every solve stores this dict
-    as ``meta["constants"]`` of its trajectory.
+    taken over the stored forward snapshots, evaluated in blocks.  Every
+    solve stores this dict as ``meta["constants"]`` of its trajectory.
     """
     ing = {
         "v0_sup": potential_sup(ctx.basis, ctx._v0),
@@ -248,7 +277,9 @@ def bound_constants(ctx):
     if ctx.alpha == 0:
         if ctx.potentials.include_hartree:
             ing["kernel_l1"] = ctx.kernel.row_sum_max
-        for lam_g, rho, v_lam, dv in (frozen_fields(ctx, lam) for lam in ctx.forward.states):
+        states = ctx.forward.states
+        for block in snapshot_blocks(ctx.basis, len(states)):
+            lam_g, rho, v_lam, dv = frozen_fields(ctx, states[block])
             ing["lambda_sup"] = max(ing["lambda_sup"], float(np.abs(lam_g).max()))
             ing["dv_rho_sup"] = max(ing["dv_rho_sup"], float(np.abs(dv * rho).max()))
             ing["v_lambda_sup"] = max(ing["v_lambda_sup"], float(np.abs(v_lam).max()))

@@ -424,7 +424,6 @@ def check_uniqueness_gronwall(ctx, base, eps_list, seed=0, halving_eps=None):
     psi0 = base.states[0]
     radius = 1.5 * float(base.l2.max()) + max(eps_list)
     probed_l, probed_cu = _probed_constants(ctx, rng, radius)
-    ctilde0 = (1 - ctx.alpha) * base.meta["constants"]["c0"]
 
     halving = float(halving_eps) if halving_eps else eps_list[len(eps_list) // 2]
     solve_at = sorted(set(eps_list) | {halving, 0.5 * halving})
@@ -434,10 +433,7 @@ def check_uniqueness_gronwall(ctx, base, eps_list, seed=0, halving_eps=None):
         pert = solve_forward(ctx, psi0 + eps * delta)
         gap = np.sqrt(np.sum(np.abs(pert.states - base.states) ** 2, axis=(1, 2)))
         gaps_at_t[eps] = gap
-        theta = (
-            2.0 * ctx.alpha * (probed_cu * (base.h1**2 + pert.h1**2) + probed_l)
-            + 2.0 * ctilde0
-        )
+        theta = 2.0 * (probed_cu * (base.h1**2 + pert.h1**2) + probed_l)
         integral = np.concatenate(
             [[0.0], np.cumsum(0.5 * (theta[1:] + theta[:-1]) * np.diff(base.times))]
         )
@@ -460,7 +456,6 @@ def check_uniqueness_gronwall(ctx, base, eps_list, seed=0, halving_eps=None):
             "eps_list": eps_list,
             "probed_xc_lipschitz": probed_l,
             "probed_hartree_constant": probed_cu,
-            "ctilde0": ctilde0,
         },
         samples=len(eps_list),
     )

@@ -10,7 +10,8 @@ from tdks import (
     build_coulomb_kernel,
     sample_field,
 )
-from tdks.potentials import _cell_average
+from tdks.potentials import _cell_average, potential_sup
+from tdks.system import frozen_fields
 
 
 def make_setup(
@@ -100,3 +101,36 @@ def frozen_trajectory(lam, horizon):
     """A stored forward trajectory that stays at lam: two equal snapshots at 0 and T."""
     lam = np.asarray(lam, dtype=np.complex128)
     return SimpleNamespace(times=np.array([0.0, float(horizon)]), states=np.stack([lam, lam]))
+
+
+def bound_constants_per_snapshot(ctx):
+    """Oracle for ``bound_constants``: the frozen-state sups taken one stored
+    forward snapshot at a time, with the same assembly of the constants."""
+    ing = {
+        "v0_sup": potential_sup(ctx.basis, ctx._v0),
+        "vu_sup": potential_sup(ctx.basis, ctx._vu),
+        "u_sup": ctx.control.sup,
+        "particles": float(ctx.basis.spec.particles),
+        "kernel_l1": 0.0,
+        "lambda_sup": 0.0,
+        "dv_rho_sup": 0.0,
+        "v_lambda_sup": 0.0,
+    }
+    c0 = 0.0
+    if ctx.alpha == 0:
+        if ctx.potentials.include_hartree:
+            ing["kernel_l1"] = ctx.kernel.row_sum_max
+        for lam_g, rho, v_lam, dv in (frozen_fields(ctx, lam) for lam in ctx.forward.states):
+            ing["lambda_sup"] = max(ing["lambda_sup"], float(np.abs(lam_g).max()))
+            ing["dv_rho_sup"] = max(ing["dv_rho_sup"], float(np.abs(dv * rho).max()))
+            ing["v_lambda_sup"] = max(ing["v_lambda_sup"], float(np.abs(v_lam).max()))
+        n_part = ctx.basis.spec.particles
+        ing["c0_xc"] = 2.0 * n_part**2 * ing["dv_rho_sup"]
+        ing["c0_h"] = 2.0 * n_part**1.5 * ing["kernel_l1"] * ing["lambda_sup"] ** 2
+        c0 = ing["c0_xc"] + ing["c0_h"]
+    coupling = c0 + ing["v_lambda_sup"]
+    ext = ing["v0_sup"] + ing["u_sup"] * ing["vu_sup"]
+    ing["c0"] = c0
+    ing["c1"] = 1.0 + coupling + ext
+    ing["c3"] = 1.0 + coupling + ext
+    return ing

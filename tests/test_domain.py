@@ -8,6 +8,7 @@ from tdks import (
     DomainError,
     DomainSpec,
     build_basis,
+    density_from_grid,
     grid_norm,
     norms,
     project,
@@ -120,6 +121,13 @@ def test_transforms_match_dense_oracle(case):
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    # a stack of states is synthesized, and its density taken, item by item exactly
+    stack = np.stack([random_coefficients(basis, 3, rng, 1.0) for _ in range(5)])
+    grids = synthesize(basis, stack)
+    assert np.array_equal(grids, np.stack([synthesize(basis, s) for s in stack]))
+    density = np.stack([density_from_grid(g) for g in grids])
+    assert np.array_equal(density_from_grid(grids), density)
 
 
 def test_large_grid_never_builds_dense_table():

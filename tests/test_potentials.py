@@ -148,9 +148,13 @@ def test_kernel_branches_match_dense_oracle(monkeypatch, case, branch):
     assert (kernel.matrix is None) == (branch == "fft")
 
     oracle = dense_coulomb_rows(basis, softening)
-    rho = np.random.default_rng(0).random(basis.node_count)
+    rng = np.random.default_rng(0)
+    rho = rng.random(basis.node_count)
     expect = oracle @ rho
     assert np.abs(hartree(kernel, rho) - expect).max() <= 1e-13 * np.abs(expect).max()
+    # a stack of densities gives exactly the stack of the single applies
+    stack = rng.random((3, basis.node_count))
+    assert np.array_equal(hartree(kernel, stack), np.stack([hartree(kernel, r) for r in stack]))
     row_sum_max = oracle.sum(axis=1).max()
     assert abs(kernel.row_sum_max - row_sum_max) <= 1e-13 * row_sum_max
 

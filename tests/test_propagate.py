@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,6 +10,7 @@ from tdks import (
     ControlSignal,
     PropagationError,
     adjoint_context,
+    bilinear_B,
     bound_constants,
     forward_context,
     hartree,
@@ -24,6 +28,7 @@ from tdks import (
     zero_control,
 )
 from tdks.propagate import (
+    _form_values,
     _potential_stage_fields,
     _potential_stage_forward,
     _potential_stage_vjp,
@@ -260,6 +265,56 @@ def test_solves_store_the_constants_of_their_context():
     for solve, solve_ctx in ((traj, ctx), (adj, actx)):
         assert solve.meta["constants"] == bound_constants(solve_ctx)
     assert adj.meta["constants"]["c0"] > 0 and traj.meta["constants"]["c0"] == 0.0
+
+
+def test_solve_form_values_match_single_calls():
+    # re_b/im_b come from blocks of snapshots after the steps; 61 snapshots of
+    # 33 nodes x 2 particles make one full block of 31 and a short one of 30
+    basis, pot, kernel = make_setup(
+        grid=(32,),
+        modes=(6,),
+        particles=2,
+        steps=60,
+        confinement={"kind": "harmonic", "amplitude": 1.0},
+        control_shape={"kind": "dipole", "amplitude": 1.0},
+    )
+    u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 61)), horizon=1.0)
+    ctx = forward_context(basis, pot, kernel=kernel, control=u)
+    psi0 = random_coefficients(basis, 2, np.random.default_rng(9), 1.0)
+    traj = solve_forward(ctx, psi0)
+    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel, control=u)
+    adj = solve_adjoint(actx, psi0)
+    for solve, solve_ctx in ((traj, ctx), (adj, actx)):
+        form = [bilinear_B(solve_ctx, t, d, d) for t, d in zip(solve.times, solve.states)]
+        assert np.array_equal(solve.re_b, np.real(form))
+        assert np.array_equal(solve.im_b, np.imag(form))
+
+
+def test_stored_trajectory_diagnostics_run_in_bounded_memory():
+    # the form values and the constants of a 2,001-snapshot alpha=0 solve in
+    # 1-d (each input stack holds 1 MB of states) evaluate block by block: one
+    # whole stack of grid values would take 4.2 MB at once
+    basis, pot, kernel = make_setup(
+        lengths=(3.0,), grid=(64,), modes=(16,), particles=2, steps=2000
+    )
+    rng = np.random.default_rng(4)
+
+    def snapshots():
+        return np.stack([random_coefficients(basis, 2, rng, 1.0) for _ in range(2001)])
+
+    times = np.linspace(0.0, 1.0, 2001)
+    forward = SimpleNamespace(times=times, states=snapshots())
+    actx = adjoint_context(basis, pot, forward=forward, kernel=kernel)
+    states = snapshots()
+    kernel.row_sum_max  # cached on first use; not part of the pass
+    tracemalloc.start()
+    try:
+        _form_values(actx, times, states)
+        bound_constants(actx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_blowup_guard_trips_on_absurd_source():

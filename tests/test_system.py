@@ -1,3 +1,6 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from tdks import (
     bound_constants,
     forward_context,
     nonlinear_G,
+    potentials,
     random_coefficients,
     rhs,
     solve_forward,
@@ -16,14 +20,22 @@ from tdks import (
 )
 from tdks.domain import project
 from tdks.system import (
+    BLOCK_GRID_VALUES,
     SystemContext,
     SystemError,
     _bounded_apply,
     coupling_potentials,
     frozen_fields,
+    snapshot_blocks,
 )
 
-from conftest import dense_basis_values, frozen_trajectory, make_setup, unit_state
+from conftest import (
+    bound_constants_per_snapshot,
+    dense_basis_values,
+    frozen_trajectory,
+    make_setup,
+    unit_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -316,3 +328,68 @@ def test_bound_constants_coercivity_and_boundedness(adjoint_pair):
         diag = bilinear_B(actx_u, t, a, a)
         assert h1a**2 - diag.real <= ing["c3"] * l2a**2
         assert abs(diag.imag) <= ing["c0"] * l2a**2
+
+
+STACK_CASES = {
+    "1d": ((3.0,), (16,), (4,)),
+    "2d": ((3.0, 3.0), (8, 8), (3, 3)),
+    "3d": ((3.0, 3.0, 3.0), (6, 6, 6), (2, 2, 2)),
+}
+
+# (dimension case, alpha, xc on, Hartree branch); the alpha=1 form reads
+# neither the xc terms nor the kernel, so one alpha=1 case per dimension
+STACK_VARIANTS = [(case, 1, True, "dense") for case in STACK_CASES] + [
+    (case, 0, xc, branch)
+    for case, xc, branch in itertools.product(STACK_CASES, (True, False), ("dense", "fft"))
+]
+
+
+def stacked_context(monkeypatch, case, alpha, xc, branch, snapshots):
+    """A context under a nonzero control; for alpha=0 its forward trajectory
+    holds ``snapshots`` random states on a uniform grid over [0, 1]."""
+    lengths, grid, modes = STACK_CASES[case]
+    if branch == "fft":
+        monkeypatch.setattr(potentials, "DENSE_MAX_NODES", 0)
+    basis, pot, kernel = make_setup(
+        lengths=lengths,
+        grid=grid,
+        modes=modes,
+        particles=2,
+        steps=snapshots - 1,
+        confinement={"kind": "harmonic", "amplitude": 1.0},
+        control_shape={"kind": "dipole", "amplitude": 1.0},
+        include_exchange=xc,
+        include_correlation=xc,
+    )
+    assert (kernel.matrix is None) == (branch == "fft")
+    u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 11)), horizon=1.0)
+    rng = np.random.default_rng(len(grid) + 10 * alpha)
+    if alpha == 1:
+        return forward_context(basis, pot, kernel=kernel, control=u), rng
+    states = np.stack([random_coefficients(basis, 2, rng, 1.0) for _ in range(snapshots)])
+    fw = SimpleNamespace(times=np.linspace(0.0, 1.0, snapshots), states=states)
+    return adjoint_context(basis, pot, forward=fw, kernel=kernel, control=u), rng
+
+
+@pytest.mark.parametrize("case, alpha, xc, branch", STACK_VARIANTS)
+def test_stacked_form_matches_single_calls(monkeypatch, case, alpha, xc, branch):
+    ctx, rng = stacked_context(monkeypatch, case, alpha, xc, branch, snapshots=5)
+    times = np.sort(rng.uniform(0.0, 1.0, 7))
+    psi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])
+    phi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])
+    same = bilinear_B(ctx, times, psi, psi)
+    assert np.array_equal(same, [bilinear_B(ctx, t, a, a) for t, a in zip(times, psi)])
+    pair = bilinear_B(ctx, times, psi, phi)
+    assert np.array_equal(pair, [bilinear_B(ctx, t, a, b) for t, a, b in zip(times, psi, phi)])
+
+
+@pytest.mark.parametrize("case, alpha, xc, branch", STACK_VARIANTS)
+def test_bound_constants_match_per_snapshot_oracle(monkeypatch, case, alpha, xc, branch):
+    _, grid, _ = STACK_CASES[case]
+    nodes = int(np.prod([m + 1 for m in grid]))
+    block = max(1, BLOCK_GRID_VALUES // (nodes * 2))
+    # two full blocks and a short last one
+    ctx, _ = stacked_context(monkeypatch, case, alpha, xc, branch, snapshots=2 * block + 1)
+    blocks = snapshot_blocks(ctx.basis, 2 * block + 1)
+    assert [b.stop - b.start for b in blocks] == [block, block, 1]
+    assert bound_constants(ctx) == bound_constants_per_snapshot(ctx)
