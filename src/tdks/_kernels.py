@@ -1,13 +1,6 @@
-"""Hot numeric kernels: the particle-summed density and the pointwise phase."""
+"""Hot numeric kernel: the pointwise phase."""
 
 import numpy as np
-
-
-def density_from_channels(psi):
-    """Particle-summed |psi|^2 on the grid; psi has shape ([B,] nodes, particles)."""
-    return np.einsum("...qj,...qj->...q", psi.real, psi.real) + np.einsum(
-        "...qj,...qj->...q", psi.imag, psi.imag
-    )
 
 
 def phase_apply(psi, v, dt):

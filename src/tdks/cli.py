@@ -32,7 +32,7 @@ from .propagate import (
     solve_forward,
     write_csv,
 )
-from .signals import ControlSignal
+from .signals import ControlSignal, SignalError
 from .system import SystemError as SystemContextError
 from .verify import (
     check_coefficient_lipschitz,
@@ -123,19 +123,24 @@ def _merge_section(path, defaults, given):
     out = {}
     for key, default in defaults.items():
         out[key] = given.get(key, default)
-        # a key whose default is an integer count (or a list of them) takes only that
+        # a key whose default is a number, a boolean or a list of them takes only that
         # form; checked here, before anything converts or allocates with the value
-        if _has_count_form(default, default) and not _has_count_form(out[key], default):
-            form = "an integer" if isinstance(default, int) else f"integers as in {default!r}"
-            raise ConfigError(f"{path}.{key}: expected {form}, got {out[key]!r}")
+        if not _has_form(out[key], default):
+            raise ConfigError(f"{path}.{key}: expected the type of {default!r}, got {out[key]!r}")
     return out
 
 
-def _has_count_form(value, like):
-    """Whether value is a JSON integer, or a list of values in the form of like[0]."""
+# the JSON types a value may have, by the type of its default (an integer is a
+# number); a default of any other type takes any value
+_FORMS = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def _has_form(value, like):
+    """Whether value has the form of like: its JSON type, or a list of values in
+    the form of like[0]."""
     if isinstance(like, list):
-        return isinstance(value, list) and all(_has_count_form(v, like[0]) for v in value)
-    return isinstance(value, int) and not isinstance(value, bool)
+        return isinstance(value, list) and all(_has_form(v, like[0]) for v in value)
+    return type(value) in _FORMS.get(type(like), (type(value),))
 
 
 def _check_preset(path, value, allowed):
@@ -147,6 +152,14 @@ def _check_preset(path, value, allowed):
     extra = set(value) - {"kind"} - allowed[kind]
     if extra:
         raise ConfigError(f"{path}.{sorted(extra)[0]}: unknown key for preset {kind!r}")
+    # every parameter but a file path is finite numbers, converted here before any run
+    for key in sorted(set(value) - {"kind", "path"}):
+        try:
+            numbers = np.asarray(value[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}.{key}: expected numbers") from None
+        if not np.all(np.isfinite(numbers)):
+            raise ConfigError(f"{path}.{key}: values must be finite")
     return dict(value)
 
 
@@ -242,8 +255,11 @@ def parse_config(text):
 
     if raw["mode"] not in ("forward", "adjoint"):
         raise ConfigError("mode: must be 'forward' or 'adjoint'")
-    if not _has_count_form(raw["seed"], 0):
+    if not _has_form(raw["seed"], 0):
         raise ConfigError(f"seed: expected an integer, got {raw['seed']!r}")
+    times = raw["output"]["density_times"]
+    if times is not None and not _has_form(times, [0.0]):
+        raise ConfigError(f"output.density_times: expected a list of numbers, got {times!r}")
     ml = raw["converge"]["mode_list"]
     if len(ml) < 3:
         raise ConfigError("converge.mode_list: need at least three nested mode counts")
@@ -270,10 +286,6 @@ def _canonical(obj):
         return {k: _canonical(obj[k]) for k in obj}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -311,10 +323,14 @@ def _build_instruments(config):
         confinement=v0,
         control_shape=vu,
     )
-    kernel = None
-    if pot["include_hartree"]:
-        kernel = build_coulomb_kernel(basis, pot["coulomb_softening"])
-    return basis, potentials, kernel
+    return basis, potentials
+
+
+def _coulomb_kernel(basis, potentials):
+    """The Coulomb kernel of the basis grid, or None without the Hartree term."""
+    if not potentials.include_hartree:
+        return None
+    return build_coulomb_kernel(basis, potentials.coulomb_softening)
 
 
 def _build_state(basis, preset):
@@ -336,6 +352,8 @@ def _build_state(basis, preset):
         return values[..., 0] + 1j * values[..., 1]
     if kind == "bump":
         powers = preset.get("powers") or list(range(2, 2 + n))
+        if not _has_form(powers, [0]):
+            raise ConfigError(f"initial_state.powers: expected integers, got {powers!r}")
         if len(powers) != n:
             raise ConfigError("initial_state.powers: need one power per particle")
         x = basis.nodes
@@ -343,15 +361,12 @@ def _build_state(basis, preset):
         shape = np.ones(basis.node_count)
         for axis, l in enumerate(lengths):
             shape = shape * np.sin(np.pi * x[:, axis] / l)
-        fields = np.stack([shape ** int(p) for p in powers], axis=1).astype(np.complex128)
+        fields = np.stack([shape**p for p in powers], axis=1).astype(np.complex128)
         d = project(basis, fields)
         nrm = np.sqrt((d.real**2 + d.imag**2).sum())
         return d / nrm
     if kind == "file":
-        d = np.load(preset["path"])
-        d = np.asarray(d, dtype=np.complex128)
-        if d.ndim == 1:
-            d = d[:, None]
+        d = np.asarray(np.load(preset["path"]), dtype=np.complex128)
         if d.shape != (basis.size, n):
             raise ConfigError(f"initial_state.file: expected shape ({basis.size}, {n})")
         return d
@@ -431,7 +446,8 @@ def _print_report_table(reports, quiet):
 
 
 def _run_simulate(config, out, quiet):
-    basis, potentials, kernel = _build_instruments(config)
+    basis, potentials = _build_instruments(config)
+    kernel = _coulomb_kernel(basis, potentials)
     steps = basis.spec.steps
     control = _build_control(config.raw["control"], basis.spec.horizon, steps)
     psi0 = _build_state(basis, config.raw["initial_state"])
@@ -488,7 +504,8 @@ def run_verification_suite(config):
     are fixed so the suite stays fast and reproducible.
     """
     seed = config.seed
-    basis, potentials, kernel = _build_instruments(config)
+    basis, potentials = _build_instruments(config)
+    kernel = _coulomb_kernel(basis, potentials)
     psi0 = _build_state(basis, config.raw["initial_state"])
 
     reports = []
@@ -554,16 +571,14 @@ def _galerkin_builder(spec, potentials, preset):
 
     def builder(modes):
         basis = build_basis(spec, modes)
-        kernel = None
-        if potentials.include_hartree:
-            kernel = build_coulomb_kernel(basis, potentials.coulomb_softening)
-        return forward_context(basis, potentials, kernel=kernel), _build_state(basis, preset)
+        ctx = forward_context(basis, potentials, kernel=_coulomb_kernel(basis, potentials))
+        return ctx, _build_state(basis, preset)
 
     return builder
 
 
 def _run_converge(config, out, quiet):
-    basis, potentials, kernel = _build_instruments(config)
+    basis, potentials = _build_instruments(config)
     builder = _galerkin_builder(basis.spec, potentials, config.raw["initial_state"])
     report = check_galerkin_convergence(builder, config.raw["converge"]["mode_list"])
     _write_json(out / "reports.json", _reports_payload([report]))
@@ -572,7 +587,8 @@ def _run_converge(config, out, quiet):
 
 
 def _run_optimize(config, out, quiet):
-    basis, potentials, kernel = _build_instruments(config)
+    basis, potentials = _build_instruments(config)
+    kernel = _coulomb_kernel(basis, potentials)
     steps = basis.spec.steps
     control = _build_control(config.raw["control"], basis.spec.horizon, steps)
     objective = _objective_from_config(config, basis, "optimisation")
@@ -623,6 +639,7 @@ _RUN_ERRORS = (
     SystemContextError,
     DomainError,
     PotentialError,
+    SignalError,
 )
 
 

@@ -20,7 +20,9 @@ oracle in the test suite.
 
 The raw gradient lives on the control sample grid; the descent direction is
 its H1 Riesz representative, obtained from the tridiagonal discrete
-(mass + stiffness) solve, so updates stay in the admissible control space.
+(lumped trapezoid mass + stiffness) solve, whose mass weights are the ones
+``ControlSignal.l2_norm_sq`` integrates with, so updates stay in the
+admissible control space.
 """
 
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .domain import check_layout
 from .propagate import (
     _kinetic_phase,
     _potential_stage_fields,
@@ -54,7 +57,8 @@ class ObjectiveSpec:
 
     ``j1``: "none" or "trajectory" (needs target_trajectory: callable t -> state,
     e.g. ``traj.state_at``); ``j2``: "none" or "terminal" (needs target_state).
-    ``nu`` weights the control H1 penalty and must be positive.
+    Target states are (modes, particles) coefficients; any other shape raises
+    ``ControlError``.  ``nu`` weights the control H1 penalty and must be positive.
     """
 
     j1: str = "none"
@@ -75,19 +79,23 @@ class ObjectiveSpec:
         if self.j2 == "terminal" and self.target_state is None:
             raise ControlError("terminal tracking needs a target state")
         if self.target_state is not None:
-            object.__setattr__(
-                self, "target_state", np.asarray(self.target_state, dtype=np.complex128)
-            )
+            object.__setattr__(self, "target_state", _as_target(self.target_state))
 
     def target_at(self, t):
-        return np.asarray(self.target_trajectory(t), dtype=np.complex128)
+        return _as_target(self.target_trajectory(t))
+
+
+def _as_target(d):
+    d = np.asarray(d, dtype=np.complex128)
+    check_layout(d.shape, None, ControlError)
+    return d
 
 
 def _state_sq(d):
     return float(np.sum(d.real**2 + d.imag**2))
 
 
-def _objective_parts(spec, ctx, u, traj):
+def _objective_parts(spec, u, traj):
     j1 = 0.0
     if spec.j1 == "trajectory":
         vals = np.empty(len(traj.times))
@@ -104,7 +112,7 @@ def _objective_parts(spec, ctx, u, traj):
 def evaluate_objective(spec, ctx, u, psi0):
     """J(u) with a fresh forward solve from psi0 under the control u."""
     traj = solve_forward(ctx.with_control(u), psi0)
-    j1, j2, reg = _objective_parts(spec, ctx, u, traj)
+    j1, j2, reg = _objective_parts(spec, u, traj)
     return j1 + j2 + reg
 
 
@@ -129,35 +137,24 @@ def adjoint_sources(spec, traj):
     return terminal, source
 
 
-def _h1_matrices(n_samples, dt):
-    """Trapezoid mass weights, hat-function mass matrix (banded), and the
-    forward-difference stiffness matrix (banded), all on the sample grid."""
-    w = np.full(n_samples, dt)
+def _h1_riesz(u, raw, nu):
+    """Add the derivative of nu * ||u||_H1^2 to raw (in place) and return the H1
+    Riesz representative g of the sum: (diag(w) + S) g = raw, with w the lumped
+    trapezoid weights ``ControlSignal.l2_norm_sq`` integrates with and S the
+    tridiagonal forward-difference stiffness of ``derivative_norm_sq``."""
+    x, dt = u.samples, u.step
+    w = np.full(x.size, dt)
     w[0] = w[-1] = 0.5 * dt
-    # banded storage (upper, diag, lower) for solve_banded
-    mass_diag = np.full(n_samples, 4.0 * dt / 6.0)
-    mass_diag[0] = mass_diag[-1] = 2.0 * dt / 6.0
-    mass_off = np.full(n_samples - 1, dt / 6.0)
-    stiff_diag = np.full(n_samples, 2.0 / dt)
-    stiff_diag[0] = stiff_diag[-1] = 1.0 / dt
-    stiff_off = np.full(n_samples - 1, -1.0 / dt)
-    return w, (mass_diag, mass_off), (stiff_diag, stiff_off)
-
-
-def _tridiag_matvec(diag, off, x):
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
-
-
-def _riesz_solve(w, stiff, raw):
-    diag = w + stiff[0]
-    off = stiff[1]
-    ab = np.zeros((3, raw.size))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
+    diag = np.full(x.size, 2.0 / dt)
+    diag[0] = diag[-1] = 1.0 / dt
+    off = -1.0 / dt
+    stiff_x = diag * x
+    stiff_x[:-1] += off * x[1:]
+    stiff_x[1:] += off * x[:-1]
+    raw += 2.0 * nu * (w * x + stiff_x)
+    ab = np.zeros((3, x.size))  # banded (upper, diagonal, lower) for solve_banded
+    ab[0, 1:] = ab[2, :-1] = off
+    ab[1] = w + diag
     return solve_banded((1, 1), ab, raw)
 
 
@@ -212,9 +209,9 @@ def reduced_gradient(spec, ctx, u, psi0, forward_traj=None):
     penalty plus the coupling term obtained by back-propagating through the
     integrator (the discrete counterpart of pairing Vu*Lambda with the
     solution of the alpha=0 problem).  It is what central finite differences
-    of J converge to.  The returned signal solves
-    (mass + stiffness) g_smooth = raw, the steepest-descent direction in the
-    discrete H1 metric.
+    of J converge to.  The returned signal is its H1 Riesz representative
+    (see ``_h1_riesz``), the steepest-descent direction in the discrete H1
+    metric.
     """
     steps = ctx.basis.spec.steps
     if u.samples.size != steps + 1:
@@ -226,11 +223,7 @@ def reduced_gradient(spec, ctx, u, psi0, forward_traj=None):
     ctx_u = ctx.with_control(u)
     traj = forward_traj if forward_traj is not None else solve_forward(ctx_u, psi0)
     raw, _ = backward_sweep(spec, ctx_u, traj)
-
-    dt = u.step
-    w, _, stiff = _h1_matrices(u.samples.size, dt)
-    raw += 2.0 * spec.nu * (w * u.samples + _tridiag_matvec(stiff[0], stiff[1], u.samples))
-    smooth = _riesz_solve(w, stiff, raw)
+    smooth = _h1_riesz(u, raw, spec.nu)
     return ControlSignal(samples=smooth, horizon=u.horizon), raw
 
 
@@ -253,7 +246,7 @@ def optimize(spec, ctx, u0, psi0, iters=20, step_rule=None):
 
     u = u0
     traj = solve_forward(ctx.with_control(u), psi0)
-    j1, j2, reg = _objective_parts(spec, ctx, u, traj)
+    j1, j2, reg = _objective_parts(spec, u, traj)
     j_val = j1 + j2 + reg
     history = []
     s = float(rule["initial"])
@@ -269,7 +262,7 @@ def optimize(spec, ctx, u0, psi0, iters=20, step_rule=None):
         for _half in range(MAX_HALVINGS + 1):
             cand = ControlSignal(samples=u.samples + s * direction, horizon=u.horizon)
             traj_new = solve_forward(ctx.with_control(cand), psi0)
-            j1, j2, reg = _objective_parts(spec, ctx, cand, traj_new)
+            j1, j2, reg = _objective_parts(spec, cand, traj_new)
             j_new = j1 + j2 + reg
             if j_new <= j_val + ARMIJO_C1 * s * slope:
                 accepted = True

@@ -10,9 +10,11 @@ tensor trapezoid rule on all (M_i+1) nodes per axis; boundary nodes carry
 half weight and every basis function vanishes there, so products of
 resolvable sine modes are integrated exactly (discrete sine orthogonality).
 
-States are stored as complex coefficient matrices ``d`` of shape
-``(modes, particles)``; grid fields are arrays of shape ``(nodes,)`` or
-``(nodes, particles)`` (real dtype for real-valued fields).
+Coefficient data has one layout: a state is a complex ``(modes, particles)``
+array, a stack of states adds one leading axis, and any other shape is
+rejected by ``check_layout``, never promoted.  Grid fields are
+``(nodes, particles)`` (or stacks); scalar fields such as potentials and
+densities are ``(nodes,)`` (real dtype for real-valued fields).
 
 Because the basis is a tensor product, only the per-axis sine tables
 ``(modes_i, nodes_i)`` are stored (sum_i modes_i * nodes_i entries), and
@@ -69,10 +71,6 @@ class DomainSpec:
             raise DomainError("time horizon must be positive")
         if self.steps < 1:
             raise DomainError("need at least one time step")
-
-    @property
-    def volume(self):
-        return float(np.prod(self.lengths))
 
     @property
     def spacings(self):
@@ -162,16 +160,21 @@ def build_basis(spec, modes_per_axis):
     )
 
 
-def _as_state(basis, d):
+def check_layout(shape, modes, error=DomainError, stack=False):
+    """Raise ``error`` unless ``shape`` is (modes, particles), or with ``stack``
+    (B, modes, particles); ``modes=None`` accepts any mode count."""
+    if len(shape) != 2 + stack or modes is not None and shape[-2] != modes:
+        want = "(B, modes, particles)" if stack else "(modes, particles)"
+        count = "" if modes is None else f" with {modes} modes"
+        raise error(f"coefficients of shape {tuple(shape)} are not {want}{count}")
+
+
+def _as_state(basis, d, error=DomainError, stack=False):
+    """Finite complex coefficients in the layout of ``check_layout``, or ``error``."""
     d = np.asarray(d, dtype=np.complex128)
-    if d.ndim == 1:
-        d = d[:, None]
-    if d.shape[-2] != basis.size:
-        raise DomainError(
-            f"coefficient rows {d.shape[-2]} do not match basis size {basis.size}"
-        )
+    check_layout(d.shape, basis.size, error, stack)
     if not np.all(np.isfinite(d)):
-        raise DomainError("coefficients contain non-finite entries")
+        raise error("coefficients contain non-finite entries")
     return d
 
 
@@ -207,7 +210,7 @@ def synthesize(basis, d):
     A stack (B, modes, particles) of states gives the stack (B, nodes,
     particles) of their grid values, each equal to its own single call.
     """
-    d = _as_state(basis, d)
+    d = _as_state(basis, d, stack=np.ndim(d) == 3)
     return _along_axes(basis.node_tables, d)
 
 
@@ -251,12 +254,13 @@ def grid_norm(basis, field):
 def grid_inner(basis, f, g):
     """Quadrature inner product <f, g> (conjugation on g), summed over channels.
 
-    Stacks (B, nodes, channels) of fields give the (B,) array of the
-    products of their items; each item's sum runs along one contiguous row,
-    in the order of its single call.
+    ``f`` and ``g`` are (nodes, channels) fields.  Stacks (B, nodes,
+    channels) of fields give the (B,) array of the products of their items;
+    each item's sum runs along one contiguous row, in the order of its single
+    call.
     """
-    f = np.atleast_2d(np.asarray(f).T).T
-    g = np.atleast_2d(np.asarray(g).T).T
+    if np.ndim(f) < 2 or np.ndim(g) < 2:
+        raise DomainError("grid_inner takes (nodes, channels) fields or stacks of them")
     terms = basis.weights[:, None] * f * np.conj(g)
     sums = np.sum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
     return sums if sums.ndim else complex(sums)

@@ -23,8 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
-from .domain import grid_norm
+from .domain import grid_norm, synthesize
 
 DEFAULT_EXCHANGE_C = -((3.0 / math.pi) ** (1.0 / 3.0))
 DEFAULT_EXCHANGE_BETA = 1.0 / 3.0
@@ -202,18 +201,16 @@ def build_coulomb_kernel(basis, softening=0.0):
 
 def density(basis, d):
     """Grid density rho(x_q) = sum_j |psi_j(x_q)|^2 of a coefficient state."""
-    from .domain import synthesize
-
-    return _kernels.density_from_channels(synthesize(basis, d))
+    return density_from_grid(synthesize(basis, d))
 
 
 def density_from_grid(psi):
-    """Density of already-synthesized grid channels (nodes[, particles]), or of
-    a stack (B, nodes, particles) of them."""
+    """Particle-summed |psi|^2 of already-synthesized grid channels
+    (nodes, particles), or of a stack (B, nodes, particles) of them."""
     psi = np.asarray(psi, dtype=np.complex128)
-    if psi.ndim == 1:
-        psi = psi[:, None]
-    return _kernels.density_from_channels(psi)
+    return np.einsum("...qj,...qj->...q", psi.real, psi.real) + np.einsum(
+        "...qj,...qj->...q", psi.imag, psi.imag
+    )
 
 
 def hartree(kernel, rho):

@@ -14,12 +14,16 @@ having been split off exactly.
 Both stage maps are symmetric, so stepping a trajectory with the opposite
 time-step sign reproduces it (used by the reversibility tests).
 
+States are (modes, particles) coefficients; any other shape raises
+``PropagationError`` (``step`` compares only the shape, as its kinetic
+half-step comes before any ``synthesize`` call).
+
 The step loop measures only the L2 and H1 norms of each new state (the L2
 norm feeds the blow-up guard).  The form values Re/Im B(psi, psi) of the
 stored states and the form constants are evaluated after the steps, over
 the stored trajectory in blocks of snapshots.  Every solve checks its norms
 against the exponential L2 envelope and keeps what it measured in the
-trajectory's ``meta``: the step ``dt``, the envelope
+trajectory's ``meta``: the envelope
 ``l2_envelope_measured``/``l2_envelope_bound`` and the form ``constants``
 (the ``bound_constants`` dict of its context, which readers reuse instead of
 measuring the frozen-state sups again).
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .domain import norms, project, synthesize
+from .domain import _as_state, check_layout, norms, project, synthesize
 from .potentials import density_from_grid, hartree, vxc_rho_derivative
 from .system import (
     SystemContext,
@@ -70,10 +74,6 @@ class Trajectory:
     im_b: np.ndarray
     alpha: int
     meta: dict = field(default_factory=dict)
-
-    @property
-    def horizon(self):
-        return float(self.times[-1])
 
     def state_at(self, t):
         return interpolate_states(self.times, self.states, t)
@@ -192,11 +192,10 @@ def _potential_stage_adjoint(ctx, t_mid, dt, d, tol, max_iter):
 
 def step(ctx, t, dt, d, fixed_point_tol=1e-10, fixed_point_max_iter=50):
     """Second-order one-step map d(t) -> d(t+dt); dt may be negative."""
+    check_layout(np.shape(d), ctx.basis.size, PropagationError)
     if dt == 0.0:
         return np.array(d, dtype=np.complex128, copy=True)
     d = np.asarray(d, dtype=np.complex128)
-    if d.ndim == 1:
-        d = d[:, None]
     half = _kinetic_phase(ctx, 0.5 * dt)
     d = half * d
     t_mid = t + 0.5 * dt
@@ -261,9 +260,7 @@ def _solve(ctx, start, steps, *fixed_point):
     """
     spec = ctx.basis.spec
     dt = spec.horizon / steps
-    d = np.asarray(start, dtype=np.complex128)
-    if d.ndim == 1:
-        d = d[:, None]
+    d = _as_state(ctx.basis, start, PropagationError)
     times = np.linspace(0.0, spec.horizon, steps + 1)
     states = np.empty((steps + 1,) + d.shape, dtype=np.complex128)
     out = {k: np.empty(steps + 1) for k in ("l2", "h1")}
@@ -294,7 +291,6 @@ def _solve(ctx, start, steps, *fixed_point):
         re_b=np.ascontiguousarray(form.real),
         im_b=np.ascontiguousarray(form.imag),
         alpha=ctx.alpha,
-        meta={"dt": dt},
     )
     _check_envelope(ctx, traj, l2_start**2)
     return traj

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import grid_inner, project, synthesize
+from .domain import _as_state, check_layout, grid_inner, project, synthesize
 from .potentials import (
     density_from_grid,
     hartree,
@@ -66,8 +66,9 @@ class SystemContext:
     alpha=0: the stored forward trajectory, i.e. an object with increasing
     float ``times`` and complex ``states`` (times, modes, particles) arrays as
     ``solve_forward`` returns it; the frozen state is its piecewise-linear
-    interpolant.  ``source`` is an optional callable t -> grid field
-    (nodes[, particles]) or coefficient array (modes[, particles]).
+    interpolant.  ``source`` is an optional callable t -> the inhomogeneity
+    as (modes, particles) coefficients, i.e. its projection onto the basis;
+    any other shape raises ``SystemError`` when it is read.
     """
 
     basis: object
@@ -119,21 +120,13 @@ class SystemContext:
         return ks_potential(self.potentials, self.kernel, rho, self.basis.spec.dimension)
 
     def source_coefficients(self, t):
-        """Inhomogeneity projected onto the basis as (modes, particles), or None."""
+        """Inhomogeneity at t as (modes, particles) coefficients, or None."""
         if self.source is None:
             return None
-        f = np.asarray(self.source(t))
-        if f.shape[0] == self.basis.node_count:
-            f = project(self.basis, f.astype(np.complex128))
-        else:
-            f = f.astype(np.complex128)
-        if f.ndim == 1:
-            f = f[:, None]
-        n = self.basis.spec.particles
-        if f.shape == (self.basis.size, 1) and n > 1:
-            f = np.repeat(f, n, axis=1)
-        if f.shape != (self.basis.size, n):
-            raise SystemError("source provider returned an array of unexpected shape")
+        f = np.asarray(self.source(t), dtype=np.complex128)
+        want = (self.basis.size, self.basis.spec.particles)
+        if f.shape != want:
+            raise SystemError(f"source gave shape {f.shape}, not (modes, particles) {want}")
         return f
 
 
@@ -180,11 +173,7 @@ def _bounded_apply(ctx, t, d):
 
 def rhs(ctx, t, d):
     """Time derivative d' of the coefficient state at time t."""
-    d = np.asarray(d, dtype=np.complex128)
-    if d.ndim == 1:
-        d = d[:, None]
-    if not np.all(np.isfinite(d)):
-        raise SystemError("right-hand side called with non-finite coefficients")
+    d = _as_state(ctx.basis, d, SystemError)
     h = ctx.basis.eigenvalues[:, None] * d + _bounded_apply(ctx, t, d)
     f = ctx.source_coefficients(t)
     if f is not None:
@@ -203,13 +192,10 @@ def bilinear_B(ctx, t, psi, phi):
     """
     stacked = np.ndim(t) == 1
     same = phi is psi
-
-    def as_stack(d):
-        d = np.asarray(d, dtype=np.complex128)
-        return d if stacked else np.atleast_2d(d.T).T[None]
-
-    psi = as_stack(psi)
-    phi = psi if same else as_stack(phi)
+    psi = _as_state(ctx.basis, psi, SystemError, stacked)
+    phi = psi if same else _as_state(ctx.basis, phi, SystemError, stacked)
+    if not stacked:
+        psi, phi = psi[None], phi[None]
     times = np.atleast_1d(t)
     kin = np.sum(
         (ctx.basis.eigenvalues[:, None] * psi * np.conj(phi)).reshape(len(psi), -1), axis=-1
@@ -240,6 +226,8 @@ def adjoint_D(ctx, t, psi, phi):
     """Adjoint coupling form split into its Hartree and xc-derivative parts."""
     if ctx.alpha != 0:
         raise SystemError("the coupling form belongs to the alpha=0 problem")
+    check_layout(np.shape(psi), ctx.basis.size, SystemError)
+    check_layout(np.shape(phi), ctx.basis.size, SystemError)
     psi_g = synthesize(ctx.basis, psi)
     phi_g = synthesize(ctx.basis, phi)
     frozen = frozen_fields(ctx, ctx.lambda_at(t))
@@ -248,6 +236,7 @@ def adjoint_D(ctx, t, psi, phi):
 
 def nonlinear_G(ctx, d):
     """Projection of V(rho(d)) * Psi(d) onto every basis mode."""
+    check_layout(np.shape(d), ctx.basis.size, SystemError)
     psi = synthesize(ctx.basis, d)
     rho = density_from_grid(psi)
     return project(ctx.basis, ctx._ks_grid(rho)[:, None] * psi)

@@ -175,6 +175,40 @@ def test_non_integer_count_is_one_error_line_and_no_artifacts(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        ({"potentials": {"exchange_c": "x"}}, "potentials.exchange_c"),
+        ({"objective": {"nu": "x"}}, "objective.nu"),
+        ({"integrator": {"fixed_point_tol": "x"}}, "integrator.fixed_point_tol"),
+        (
+            {"control": {"kind": "samples", "values": ["x", 0]}, "domain": {"steps": 1}},
+            "control.values",
+        ),
+        ({"initial_state": {"kind": "coefficients", "values": "abc"}}, "initial_state.values"),
+        ({"output": {"density_times": ["x"]}}, "output.density_times"),
+        (
+            {"control": {"kind": "samples", "values": [NAN, 0]}, "domain": {"steps": 1}},
+            "control.values",
+        ),
+        ({"control": {"kind": "sine", "amplitude": NAN}}, "control.amplitude"),
+        ({"initial_state": {"kind": "bump", "powers": [1.5]}}, "initial_state.powers"),
+        ({"potentials": {"include_hartree": "false"}}, "potentials.include_hartree"),
+    ],
+)
+def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    status = main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}")
+
+
 def test_solver_failure_exits_nonzero_without_artifacts(tmp_path, capsys):
     # one fixed-point sweep per step cannot converge: the adjoint solve fails
     cfg_path = tmp_path / "starved.json"

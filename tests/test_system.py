@@ -260,8 +260,9 @@ def test_project_f_zero_and_single_mode(nonlinear_ctx):
 
     basis = nonlinear_ctx.basis
     phi3 = dense_basis_values(basis)[2].astype(np.complex128)
+    # a provider returns coefficients, so a grid-field inhomogeneity is projected in it
     ctx = forward_context(basis, nonlinear_ctx.potentials, kernel=nonlinear_ctx.kernel,
-                          source=lambda t: phi3)
+                          source=lambda t: project(basis, phi3[:, None]))
     f = ctx.source_coefficients(0.7)
     expect = unit_state(basis, 2)
     assert np.abs(f - expect).max() < 1e-10

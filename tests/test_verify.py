@@ -14,6 +14,7 @@ from tdks import (
     random_coefficients,
     solve_forward,
 )
+from tdks.domain import project
 from tdks.verify import make_report, probe_hartree_constant
 
 from conftest import make_setup, unit_state
@@ -210,7 +211,10 @@ def test_gap_trivial_and_linear_cases():
     assert np.abs(gap - gap[0]).max() < 1e-12 * gap[0] + 1e-15
 
 
-def _convergence_builder(include_exchange=True, source=None):
+def _convergence_builder(include_exchange=True, source_field=None):
+    """builder(modes); ``source_field`` (t -> (nodes, 1) grid field) is projected
+    onto each basis inside the source provider."""
+
     def builder(modes):
         basis, pot, kernel = make_setup(
             lengths=(3.0,),
@@ -220,6 +224,12 @@ def _convergence_builder(include_exchange=True, source=None):
             include_exchange=include_exchange,
             confinement={"kind": "harmonic", "amplitude": 1.0},
         )
+        source = None
+        if source_field is not None:
+
+            def source(t):
+                return project(basis, source_field(t))
+
         ctx = forward_context(basis, pot, kernel=kernel, source=source)
         return ctx, unit_state(basis, 0)
 
@@ -252,14 +262,16 @@ def test_galerkin_convergence_full_pass():
 def test_galerkin_convergence_with_inhomogeneity():
     basis_probe, _, _ = make_setup(lengths=(3.0,), grid=(32,), modes=(4,))
 
-    def source(t):
+    def source_field(t):
         return (
             0.3
             * np.cos(2.0 * t)
-            * np.sin(2 * np.pi * basis_probe.nodes[:, 0] / 3.0)
+            * np.sin(2 * np.pi * basis_probe.nodes[:, :1] / 3.0)
         ).astype(np.complex128)
 
-    r = check_galerkin_convergence(_convergence_builder(source=source), [[4], [8], [12]])
+    r = check_galerkin_convergence(
+        _convergence_builder(source_field=source_field), [[4], [8], [12]]
+    )
     assert r.passed
 
 
