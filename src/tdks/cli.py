@@ -111,6 +111,8 @@ _CONTROL_PRESET_KEYS = {
     "file": {"path"},
 }
 
+_LIST_PRESET_KEYS = {"values", "powers"}  # every other numeric preset parameter is a scalar
+
 
 def _merge_section(path, defaults, given):
     if given is None:
@@ -152,12 +154,15 @@ def _check_preset(path, value, allowed):
     extra = set(value) - {"kind"} - allowed[kind]
     if extra:
         raise ConfigError(f"{path}.{sorted(extra)[0]}: unknown key for preset {kind!r}")
-    # every parameter but a file path is finite numbers, converted here before any run
+    # every parameter but a file path is finite numbers, converted here before any run;
+    # only the list parameters may hold more than one
     for key in sorted(set(value) - {"kind", "path"}):
         try:
             numbers = np.asarray(value[key], dtype=np.float64)
         except (TypeError, ValueError):
             raise ConfigError(f"{path}.{key}: expected numbers") from None
+        if numbers.ndim and key not in _LIST_PRESET_KEYS:
+            raise ConfigError(f"{path}.{key}: expected a number, not a list")
         if not np.all(np.isfinite(numbers)):
             raise ConfigError(f"{path}.{key}: values must be finite")
     return dict(value)

@@ -57,8 +57,9 @@ class ObjectiveSpec:
 
     ``j1``: "none" or "trajectory" (needs target_trajectory: callable t -> state,
     e.g. ``traj.state_at``); ``j2``: "none" or "terminal" (needs target_state).
-    Target states are (modes, particles) coefficients; any other shape raises
-    ``ControlError``.  ``nu`` weights the control H1 penalty and must be positive.
+    Target states are (modes, particles) coefficients; any other shape, or
+    one that differs from the tracked trajectory's, raises ``ControlError``.
+    ``nu`` weights the control H1 penalty and must be positive.
     """
 
     j1: str = "none"
@@ -81,13 +82,19 @@ class ObjectiveSpec:
         if self.target_state is not None:
             object.__setattr__(self, "target_state", _as_target(self.target_state))
 
-    def target_at(self, t):
-        return _as_target(self.target_trajectory(t))
+    def target_at(self, t, shape):
+        return _as_target(self.target_trajectory(t), shape)
+
+    def terminal_target(self, shape):
+        return _as_target(self.target_state, shape)
 
 
-def _as_target(d):
+def _as_target(d, shape=None):
+    """(modes, particles) target coefficients; with ``shape``, only of that shape."""
     d = np.asarray(d, dtype=np.complex128)
     check_layout(d.shape, None, ControlError)
+    if shape is not None and d.shape != shape:
+        raise ControlError(f"target of shape {d.shape} does not match the trajectory's {shape}")
     return d
 
 
@@ -96,15 +103,16 @@ def _state_sq(d):
 
 
 def _objective_parts(spec, u, traj):
+    shape = traj.states.shape[1:]
     j1 = 0.0
     if spec.j1 == "trajectory":
         vals = np.empty(len(traj.times))
         for i, t in enumerate(traj.times):
-            vals[i] = _state_sq(traj.states[i] - spec.target_at(t))
+            vals[i] = _state_sq(traj.states[i] - spec.target_at(t, shape))
         j1 = float(np.trapezoid(vals, traj.times))
     j2 = 0.0
     if spec.j2 == "terminal":
-        j2 = _state_sq(traj.states[-1] - spec.target_state)
+        j2 = _state_sq(traj.states[-1] - spec.terminal_target(shape))
     reg = spec.nu * u.h1_norm_sq
     return j1, j2, reg
 
@@ -122,15 +130,16 @@ def adjoint_sources(spec, traj):
     Both are real-pairing derivatives of the tracking terms: the terminal is
     -2 (Lambda(T) - target_T); the source is t -> 2 (Lambda(t) - target(t)).
     """
-    m, n = traj.states.shape[1:]
+    shape = traj.states.shape[1:]
     if spec.j2 == "terminal":
-        terminal = -2.0 * (traj.states[-1] - spec.target_state)
+        terminal = -2.0 * (traj.states[-1] - spec.terminal_target(shape))
     else:
-        terminal = np.zeros((m, n), dtype=np.complex128)
+        terminal = np.zeros(shape, dtype=np.complex128)
     if spec.j1 == "trajectory":
+        spec.target_at(traj.times[-1], shape)  # a mismatch raises here, not mid-solve
 
         def source(t):
-            return 2.0 * (traj.state_at(t) - spec.target_at(t))
+            return 2.0 * (traj.state_at(t) - spec.target_at(t, shape))
 
     else:
         source = None
@@ -173,12 +182,13 @@ def backward_sweep(spec, ctx, traj):
     omega = np.full(steps + 1, dt)
     omega[0] = omega[-1] = 0.5 * dt
 
+    shape = traj.states.shape[1:]
     mu = np.zeros_like(traj.states[-1])
     if spec.j2 == "terminal":
-        mu = mu + 2.0 * (traj.states[-1] - spec.target_state)
+        mu = mu + 2.0 * (traj.states[-1] - spec.terminal_target(shape))
     if spec.j1 == "trajectory":
         mu = mu + 2.0 * omega[-1] * (
-            traj.states[-1] - spec.target_at(traj.times[-1])
+            traj.states[-1] - spec.target_at(traj.times[-1], shape)
         )
     g_mid = np.empty(steps)
     mu_path = np.empty_like(traj.states)
@@ -192,7 +202,7 @@ def backward_sweep(spec, ctx, traj):
         a_bar, g_mid[n] = _potential_stage_vjp(ctx, dt, *fields, back * mu)
         mu = back * a_bar
         if spec.j1 == "trajectory":
-            mu = mu + 2.0 * omega[n] * (traj.states[n] - spec.target_at(traj.times[n]))
+            mu = mu + 2.0 * omega[n] * (traj.states[n] - spec.target_at(traj.times[n], shape))
         mu_path[n] = mu
 
     g_samples = np.zeros(steps + 1)

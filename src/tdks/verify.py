@@ -117,30 +117,44 @@ def _ball_quadrature(n, p, radius, resolution, refine_origin=True):
     exposes the unbounded growth of the plain rule.  The rule is symmetric
     under reflection of each axis, so only the cells of the positive octant
     are evaluated and their sum counts 2^n times.
+
+    The octant is walked one slab of the first axis at a time, so the peak
+    memory is that of one slab's cells and sphere-cut subsamples, not of
+    the whole grid.  Each slab's per-cell values are kept and every sum is
+    taken once over them in row-major cell order: the numbers added, and
+    their order, are those of the whole-grid rule, so the result is
+    bit-identical to it.
     """
     res = int(resolution)
     if res % 2:
         res += 1
     h = 2.0 * radius / res
     axis = (np.arange(res // 2) + 0.5) * h
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    centers = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    dist = np.sqrt((centers**2).sum(axis=1))
+    mesh = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
+    rest = np.stack([m.reshape(-1) for m in mesh], axis=1) if n > 1 else np.empty((1, 0))
     half_diag = 0.5 * h * math.sqrt(n)
-    core = (dist < 3.0 * h) if refine_origin else np.zeros(dist.shape, dtype=bool)
-    inside = (dist <= radius - half_diag) & ~core
-    boundary = (~inside) & ~core & (dist < radius + half_diag)
     cell = h**n
-    total = float(np.sum(dist[inside] ** (-p))) * cell
+    inside_vals, core_centers, boundary_vals = [], [], []
+    for x in axis:
+        centers = np.column_stack((np.full(len(rest), x), rest))
+        dist = np.sqrt((centers**2).sum(axis=1))
+        core = (dist < 3.0 * h) if refine_origin else np.zeros(dist.shape, dtype=bool)
+        inside = (dist <= radius - half_diag) & ~core
+        boundary = (~inside) & ~core & (dist < radius + half_diag)
+        inside_vals.append(dist[inside] ** (-p))
+        core_centers.append(centers[core])
+        if np.any(boundary):
+            d = _subsample_cells(centers[boundary], h, n, 5)
+            frac = (d <= radius).mean(axis=1)
+            boundary_vals.append(dist[boundary] ** (-p) * frac)
+    total = float(np.sum(np.concatenate(inside_vals))) * cell
 
-    if np.any(core):
-        d = _subsample_cells(centers[core], h, n, 11)
+    core_centers = np.concatenate(core_centers)
+    if len(core_centers):
+        d = _subsample_cells(core_centers, h, n, 11)
         total += float(np.sum(d**(-p))) * cell / d.shape[1]
-    if np.any(boundary):
-        d = _subsample_cells(centers[boundary], h, n, 5)
-        frac = (d <= radius).mean(axis=1)
-        vals = dist[boundary] ** (-p)
-        total += float(np.sum(vals * frac)) * cell
+    if boundary_vals:
+        total += float(np.sum(np.concatenate(boundary_vals))) * cell
     return total * 2**n
 
 

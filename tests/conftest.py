@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from tdks import (
 )
 from tdks.potentials import _cell_average, potential_sup
 from tdks.system import frozen_fields
+from tdks.verify import _subsample_cells
 
 
 def make_setup(
@@ -134,3 +136,32 @@ def bound_constants_per_snapshot(ctx):
     ing["c1"] = 1.0 + coupling + ext
     ing["c3"] = 1.0 + coupling + ext
     return ing
+
+
+def ball_quadrature_whole_grid(n, p, radius, resolution, refine_origin=True):
+    """Oracle for ``verify._ball_quadrature``: the same midpoint rule over the
+    whole positive octant at once, each sum taken over all its cells."""
+    res = int(resolution)
+    if res % 2:
+        res += 1
+    h = 2.0 * radius / res
+    axis = (np.arange(res // 2) + 0.5) * h
+    mesh = np.meshgrid(*([axis] * n), indexing="ij")
+    centers = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    dist = np.sqrt((centers**2).sum(axis=1))
+    half_diag = 0.5 * h * math.sqrt(n)
+    core = (dist < 3.0 * h) if refine_origin else np.zeros(dist.shape, dtype=bool)
+    inside = (dist <= radius - half_diag) & ~core
+    boundary = (~inside) & ~core & (dist < radius + half_diag)
+    cell = h**n
+    total = float(np.sum(dist[inside] ** (-p))) * cell
+
+    if np.any(core):
+        d = _subsample_cells(centers[core], h, n, 11)
+        total += float(np.sum(d**(-p))) * cell / d.shape[1]
+    if np.any(boundary):
+        d = _subsample_cells(centers[boundary], h, n, 5)
+        frac = (d <= radius).mean(axis=1)
+        vals = dist[boundary] ** (-p)
+        total += float(np.sum(vals * frac)) * cell
+    return total * 2**n

@@ -197,6 +197,24 @@ NAN = float("nan")
         ({"control": {"kind": "sine", "amplitude": NAN}}, "control.amplitude"),
         ({"initial_state": {"kind": "bump", "powers": [1.5]}}, "initial_state.powers"),
         ({"potentials": {"include_hartree": "false"}}, "potentials.include_hartree"),
+        (
+            {"potentials": {"confinement": {"kind": "harmonic", "amplitude": [1, 2]}}},
+            "potentials.confinement.amplitude",
+        ),
+        (
+            {"potentials": {"control_shape": {"kind": "dipole", "amplitude": [1.0]}}},
+            "potentials.control_shape.amplitude",
+        ),
+        (
+            {"potentials": {"confinement": {"kind": "well", "depth": [1, 2]}}},
+            "potentials.confinement.depth",
+        ),
+        (
+            {"potentials": {"confinement": {"kind": "well", "width_fraction": [0.5]}}},
+            "potentials.confinement.width_fraction",
+        ),
+        ({"control": {"kind": "sine", "amplitude": [1, 2]}}, "control.amplitude"),
+        ({"control": {"kind": "sine", "cycles": [1, 2]}}, "control.cycles"),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):

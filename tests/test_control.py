@@ -14,7 +14,7 @@ from tdks import (
     solve_forward,
     zero_control,
 )
-from tdks.control import ControlError
+from tdks.control import ControlError, backward_sweep
 from tdks.domain import grid_inner, synthesize
 
 from conftest import make_setup, unit_state
@@ -208,7 +208,6 @@ def test_backward_sweep_integrates_the_adjoint_problem(control_setup):
     # the gradient back-propagation is a second-order scheme for the alpha=0
     # problem: its state equals -i * solve_adjoint(...) up to O(dt^2)
     from tdks import adjoint_context, solve_adjoint
-    from tdks.control import backward_sweep
 
     ctx, psi0 = control_setup
     basis = ctx.basis
@@ -245,3 +244,20 @@ def test_objective_spec_validation():
         ObjectiveSpec(j2="terminal", nu=1.0)
     with pytest.raises(ControlError):
         ObjectiveSpec(j1="sometimes", nu=1.0)
+
+
+@pytest.mark.parametrize("target", ["target_state", "target_trajectory"])
+def test_a_target_of_another_shape_than_the_trajectory_raises(control_setup, target):
+    ctx, psi0 = control_setup
+    traj = solve_forward(ctx, psi0)
+    wrong = np.zeros((ctx.basis.size, 2), dtype=np.complex128)  # two particles, not one
+    if target == "target_state":
+        spec = ObjectiveSpec(j2="terminal", target_state=wrong)
+    else:
+        spec = ObjectiveSpec(j1="trajectory", target_trajectory=lambda t: wrong)
+    with pytest.raises(ControlError, match="does not match"):
+        evaluate_objective(spec, ctx, zero_control(1.0, 100), psi0)
+    with pytest.raises(ControlError, match="does not match"):
+        adjoint_sources(spec, traj)
+    with pytest.raises(ControlError, match="does not match"):
+        backward_sweep(spec, ctx, traj)

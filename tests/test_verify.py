@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,9 @@ from tdks import (
     solve_forward,
 )
 from tdks.domain import project
-from tdks.verify import make_report, probe_hartree_constant
+from tdks.verify import _ball_quadrature, make_report, probe_hartree_constant
 
-from conftest import make_setup, unit_state
+from conftest import ball_quadrature_whole_grid, make_setup, unit_state
 
 
 def test_coulomb_lp_closed_forms():
@@ -44,6 +47,32 @@ def test_coulomb_lp_divergent_cases():
     assert values[-1] >= 2.0 * values[0]
     assert check_coulomb_lp(2, 2, 1.0, 6).passed
     assert check_coulomb_lp(1, 2, 1.0, 8).passed
+
+
+def test_ball_quadrature_matches_oracle():
+    # the slab walk adds the same numbers in the same order as the whole grid
+    grid = itertools.product(
+        (1, 2, 3), (0.5, 1, 2, 3), (4, 6, 7, 8, 33, 64), (True, False), (1.0, 0.7, 2.5)
+    )
+    cases = [*grid, (3, 2, 96, True, 1.0), (3, 1, 96, True, 1.0)]
+    mismatched = []
+    for n, p, res, refine, radius in cases:
+        got = _ball_quadrature(n, p, radius, res, refine)
+        if got != ball_quadrature_whole_grid(n, p, radius, res, refine):
+            mismatched.append((n, p, res, refine, radius))
+    assert len(cases) >= 432 and mismatched == []
+
+
+def test_ball_quadrature_runs_in_bounded_memory():
+    # the divergence probe reaches a 128^3 grid; only one slab is ever held
+    for args in [(3, 3, 1.0, 8), (3, 2, 1.0, 96)]:
+        tracemalloc.start()
+        try:
+            check_coulomb_lp(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, (args, peak)
 
 
 def test_coulomb_lp_rejects_bad_radius():
