@@ -263,8 +263,15 @@ def parse_config(text):
     if not _has_form(raw["seed"], 0):
         raise ConfigError(f"seed: expected an integer, got {raw['seed']!r}")
     times = raw["output"]["density_times"]
-    if times is not None and not _has_form(times, [0.0]):
-        raise ConfigError(f"output.density_times: expected a list of numbers, got {times!r}")
+    if times is not None:
+        if not _has_form(times, [0.0]):
+            raise ConfigError(f"output.density_times: expected a list of numbers, got {times!r}")
+        # the trajectory covers [0, T] only; NaN and +-inf fail the comparison too
+        outside = [t for t in times if not 0.0 <= t <= spec.horizon]
+        if outside:
+            raise ConfigError(
+                f"output.density_times: {outside[0]!r} is not a time in [0, {spec.horizon!r}]"
+            )
     ml = raw["converge"]["mode_list"]
     if len(ml) < 3:
         raise ConfigError("converge.mode_list: need at least three nested mode counts")

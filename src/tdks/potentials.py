@@ -30,9 +30,12 @@ DEFAULT_EXCHANGE_BETA = 1.0 / 3.0
 DEFAULT_WIGNER_A = 0.44
 DEFAULT_WIGNER_B = 7.8
 
-# grids with at most this many nodes apply K as a gathered dense matrix (a few
-# microseconds per call); larger ones use the FFT convolution, which wins above
-# roughly 450-650 nodes and never allocates a (nodes x nodes) array
+# grids with at most this many nodes apply K as a gathered dense matrix (7-40
+# microseconds per call); larger ones use the FFT convolution, which never
+# allocates a (nodes x nodes) array.  Measured with the pruned inverse (numpy
+# 2.4, 2 vCPUs), the FFT wins from about 450 nodes in 1-d and 530 in 2-d; in 3-d
+# the dense matrix still wins at 9^3 nodes (38 against 64 us) and the FFT at
+# 11^3 (91 against 221 us)
 DENSE_MAX_NODES = 512
 
 
@@ -92,8 +95,9 @@ class CoulombKernel:
     of w.  Grids of at most ``DENSE_MAX_NODES`` nodes hold K itself in
     ``matrix``, gathered from that table.  Larger grids hold ``spectrum``,
     the (real) FFT of the table embedded circulantly on 2*grid points per
-    axis, and apply K as an exact zero-padded convolution; their ``matrix``
-    is None.
+    axis, and apply K as an exact zero-padded (free-space) convolution whose
+    inverse transform computes only the rows that reach a node (see
+    ``hartree``); their ``matrix`` is None.
     """
 
     softening: float
@@ -218,6 +222,14 @@ def hartree(kernel, rho):
 
     ``rho`` is (nodes,) or a stack (B, nodes) of densities; a stack gives
     the (B, nodes) stack of potentials, each equal to its own single call.
+
+    Small grids multiply by ``kernel.matrix``.  Larger ones convolve on the
+    zero-padded grid of 2*cells points per axis: ``rfftn`` of weight*rho,
+    times ``kernel.spectrum`` in place, then the inverse one axis at a time,
+    in place, with each leading axis cut to its first m rows (the rows that
+    reach a node) before the next one is transformed, and the last axis by
+    ``irfft`` (an output-pruned inverse).  The result is bit-identical to cropping the
+    full ``irfftn`` of the padded product, with under half its temporaries.
     """
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape[-1] != kernel.node_count:
@@ -232,8 +244,12 @@ def hartree(kernel, rho):
     padded = tuple(2 * (m - 1) for m in shape)
     axes = tuple(range(-len(shape), 0))
     x = np.fft.rfftn((kernel.weights * rho).reshape(stack + shape), s=padded, axes=axes)
-    out = np.fft.irfftn(x * kernel.spectrum, s=padded, axes=axes)
-    return out[(...,) + tuple(slice(0, m) for m in shape)].reshape(stack + (-1,))
+    x *= kernel.spectrum
+    # irfftn's axis order: each 1-d transform kept is one that irfftn runs
+    for axis, m in zip(axes[:-1], shape):
+        x = np.fft.ifft(x, axis=axis, out=x)[(..., slice(0, m)) + (slice(None),) * (-axis - 1)]
+    out = np.fft.irfft(x, padded[-1], axis=-1)
+    return out[..., : shape[-1]].reshape(stack + (-1,))
 
 
 def exchange(config, rho):

@@ -29,7 +29,6 @@ trajectory's ``meta``: the envelope
 measuring the frozen-state sups again).
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,15 +93,18 @@ class Trajectory:
 
 
 def write_csv(path, header, rows):
-    """A header row, then the rows; csv writes Python floats with their shortest repr.
+    """A header row, then the rows, comma-separated with CRLF line ends.
 
-    Array tables are passed as ``map(np.ndarray.tolist, table)``, so only one
-    row at a time exists as Python floats.
+    Every field is a Python number (a float written with its shortest repr)
+    or a plain name (no comma, quote or line break), so the bytes are those
+    ``csv.writer`` writes, without its per-field quoting checks.  Array
+    tables are passed as ``map(np.ndarray.tolist, table)``, so only one row
+    at a time exists as Python floats.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\r\n")
 
 
 def _kinetic_phase(ctx, dt):

@@ -93,6 +93,18 @@ def dense_coulomb_rows(basis, softening, rows=None):
     return w * basis.weights[None, :]
 
 
+def hartree_full_inverse(kernel, rho):
+    """Oracle for the FFT branch of ``hartree``: the full ``irfftn`` of the
+    padded product, cropped to the nodes."""
+    shape = kernel.nodes_per_axis
+    stack = rho.shape[:-1]
+    padded = tuple(2 * (m - 1) for m in shape)
+    axes = tuple(range(-len(shape), 0))
+    x = np.fft.rfftn((kernel.weights * rho).reshape(stack + shape), s=padded, axes=axes)
+    out = np.fft.irfftn(x * kernel.spectrum, s=padded, axes=axes)
+    return out[(...,) + tuple(slice(0, m) for m in shape)].reshape(stack + (-1,))
+
+
 def unit_state(basis, mode, particles=1, particle=0, amplitude=1.0):
     d = np.zeros((basis.size, particles), dtype=np.complex128)
     d[mode, particle] = amplitude

@@ -215,16 +215,22 @@ NAN = float("nan")
         ),
         ({"control": {"kind": "sine", "amplitude": [1, 2]}}, "control.amplitude"),
         ({"control": {"kind": "sine", "cycles": [1, 2]}}, "control.cycles"),
+        ({"output": {"density_times": [5.0, -2.0]}}, "output.density_times"),
+        ({"output": {"density_times": [0.5, -0.25]}}, "output.density_times"),
+        ({"output": {"density_times": [NAN]}}, "output.density_times"),
+        ({"output": {"density_times": [float("inf")]}}, "output.density_times"),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
+    out.mkdir()
     status = main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
     assert status == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}")
+    assert list(out.iterdir()) == []
 
 
 def test_solver_failure_exits_nonzero_without_artifacts(tmp_path, capsys):

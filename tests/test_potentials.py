@@ -22,7 +22,7 @@ from tdks import (
     vxc_rho_derivative,
 )
 
-from conftest import dense_coulomb_rows, make_setup, unit_state
+from conftest import dense_coulomb_rows, hartree_full_inverse, make_setup, unit_state
 
 
 def exchange_apply(config, rho, psi_grid):
@@ -176,6 +176,43 @@ def test_kernel_large_grid_never_builds_dense_matrix():
     rows = [0, 1234, basis.node_count // 2, basis.node_count - 1]
     expect = dense_coulomb_rows(basis, 0.0, rows) @ rho
     assert np.abs(vh[rows] - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+HARTREE_FFT_CASES = {
+    "1d-forced": ((1.0,), (48,), 0.1),
+    "2d-33^2": ((3.0, 3.0), (32, 32), 0.0),
+    "3d-17^3": ((3.0, 3.0, 3.0), (16, 16, 16), 0.0),
+    "3d-17x13x11": ((3.0, 2.5, 2.0), (16, 12, 10), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HARTREE_FFT_CASES))
+def test_hartree_fft_branch_equals_full_inverse(monkeypatch, case):
+    lengths, grid, softening = HARTREE_FFT_CASES[case]
+    spec = DomainSpec(dimension=len(grid), lengths=lengths, grid=grid, particles=1)
+    basis = build_basis(spec, (2,) * len(grid))
+    monkeypatch.setattr(potentials, "DENSE_MAX_NODES", basis.node_count - 1)
+    kernel = build_coulomb_kernel(basis, softening)
+    assert kernel.matrix is None
+    rng = np.random.default_rng(3)
+    for rho in (rng.random(basis.node_count), rng.random((3, basis.node_count))):
+        assert np.array_equal(hartree(kernel, rho), hartree_full_inverse(kernel, rho))
+
+
+def test_hartree_fft_apply_runs_in_bounded_memory():
+    # 32^3 cells (33^3 nodes): the full padded inverse peaks at about 8.7 MB
+    spec = DomainSpec(dimension=3, lengths=(3.0, 3.0, 3.0), grid=(32, 32, 32), particles=1)
+    basis = build_basis(spec, (2, 2, 2))
+    kernel = build_coulomb_kernel(basis, 0.0)
+    rho = np.random.default_rng(5).random(basis.node_count)
+    hartree(kernel, rho)
+    tracemalloc.start()
+    try:
+        hartree(kernel, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_hartree_rejects_mismatched_density(setup_1d):

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 from types import SimpleNamespace
 
@@ -32,6 +33,7 @@ from tdks.propagate import (
     _potential_stage_fields,
     _potential_stage_forward,
     _potential_stage_vjp,
+    write_csv,
 )
 from tdks.signals import SignalError
 
@@ -399,6 +401,21 @@ def test_trajectory_export(tmp_path):
     assert lines[0].split(",")[:3] == ["t", "re_d_k0_p0", "im_d_k0_p0"]
     head = p2.read_text().splitlines()[0]
     assert head == "t,l2_norm,h1_norm,re_b,im_b"
+
+
+def test_write_csv_bytes_equal_csv_writer(tmp_path):
+    header = ["iteration", "objective", "grad_h1_norm", "step"]
+    special = [-0.0, 5e-324, 1e16, 1e-5, float("nan"), float("inf"), -float("inf"), 0.1]
+    rows = [[i, v, -v, v / 3.0] for i, v in enumerate(special)]
+    rows += [[7, *np.random.default_rng(2).standard_normal(3).tolist()]]
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    written = tmp_path / "written.csv"
+    write_csv(written, header, iter(rows))
+    assert written.read_bytes() == oracle.read_bytes()
 
 
 def test_control_signal_h1_machinery():
