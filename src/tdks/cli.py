@@ -8,19 +8,22 @@ sorted keys, and no timestamps or wall-clock data enter any file.
 """
 
 import argparse
+import copy
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .control import ControlError, LineSearchError, ObjectiveSpec, adjoint_sources, optimize
-from .domain import DomainError, DomainSpec, build_basis, project, synthesize
+from .domain import DomainError, DomainSpec, build_basis, check_modes, project, synthesize
 from .potentials import (
     PotentialConfig,
     PotentialError,
     build_coulomb_kernel,
+    check_softening,
     density_from_grid,
     sample_field,
 )
@@ -50,132 +53,174 @@ class ConfigError(ValueError):
     pass
 
 
-_DEFAULTS = {
+# preset kinds, each with the forms of its optional parameters
+_FIELD_PRESETS = {
+    "zero": {},
+    "harmonic": {"amplitude": np.float64},
+    "well": {"depth": np.float64, "width_fraction": np.float64},
+    "dipole": {"amplitude": np.float64},
+    "array": {"values": np.ndarray, "path": str},
+}
+_STATE_PRESETS = {
+    "lowest_modes": {},
+    "coefficients": {"values": np.ndarray},
+    "bump": {"powers": [int]},
+    "file": {"path": str},
+}
+_CONTROL_PRESETS = {
+    "zero": {},
+    "samples": {"values": np.ndarray},
+    "sine": {"amplitude": np.float64, "cycles": np.float64},
+    "file": {"path": str},
+}
+
+# The configuration schema.  A dict is a section, which takes the default of
+# each key it leaves out (all of them when given as null).  A tuple is a key:
+# (default, form[, rule, message]).  A value must take the key's JSON form and
+# pass its rule; null is taken only where the default is null.  Forms:
+#   int, float, bool, str    an integer, a finite number (or integer), a boolean, a string
+#   [form]                   a list of values in that form
+#   (choice, ...)            one of these strings
+#   np.float64, np.ndarray   finite numbers by one numpy conversion: one, or any nesting
+#   {kind: {key: form}}      a preset: an object with a "kind" and that kind's keys
+# DomainSpec, domain.check_modes, PotentialConfig and potentials.check_softening
+# state the rules on the domain, the mode counts and the potential constants.
+_SCHEMA = {
     "domain": {
-        "dimension": 1,
-        "lengths": [3.0],
-        "grid": [32],
-        "particles": 1,
-        "horizon": 1.0,
-        "steps": 400,
+        "dimension": (1, int),
+        "lengths": ([3.0], [float]),
+        "grid": ([32], [int]),
+        "particles": (1, int),
+        "horizon": (1.0, float),
+        "steps": (400, int),
     },
-    "basis": {"modes": [8]},
+    "basis": {"modes": ([8], [int])},
     "potentials": {
-        "exchange_c": -((3.0 / np.pi) ** (1.0 / 3.0)),
-        "exchange_beta": 1.0 / 3.0,
-        "correlation_a": 0.44,
-        "correlation_b": 7.8,
-        "coulomb_softening": 0.1,
-        "include_hartree": True,
-        "include_exchange": True,
-        "include_correlation": True,
-        "confinement": {"kind": "harmonic", "amplitude": 1.0},
-        "control_shape": {"kind": "dipole", "amplitude": 1.0},
+        "exchange_c": (PotentialConfig.exchange_c, float),
+        "exchange_beta": (PotentialConfig.exchange_beta, float),
+        "correlation_a": (PotentialConfig.correlation_a, float),
+        "correlation_b": (PotentialConfig.correlation_b, float),
+        "coulomb_softening": (0.1, float),
+        "include_hartree": (True, bool),
+        "include_exchange": (True, bool),
+        "include_correlation": (True, bool),
+        "confinement": ({"kind": "harmonic", "amplitude": 1.0}, _FIELD_PRESETS),
+        "control_shape": ({"kind": "dipole", "amplitude": 1.0}, _FIELD_PRESETS),
     },
-    "integrator": {"fixed_point_tol": 1e-10, "fixed_point_max_iter": 50},
-    "initial_state": {"kind": "lowest_modes"},
-    "control": {"kind": "zero"},
+    "integrator": {
+        "fixed_point_tol": (1e-10, float, lambda v: v > 0, "must be positive"),
+        "fixed_point_max_iter": (50, int, lambda v: v >= 1, "must be >= 1"),
+    },
+    "initial_state": ({"kind": "lowest_modes"}, _STATE_PRESETS),
+    "control": ({"kind": "zero"}, _CONTROL_PRESETS),
     "objective": {
-        "j1": "none",
-        "j2": "none",
-        "nu": 1.0,
-        "target_state": None,
+        "j1": ("none", ("none", "trajectory")),
+        "j2": ("none", ("none", "terminal")),
+        "nu": (1.0, float, lambda v: v > 0, "the weight must be positive"),
+        "target_state": (None, _STATE_PRESETS),
     },
-    "mode": "forward",
-    "seed": 1234,
-    "output_dir": "runs/out",
-    "output": {"density_times": None},
-    "converge": {"mode_list": [[4], [8], [12]]},
-    "optimize": {"iterations": 20, "step_initial": 1.0, "grad_tol": 1e-10},
+    "mode": ("forward", ("forward", "adjoint")),
+    "seed": (1234, int),
+    "output_dir": ("runs/out", str),
+    "output": {"density_times": (None, [float])},
+    "converge": {
+        "mode_list": (
+            [[4], [8], [12]],
+            [[int]],
+            lambda v: len(v) >= 3,
+            "need at least three nested mode counts",
+        ),
+    },
+    "optimize": {"iterations": (20, int), "step_initial": (1.0, float), "grad_tol": (1e-10, float)},
 }
 
-_FIELD_PRESET_KEYS = {
-    "zero": set(),
-    "harmonic": {"amplitude"},
-    "well": {"depth", "width_fraction"},
-    "dipole": {"amplitude"},
-    "array": {"values", "path"},
-}
-
-_STATE_PRESET_KEYS = {
-    "lowest_modes": set(),
-    "coefficients": {"values"},
-    "bump": {"powers"},
-    "file": {"path"},
-}
-
-_CONTROL_PRESET_KEYS = {
-    "zero": set(),
-    "samples": {"values"},
-    "sine": {"amplitude", "cycles"},
-    "file": {"path"},
-}
-
-_LIST_PRESET_KEYS = {"values", "powers"}  # every other numeric preset parameter is a scalar
+_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
-def _merge_section(path, defaults, given):
+def _name(form):
+    return f"a list, each {_name(form[0])}" if isinstance(form, list) else _NAMES[form]
+
+
+def _has_form(value, form):
+    if isinstance(form, list):
+        return type(value) is list and all(_has_form(v, form[0]) for v in value)
+    if form is float:
+        # NaN, +-inf and integers beyond the float range fail the comparison
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is form
+
+
+def _check(where, value, form, rule=None, message=None):
+    """Raise a ConfigError under the key path where unless value has its form and rule."""
+    if isinstance(form, dict):  # a preset: its kind, then each parameter it gives
+        if not isinstance(value, dict) or "kind" not in value:
+            raise ConfigError(f"{where}: expected an object with a 'kind' key")
+        kind = value["kind"]
+        if not isinstance(kind, str) or kind not in form:
+            raise ConfigError(f"{where}.kind: unknown preset {kind!r}; choose from {sorted(form)}")
+        extra = value.keys() - form[kind].keys() - {"kind"}
+        if extra:
+            raise ConfigError(f"{where}.{min(extra)}: unknown key for preset {kind!r}")
+        for key, param_form in form[kind].items():
+            if key in value:
+                _check(f"{where}.{key}", value[key], param_form)
+    elif isinstance(form, tuple):
+        if value not in form:
+            raise ConfigError(f"{where}: must be {' or '.join(map(repr, form))}")
+    elif form in (np.float64, np.ndarray):
+        try:
+            numbers = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{where}: expected numbers") from None
+        if numbers.ndim and form is np.float64:
+            raise ConfigError(f"{where}: expected a number, not a list")
+        if not np.all(np.isfinite(numbers)):
+            raise ConfigError(f"{where}: values must be finite")
+    elif not _has_form(value, form):
+        raise ConfigError(f"{where}: expected {_name(form)}, got {value!r}")
+    if rule is not None and not rule(value):
+        raise ConfigError(f"{where}: {message}")
+
+
+def _walk(where, schema, given):
+    """Check a section against its schema and fill in, in place, the keys it
+    leaves out; a list or object default is filled in as a fresh copy."""
     if given is None:
         given = {}
-    if not isinstance(given, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = set(given) - set(defaults)
+    elif not isinstance(given, dict):
+        raise ConfigError(f"{where}: expected an object")
+    prefix = f"{where}." if where else ""
+    unknown = given.keys() - schema.keys()
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
-    out = {}
-    for key, default in defaults.items():
-        out[key] = given.get(key, default)
-        # a key whose default is a number, a boolean or a list of them takes only that
-        # form; checked here, before anything converts or allocates with the value
-        if not _has_form(out[key], default):
-            raise ConfigError(f"{path}.{key}: expected the type of {default!r}, got {out[key]!r}")
-    return out
+        raise ConfigError(f"{prefix}{min(unknown)}: unknown key")
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            given[key] = _walk(prefix + key, entry, given.get(key))
+        elif key not in given:
+            default = entry[0]
+            given[key] = copy.deepcopy(default) if isinstance(default, (list, dict)) else default
+        elif not (given[key] is None and entry[0] is None):
+            _check(prefix + key, given[key], *entry[1:])
+    return given
 
 
-# the JSON types a value may have, by the type of its default (an integer is a
-# number); a default of any other type takes any value
-_FORMS = {bool: (bool,), int: (int,), float: (int, float)}
+@contextmanager
+def _under(prefix, *errors):
+    """Re-raise the given errors as one ConfigError whose message starts with prefix."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _has_form(value, like):
-    """Whether value has the form of like: its JSON type, or a list of values in
-    the form of like[0]."""
-    if isinstance(like, list):
-        return isinstance(value, list) and all(_has_form(v, like[0]) for v in value)
-    return type(value) in _FORMS.get(type(like), (type(value),))
+_FILE_ERRORS = (OSError, TypeError, ValueError)
 
 
-def _check_preset(path, value, allowed):
-    if not isinstance(value, dict) or "kind" not in value:
-        raise ConfigError(f"{path}: expected an object with a 'kind' key")
-    kind = value["kind"]
-    if kind not in allowed:
-        raise ConfigError(f"{path}.kind: unknown preset {kind!r}; choose from {sorted(allowed)}")
-    extra = set(value) - {"kind"} - allowed[kind]
-    if extra:
-        raise ConfigError(f"{path}.{sorted(extra)[0]}: unknown key for preset {kind!r}")
-    # every parameter but a file path is finite numbers, converted here before any run;
-    # only the list parameters may hold more than one
-    for key in sorted(set(value) - {"kind", "path"}):
-        try:
-            numbers = np.asarray(value[key], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.{key}: expected numbers") from None
-        if numbers.ndim and key not in _LIST_PRESET_KEYS:
-            raise ConfigError(f"{path}.{key}: expected a number, not a list")
-        if not np.all(np.isfinite(numbers)):
-            raise ConfigError(f"{path}.{key}: values must be finite")
-    return dict(value)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration; ``raw`` is the fully resolved JSON dict."""
 
     raw: dict = field(repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.raw == other.raw
 
     @property
     def seed(self):
@@ -190,115 +235,30 @@ def parse_config(text):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(data) - set(_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
+    raw = _walk("", _SCHEMA, data)
 
-    raw = {}
-    preset_sections = {"control", "initial_state"}  # taken wholesale, keys vary by kind
-    for section, defaults in _DEFAULTS.items():
-        if section in preset_sections:
-            raw[section] = data.get(section, defaults)
-        elif isinstance(defaults, dict):
-            raw[section] = _merge_section(section, defaults, data.get(section))
-        else:
-            raw[section] = data.get(section, defaults)
-
-    dom = raw["domain"]
-    spec = _domain_spec(dom)
-
-    modes = raw["basis"]["modes"]
-    if len(modes) != spec.dimension:
-        raise ConfigError("basis.modes: need one mode count per dimension")
-    for k, m in zip(modes, spec.grid):
-        if int(k) > m // 2:
-            raise ConfigError(
-                f"basis.modes: {k} modes exceed the resolvable limit {m // 2} for {m} grid cells"
-            )
-
-    pot = raw["potentials"]
-    if not (pot["exchange_c"] < 0):
+    with _under("domain: ", DomainError):
+        spec = DomainSpec(**raw["domain"])
+    with _under("basis.modes: ", DomainError):
+        check_modes(spec, raw["basis"]["modes"])
+    _potential_config(raw["potentials"], spec.dimension)
+    # the trajectory covers [0, T] only
+    outside = [t for t in raw["output"]["density_times"] or () if not 0.0 <= t <= spec.horizon]
+    if outside:
         raise ConfigError(
-            "potentials.exchange_c: the exchange prefactor must be a negative constant"
+            f"output.density_times: {outside[0]!r} is not a time in [0, {spec.horizon!r}]"
         )
-    if not (0.0 < pot["exchange_beta"] < 1.0):
-        raise ConfigError("potentials.exchange_beta: exponent must lie strictly in (0, 1)")
-    if not (pot["correlation_a"] > 0 and pot["correlation_b"] > 0):
-        raise ConfigError("potentials.correlation_a/b: Wigner parameters must be positive")
-    if pot["coulomb_softening"] < 0:
-        raise ConfigError("potentials.coulomb_softening: must be >= 0")
-    if spec.dimension == 1 and pot["include_hartree"] and pot["coulomb_softening"] <= 0:
-        raise ConfigError(
-            "potentials.coulomb_softening: the 1-d Coulomb kernel is not integrable; "
-            "set a positive softening"
-        )
-    if spec.dimension >= 2 and pot["coulomb_softening"] != 0:
-        raise ConfigError(
-            "potentials.coulomb_softening: the exact kernel is used for n >= 2; set 0"
-        )
-    _check_preset("potentials.confinement", pot["confinement"], _FIELD_PRESET_KEYS)
-    _check_preset("potentials.control_shape", pot["control_shape"], _FIELD_PRESET_KEYS)
-
-    integ = raw["integrator"]
-    if not (integ["fixed_point_tol"] > 0):
-        raise ConfigError("integrator.fixed_point_tol: must be positive")
-    if integ["fixed_point_max_iter"] < 1:
-        raise ConfigError("integrator.fixed_point_max_iter: must be >= 1")
-
-    _check_preset("initial_state", raw["initial_state"], _STATE_PRESET_KEYS)
-    _check_preset("control", raw["control"], _CONTROL_PRESET_KEYS)
-
-    obj = raw["objective"]
-    if obj["j1"] not in ("none", "trajectory"):
-        raise ConfigError("objective.j1: must be 'none' or 'trajectory'")
-    if obj["j2"] not in ("none", "terminal"):
-        raise ConfigError("objective.j2: must be 'none' or 'terminal'")
-    if not (obj["nu"] > 0):
-        raise ConfigError("objective.nu: the weight must be positive")
-    if obj["target_state"] is not None:
-        _check_preset("objective.target_state", obj["target_state"], _STATE_PRESET_KEYS)
-
-    if raw["mode"] not in ("forward", "adjoint"):
-        raise ConfigError("mode: must be 'forward' or 'adjoint'")
-    if not _has_form(raw["seed"], 0):
-        raise ConfigError(f"seed: expected an integer, got {raw['seed']!r}")
-    times = raw["output"]["density_times"]
-    if times is not None:
-        if not _has_form(times, [0.0]):
-            raise ConfigError(f"output.density_times: expected a list of numbers, got {times!r}")
-        # the trajectory covers [0, T] only; NaN and +-inf fail the comparison too
-        outside = [t for t in times if not 0.0 <= t <= spec.horizon]
-        if outside:
-            raise ConfigError(
-                f"output.density_times: {outside[0]!r} is not a time in [0, {spec.horizon!r}]"
-            )
-    ml = raw["converge"]["mode_list"]
-    if len(ml) < 3:
-        raise ConfigError("converge.mode_list: need at least three nested mode counts")
-
-    return RunConfig(raw=_canonical(raw))
+    return RunConfig(raw=raw)
 
 
-def _domain_spec(dom):
-    try:
-        return DomainSpec(
-            dimension=dom["dimension"],
-            lengths=tuple(dom["lengths"]),
-            grid=tuple(dom["grid"]),
-            particles=dom["particles"],
-            horizon=dom["horizon"],
-            steps=dom["steps"],
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"domain: {exc}") from exc
-
-
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {k: _canonical(obj[k]) for k in obj}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
+def _potential_config(pot, dimension, **fields):
+    """PotentialConfig of the potentials section, whose softening must suit the dimension;
+    each rule's message starts with the name of its key."""
+    constants = {k: v for k, v in pot.items() if k not in ("confinement", "control_shape")}
+    with _under("potentials.", PotentialError):
+        potentials = PotentialConfig(**constants, **fields)
+        check_softening(dimension, potentials.coulomb_softening, potentials.include_hartree)
+    return potentials
 
 
 def emit_config(config):
@@ -317,25 +277,18 @@ def default_config():
 
 def _build_instruments(config):
     raw = config.raw
-    basis = build_basis(_domain_spec(raw["domain"]), tuple(raw["basis"]["modes"]))
-    pot = raw["potentials"]
-    v0_spec = dict(pot["confinement"])
-    vu_spec = dict(pot["control_shape"])
-    v0 = sample_field(basis, v0_spec.pop("kind"), v0_spec)
-    vu = sample_field(basis, vu_spec.pop("kind"), vu_spec)
-    potentials = PotentialConfig(
-        exchange_c=pot["exchange_c"],
-        exchange_beta=pot["exchange_beta"],
-        correlation_a=pot["correlation_a"],
-        correlation_b=pot["correlation_b"],
-        coulomb_softening=pot["coulomb_softening"],
-        include_hartree=pot["include_hartree"],
-        include_exchange=pot["include_exchange"],
-        include_correlation=pot["include_correlation"],
-        confinement=v0,
-        control_shape=vu,
-    )
-    return basis, potentials
+    basis = build_basis(DomainSpec(**raw["domain"]), raw["basis"]["modes"])
+    fields = {}
+    for name in ("confinement", "control_shape"):
+        params = dict(raw["potentials"][name])
+        # an array preset's file is read only when no values are given inline
+        path = params.pop("path", None)
+        if path is not None and "values" not in params:
+            with _under(f"potentials.{name}.path: ", *_FILE_ERRORS):
+                params["values"] = np.load(path)
+        with _under(f"potentials.{name}: ", PotentialError):
+            fields[name] = sample_field(basis, params.pop("kind"), params)
+    return basis, _potential_config(raw["potentials"], basis.spec.dimension, **fields)
 
 
 def _coulomb_kernel(basis, potentials):
@@ -345,29 +298,26 @@ def _coulomb_kernel(basis, potentials):
     return build_coulomb_kernel(basis, potentials.coulomb_softening)
 
 
-def _build_state(basis, preset):
+def _build_state(basis, preset, where="initial_state"):
+    """The (modes, particles) state of a state preset at the key path where."""
     kind = preset["kind"]
     n = basis.spec.particles
     if kind == "lowest_modes":
         d = np.zeros((basis.size, n), dtype=np.complex128)
         for j in range(n):
             if j >= basis.size:
-                raise ConfigError("initial_state: more particles than basis modes")
+                raise ConfigError(f"{where}: more particles than basis modes")
             d[j, j] = 1.0
         return d
     if kind == "coefficients":
         values = np.asarray(preset["values"], dtype=np.float64)
         if values.shape != (basis.size, n, 2):
-            raise ConfigError(
-                f"initial_state.values: expected shape ({basis.size}, {n}, 2) [re, im]"
-            )
+            raise ConfigError(f"{where}.values: expected shape ({basis.size}, {n}, 2) [re, im]")
         return values[..., 0] + 1j * values[..., 1]
     if kind == "bump":
         powers = preset.get("powers") or list(range(2, 2 + n))
-        if not _has_form(powers, [0]):
-            raise ConfigError(f"initial_state.powers: expected integers, got {powers!r}")
         if len(powers) != n:
-            raise ConfigError("initial_state.powers: need one power per particle")
+            raise ConfigError(f"{where}.powers: need one power per particle")
         x = basis.nodes
         lengths = np.asarray(basis.spec.lengths)
         shape = np.ones(basis.node_count)
@@ -377,23 +327,18 @@ def _build_state(basis, preset):
         d = project(basis, fields)
         nrm = np.sqrt((d.real**2 + d.imag**2).sum())
         return d / nrm
-    if kind == "file":
+    # the kind is "file"
+    with _under(f"{where}.path: ", *_FILE_ERRORS):
         d = np.asarray(np.load(preset["path"]), dtype=np.complex128)
-        if d.shape != (basis.size, n):
-            raise ConfigError(f"initial_state.file: expected shape ({basis.size}, {n})")
-        return d
-    raise ConfigError(f"initial_state.kind: unknown preset {kind!r}")
+    if d.shape != (basis.size, n):
+        raise ConfigError(f"{where}.file: expected shape ({basis.size}, {n})")
+    return d
 
 
 def _build_control(preset, horizon, steps):
     kind = preset["kind"]
     if kind == "zero":
         return ControlSignal(samples=np.zeros(steps + 1), horizon=horizon)
-    if kind == "samples":
-        values = np.asarray(preset["values"], dtype=np.float64)
-        if values.size != steps + 1:
-            raise ConfigError(f"control.values: expected {steps + 1} samples")
-        return ControlSignal(samples=values, horizon=horizon)
     if kind == "sine":
         amp = float(preset.get("amplitude", 1.0))
         cycles = float(preset.get("cycles", 1.0))
@@ -401,12 +346,15 @@ def _build_control(preset, horizon, steps):
         return ControlSignal(
             samples=amp * np.sin(2.0 * np.pi * cycles * t / horizon), horizon=horizon
         )
-    if kind == "file":
-        values = np.asarray(json.loads(Path(preset["path"]).read_text()), dtype=np.float64)
-        if values.size != steps + 1:
-            raise ConfigError(f"control.file: expected {steps + 1} samples")
-        return ControlSignal(samples=values, horizon=horizon)
-    raise ConfigError(f"control.kind: unknown preset {kind!r}")
+    if kind == "samples":
+        values, where = np.asarray(preset["values"], dtype=np.float64), "control.values"
+    else:  # the kind is "file"
+        with _under("control.path: ", *_FILE_ERRORS):
+            values = np.asarray(json.loads(Path(preset["path"]).read_text()), dtype=np.float64)
+        where = "control.path"
+    if values.size != steps + 1:
+        raise ConfigError(f"{where}: expected {steps + 1} samples")
+    return ControlSignal(samples=values, horizon=horizon)
 
 
 def _objective_from_config(config, basis, purpose):
@@ -415,12 +363,9 @@ def _objective_from_config(config, basis, purpose):
         raise ConfigError(f"objective: {purpose} needs a tracking objective (j1 or j2)")
     target = None
     if obj["target_state"] is not None:
-        target = _build_state(basis, obj["target_state"])
+        target = _build_state(basis, obj["target_state"], "objective.target_state")
     return ObjectiveSpec(
-        j1=obj["j1"],
-        j2=obj["j2"],
-        nu=obj["nu"],
-        target_state=target,
+        **dict(obj, target_state=target),
         # CLI runs track the fixed target state, at every time for j1
         target_trajectory=None if target is None else lambda t: target,
     )
@@ -463,8 +408,6 @@ def _run_simulate(config, out, quiet):
     steps = basis.spec.steps
     control = _build_control(config.raw["control"], basis.spec.horizon, steps)
     psi0 = _build_state(basis, config.raw["initial_state"])
-    tol = config.raw["integrator"]["fixed_point_tol"]
-    max_iter = config.raw["integrator"]["fixed_point_max_iter"]
 
     fwd_ctx = forward_context(basis, potentials, kernel=kernel, control=control)
     traj = solve_forward(fwd_ctx, psi0)
@@ -475,9 +418,7 @@ def _run_simulate(config, out, quiet):
         adj_ctx = adjoint_context(
             basis, potentials, forward=traj, kernel=kernel, control=control, source=source
         )
-        main = solve_adjoint(
-            adj_ctx, terminal, fixed_point_tol=tol, fixed_point_max_iter=max_iter
-        )
+        main = solve_adjoint(adj_ctx, terminal, **config.raw["integrator"])
         traj.export_csv(out / "forward_trajectory.csv")
         traj.export_diagnostics_csv(out / "forward_diagnostics.csv")
     else:

@@ -253,6 +253,8 @@ def optimize(spec, ctx, u0, psi0, iters=20, step_rule=None):
     rule.update(step_rule or {})
     if iters < 1:
         raise ControlError("need at least one descent iteration")
+    if not (rule["initial"] > 0):
+        raise ControlError("step_rule: the first step must be positive")
 
     u = u0
     traj = solve_forward(ctx.with_control(u), psi0)

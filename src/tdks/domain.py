@@ -107,15 +107,15 @@ class SpectralBasis:
         return self.weights.shape[0]
 
 
-def build_basis(spec, modes_per_axis):
-    """Construct the sine basis with the given mode counts per axis.
+def check_modes(spec, modes_per_axis):
+    """The mode counts per axis as a tuple of ints, or DomainError.
 
-    Modes above grid/2 per axis are rejected: they are the anti-aliasing
-    margin the pseudo-spectral nonlinearity relies on.
+    Each axis takes 1 to grid/2 modes: the modes above grid/2 are the
+    anti-aliasing margin the pseudo-spectral nonlinearity relies on.
     """
     modes = tuple(int(k) for k in modes_per_axis)
     if len(modes) != spec.dimension:
-        raise DomainError("modes_per_axis must have one entry per dimension")
+        raise DomainError("need one mode count per dimension")
     if any(k < 1 for k in modes):
         raise DomainError("need at least one mode per axis")
     for k, m in zip(modes, spec.grid):
@@ -123,6 +123,12 @@ def build_basis(spec, modes_per_axis):
             raise DomainError(
                 f"{k} modes exceed the resolvable limit {m // 2} for a grid of {m} cells"
             )
+    return modes
+
+
+def build_basis(spec, modes_per_axis):
+    """Construct the sine basis with the mode counts per axis that check_modes allows."""
+    modes = check_modes(spec, modes_per_axis)
 
     axis_nodes = [np.linspace(0.0, l, m + 1) for l, m in zip(spec.lengths, spec.grid)]
     axis_weights = []

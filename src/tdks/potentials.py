@@ -64,20 +64,22 @@ class PotentialConfig:
     control_shape: np.ndarray = None
 
     def __post_init__(self):
+        # each message starts with the name of the field at fault
         if not (self.exchange_c < 0):
-            raise PotentialError("exchange prefactor must be a negative constant")
+            raise PotentialError("exchange_c: the exchange prefactor must be a negative constant")
         if not (0.0 < self.exchange_beta < 1.0):
-            raise PotentialError("exchange exponent must lie strictly in (0, 1)")
-        if not (self.correlation_a > 0 and self.correlation_b > 0):
-            raise PotentialError("Wigner correlation parameters must be positive")
+            raise PotentialError("exchange_beta: the exponent must lie strictly in (0, 1)")
+        for name in ("correlation_a", "correlation_b"):
+            if not (getattr(self, name) > 0):
+                raise PotentialError(f"{name}: Wigner correlation parameters must be positive")
         if self.coulomb_softening < 0:
-            raise PotentialError("Coulomb softening must be >= 0")
+            raise PotentialError("coulomb_softening: must be >= 0")
         for name in ("confinement", "control_shape"):
             field = getattr(self, name)
             if field is not None:
                 field = np.asarray(field, dtype=np.float64)
                 if not np.all(np.isfinite(field)):
-                    raise PotentialError(f"{name} field must be finite everywhere")
+                    raise PotentialError(f"{name}: the field must be finite everywhere")
                 object.__setattr__(self, name, field)
 
     @property
@@ -162,6 +164,21 @@ def _offset_table(spacings, softening, offsets):
     return table
 
 
+def check_softening(dimension, softening, include_hartree=True):
+    """Raise PotentialError unless the Coulomb softening suits the dimension.
+
+    For n >= 2 the exact kernel is used and the softening must be 0; in one
+    dimension 1/|x| is not integrable, so the Hartree term needs softening > 0.
+    """
+    if dimension >= 2 and softening != 0:
+        raise PotentialError("coulomb_softening: the exact kernel is used for n >= 2; set 0")
+    if dimension == 1 and include_hartree and softening <= 0:
+        raise PotentialError(
+            "coulomb_softening: the 1-d Coulomb kernel is not integrable; "
+            "set a positive softening"
+        )
+
+
 def build_coulomb_kernel(basis, softening=0.0):
     """Build the Coulomb kernel for the basis quadrature grid.
 
@@ -169,15 +186,7 @@ def build_coulomb_kernel(basis, softening=0.0):
     ``DENSE_MAX_NODES`` nodes.
     """
     n = basis.spec.dimension
-    if n == 1:
-        if softening <= 0:
-            raise PotentialError(
-                "1/|x| is not integrable in one dimension; set coulomb_softening > 0"
-            )
-    elif softening != 0.0:
-        raise PotentialError(
-            "softening is a 1-d regularisation; the exact kernel is used for n >= 2"
-        )
+    check_softening(n, softening)
     spacings = basis.spec.spacings
     shape = tuple(m + 1 for m in basis.spec.grid)
     matrix = spectrum = None
@@ -333,11 +342,9 @@ def sample_field(basis, kind, params=None):
         field = amplitude * (nodes[:, 0] - center[0])
     elif kind == "array":
         values = params.pop("values", None)
-        path = params.pop("path", None)
-        if values is None and path is None:
-            raise PotentialError("array field preset needs 'values' or 'path'")
-        field = np.asarray(values if values is not None else np.load(path), dtype=np.float64)
-        field = field.reshape(-1)
+        if values is None:
+            raise PotentialError("array field preset needs 'values'")
+        field = np.asarray(values, dtype=np.float64).reshape(-1)
         if field.shape[0] != basis.node_count:
             raise PotentialError(
                 f"array field has {field.shape[0]} values, grid has {basis.node_count} nodes"

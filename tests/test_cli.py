@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tdks.cli import ConfigError, emit_config, main, parse_config, run
+from tdks.cli import _SCHEMA, ConfigError, default_config, emit_config, main, parse_config, run
 
 
 def test_minimal_config_gets_defaults():
@@ -219,11 +220,26 @@ NAN = float("nan")
         ({"output": {"density_times": [0.5, -0.25]}}, "output.density_times"),
         ({"output": {"density_times": [NAN]}}, "output.density_times"),
         ({"output": {"density_times": [float("inf")]}}, "output.density_times"),
+        ({"initial_state": {"kind": "file", "path": 5}}, "initial_state.path"),
+        ({"initial_state": {"kind": "file", "path": "TMP/text.npy"}}, "initial_state.path"),
+        (
+            {"potentials": {"confinement": {"kind": "array", "path": "TMP/text.npy"}}},
+            "potentials.confinement.path",
+        ),
+        ({"control": {"kind": "file", "path": "TMP/broken.json"}}, "control.path"),
+        ({"control": {"kind": "file", "path": "TMP/strings.json"}}, "control.path"),
+        ({"potentials": {"coulomb_softening": float("inf")}}, "potentials.coulomb_softening"),
+        ({"integrator": {"fixed_point_tol": float("inf")}}, "integrator.fixed_point_tol"),
+        ({"domain": {"horizon": float("inf")}}, "domain.horizon"),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
+    # files that preset paths name as TMP/...: none holds what its preset reads
+    (tmp_path / "text.npy").write_text("not an array")
+    (tmp_path / "broken.json").write_text("[0.0, 1.0")
+    (tmp_path / "strings.json").write_text('["a", "b"]')
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(json.dumps(config).replace("TMP", tmp_path.as_posix()))
     out = tmp_path / "out"
     out.mkdir()
     status = main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
@@ -231,6 +247,67 @@ def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, con
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("output_dir", [5, None])
+def test_output_dir_takes_only_a_string(tmp_path, monkeypatch, capsys, output_dir):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"output_dir": output_dir}))
+    status = main(["simulate", "--config", "cfg.json", "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: output_dir")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_defaults_are_not_shared_between_configs():
+    expected = emit_config(parse_config("{}"))
+    first = parse_config("{}").raw
+    first["domain"]["lengths"].append(9.0)
+    first["potentials"]["confinement"]["amplitude"] = 7.0
+    first["converge"]["mode_list"][0].append(5)
+    assert emit_config(parse_config("{}")) == expected
+
+
+def _nest(path, value):
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+def _wrong_type(form):
+    return 5 if form is str else "x"
+
+
+def _wrong_type_configs(schema=_SCHEMA, where=()):
+    """(config, key path) for each leaf key of the schema, preset parameters
+    included, given a value of the wrong JSON type."""
+    for key, entry in schema.items():
+        path = where + (key,)
+        if isinstance(entry, dict):
+            yield from _wrong_type_configs(entry, path)
+            continue
+        form = entry[1]
+        yield _nest(path, _wrong_type(form)), ".".join(path)
+        if isinstance(form, dict):  # a preset: each parameter inside an object of its kind
+            for kind, params in form.items():
+                for param, param_form in params.items():
+                    preset = {"kind": kind, param: _wrong_type(param_form)}
+                    yield _nest(path, preset), ".".join(path + (param,))
+
+
+@pytest.mark.parametrize("config,key", list(_wrong_type_configs()))
+def test_every_leaf_key_rejects_a_value_of_the_wrong_json_type(config, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(config))
+    assert str(err.value).startswith(f"{key}:")
+
+
+def test_readme_default_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == default_config().raw
 
 
 def test_solver_failure_exits_nonzero_without_artifacts(tmp_path, capsys):

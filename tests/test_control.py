@@ -204,6 +204,14 @@ def test_optimize_rejects_unknown_step_rule_key(control_setup):
             optimize(spec, ctx, zero_control(1.0, 100), psi0, iters=1, step_rule={key: 1})
 
 
+def test_optimize_rejects_a_first_step_that_is_not_positive(control_setup):
+    ctx, psi0 = control_setup
+    spec = ObjectiveSpec(nu=1.0)
+    for initial in (0.0, -1.0):
+        with pytest.raises(ControlError, match="first step"):
+            optimize(spec, ctx, zero_control(1.0, 100), psi0, iters=1, step_rule={"initial": initial})
+
+
 def test_backward_sweep_integrates_the_adjoint_problem(control_setup):
     # the gradient back-propagation is a second-order scheme for the alpha=0
     # problem: its state equals -i * solve_adjoint(...) up to O(dt^2)
