@@ -13,6 +13,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -107,10 +108,6 @@ _SCHEMA = {
         "confinement": ({"kind": "harmonic", "amplitude": 1.0}, _FIELD_PRESETS),
         "control_shape": ({"kind": "dipole", "amplitude": 1.0}, _FIELD_PRESETS),
     },
-    "integrator": {
-        "fixed_point_tol": (1e-10, float, lambda v: v > 0, "must be positive"),
-        "fixed_point_max_iter": (50, int, lambda v: v >= 1, "must be >= 1"),
-    },
     "initial_state": ({"kind": "lowest_modes"}, _STATE_PRESETS),
     "control": ({"kind": "zero"}, _CONTROL_PRESETS),
     "objective": {
@@ -119,7 +116,6 @@ _SCHEMA = {
         "nu": (1.0, float, lambda v: v > 0, "the weight must be positive"),
         "target_state": (None, _STATE_PRESETS),
     },
-    "mode": ("forward", ("forward", "adjoint")),
     "seed": (1234, int),
     "output_dir": ("runs/out", str),
     "output": {"density_times": (None, [float])},
@@ -131,7 +127,7 @@ _SCHEMA = {
             "need at least three nested mode counts",
         ),
     },
-    "optimize": {"iterations": (20, int), "step_initial": (1.0, float), "grad_tol": (1e-10, float)},
+    "optimize": {"iterations": (20, int, lambda v: v >= 1, "must be >= 1")},
 }
 
 _NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
@@ -328,10 +324,13 @@ def _build_state(basis, preset, where="initial_state"):
         nrm = np.sqrt((d.real**2 + d.imag**2).sum())
         return d / nrm
     # the kind is "file"
-    with _under(f"{where}.path: ", *_FILE_ERRORS):
+    where = f"{where}.path"
+    with _under(f"{where}: ", *_FILE_ERRORS):
         d = np.asarray(np.load(preset["path"]), dtype=np.complex128)
     if d.shape != (basis.size, n):
-        raise ConfigError(f"{where}.file: expected shape ({basis.size}, {n})")
+        raise ConfigError(f"{where}: expected shape ({basis.size}, {n})")
+    if not np.all(np.isfinite(d)):
+        raise ConfigError(f"{where}: values must be finite")
     return d
 
 
@@ -354,6 +353,8 @@ def _build_control(preset, horizon, steps):
         where = "control.path"
     if values.size != steps + 1:
         raise ConfigError(f"{where}: expected {steps + 1} samples")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{where}: values must be finite")
     return ControlSignal(samples=values, horizon=horizon)
 
 
@@ -402,23 +403,24 @@ def _print_report_table(reports, quiet):
 # ---------------------------------------------------------------------------
 
 
-def _run_simulate(config, out, quiet):
+def _run_simulate(config, out, quiet, mode):
+    """The forward solve, followed for mode "adjoint" by the backward solve."""
     basis, potentials = _build_instruments(config)
     kernel = _coulomb_kernel(basis, potentials)
     steps = basis.spec.steps
     control = _build_control(config.raw["control"], basis.spec.horizon, steps)
     psi0 = _build_state(basis, config.raw["initial_state"])
+    if mode == "adjoint":  # a bad objective or target file fails before any solve
+        objective = _objective_from_config(config, basis, "the adjoint run")
 
     fwd_ctx = forward_context(basis, potentials, kernel=kernel, control=control)
     traj = solve_forward(fwd_ctx, psi0)
-    mode = config.raw["mode"]
     if mode == "adjoint":
-        objective = _objective_from_config(config, basis, "the adjoint run")
         terminal, source = adjoint_sources(objective, traj)
         adj_ctx = adjoint_context(
             basis, potentials, forward=traj, kernel=kernel, control=control, source=source
         )
-        main = solve_adjoint(adj_ctx, terminal, **config.raw["integrator"])
+        main = solve_adjoint(adj_ctx, terminal)
         traj.export_csv(out / "forward_trajectory.csv")
         traj.export_diagnostics_csv(out / "forward_diagnostics.csv")
     else:
@@ -465,9 +467,7 @@ def run_verification_suite(config):
     reports.append(check_coulomb_lp(3, 2, 1.0, 96))
     reports.append(check_coulomb_lp(3, 1, 1.0, 96))
     reports.append(check_coulomb_lp(3, 3, 1.0, 8))
-    reports.append(
-        check_hartree_lipschitz(basis, kernel, basis.spec.particles, pairs=50, seed=seed)
-    )
+    reports.append(check_hartree_lipschitz(basis, kernel, pairs=50, seed=seed))
 
     fwd_ctx = forward_context(basis, potentials, kernel=kernel)
     traj = solve_forward(fwd_ctx, psi0)
@@ -500,11 +500,7 @@ def run_verification_suite(config):
     reports.append(
         check_galerkin_convergence(builder, config.raw["converge"]["mode_list"])
     )
-    reports.append(
-        check_potential_continuity(
-            basis, potentials, kernel, seed=seed, particles=basis.spec.particles
-        )
-    )
+    reports.append(check_potential_continuity(basis, potentials, kernel, seed=seed))
     reports.extend(check_coefficient_lipschitz(fwd_ctx, radius=1.0, pairs=100, seed=seed))
     return reports
 
@@ -547,14 +543,8 @@ def _run_optimize(config, out, quiet):
     objective = _objective_from_config(config, basis, "optimisation")
     psi0 = _build_state(basis, config.raw["initial_state"])
     ctx = forward_context(basis, potentials, kernel=kernel, control=control)
-    opts = config.raw["optimize"]
     u_star, history = optimize(
-        objective,
-        ctx,
-        control,
-        psi0,
-        iters=opts["iterations"],
-        step_rule={"initial": opts["step_initial"], "grad_tol": opts["grad_tol"]},
+        objective, ctx, control, psi0, iters=config.raw["optimize"]["iterations"]
     )
     write_csv(
         out / "optimize_history.csv",
@@ -574,8 +564,8 @@ def _run_optimize(config, out, quiet):
 
 
 _SUBCOMMANDS = {
-    "simulate": _run_simulate,
-    "adjoint": _run_simulate,
+    "simulate": partial(_run_simulate, mode="forward"),
+    "adjoint": partial(_run_simulate, mode="adjoint"),
     "verify": _run_verify,
     "converge": _run_converge,
     "optimize": _run_optimize,
@@ -600,8 +590,6 @@ def run(config, subcommand, out_dir, quiet=False):
     """Validate, execute, and write artifacts; returns the exit status."""
     if subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    if subcommand == "adjoint":
-        config = RunConfig(raw={**config.raw, "mode": "adjoint"})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     status = _SUBCOMMANDS[subcommand](config, out, quiet)

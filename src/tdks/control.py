@@ -39,6 +39,9 @@ from .propagate import (
 )
 from .signals import ControlSignal
 
+STEP_INITIAL = 1.0  # first trial step of the line search
+STEP_GROW = 1.5  # growth of the step after an accepted one, up to 1e3 * STEP_INITIAL
+GRAD_TOL = 1e-10  # H1 gradient norm below which the descent stops
 ARMIJO_C1 = 1e-4  # sufficient-decrease fraction of the line search
 MAX_HALVINGS = 30  # rejected step halvings before the line search gives up
 
@@ -237,36 +240,28 @@ def reduced_gradient(spec, ctx, u, psi0, forward_traj=None):
     return ControlSignal(samples=smooth, horizon=u.horizon), raw
 
 
-def optimize(spec, ctx, u0, psi0, iters=20, step_rule=None):
+def optimize(spec, ctx, u0, psi0, iters=20):
     """Armijo-backtracking gradient descent on J; returns (u*, history).
 
-    ``step_rule`` may set the first step size ``initial``, the stopping
-    gradient norm ``grad_tol`` and the step growth ``grow`` after an accepted
-    step.  history rows: (J, H1 gradient norm, accepted step size); J is
-    monotone non-increasing by construction.  Raises LineSearchError after
-    ``MAX_HALVINGS`` rejected halvings of a step.
+    At most ``iters`` iterations, stopping early once the H1 gradient norm
+    falls below ``GRAD_TOL``.  history rows: (J, H1 gradient norm, step size
+    tried first); J is monotone non-increasing by construction.  Raises
+    LineSearchError after ``MAX_HALVINGS`` rejected halvings of a step.
     """
-    rule = {"initial": 1.0, "grad_tol": 1e-10, "grow": 1.5}
-    unknown = set(step_rule or {}) - set(rule)
-    if unknown:
-        raise ControlError(f"step_rule: unknown key {sorted(unknown)[0]!r}")
-    rule.update(step_rule or {})
     if iters < 1:
         raise ControlError("need at least one descent iteration")
-    if not (rule["initial"] > 0):
-        raise ControlError("step_rule: the first step must be positive")
 
     u = u0
     traj = solve_forward(ctx.with_control(u), psi0)
     j1, j2, reg = _objective_parts(spec, u, traj)
     j_val = j1 + j2 + reg
     history = []
-    s = float(rule["initial"])
+    s = STEP_INITIAL
     for _ in range(iters):
         smooth, raw = reduced_gradient(spec, ctx, u, psi0, forward_traj=traj)
         gnorm = float(np.sqrt(max(raw @ smooth.samples, 0.0)))
         history.append((j_val, gnorm, s))
-        if gnorm < rule["grad_tol"]:
+        if gnorm < GRAD_TOL:
             break
         direction = -smooth.samples
         slope = float(raw @ direction)
@@ -283,5 +278,5 @@ def optimize(spec, ctx, u0, psi0, iters=20, step_rule=None):
         if not accepted:
             raise LineSearchError(f"line search failed after {MAX_HALVINGS} halvings")
         u, traj, j_val = cand, traj_new, j_new
-        s = min(s * float(rule["grow"]), float(rule["initial"]) * 1e3)
+        s = min(s * STEP_GROW, STEP_INITIAL * 1e3)
     return u, history

@@ -46,6 +46,8 @@ from .system import (
 )
 
 BLOWUP_FACTOR = 1.0e6
+FIXED_POINT_TOL = 1e-10  # relative sweep-to-sweep change that ends an alpha=0 stage
+FIXED_POINT_MAX_ITER = 50  # sweeps before an alpha=0 stage gives up
 
 
 class PropagationError(RuntimeError):
@@ -166,7 +168,7 @@ def _potential_stage_vjp(ctx, dt, psi, rho, v, b_bar):
     return a_bar, float(ctx._vu @ (ctx.basis.weights * r))
 
 
-def _potential_stage_adjoint(ctx, t_mid, dt, d, tol, max_iter):
+def _potential_stage_adjoint(ctx, t_mid, dt, d):
     """Implicit midpoint for the bounded part: y = d + dt*g((d+y)/2).
 
     The source at t_mid is evaluated once; each fixed-point sweep applies the
@@ -182,17 +184,18 @@ def _potential_stage_adjoint(ctx, t_mid, dt, d, tol, max_iter):
 
     scale = max(1.0, float(np.linalg.norm(d)))
     y = d + dt * g(d)
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         y_new = d + dt * g(0.5 * (d + y))
-        if np.linalg.norm(y_new - y) <= tol * scale:
+        if np.linalg.norm(y_new - y) <= FIXED_POINT_TOL * scale:
             return y_new
         y = y_new
     raise PropagationError(
-        f"fixed-point iteration did not converge within {max_iter} sweeps at t={t_mid}"
+        f"fixed-point iteration did not converge within {FIXED_POINT_MAX_ITER} sweeps"
+        f" at t={t_mid}; a smaller time step (more steps) is the remedy"
     )
 
 
-def step(ctx, t, dt, d, fixed_point_tol=1e-10, fixed_point_max_iter=50):
+def step(ctx, t, dt, d):
     """Second-order one-step map d(t) -> d(t+dt); dt may be negative."""
     check_layout(np.shape(d), ctx.basis.size, PropagationError)
     if dt == 0.0:
@@ -204,9 +207,7 @@ def step(ctx, t, dt, d, fixed_point_tol=1e-10, fixed_point_max_iter=50):
     if ctx.alpha == 1:
         d = _potential_stage_forward(ctx, t_mid, dt, d)
     else:
-        d = _potential_stage_adjoint(
-            ctx, t_mid, dt, d, fixed_point_tol, fixed_point_max_iter
-        )
+        d = _potential_stage_adjoint(ctx, t_mid, dt, d)
     return half * d
 
 
@@ -252,13 +253,12 @@ def _check_envelope(ctx, traj, start_norm_sq):
         )
 
 
-def _solve(ctx, start, steps, *fixed_point):
+def _solve(ctx, start, steps):
     """Step from the start state toward T (alpha=1) or toward 0 (alpha=0).
 
     Every state is stored at its place on the increasing time grid; a blow-up
     carries the last good time and the good states, in time order.  The form
     values of the stored states are evaluated after the steps, in blocks.
-    ``fixed_point`` is the alpha=0 (tolerance, sweep limit) pair of ``step``.
     """
     spec = ctx.basis.spec
     dt = spec.horizon / steps
@@ -273,7 +273,7 @@ def _solve(ctx, start, steps, *fixed_point):
     l2_start = _record(ctx, d, out, order[0])
     guard = max(l2_start, 1.0) * BLOWUP_FACTOR
     for last, i in zip(order, order[1:]):
-        d = step(ctx, times[last], h, d, *fixed_point)
+        d = step(ctx, times[last], h, d)
         states[i] = d
         good = states[: last + 1] if forward else states[last:]
         if not np.all(np.isfinite(d)):
@@ -306,13 +306,7 @@ def solve_forward(ctx, psi0, steps=None):
     return _solve(ctx, psi0, steps)
 
 
-def solve_adjoint(
-    ctx,
-    terminal,
-    steps=None,
-    fixed_point_tol=1e-10,
-    fixed_point_max_iter=50,
-):
+def solve_adjoint(ctx, terminal, steps=None):
     """Integrate the alpha=0 problem backward from the terminal state.
 
     Implemented as a negative-step solve in physical time; the returned
@@ -333,7 +327,7 @@ def solve_adjoint(
             f"adjoint grid ({steps} steps) must be an integer refinement of the "
             f"forward grid ({fwd_steps} steps)"
         )
-    return _solve(ctx, terminal, steps, fixed_point_tol, fixed_point_max_iter)
+    return _solve(ctx, terminal, steps)
 
 
 def forward_context(basis, potentials, kernel=None, control=None, source=None):

@@ -78,8 +78,8 @@ class SystemContext:
     control: object = None
     forward: object = None
     source: object = None
-    _v0: np.ndarray = field(default=None, repr=False)
-    _vu: np.ndarray = field(default=None, repr=False)
+    _v0: np.ndarray = field(init=False, repr=False)
+    _vu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.alpha not in (0, 1):

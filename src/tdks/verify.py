@@ -211,9 +211,10 @@ def check_coulomb_lp(n, p, radius=1.0, resolution=128):
 # ---------------------------------------------------------------------------
 
 
-def _pair_ratios(basis, particles, rng, pairs, ratio, low, high, scale=1.0):
+def _pair_ratios(basis, rng, pairs, ratio, low, high, scale=1.0):
     """ratio(a, b, |a - b|) of each seeded random coefficient pair, in draw order,
     whose L2 norms are uniform(low, high) * scale; a pair closer than 1e-14 gives 0."""
+    particles = basis.spec.particles
     out = []
     for _ in range(pairs):
         a = random_coefficients(basis, particles, rng, rng.uniform(low, high) * scale)
@@ -223,7 +224,7 @@ def _pair_ratios(basis, particles, rng, pairs, ratio, low, high, scale=1.0):
     return out
 
 
-def _hartree_pair_ratios(basis, kernel, particles, pairs, rng):
+def _hartree_pair_ratios(basis, kernel, pairs, rng):
     def ratio(a, b, gap):
         _, h1a = norms(basis, a)
         _, h1b = norms(basis, b)
@@ -232,16 +233,16 @@ def _hartree_pair_ratios(basis, kernel, particles, pairs, rng):
         )
         return num / ((h1a**2 + h1b**2) * gap)
 
-    return _pair_ratios(basis, particles, rng, pairs, ratio, 0.2, 2.0)
+    return _pair_ratios(basis, rng, pairs, ratio, 0.2, 2.0)
 
 
-def probe_hartree_constant(basis, kernel, particles, pairs, rng):
+def probe_hartree_constant(basis, kernel, pairs, rng):
     """Empirical constant in the Hartree pair bound
     ||V_H(a)a - V_H(b)b|| <= C (||a||_H1^2 + ||b||_H1^2) ||a - b||."""
-    return max(_hartree_pair_ratios(basis, kernel, particles, pairs, rng))
+    return max(_hartree_pair_ratios(basis, kernel, pairs, rng))
 
 
-def probe_xc_lipschitz(basis, config, rng, radius, pairs, particles=1):
+def probe_xc_lipschitz(basis, config, rng, radius, pairs):
     """Empirical local Lipschitz constant of the enabled local terms:
     ||(V_x+V_c)(a)a - (V_x+V_c)(b)b|| <= L ||a - b|| on the L2 ball."""
     n = basis.spec.dimension
@@ -253,27 +254,24 @@ def probe_xc_lipschitz(basis, config, rng, radius, pairs, particles=1):
         vb = ks_potential(local, None, density_from_grid(gb), n)
         return grid_norm(basis, va[:, None] * ga - vb[:, None] * gb) / gap
 
-    return max(_pair_ratios(basis, particles, rng, pairs, ratio, 0.05, 1.0, radius))
+    return max(_pair_ratios(basis, rng, pairs, ratio, 0.05, 1.0, radius))
 
 
 def _probed_constants(ctx, rng, radius):
     """(probed xc Lipschitz constant on the L2 ball of the radius, probed Hartree
     pair constant or 0 without Hartree), 40 seeded pairs each."""
-    particles = ctx.basis.spec.particles
-    probed_l = probe_xc_lipschitz(
-        ctx.basis, ctx.potentials, rng, radius, pairs=40, particles=particles
-    )
+    probed_l = probe_xc_lipschitz(ctx.basis, ctx.potentials, rng, radius, pairs=40)
     probed_cu = 0.0
     if ctx.potentials.include_hartree:
-        probed_cu = probe_hartree_constant(ctx.basis, ctx.kernel, particles, 40, rng)
+        probed_cu = probe_hartree_constant(ctx.basis, ctx.kernel, 40, rng)
     return probed_l, probed_cu
 
 
-def check_hartree_lipschitz(basis, kernel, particles=1, pairs=30, seed=0):
+def check_hartree_lipschitz(basis, kernel, pairs=30, seed=0):
     """Stability of the probed Hartree pair constant under sample doubling: one
     pass of 2*pairs draws, whose first ``pairs`` draws give the base constant."""
     rng = np.random.default_rng([seed, 11])
-    ratios = _hartree_pair_ratios(basis, kernel, particles, 2 * pairs, rng)
+    ratios = _hartree_pair_ratios(basis, kernel, 2 * pairs, rng)
     base, doubled = max(ratios[:pairs]), max(ratios)
     measured = doubled / base if base > 0 else float("inf")
     return make_report(
@@ -542,9 +540,10 @@ def check_galerkin_convergence(builder, mode_lists):
 # ---------------------------------------------------------------------------
 
 
-def check_potential_continuity(basis, config, kernel, seed=0, particles=1):
+def check_potential_continuity(basis, config, kernel, seed=0):
     """V(Psi_n)Psi_n -> V(Psi)Psi in L2 along a geometric perturbation schedule."""
     rng = np.random.default_rng([seed, 53])
+    particles = basis.spec.particles
     base = random_coefficients(basis, particles, rng, 1.0)
     direction = random_coefficients(basis, particles, rng, 1.0)
     n = basis.spec.dimension
@@ -576,13 +575,11 @@ def check_coefficient_lipschitz(ctx, radius=1.0, pairs=100, seed=0):
     """Local Lipschitz behaviour of the projected nonlinearity G on coefficient
     balls: stable ratio under sample doubling (one pass of 2*pairs draws, whose
     first ``pairs`` give the base constant), growing with the ball radius."""
-    particles = ctx.basis.spec.particles
-
     def ratio(a, b, gap):
         return float(np.linalg.norm(nonlinear_G(ctx, a) - nonlinear_G(ctx, b))) / gap
 
     def probe(r, count, rng):
-        return _pair_ratios(ctx.basis, particles, rng, count, ratio, 0.05, 1.0, r)
+        return _pair_ratios(ctx.basis, rng, count, ratio, 0.05, 1.0, r)
 
     ratios = probe(radius, 2 * pairs, np.random.default_rng([seed, 71]))
     l_base, l_doubled = max(ratios[:pairs]), max(ratios)

@@ -217,7 +217,7 @@ def test_criterion_06_galerkin_convergence():
 
 def test_criterion_07_lipschitz_probe_stability():
     basis, pot, kernel, ctx, _ = _default_instance()
-    hart = check_hartree_lipschitz(basis, kernel, particles=1, pairs=100, seed=0)
+    hart = check_hartree_lipschitz(basis, kernel, pairs=100, seed=0)
 
     rng_a = np.random.default_rng([0, 71])
     rng_b = np.random.default_rng([0, 71])

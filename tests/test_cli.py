@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tdks import propagate
 from tdks.cli import _SCHEMA, ConfigError, default_config, emit_config, main, parse_config, run
 
 
@@ -67,7 +68,6 @@ def test_positive_exchange_constant_rejected():
         ('{"domain": {"grid": 32}}', "domain.grid"),
         ('{"domain": {"dimension": 1.0}}', "domain.dimension"),
         ('{"domain": {"particles": true}}', "domain.particles"),
-        ('{"integrator": {"fixed_point_max_iter": 2.5}}', "integrator.fixed_point_max_iter"),
         ('{"optimize": {"iterations": "5"}}', "optimize.iterations"),
         ('{"converge": {"mode_list": [[4], [8.5], [12]]}}', "converge.mode_list"),
         ('{"seed": true}', "seed"),
@@ -184,7 +184,7 @@ NAN = float("nan")
     [
         ({"potentials": {"exchange_c": "x"}}, "potentials.exchange_c"),
         ({"objective": {"nu": "x"}}, "objective.nu"),
-        ({"integrator": {"fixed_point_tol": "x"}}, "integrator.fixed_point_tol"),
+        ({"integrator": {}}, "integrator: unknown key"),
         (
             {"control": {"kind": "samples", "values": ["x", 0]}, "domain": {"steps": 1}},
             "control.values",
@@ -229,20 +229,44 @@ NAN = float("nan")
         ({"control": {"kind": "file", "path": "TMP/broken.json"}}, "control.path"),
         ({"control": {"kind": "file", "path": "TMP/strings.json"}}, "control.path"),
         ({"potentials": {"coulomb_softening": float("inf")}}, "potentials.coulomb_softening"),
-        ({"integrator": {"fixed_point_tol": float("inf")}}, "integrator.fixed_point_tol"),
+        ({"mode": "adjoint"}, "mode: unknown key"),
         ({"domain": {"horizon": float("inf")}}, "domain.horizon"),
+        ({"optimize": {"step_initial": 1.0}}, "optimize.step_initial: unknown key"),
+        ({"optimize": {"grad_tol": 1e-10}}, "optimize.grad_tol: unknown key"),
+        ({"optimize": {"iterations": 0}}, "optimize.iterations"),
+        (
+            {"control": {"kind": "file", "path": "TMP/nan.json"}, "domain": {"steps": 1}},
+            "control.path",
+        ),
+        ({"initial_state": {"kind": "file", "path": "TMP/nan.npy"}}, "initial_state.path"),
+        ({"initial_state": {"kind": "file", "path": "TMP/wide.npy"}}, "initial_state.path"),
+        (
+            {
+                "objective": {
+                    "j2": "terminal",
+                    "target_state": {"kind": "file", "path": "TMP/nan.npy"},
+                }
+            },
+            "objective.target_state.path",
+        ),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
     # files that preset paths name as TMP/...: none holds what its preset reads
+    # (the default basis has 8 modes and 1 particle)
     (tmp_path / "text.npy").write_text("not an array")
     (tmp_path / "broken.json").write_text("[0.0, 1.0")
     (tmp_path / "strings.json").write_text('["a", "b"]')
+    (tmp_path / "nan.json").write_text("[NaN, 0.0]")
+    np.save(tmp_path / "nan.npy", np.full((8, 1), np.nan))
+    np.save(tmp_path / "wide.npy", np.zeros((8, 2)))
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config).replace("TMP", tmp_path.as_posix()))
     out = tmp_path / "out"
     out.mkdir()
-    status = main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    # only the adjoint and optimize runs read the objective
+    subcommand = "adjoint" if "objective" in config else "simulate"
+    status = main([subcommand, "--config", str(cfg_path), "--out", str(out), "--quiet"])
     assert status == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}")
@@ -310,8 +334,9 @@ def test_readme_default_config_block_is_the_default_config():
     assert json.loads(block) == default_config().raw
 
 
-def test_solver_failure_exits_nonzero_without_artifacts(tmp_path, capsys):
+def test_solver_failure_exits_nonzero_without_artifacts(tmp_path, capsys, monkeypatch):
     # one fixed-point sweep per step cannot converge: the adjoint solve fails
+    monkeypatch.setattr(propagate, "FIXED_POINT_MAX_ITER", 1)
     cfg_path = tmp_path / "starved.json"
     cfg_path.write_text(
         json.dumps(
@@ -319,7 +344,6 @@ def test_solver_failure_exits_nonzero_without_artifacts(tmp_path, capsys):
                 "domain": {"lengths": [3.0], "grid": [16], "particles": 2, "steps": 40},
                 "basis": {"modes": [4]},
                 "objective": {"j2": "terminal", "target_state": {"kind": "lowest_modes"}},
-                "integrator": {"fixed_point_max_iter": 1},
             }
         )
     )
@@ -354,7 +378,7 @@ def test_optimize_subcommand(tmp_path):
             },
         },
         potentials={"control_shape": {"kind": "dipole", "amplitude": 1.0}},
-        optimize={"iterations": 3, "step_initial": 1.0, "grad_tol": 1e-12},
+        optimize={"iterations": 3},
     )
     status = run(cfg, "optimize", tmp_path / "out", quiet=True)
     assert status == 0

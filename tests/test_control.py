@@ -14,6 +14,7 @@ from tdks import (
     solve_forward,
     zero_control,
 )
+from tdks import control
 from tdks.control import ControlError, backward_sweep
 from tdks.domain import grid_inner, synthesize
 
@@ -153,13 +154,13 @@ def test_optimize_zero_gradient_start(control_setup):
     assert np.abs(u.samples).max() == 0
 
 
-def test_optimize_pure_regularisation_geometric(control_setup):
+def test_optimize_pure_regularisation_geometric(control_setup, monkeypatch):
     ctx, psi0 = control_setup
     spec = ObjectiveSpec(nu=1.0)
     u0 = ControlSignal(samples=np.sin(np.linspace(0, 3, 101)), horizon=1.0)
-    u, hist = optimize(
-        spec, ctx, u0, psi0, iters=10, step_rule={"initial": 0.4, "grow": 1.0}
-    )
+    monkeypatch.setattr(control, "STEP_INITIAL", 0.4)
+    monkeypatch.setattr(control, "STEP_GROW", 1.0)
+    u, hist = optimize(spec, ctx, u0, psi0, iters=10)
     j_vals = [h[0] for h in hist]
     assert all(b < a for a, b in zip(j_vals, j_vals[1:]))
     # accepted step 0.4 contracts u by (1 - 2*nu*0.4) = 0.2 each iteration
@@ -187,29 +188,14 @@ def test_optimize_tracking_decreases_objective_by_half(control_setup):
     assert j_vals[-1] < 0.5 * j_vals[0]
 
 
-def test_optimize_line_search_failure(control_setup):
+def test_optimize_line_search_failure(control_setup, monkeypatch):
     ctx, psi0 = control_setup
     spec = ObjectiveSpec(nu=1.0)
     u0 = ControlSignal(samples=np.sin(np.linspace(0, 3, 101)), horizon=1.0)
+    monkeypatch.setattr(control, "STEP_INITIAL", 1e12)
+    monkeypatch.setattr(control, "STEP_GROW", 1.0)
     with pytest.raises(LineSearchError):
-        optimize(spec, ctx, u0, psi0, iters=2, step_rule={"initial": 1e12, "grow": 1.0})
-
-
-def test_optimize_rejects_unknown_step_rule_key(control_setup):
-    # the Armijo fraction and the halving limit are module constants, not options
-    ctx, psi0 = control_setup
-    spec = ObjectiveSpec(nu=1.0)
-    for key in ("c1", "max_halvings"):
-        with pytest.raises(ControlError, match=key):
-            optimize(spec, ctx, zero_control(1.0, 100), psi0, iters=1, step_rule={key: 1})
-
-
-def test_optimize_rejects_a_first_step_that_is_not_positive(control_setup):
-    ctx, psi0 = control_setup
-    spec = ObjectiveSpec(nu=1.0)
-    for initial in (0.0, -1.0):
-        with pytest.raises(ControlError, match="first step"):
-            optimize(spec, ctx, zero_control(1.0, 100), psi0, iters=1, step_rule={"initial": initial})
+        optimize(spec, ctx, u0, psi0, iters=2)
 
 
 def test_backward_sweep_integrates_the_adjoint_problem(control_setup):

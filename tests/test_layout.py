@@ -78,7 +78,7 @@ def test_cli_initial_state_file_of_modes_only_is_rejected(tmp_path):
             }
         )
     )
-    with pytest.raises(ConfigError, match="initial_state.file"):
+    with pytest.raises(ConfigError, match="initial_state.path"):
         run(cfg, "simulate", tmp_path / "out", quiet=True)
 
 

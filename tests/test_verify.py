@@ -106,7 +106,7 @@ def desk():
 
 def test_hartree_lipschitz_stability(desk):
     basis, _, kernel, _ = desk
-    r = check_hartree_lipschitz(basis, kernel, particles=1, pairs=40, seed=3)
+    r = check_hartree_lipschitz(basis, kernel, pairs=40, seed=3)
     assert r.passed
     assert r.ingredients["c_hat"] > 0
     # identical pair contributes nothing (skip path)
@@ -125,7 +125,7 @@ def test_hartree_lipschitz_stability(desk):
             self.calls += 1
             return self.d.real if self.calls % 2 else self.d.imag
 
-    c = probe_hartree_constant(basis, kernel, 1, 1, np.random.default_rng(5))
+    c = probe_hartree_constant(basis, kernel, 1, np.random.default_rng(5))
     assert np.isfinite(c)
 
 
