@@ -320,11 +320,38 @@ def _wrong_type_configs(schema=_SCHEMA, where=()):
                     yield _nest(path, preset), ".".join(path + (param,))
 
 
-@pytest.mark.parametrize("config,key", list(_wrong_type_configs()))
+# Leaf keys the schema has dropped, each after the case of the key it followed there, with
+# the key that the "unknown key" error of a config still setting it names.  Every case keeps
+# its number.
+_DROPPED = {
+    "potentials.control_shape.path": [
+        ("integrator.fixed_point_tol", "integrator"),
+        ("integrator.fixed_point_max_iter", "integrator"),
+    ],
+    "objective.target_state.path": [("mode", "mode")],
+    "optimize.iterations": [
+        ("optimize.step_initial", "optimize.step_initial"),
+        ("optimize.grad_tol", "optimize.grad_tol"),
+    ],
+}
+_REFUSED_AS = {key: named for dropped in _DROPPED.values() for key, named in dropped}
+
+
+def _leaf_key_configs():
+    for config, key in _wrong_type_configs():
+        yield config, key
+        for dropped, _ in _DROPPED.get(key, ()):
+            yield _nest(dropped.split("."), "x"), dropped
+
+
+@pytest.mark.parametrize("config,key", list(_leaf_key_configs()))
 def test_every_leaf_key_rejects_a_value_of_the_wrong_json_type(config, key):
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(config))
-    assert str(err.value).startswith(f"{key}:")
+    if key in _REFUSED_AS:
+        assert str(err.value) == f"{_REFUSED_AS[key]}: unknown key"
+    else:
+        assert str(err.value).startswith(f"{key}:")
 
 
 def test_readme_default_config_block_is_the_default_config():
