@@ -12,7 +12,6 @@ import copy
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .propagate import (
     solve_forward,
     write_csv,
 )
-from .signals import ControlSignal, SignalError
+from .signals import ControlSignal, SignalError, zero_control
 from .system import SystemError as SystemContextError
 from .verify import (
     check_coefficient_lipschitz,
@@ -212,39 +211,28 @@ def _under(prefix, *errors):
 _FILE_ERRORS = (OSError, TypeError, ValueError)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration; ``raw`` is the fully resolved JSON dict."""
-
-    raw: dict = field(repr=False)
-
-    @property
-    def seed(self):
-        return int(self.raw["seed"])
-
-
 def parse_config(text):
-    """Parse and validate a JSON config, filling all defaults explicitly."""
+    """Parse and validate a JSON config; returns the resolved dict, every default filled in."""
     try:
         data = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    raw = _walk("", _SCHEMA, data)
+    config = _walk("", _SCHEMA, data)
 
     with _under("domain: ", DomainError):
-        spec = DomainSpec(**raw["domain"])
+        spec = DomainSpec(**config["domain"])
     with _under("basis.modes: ", DomainError):
-        check_modes(spec, raw["basis"]["modes"])
-    _potential_config(raw["potentials"], spec.dimension)
+        check_modes(spec, config["basis"]["modes"])
+    _potential_config(config["potentials"], spec.dimension)
     # the trajectory covers [0, T] only
-    outside = [t for t in raw["output"]["density_times"] or () if not 0.0 <= t <= spec.horizon]
+    outside = [t for t in config["output"]["density_times"] or () if not 0.0 <= t <= spec.horizon]
     if outside:
         raise ConfigError(
             f"output.density_times: {outside[0]!r} is not a time in [0, {spec.horizon!r}]"
         )
-    return RunConfig(raw=raw)
+    return config
 
 
 def _potential_config(pot, dimension, **fields):
@@ -259,7 +247,7 @@ def _potential_config(pot, dimension, **fields):
 
 def emit_config(config):
     """Canonical JSON text of the resolved config; parse(emit(c)) == c."""
-    return json.dumps(config.raw, sort_keys=True, indent=2) + "\n"
+    return json.dumps(config, sort_keys=True, indent=2) + "\n"
 
 
 def default_config():
@@ -272,11 +260,10 @@ def default_config():
 
 
 def _build_instruments(config):
-    raw = config.raw
-    basis = build_basis(DomainSpec(**raw["domain"]), raw["basis"]["modes"])
+    basis = build_basis(DomainSpec(**config["domain"]), config["basis"]["modes"])
     fields = {}
     for name in ("confinement", "control_shape"):
-        params = dict(raw["potentials"][name])
+        params = dict(config["potentials"][name])
         # an array preset's file is read only when no values are given inline
         path = params.pop("path", None)
         if path is not None and "values" not in params:
@@ -284,14 +271,17 @@ def _build_instruments(config):
                 params["values"] = np.load(path)
         with _under(f"potentials.{name}: ", PotentialError):
             fields[name] = sample_field(basis, params.pop("kind"), params)
-    return basis, _potential_config(raw["potentials"], basis.spec.dimension, **fields)
+    return basis, _potential_config(config["potentials"], basis.spec.dimension, **fields)
 
 
-def _coulomb_kernel(basis, potentials):
-    """The Coulomb kernel of the basis grid, or None without the Hartree term."""
-    if not potentials.include_hartree:
-        return None
-    return build_coulomb_kernel(basis, potentials.coulomb_softening)
+def _forward_problem(basis, potentials, preset, control=None):
+    """The forward context on the basis, with the Coulomb kernel of its grid when the
+    Hartree term is on, and the initial state of the state preset."""
+    kernel = None
+    if potentials.include_hartree:
+        kernel = build_coulomb_kernel(basis, potentials.coulomb_softening)
+    ctx = forward_context(basis, potentials, kernel=kernel, control=control)
+    return ctx, _build_state(basis, preset)
 
 
 def _build_state(basis, preset, where="initial_state"):
@@ -337,7 +327,7 @@ def _build_state(basis, preset, where="initial_state"):
 def _build_control(preset, horizon, steps):
     kind = preset["kind"]
     if kind == "zero":
-        return ControlSignal(samples=np.zeros(steps + 1), horizon=horizon)
+        return zero_control(horizon, steps)
     if kind == "sine":
         amp = float(preset.get("amplitude", 1.0))
         cycles = float(preset.get("cycles", 1.0))
@@ -353,22 +343,21 @@ def _build_control(preset, horizon, steps):
         where = "control.path"
     if values.size != steps + 1:
         raise ConfigError(f"{where}: expected {steps + 1} samples")
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{where}: values must be finite")
-    return ControlSignal(samples=values, horizon=horizon)
+    with _under(f"{where}: ", SignalError):
+        return ControlSignal(samples=values, horizon=horizon)
 
 
 def _objective_from_config(config, basis, purpose):
-    obj = config.raw["objective"]
+    obj = config["objective"]
     if obj["j1"] == "none" and obj["j2"] == "none":
         raise ConfigError(f"objective: {purpose} needs a tracking objective (j1 or j2)")
-    target = None
-    if obj["target_state"] is not None:
-        target = _build_state(basis, obj["target_state"], "objective.target_state")
+    if obj["target_state"] is None:
+        raise ConfigError("objective.target_state: tracking needs a target state")
+    target = _build_state(basis, obj["target_state"], "objective.target_state")
     return ObjectiveSpec(
         **dict(obj, target_state=target),
         # CLI runs track the fixed target state, at every time for j1
-        target_trajectory=None if target is None else lambda t: target,
+        target_trajectory=lambda t: target,
     )
 
 
@@ -406,19 +395,17 @@ def _print_report_table(reports, quiet):
 def _run_simulate(config, out, quiet, mode):
     """The forward solve, followed for mode "adjoint" by the backward solve."""
     basis, potentials = _build_instruments(config)
-    kernel = _coulomb_kernel(basis, potentials)
     steps = basis.spec.steps
-    control = _build_control(config.raw["control"], basis.spec.horizon, steps)
-    psi0 = _build_state(basis, config.raw["initial_state"])
+    control = _build_control(config["control"], basis.spec.horizon, steps)
+    fwd_ctx, psi0 = _forward_problem(basis, potentials, config["initial_state"], control)
     if mode == "adjoint":  # a bad objective or target file fails before any solve
         objective = _objective_from_config(config, basis, "the adjoint run")
 
-    fwd_ctx = forward_context(basis, potentials, kernel=kernel, control=control)
     traj = solve_forward(fwd_ctx, psi0)
     if mode == "adjoint":
         terminal, source = adjoint_sources(objective, traj)
         adj_ctx = adjoint_context(
-            basis, potentials, forward=traj, kernel=kernel, control=control, source=source
+            basis, potentials, forward=traj, kernel=fwd_ctx.kernel, control=control, source=source
         )
         main = solve_adjoint(adj_ctx, terminal)
         traj.export_csv(out / "forward_trajectory.csv")
@@ -428,7 +415,7 @@ def _run_simulate(config, out, quiet, mode):
 
     main.export_csv(out / "trajectory.csv")
     main.export_diagnostics_csv(out / "diagnostics.csv")
-    density_times = config.raw["output"]["density_times"]
+    density_times = config["output"]["density_times"]
     if density_times is None:
         density_times = [basis.spec.horizon]
     header = [f"x{i}" for i in range(basis.spec.dimension)] + ["weight", "rho"]
@@ -458,10 +445,10 @@ def run_verification_suite(config):
     Instances derive from the config's potential constants and seed; sizes
     are fixed so the suite stays fast and reproducible.
     """
-    seed = config.seed
+    seed = config["seed"]
     basis, potentials = _build_instruments(config)
-    kernel = _coulomb_kernel(basis, potentials)
-    psi0 = _build_state(basis, config.raw["initial_state"])
+    fwd_ctx, psi0 = _forward_problem(basis, potentials, config["initial_state"])
+    kernel = fwd_ctx.kernel
 
     reports = []
     reports.append(check_coulomb_lp(3, 2, 1.0, 96))
@@ -469,7 +456,6 @@ def run_verification_suite(config):
     reports.append(check_coulomb_lp(3, 3, 1.0, 8))
     reports.append(check_hartree_lipschitz(basis, kernel, pairs=50, seed=seed))
 
-    fwd_ctx = forward_context(basis, potentials, kernel=kernel)
     traj = solve_forward(fwd_ctx, psi0)
     reports.extend(check_energy_estimates(traj, fwd_ctx, seed=seed))
     reports.extend(check_form_bounds(fwd_ctx, t=0.0, count=100, seed=seed))
@@ -498,7 +484,7 @@ def run_verification_suite(config):
 
     builder = _galerkin_builder(basis.spec, potentials, {"kind": "lowest_modes"})
     reports.append(
-        check_galerkin_convergence(builder, config.raw["converge"]["mode_list"])
+        check_galerkin_convergence(builder, config["converge"]["mode_list"])
     )
     reports.append(check_potential_continuity(basis, potentials, kernel, seed=seed))
     reports.extend(check_coefficient_lipschitz(fwd_ctx, radius=1.0, pairs=100, seed=seed))
@@ -519,17 +505,15 @@ def _galerkin_builder(spec, potentials, preset):
     """builder(modes) -> (forward context, initial state from preset) on that basis."""
 
     def builder(modes):
-        basis = build_basis(spec, modes)
-        ctx = forward_context(basis, potentials, kernel=_coulomb_kernel(basis, potentials))
-        return ctx, _build_state(basis, preset)
+        return _forward_problem(build_basis(spec, modes), potentials, preset)
 
     return builder
 
 
 def _run_converge(config, out, quiet):
     basis, potentials = _build_instruments(config)
-    builder = _galerkin_builder(basis.spec, potentials, config.raw["initial_state"])
-    report = check_galerkin_convergence(builder, config.raw["converge"]["mode_list"])
+    builder = _galerkin_builder(basis.spec, potentials, config["initial_state"])
+    report = check_galerkin_convergence(builder, config["converge"]["mode_list"])
     _write_json(out / "reports.json", _reports_payload([report]))
     _print_report_table([report], quiet)
     return 0 if report.passed else 1
@@ -537,14 +521,12 @@ def _run_converge(config, out, quiet):
 
 def _run_optimize(config, out, quiet):
     basis, potentials = _build_instruments(config)
-    kernel = _coulomb_kernel(basis, potentials)
     steps = basis.spec.steps
-    control = _build_control(config.raw["control"], basis.spec.horizon, steps)
+    control = _build_control(config["control"], basis.spec.horizon, steps)
     objective = _objective_from_config(config, basis, "optimisation")
-    psi0 = _build_state(basis, config.raw["initial_state"])
-    ctx = forward_context(basis, potentials, kernel=kernel, control=control)
+    ctx, psi0 = _forward_problem(basis, potentials, config["initial_state"], control)
     u_star, history = optimize(
-        objective, ctx, control, psi0, iters=config.raw["optimize"]["iterations"]
+        objective, ctx, control, psi0, iters=config["optimize"]["iterations"]
     )
     write_csv(
         out / "optimize_history.csv",
@@ -616,8 +598,8 @@ def main(argv=None):
         text = args.config.read_text() if args.config else "{}"
         config = parse_config(text)
         if args.seed is not None:
-            config = RunConfig(raw={**config.raw, "seed": int(args.seed)})
-        out_dir = args.out if args.out else Path(config.raw["output_dir"]) / args.subcommand
+            config["seed"] = args.seed
+        out_dir = args.out if args.out else Path(config["output_dir"]) / args.subcommand
         return run(config, args.subcommand, out_dir, quiet=args.quiet)
     except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

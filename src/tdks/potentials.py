@@ -356,11 +356,6 @@ def sample_field(basis, kind, params=None):
     return field
 
 
-def potential_sup(basis, field):
-    """Grid sup-norm used when assembling bound constants."""
-    return float(np.max(np.abs(field))) if field is not None else 0.0
-
-
 def hartree_pair_difference(basis, kernel, psi, ups):
     """||V_H(psi)psi - V_H(ups)ups||_L2 on the grid, for Lipschitz probes."""
     rho_p = density_from_grid(psi)

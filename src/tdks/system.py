@@ -26,7 +26,6 @@ from .potentials import (
     density_from_grid,
     hartree,
     ks_potential,
-    potential_sup,
     vxc_rho_derivative,
 )
 from .signals import zero_control
@@ -105,11 +104,8 @@ class SystemContext:
     def lambda_at(self, t):
         return interpolate_states(self.forward.times, self.forward.states, t)
 
-    def u_value(self, t):
-        return self.control.value(t)
-
     def external_at(self, t):
-        return self._v0 + self.u_value(t) * self._vu
+        return self._v0 + self.control.value(t) * self._vu
 
     def with_control(self, control):
         return replace(self, control=control)
@@ -253,8 +249,8 @@ def bound_constants(ctx):
     solve stores this dict as ``meta["constants"]`` of its trajectory.
     """
     ing = {
-        "v0_sup": potential_sup(ctx.basis, ctx._v0),
-        "vu_sup": potential_sup(ctx.basis, ctx._vu),
+        "v0_sup": float(np.max(np.abs(ctx._v0))),
+        "vu_sup": float(np.max(np.abs(ctx._vu))),
         "u_sup": ctx.control.sup,
         "particles": float(ctx.basis.spec.particles),
         "kernel_l1": 0.0,

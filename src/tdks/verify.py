@@ -27,19 +27,28 @@ MAX_EXP_ARG = 690.0  # keep assembled envelope constants inside float64
 
 @dataclass
 class EstimateReport:
-    """Pass/fail record for one inequality check."""
+    """Pass/fail record for one inequality check; ``passed`` is computed as
+    measured <= bound * (1 + tolerance)."""
 
     name: str
     reference: str
     measured: float
     bound: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     formula: str
     ingredients: dict = field(default_factory=dict)
     samples: int = 0
     asserted: bool = True
     detail: str = ""
+
+    def __post_init__(self):
+        self.measured = float(self.measured)
+        self.bound = float(self.bound)
+        self.tolerance = float(self.tolerance)
+        self.passed = bool(self.measured <= self.bound * (1.0 + self.tolerance))
+        self.ingredients = dict(self.ingredients)
+        self.samples = int(self.samples)
 
     def to_dict(self):
         d = asdict(self)
@@ -57,36 +66,6 @@ def _jsonable(v):
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
     return v
-
-
-def make_report(
-    name,
-    reference,
-    measured,
-    bound,
-    tolerance,
-    formula,
-    ingredients=None,
-    samples=0,
-    asserted=True,
-    detail="",
-):
-    measured = float(measured)
-    bound = float(bound)
-    passed = bool(measured <= bound * (1.0 + tolerance))
-    return EstimateReport(
-        name=name,
-        reference=reference,
-        measured=measured,
-        bound=bound,
-        tolerance=float(tolerance),
-        passed=passed,
-        formula=formula,
-        ingredients=dict(ingredients or {}),
-        samples=int(samples),
-        asserted=asserted,
-        detail=detail,
-    )
 
 
 def _safe_exp(x):
@@ -173,7 +152,7 @@ def check_coulomb_lp(n, p, radius=1.0, resolution=128):
             / (n - p)
         )
         rel = abs(quad / closed - 1.0)
-        return make_report(
+        return EstimateReport(
             name=f"coulomb-lp-n{n}-p{p}",
             reference="coulomb-kernel-integrability",
             measured=rel,
@@ -194,7 +173,7 @@ def check_coulomb_lp(n, p, radius=1.0, resolution=128):
         res *= 2
     increasing = all(b > a for a, b in zip(values, values[1:]))
     measured = 2.0 * values[0] / values[-1] if increasing else float("inf")
-    return make_report(
+    return EstimateReport(
         name=f"coulomb-lp-n{n}-p{p}",
         reference="coulomb-kernel-integrability",
         measured=measured,
@@ -274,7 +253,7 @@ def check_hartree_lipschitz(basis, kernel, pairs=30, seed=0):
     ratios = _hartree_pair_ratios(basis, kernel, 2 * pairs, rng)
     base, doubled = max(ratios[:pairs]), max(ratios)
     measured = doubled / base if base > 0 else float("inf")
-    return make_report(
+    return EstimateReport(
         name="hartree-pair-lipschitz",
         reference="hartree-pair-bound",
         measured=measured,
@@ -331,7 +310,7 @@ def check_energy_estimates(traj, ctx, seed=0):
     env = _safe_exp((1.0 + 2.0 * ctilde0) * horizon)
     reports = []
     reports.append(
-        make_report(
+        EstimateReport(
             name=f"l2-envelope-alpha{alpha}",
             reference="gronwall-l2-envelope",
             measured=float(np.max(traj.l2**2)),
@@ -344,7 +323,7 @@ def check_energy_estimates(traj, ctx, seed=0):
 
     c_form = (alpha * (probed_l + k_corr) + 0.5) * env * data + 0.5 * f_sup_sq
     reports.append(
-        make_report(
+        EstimateReport(
             name=f"form-value-bound-alpha{alpha}",
             reference="quadratic-form-value-bound",
             measured=float(np.max(traj.re_b)),
@@ -357,7 +336,7 @@ def check_energy_estimates(traj, ctx, seed=0):
 
     c1_bound = c_form + ing["c3"] * env * data
     reports.append(
-        make_report(
+        EstimateReport(
             name=f"h1-sup-bound-alpha{alpha}",
             reference="h1-sup-envelope",
             measured=float(np.max(traj.h1**2)),
@@ -375,7 +354,7 @@ def check_energy_estimates(traj, ctx, seed=0):
     ) * start_sq
     x_measured = float(np.trapezoid(traj.h1**2, traj.times))
     reports.append(
-        make_report(
+        EstimateReport(
             name=f"x-norm-bound-alpha{alpha}",
             reference="time-integrated-h1-bound",
             measured=x_measured,
@@ -399,7 +378,7 @@ def check_energy_estimates(traj, ctx, seed=0):
         chain = ing["c1"] * traj.h1[i] + k_prime * traj.l2[i] + np.sqrt(source_sq[i])
         chain_sq[i] = chain**2
     reports.append(
-        make_report(
+        EstimateReport(
             name=f"dual-norm-monitor-alpha{alpha}",
             reference="time-derivative-dual-bound",
             measured=float(np.trapezoid(dual_sq, traj.times)),
@@ -458,7 +437,7 @@ def check_uniqueness_gronwall(ctx, base, eps_list, seed=0, halving_eps=None):
     g_half = gaps_at_t[0.5 * halving][-1]
     ratio = g_half / g_full if g_full > 0 else float("inf")
 
-    envelope_report = make_report(
+    envelope_report = EstimateReport(
         name="uniqueness-envelope",
         reference="perturbation-gronwall-envelope",
         measured=worst,
@@ -472,7 +451,7 @@ def check_uniqueness_gronwall(ctx, base, eps_list, seed=0, halving_eps=None):
         },
         samples=len(eps_list),
     )
-    halving_report = make_report(
+    halving_report = EstimateReport(
         name="uniqueness-halving",
         reference="perturbation-first-order-scaling",
         measured=abs(ratio - 0.5),
@@ -523,7 +502,7 @@ def check_galerkin_convergence(builder, mode_lists):
         measured = (
             increments[-1] / increments[0] if decreasing and increments[0] > 0 else float("inf")
         )
-    return make_report(
+    return EstimateReport(
         name="galerkin-convergence",
         reference="basis-refinement-convergence",
         measured=measured,
@@ -559,7 +538,7 @@ def check_potential_continuity(basis, config, kernel, seed=0):
         )
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
     measured = errors[-1] if monotone else float("inf")
-    return make_report(
+    return EstimateReport(
         name="potential-continuity",
         reference="coupling-potential-l2-continuity",
         measured=measured,
@@ -584,7 +563,7 @@ def check_coefficient_lipschitz(ctx, radius=1.0, pairs=100, seed=0):
     ratios = probe(radius, 2 * pairs, np.random.default_rng([seed, 71]))
     l_base, l_doubled = max(ratios[:pairs]), max(ratios)
     l_wide = max(probe(4.0 * radius, pairs, np.random.default_rng([seed, 72])))
-    stability = make_report(
+    stability = EstimateReport(
         name="coefficient-lipschitz-stability",
         reference="projected-nonlinearity-local-lipschitz",
         measured=l_doubled / l_base if l_base > 0 else float("inf"),
@@ -594,7 +573,7 @@ def check_coefficient_lipschitz(ctx, radius=1.0, pairs=100, seed=0):
         ingredients={"l_hat": l_base, "l_hat_doubled": l_doubled, "radius": radius},
         samples=2 * pairs,
     )
-    growth = make_report(
+    growth = EstimateReport(
         name="coefficient-lipschitz-growth",
         reference="projected-nonlinearity-local-lipschitz",
         measured=l_doubled / l_wide if l_wide > 0 else float("inf"),
@@ -642,7 +621,7 @@ def check_form_bounds(ctx, t=0.0, count=100, seed=0):
             d_h, d_xc = adjoint_D(ctx, t, a, b)
             ratio_d = max(ratio_d, abs(d_h + d_xc) / (c0_den * l2a * np.linalg.norm(b)))
     reports = [
-        make_report(
+        EstimateReport(
             name=f"form-boundedness-alpha{ctx.alpha}",
             reference="form-h1-boundedness",
             measured=ratio_b,
@@ -652,7 +631,7 @@ def check_form_bounds(ctx, t=0.0, count=100, seed=0):
             ingredients=ing,
             samples=count,
         ),
-        make_report(
+        EstimateReport(
             name=f"form-coercivity-alpha{ctx.alpha}",
             reference="form-garding-coercivity",
             measured=ratio_coerce,
@@ -665,7 +644,7 @@ def check_form_bounds(ctx, t=0.0, count=100, seed=0):
     ]
     if ctx.alpha == 1:
         reports.append(
-            make_report(
+            EstimateReport(
                 name="form-imag-vanishes-alpha1",
                 reference="form-imaginary-part",
                 measured=worst_im,
@@ -678,7 +657,7 @@ def check_form_bounds(ctx, t=0.0, count=100, seed=0):
         )
     else:
         reports.append(
-            make_report(
+            EstimateReport(
                 name="form-imag-bound-alpha0",
                 reference="form-imaginary-part",
                 measured=worst_im,
@@ -690,7 +669,7 @@ def check_form_bounds(ctx, t=0.0, count=100, seed=0):
             )
         )
         reports.append(
-            make_report(
+            EstimateReport(
                 name="coupling-form-bound",
                 reference="coupling-form-l2-bound",
                 measured=ratio_d,

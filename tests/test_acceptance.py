@@ -329,6 +329,6 @@ def test_criterion_10_verify_determinism():
     _verdict(
         10,
         ok,
-        f"two verification-suite runs with seed {cfg.seed}: byte-identical reports "
+        f"two verification-suite runs with seed {cfg['seed']}: byte-identical reports "
         f"({len(a)} bytes), asserted failures: {failed or 'none'}",
     )

@@ -10,19 +10,19 @@ from tdks.cli import _SCHEMA, ConfigError, default_config, emit_config, main, pa
 
 def test_minimal_config_gets_defaults():
     cfg = parse_config("{}")
-    assert cfg.raw["domain"]["dimension"] == 1
-    assert cfg.raw["potentials"]["exchange_beta"] == pytest.approx(1.0 / 3.0)
-    assert cfg.raw["seed"] == 1234
+    assert cfg["domain"]["dimension"] == 1
+    assert cfg["potentials"]["exchange_beta"] == pytest.approx(1.0 / 3.0)
+    assert cfg["seed"] == 1234
     # every default is recorded explicitly in the echo
     echoed = json.loads(emit_config(cfg))
-    assert echoed == cfg.raw
+    assert echoed == cfg
 
 
 def test_config_round_trip():
     cfg = parse_config('{"domain": {"steps": 123}, "seed": 7}')
     again = parse_config(emit_config(cfg))
     assert again == cfg
-    assert again.raw["domain"]["steps"] == 123
+    assert again["domain"]["steps"] == 123
 
 
 def test_preset_sections_accept_kind_parameters():
@@ -37,7 +37,7 @@ def test_preset_sections_accept_kind_parameters():
             }
         )
     )
-    assert cfg.raw["control"]["amplitude"] == 0.3
+    assert cfg["control"]["amplitude"] == 0.3
     assert parse_config(emit_config(cfg)) == cfg
     with pytest.raises(ConfigError, match="control"):
         parse_config('{"control": {"kind": "sine", "wavelength": 2}}')
@@ -249,6 +249,12 @@ NAN = float("nan")
             },
             "objective.target_state.path",
         ),
+        ({"objective": {"j1": "trajectory"}}, "objective.target_state:"),
+        ({"objective": {"j2": "terminal"}}, "objective.target_state:"),
+        (
+            {"control": {"kind": "samples", "values": [[0.0, 1.0]]}, "domain": {"steps": 1}},
+            "control.values",
+        ),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
@@ -286,7 +292,7 @@ def test_output_dir_takes_only_a_string(tmp_path, monkeypatch, capsys, output_di
 
 def test_defaults_are_not_shared_between_configs():
     expected = emit_config(parse_config("{}"))
-    first = parse_config("{}").raw
+    first = parse_config("{}")
     first["domain"]["lengths"].append(9.0)
     first["potentials"]["confinement"]["amplitude"] = 7.0
     first["converge"]["mode_list"][0].append(5)
@@ -358,7 +364,7 @@ def test_readme_default_config_block_is_the_default_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration", 1)[1]
     block = section.split("```json", 1)[1].split("```", 1)[0]
-    assert json.loads(block) == default_config().raw
+    assert json.loads(block) == default_config()
 
 
 def test_solver_failure_exits_nonzero_without_artifacts(tmp_path, capsys, monkeypatch):

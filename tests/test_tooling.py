@@ -1,4 +1,5 @@
-"""The benchmark still finds every layer it times and every config it runs parses."""
+"""The benchmark still finds every layer it times, every config it runs parses, and every
+workload run passes the benchmark's own checks."""
 
 import importlib.util
 import json
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tdks.cli import parse_config
+from tdks.cli import main, parse_config
 
 E2EBENCH = Path(__file__).resolve().parents[1] / "e2ebench"
 
@@ -33,3 +34,18 @@ def test_every_workload_config_parses(size, seed):
     workloads = _load("workloads")
     for name in workloads.WORKLOADS:
         parse_config(json.dumps(workloads.build_config(name, seed, size)))
+
+
+@pytest.mark.parametrize("name", _load("workloads").WORKLOADS)
+def test_every_workload_passes_its_checks(tmp_path, name):
+    # full size at the default seed, compared with the reference values to their tolerances
+    workloads, checks = _load("workloads"), _load("checks")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workloads.build_config(name, workloads.DEFAULT_SEED)))
+    subcommand, shape, out = workloads.subcommand(name), workloads.shape(name), tmp_path / "out"
+    rc = main([subcommand, "--config", str(config), "--out", str(out), "--quiet"])
+    problems = checks.check_run(
+        name, subcommand, out, rc, shape.get("steps"), shape.get("iterations"),
+        compare_reference=True,
+    )
+    assert problems == []

@@ -18,7 +18,7 @@ from tdks import (
     solve_forward,
 )
 from tdks.domain import project
-from tdks.verify import _ball_quadrature, make_report, probe_hartree_constant
+from tdks.verify import EstimateReport, _ball_quadrature, probe_hartree_constant
 
 from conftest import ball_quadrature_whole_grid, make_setup, unit_state
 
@@ -81,13 +81,13 @@ def test_coulomb_lp_rejects_bad_radius():
 
 
 def test_report_invariant():
-    r = make_report("x", "ref", measured=1.0, bound=1.0, tolerance=0.0, formula="f")
+    r = EstimateReport("x", "ref", measured=1.0, bound=1.0, tolerance=0.0, formula="f")
     assert r.passed
-    r = make_report("x", "ref", measured=1.001, bound=1.0, tolerance=0.0, formula="f")
+    r = EstimateReport("x", "ref", measured=1.001, bound=1.0, tolerance=0.0, formula="f")
     assert not r.passed
-    r = make_report("x", "ref", measured=1.04, bound=1.0, tolerance=0.05, formula="f")
+    r = EstimateReport("x", "ref", measured=1.04, bound=1.0, tolerance=0.05, formula="f")
     assert r.passed
-    r = make_report("x", "ref", measured=float("inf"), bound=1.0, tolerance=0.0, formula="f")
+    r = EstimateReport("x", "ref", measured=float("inf"), bound=1.0, tolerance=0.0, formula="f")
     assert not r.passed
 
 
@@ -125,6 +125,7 @@ def test_hartree_lipschitz_stability(desk):
             self.calls += 1
             return self.d.real if self.calls % 2 else self.d.imag
 
+    assert probe_hartree_constant(basis, kernel, 1, TwinRng(d)) == 0.0
     c = probe_hartree_constant(basis, kernel, 1, np.random.default_rng(5))
     assert np.isfinite(c)
 
