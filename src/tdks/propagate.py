@@ -9,7 +9,11 @@ to mode truncation.  The adjoint problem (alpha=0) has non-unitary coupling
 terms that act through the real part of the unknown, so its middle stage is
 an implicit midpoint solve by fixed-point iteration; the iteration only
 sees the bounded (non-stiff) part of the operator, the stiff kinetic term
-having been split off exactly.
+having been split off exactly.  The fields that operator reads (the external
+potential and the fields of the frozen forward state) depend on the step
+midpoint only, not on the unknown, so they are taken once per step: a solve
+builds them for one ``snapshot_blocks`` block of step midpoints at a time,
+and every sweep of a step reuses its item.
 
 Both stage maps are symmetric, so stepping a trajectory with the opposite
 time-step sign reproduces it (used by the reversibility tests).
@@ -29,6 +33,7 @@ trajectory's ``meta``: the envelope
 measuring the frozen-state sups again).
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +48,8 @@ from .system import (
     bound_constants,
     interpolate_states,
     snapshot_blocks,
+    stage_fields,
+    stage_items,
 )
 
 BLOWUP_FACTOR = 1.0e6
@@ -168,16 +175,18 @@ def _potential_stage_vjp(ctx, dt, psi, rho, v, b_bar):
     return a_bar, float(ctx._vu @ (ctx.basis.weights * r))
 
 
-def _potential_stage_adjoint(ctx, t_mid, dt, d):
+def _potential_stage_adjoint(ctx, t_mid, dt, d, fields):
     """Implicit midpoint for the bounded part: y = d + dt*g((d+y)/2).
 
-    The source at t_mid is evaluated once; each fixed-point sweep applies the
-    bounded operator, frozen forward state included, at t_mid.
+    ``fields`` is the (external, frozen) pair at t_mid, taken once per step
+    (``_solve`` builds them for a block of step midpoints at a time), and the
+    source at t_mid is evaluated once; each fixed-point sweep applies the
+    bounded operator with those fields.
     """
     f = ctx.source_coefficients(t_mid)
 
     def g(z):
-        h = _bounded_apply(ctx, t_mid, z)
+        h = _bounded_apply(ctx, fields, z)
         if f is not None:
             h = h + f
         return -1j * h
@@ -195,8 +204,14 @@ def _potential_stage_adjoint(ctx, t_mid, dt, d):
     )
 
 
-def step(ctx, t, dt, d):
-    """Second-order one-step map d(t) -> d(t+dt); dt may be negative."""
+def step(ctx, t, dt, d, *, fields=None):
+    """Second-order one-step map d(t) -> d(t+dt); dt may be negative.
+
+    ``fields`` is the (external, frozen) pair of the midpoint t + dt/2, one
+    item of ``system.stage_fields``, as ``_solve`` hands it to each alpha=0
+    step; without it an alpha=0 step evaluates the pair as a stack of one.
+    The alpha=1 stage reads the midpoint itself and ignores it.
+    """
     check_layout(np.shape(d), ctx.basis.size, PropagationError)
     if dt == 0.0:
         return np.array(d, dtype=np.complex128, copy=True)
@@ -207,8 +222,24 @@ def step(ctx, t, dt, d):
     if ctx.alpha == 1:
         d = _potential_stage_forward(ctx, t_mid, dt, d)
     else:
-        d = _potential_stage_adjoint(ctx, t_mid, dt, d)
+        if fields is None:
+            (fields,) = stage_items(*stage_fields(ctx, [t_mid]))
+        d = _potential_stage_adjoint(ctx, t_mid, dt, d, fields)
     return half * d
+
+
+def _stage_schedule(ctx, mids):
+    """The step fields of every step midpoint in ``mids``, in order.
+
+    For alpha=0, the (external, frozen) pairs are built one ``snapshot_blocks``
+    block of midpoints at a time, so only the current block is held; an
+    alpha=1 step gets None.
+    """
+    if ctx.alpha == 1:
+        yield from itertools.repeat(None, len(mids))
+        return
+    for block in snapshot_blocks(ctx.basis, len(mids)):
+        yield from stage_items(*stage_fields(ctx, mids[block]))
 
 
 def _source_norms_sq(ctx, times):
@@ -272,8 +303,10 @@ def _solve(ctx, start, steps):
     states[order[0]] = d
     l2_start = _record(ctx, d, out, order[0])
     guard = max(l2_start, 1.0) * BLOWUP_FACTOR
-    for last, i in zip(order, order[1:]):
-        d = step(ctx, times[last], h, d)
+    # each step's midpoint written as step writes it: t + 0.5 * dt
+    mids = times[order[:-1]] + 0.5 * h
+    for last, i, fields in zip(order, order[1:], _stage_schedule(ctx, mids)):
+        d = step(ctx, times[last], h, d, fields=fields)
         states[i] = d
         good = states[: last + 1] if forward else states[last:]
         if not np.all(np.isfinite(d)):

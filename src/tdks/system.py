@@ -151,16 +151,40 @@ def coupling_potentials(ctx, psi_g, frozen):
     return v_h, frozen.dv * s
 
 
-def _bounded_apply(ctx, t, d):
-    """All non-kinetic operator terms applied to d, as coefficients (without f)."""
+def stage_fields(ctx, times):
+    """Fields of the non-kinetic operator at each of the (B,) ``times``.
+
+    Returns the (B, nodes) stack of external potentials and, for alpha=0, the
+    stacked ``FrozenFields`` of ``ctx.lambda_at(t)`` (None for alpha=1).  Each
+    stack item equals its own single-time evaluation exactly.
+    """
+    external = np.stack([ctx.external_at(t) for t in times])
+    frozen = None
+    if ctx.alpha == 0:
+        frozen = frozen_fields(ctx, np.stack([ctx.lambda_at(t) for t in times]))
+    return external, frozen
+
+
+def stage_items(external, frozen):
+    """The (external, frozen) pair of each time of a ``stage_fields`` stack, in order."""
+    for i in range(len(external)):
+        yield external[i], None if frozen is None else FrozenFields._make(f[i] for f in frozen)
+
+
+def _bounded_apply(ctx, fields, d):
+    """All non-kinetic operator terms applied to d, as coefficients (without f).
+
+    ``fields`` is the (external, frozen) pair of the operator's time, one item
+    of ``stage_fields``; the terms read no time themselves.
+    """
+    external, frozen = fields
     psi = synthesize(ctx.basis, d)
-    fld = ctx.external_at(t)[:, None] * psi
+    fld = external[:, None] * psi
     if ctx.alpha == 1:
         if ctx.potentials.has_ks:
             rho = density_from_grid(psi)
             fld += ctx._ks_grid(rho)[:, None] * psi
     else:
-        frozen = frozen_fields(ctx, ctx.lambda_at(t))
         fld += frozen.potential[:, None] * psi
         v_h, v_xc = coupling_potentials(ctx, psi, frozen)
         fld += (v_h + v_xc)[:, None] * frozen.grid
@@ -170,7 +194,8 @@ def _bounded_apply(ctx, t, d):
 def rhs(ctx, t, d):
     """Time derivative d' of the coefficient state at time t."""
     d = _as_state(ctx.basis, d, SystemError)
-    h = ctx.basis.eigenvalues[:, None] * d + _bounded_apply(ctx, t, d)
+    (fields,) = stage_items(*stage_fields(ctx, [t]))
+    h = ctx.basis.eigenvalues[:, None] * d + _bounded_apply(ctx, fields, d)
     f = ctx.source_coefficients(t)
     if f is not None:
         h = h + f
@@ -198,10 +223,9 @@ def bilinear_B(ctx, t, psi, phi):
     )
     psi_g = synthesize(ctx.basis, psi)
     phi_g = psi_g if same else synthesize(ctx.basis, phi)
-    external = np.stack([ctx.external_at(s) for s in times])
+    external, frozen = stage_fields(ctx, times)
     total = kin + grid_inner(ctx.basis, external[..., None] * psi_g, phi_g)
     if ctx.alpha == 0:
-        frozen = frozen_fields(ctx, np.stack([ctx.lambda_at(s) for s in times]))
         total += grid_inner(ctx.basis, frozen.potential[..., None] * psi_g, phi_g)
         d_h, d_xc = _coupling_forms(ctx, psi_g, phi_g, frozen)
         total += d_h + d_xc

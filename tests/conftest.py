@@ -11,8 +11,10 @@ from tdks import (
     build_coulomb_kernel,
     sample_field,
 )
+from tdks.domain import project, synthesize
 from tdks.potentials import _cell_average
-from tdks.system import frozen_fields
+from tdks.propagate import FIXED_POINT_MAX_ITER, FIXED_POINT_TOL
+from tdks.system import bilinear_B, coupling_potentials, frozen_fields
 from tdks.verify import _subsample_cells
 
 
@@ -148,6 +150,53 @@ def bound_constants_per_snapshot(ctx):
     ing["c1"] = 1.0 + coupling + ext
     ing["c3"] = 1.0 + coupling + ext
     return ing
+
+
+def adjoint_solve_per_sweep(ctx, terminal, steps):
+    """Oracle for ``solve_adjoint``: every fixed-point sweep of a step evaluates
+    the external potential and the frozen fields at the step midpoint again.
+
+    Returns the states on the increasing time grid and the form values
+    B(d, d) of each stored state, one ``bilinear_B`` call per state.
+    """
+    basis = ctx.basis
+    h = -basis.spec.horizon / steps
+    times = np.linspace(0.0, basis.spec.horizon, steps + 1)
+    half = np.exp(-1j * basis.eigenvalues * (0.5 * h))[:, None]
+    states = np.empty((steps + 1,) + np.shape(terminal), dtype=np.complex128)
+    states[steps] = terminal
+
+    def bounded(t_mid, z):
+        psi = synthesize(basis, z)
+        frozen = frozen_fields(ctx, ctx.lambda_at(t_mid))
+        fld = ctx.external_at(t_mid)[:, None] * psi
+        fld += frozen.potential[:, None] * psi
+        v_h, v_xc = coupling_potentials(ctx, psi, frozen)
+        fld += (v_h + v_xc)[:, None] * frozen.grid
+        return project(basis, fld)
+
+    for last in range(steps, 0, -1):
+        t_mid = times[last] + 0.5 * h
+        f = ctx.source_coefficients(t_mid)
+
+        def g(z):
+            v = bounded(t_mid, z)
+            return -1j * (v if f is None else v + f)
+
+        d = half * states[last]
+        scale = max(1.0, float(np.linalg.norm(d)))
+        y = d + h * g(d)
+        for _ in range(FIXED_POINT_MAX_ITER):
+            y_new = d + h * g(0.5 * (d + y))
+            done = np.linalg.norm(y_new - y) <= FIXED_POINT_TOL * scale
+            y = y_new
+            if done:
+                break
+        else:
+            raise AssertionError(f"oracle sweeps did not converge at t={t_mid}")
+        states[last - 1] = half * y
+    form = np.array([bilinear_B(ctx, t, d, d) for t, d in zip(times, states)])
+    return states, form
 
 
 def ball_quadrature_whole_grid(n, p, radius, resolution, refine_origin=True):

@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,8 +37,15 @@ from tdks.propagate import (
     write_csv,
 )
 from tdks.signals import SignalError
+from tdks.system import FrozenFields, frozen_fields, snapshot_blocks
 
-from conftest import frozen_trajectory, galerkin_matrix, make_setup, unit_state
+from conftest import (
+    adjoint_solve_per_sweep,
+    frozen_trajectory,
+    galerkin_matrix,
+    make_setup,
+    unit_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +325,93 @@ def test_stored_trajectory_diagnostics_run_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def refined_adjoint(lengths, grid, modes, fwd_steps):
+    """An alpha=0 context under a nonzero control whose frozen state is a
+    forward solve of ``fwd_steps`` steps, and its terminal state; the adjoint
+    grid refines it twice."""
+    basis, pot, kernel = make_setup(
+        lengths=lengths,
+        grid=grid,
+        modes=modes,
+        particles=2,
+        steps=2 * fwd_steps,
+        confinement={"kind": "harmonic", "amplitude": 1.0},
+        control_shape={"kind": "dipole", "amplitude": 1.0},
+    )
+    u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 11)), horizon=1.0)
+    rng = np.random.default_rng(len(grid))
+    psi0 = random_coefficients(basis, 2, rng, 1.0)
+    traj = solve_forward(forward_context(basis, pot, kernel=kernel, control=u), psi0, fwd_steps)
+    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel, control=u)
+    return actx, random_coefficients(basis, 2, rng, 1.0)
+
+
+@pytest.mark.parametrize(
+    "lengths, grid, modes, fwd_steps",
+    [
+        pytest.param((3.0,), (32,), (6,), 20, id="1d-dense"),
+        pytest.param((3.0,) * 3, (16,) * 3, (2,) * 3, 2, id="3d-fft"),  # 17^3 nodes
+    ],
+)
+def test_adjoint_steps_get_the_fields_of_their_midpoint(monkeypatch, lengths, grid, modes,
+                                                        fwd_steps):
+    actx, terminal = refined_adjoint(lengths, grid, modes, fwd_steps)
+    steps = actx.basis.spec.steps
+    assert (actx.kernel.matrix is None) == (len(grid) == 3)
+    if len(grid) == 1:
+        assert [b.stop - b.start for b in snapshot_blocks(actx.basis, steps)] == [31, 9]
+    seen, step_one = [], propagate.step
+
+    def spy(ctx, t, dt, d, *, fields=None):
+        seen.append((t + 0.5 * dt, fields))
+        return step_one(ctx, t, dt, d, fields=fields)
+
+    monkeypatch.setattr(propagate, "step", spy)
+    solve_adjoint(actx, terminal)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    assert [t_mid for t_mid, _ in seen] == [t + 0.5 * -(1.0 / steps) for t in times[:0:-1]]
+    for t_mid, (external, frozen) in seen:
+        assert np.array_equal(external, actx.external_at(t_mid))
+        want = frozen_fields(actx, actx.lambda_at(t_mid))
+        for name in FrozenFields._fields:
+            assert np.array_equal(getattr(frozen, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("with_source", [False, True], ids=["homogeneous", "source"])
+def test_adjoint_solve_matches_per_sweep_oracle(with_source):
+    actx, terminal = refined_adjoint((3.0,), (32,), (6,), 20)
+    if with_source:
+        f = random_coefficients(actx.basis, 2, np.random.default_rng(3), 0.5)
+        actx = replace(actx, source=lambda t: np.cos(3.0 * t) * f)
+    adj = solve_adjoint(actx, terminal)
+    states, form = adjoint_solve_per_sweep(actx, terminal, actx.basis.spec.steps)
+    assert np.array_equal(adj.states, states)
+    assert np.array_equal(adj.re_b, form.real)
+    assert np.array_equal(adj.im_b, form.imag)
+
+
+def test_long_adjoint_solve_holds_one_block_of_step_fields():
+    # 1,000 alpha=0 steps on 65 nodes x 2 particles: the step fields come in
+    # blocks of 15 midpoints (about 60 kB) and the solve peaks near 0.6 MB; a
+    # solve holding every midpoint's fields at once peaks near 7 MB
+    basis, pot, kernel = make_setup(
+        lengths=(3.0,), grid=(64,), modes=(4,), particles=2, steps=1000
+    )
+    rng = np.random.default_rng(5)
+    states = np.stack([random_coefficients(basis, 2, rng, 1.0) for _ in range(101)])
+    forward = SimpleNamespace(times=np.linspace(0.0, 1.0, 101), states=states)
+    actx = adjoint_context(basis, pot, forward=forward, kernel=kernel)
+    terminal = random_coefficients(basis, 2, rng, 1.0)
+    kernel.row_sum_max  # cached on first use; not part of the solve
+    tracemalloc.start()
+    try:
+        solve_adjoint(actx, terminal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_blowup_guard_trips_on_absurd_source():

@@ -27,6 +27,8 @@ from tdks.system import (
     coupling_potentials,
     frozen_fields,
     snapshot_blocks,
+    stage_fields,
+    stage_items,
 )
 
 from conftest import (
@@ -213,7 +215,8 @@ def test_adjoint_bilinear_matches_bounded_apply(adjoint_pair):
         a = random_coefficients(actx.basis, 2, rng, rng.uniform(0.2, 2.0))
         b = random_coefficients(actx.basis, 2, rng, rng.uniform(0.2, 2.0))
         kin = np.sum(actx.basis.eigenvalues[:, None] * a * np.conj(b))
-        expect = kin + np.sum(_bounded_apply(actx, t, a) * np.conj(b))
+        (fields,) = stage_items(*stage_fields(actx, [t]))
+        expect = kin + np.sum(_bounded_apply(actx, fields, a) * np.conj(b))
         val = bilinear_B(actx, t, a, b)
         assert abs(val - expect) <= 1e-13 * abs(expect)
 

@@ -1,12 +1,15 @@
 """The benchmark still finds every layer it times, every config it runs parses, and every
-workload run passes the benchmark's own checks."""
+workload run passes the benchmark's own checks; the alpha=0 steps keep their sweep count and
+take their fields once per block of step midpoints."""
 
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from tdks import system
 from tdks.cli import main, parse_config
 
 E2EBENCH = Path(__file__).resolve().parents[1] / "e2ebench"
@@ -49,3 +52,35 @@ def test_every_workload_passes_its_checks(tmp_path, name):
         compare_reference=True,
     )
     assert problems == []
+
+
+def test_fixed_point_sweeps_per_adjoint_step(tmp_path, monkeypatch):
+    # every fixed-point evaluation projects once, so domain.project spans under an
+    # adjoint step count the sweeps; the step fields come from frozen_fields once per
+    # snapshot_blocks block of midpoints, between the steps, not once per sweep
+    tracer, workloads = _load("tracer"), _load("workloads")
+    calls, frozen_fields = [], system.frozen_fields
+
+    def counted(ctx, lam):
+        calls.append((time.perf_counter(), ctx.basis))
+        return frozen_fields(ctx, lam)
+
+    monkeypatch.setattr(system, "frozen_fields", counted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workloads.build_config("adj1d", workloads.DEFAULT_SEED, "tiny")))
+    installed = tracer.Tracer(tracer.LAYER_TARGETS).install()
+    try:
+        assert main(["adjoint", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+    finally:
+        installed.uninstall()
+    spans = installed.spans  # (name index, start, end, parent index), in call order
+    names = [installed.names[s[0]] for s in spans]
+    (solve,) = [i for i, name in enumerate(names) if name == "propagate.solve_adjoint"]
+    steps = [i for i, name in enumerate(names) if name == "propagate.step" and spans[i][3] == solve]
+    sweeps = [i for i, name in enumerate(names) if name == "domain.project" and spans[i][3] in steps]
+    assert len(steps) == workloads.shape("adj1d", "tiny")["steps"]
+    assert len(sweeps) / len(steps) == 11.0
+    # from the start of the adjoint solve to the end of its last step
+    during = [b for t, b in calls if spans[solve][1] < t < spans[steps[-1]][2]]
+    assert 0 < len(during) <= len(system.snapshot_blocks(during[0], len(steps)))
