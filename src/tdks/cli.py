@@ -219,12 +219,16 @@ def parse_config(text):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    # a given mode list must suit the domain; the runs that read the default check it
+    mode_list_given = isinstance(data.get("converge"), dict) and "mode_list" in data["converge"]
     config = _walk("", _SCHEMA, data)
 
     with _under("domain: ", DomainError):
         spec = DomainSpec(**config["domain"])
     with _under("basis.modes: ", DomainError):
         check_modes(spec, config["basis"]["modes"])
+    if mode_list_given:
+        _mode_list(spec, config["converge"]["mode_list"])
     _potential_config(config["potentials"], spec.dimension)
     # the trajectory covers [0, T] only
     outside = [t for t in config["output"]["density_times"] or () if not 0.0 <= t <= spec.horizon]
@@ -233,6 +237,17 @@ def parse_config(text):
             f"output.density_times: {outside[0]!r} is not a time in [0, {spec.horizon!r}]"
         )
     return config
+
+
+def _mode_list(spec, mode_list):
+    """The mode counts of ``converge.mode_list`` as tuples, or a ConfigError under
+    that key unless each entry passes check_modes and embeds in the next."""
+    with _under("converge.mode_list: ", DomainError):
+        modes = [check_modes(spec, entry) for entry in mode_list]
+    # the Y-norm increments pad each solve into the next basis
+    if any(k > m for lo, hi in zip(modes, modes[1:]) for k, m in zip(lo, hi)):
+        raise ConfigError("converge.mode_list: the mode counts per axis must not decrease")
+    return modes
 
 
 def _potential_config(pot, dimension, **fields):
@@ -447,14 +462,21 @@ def run_verification_suite(config):
     """
     seed = config["seed"]
     basis, potentials = _build_instruments(config)
+    mode_list = _mode_list(basis.spec, config["converge"]["mode_list"])
     fwd_ctx, psi0 = _forward_problem(basis, potentials, config["initial_state"])
     kernel = fwd_ctx.kernel
+    # the Hartree pair bound belongs to the Coulomb kernel, so it is probed on the
+    # grid's kernel also when the run's potential leaves the Hartree term out
+    pair_kernel = kernel
+    if pair_kernel is None:
+        with _under("potentials.", PotentialError):
+            pair_kernel = build_coulomb_kernel(basis, potentials.coulomb_softening)
 
     reports = []
     reports.append(check_coulomb_lp(3, 2, 1.0, 96))
     reports.append(check_coulomb_lp(3, 1, 1.0, 96))
     reports.append(check_coulomb_lp(3, 3, 1.0, 8))
-    reports.append(check_hartree_lipschitz(basis, kernel, pairs=50, seed=seed))
+    reports.append(check_hartree_lipschitz(basis, pair_kernel, pairs=50, seed=seed))
 
     traj = solve_forward(fwd_ctx, psi0)
     reports.extend(check_energy_estimates(traj, fwd_ctx, seed=seed))
@@ -483,9 +505,7 @@ def run_verification_suite(config):
     )
 
     builder = _galerkin_builder(basis.spec, potentials, {"kind": "lowest_modes"})
-    reports.append(
-        check_galerkin_convergence(builder, config["converge"]["mode_list"])
-    )
+    reports.append(check_galerkin_convergence(builder, mode_list))
     reports.append(check_potential_continuity(basis, potentials, kernel, seed=seed))
     reports.extend(check_coefficient_lipschitz(fwd_ctx, radius=1.0, pairs=100, seed=seed))
     return reports
@@ -512,8 +532,9 @@ def _galerkin_builder(spec, potentials, preset):
 
 def _run_converge(config, out, quiet):
     basis, potentials = _build_instruments(config)
+    mode_list = _mode_list(basis.spec, config["converge"]["mode_list"])
     builder = _galerkin_builder(basis.spec, potentials, config["initial_state"])
-    report = check_galerkin_convergence(builder, config["converge"]["mode_list"])
+    report = check_galerkin_convergence(builder, mode_list)
     _write_json(out / "reports.json", _reports_payload([report]))
     _print_report_table([report], quiet)
     return 0 if report.passed else 1

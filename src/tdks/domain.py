@@ -225,36 +225,47 @@ def project(basis, field):
 
     Accepts single-channel (nodes,) or multi-channel (nodes, particles)
     fields and preserves that shape convention in the result; real fields
-    give real coefficients.
+    give real coefficients.  A stack (B, nodes, particles) of fields gives
+    the stack (B, modes, particles) of their projections, each equal to its
+    own single call.
     """
     field = np.asarray(field)
     single = field.ndim == 1
     if single:
         field = field[:, None]
-    if field.shape[0] != basis.node_count:
+    if field.ndim > 3 or field.shape[-2] != basis.node_count:
         raise DomainError(
-            f"field has {field.shape[0]} nodes, expected {basis.node_count}"
+            f"field of shape {field.shape} does not have {basis.node_count} nodes"
         )
     coeff = _along_axes(basis.axis_tables, basis.weights[:, None] * field)
     return coeff[:, 0] if single else coeff
 
 
 def norms(basis, d):
-    """(L2, H1) norms of the represented state, computed in coefficient space."""
-    d = _as_state(basis, d)
-    sq = (d.real**2 + d.imag**2).sum(axis=1)
-    l2 = float(np.sqrt(sq.sum()))
-    h1 = float(np.sqrt(((1.0 + basis.eigenvalues) * sq).sum()))
-    return l2, h1
+    """(L2, H1) norms of the represented state, computed in coefficient space.
+
+    A stack (B, modes, particles) of states gives the two (B,) arrays of
+    their norms, each item equal to its own single call.
+    """
+    d = _as_state(basis, d, stack=np.ndim(d) == 3)
+    sq = (d.real**2 + d.imag**2).sum(axis=-1)
+    l2 = np.sqrt(sq.sum(axis=-1))
+    h1 = np.sqrt(((1.0 + basis.eigenvalues) * sq).sum(axis=-1))
+    return (l2, h1) if d.ndim == 3 else (float(l2), float(h1))
 
 
 def grid_norm(basis, field):
-    """Quadrature L2 norm of a grid field (any channel count)."""
+    """Quadrature L2 norm of a grid field: (nodes,) or (nodes, channels).
+
+    A stack (B, nodes, channels) of fields gives the (B,) array of their
+    norms, each item equal to its own single call.
+    """
     field = np.asarray(field)
     mag = np.abs(field) ** 2
     if mag.ndim > 1:
-        mag = mag.sum(axis=tuple(range(1, mag.ndim)))
-    return float(np.sqrt(np.sum(basis.weights * mag)))
+        mag = mag.sum(axis=-1)
+    norm = np.sqrt(np.sum(basis.weights * mag, axis=-1))
+    return norm if field.ndim == 3 else float(norm)
 
 
 def grid_inner(basis, f, g):

@@ -357,8 +357,12 @@ def sample_field(basis, kind, params=None):
 
 
 def hartree_pair_difference(basis, kernel, psi, ups):
-    """||V_H(psi)psi - V_H(ups)ups||_L2 on the grid, for Lipschitz probes."""
+    """||V_H(psi)psi - V_H(ups)ups||_L2 on the grid, for Lipschitz probes.
+
+    Stacks (B, nodes, particles) of grid states give the (B,) array of the
+    differences of their pairs, each item equal to its own single call.
+    """
     rho_p = density_from_grid(psi)
     rho_u = density_from_grid(ups)
-    diff = hartree(kernel, rho_p)[:, None] * psi - hartree(kernel, rho_u)[:, None] * ups
+    diff = hartree(kernel, rho_p)[..., None] * psi - hartree(kernel, rho_u)[..., None] * ups
     return grid_norm(basis, diff)

@@ -175,31 +175,42 @@ def _bounded_apply(ctx, fields, d):
     """All non-kinetic operator terms applied to d, as coefficients (without f).
 
     ``fields`` is the (external, frozen) pair of the operator's time, one item
-    of ``stage_fields``; the terms read no time themselves.
+    of ``stage_fields``; the terms read no time themselves.  With the whole
+    ``stage_fields`` stack of B times and a stack (B, modes, particles) of
+    states, the result is the stack of the B applies, each item equal to its
+    own single call.
     """
     external, frozen = fields
     psi = synthesize(ctx.basis, d)
-    fld = external[:, None] * psi
+    fld = external[..., None] * psi
     if ctx.alpha == 1:
         if ctx.potentials.has_ks:
             rho = density_from_grid(psi)
-            fld += ctx._ks_grid(rho)[:, None] * psi
+            fld += ctx._ks_grid(rho)[..., None] * psi
     else:
-        fld += frozen.potential[:, None] * psi
+        fld += frozen.potential[..., None] * psi
         v_h, v_xc = coupling_potentials(ctx, psi, frozen)
-        fld += (v_h + v_xc)[:, None] * frozen.grid
+        fld += (v_h + v_xc)[..., None] * frozen.grid
     return project(ctx.basis, fld)
 
 
 def rhs(ctx, t, d):
-    """Time derivative d' of the coefficient state at time t."""
-    d = _as_state(ctx.basis, d, SystemError)
-    (fields,) = stage_items(*stage_fields(ctx, [t]))
-    h = ctx.basis.eigenvalues[:, None] * d + _bounded_apply(ctx, fields, d)
-    f = ctx.source_coefficients(t)
-    if f is not None:
-        h = h + f
-    return -1j * h
+    """Time derivative d' of the coefficient state at time t.
+
+    With a (B,) array of times ``t``, ``d`` is a stack (B, modes, particles)
+    and the result is the stack of the derivatives at each time, each item
+    equal to its own single call; a single call is evaluated as the stack of
+    one.
+    """
+    stacked = np.ndim(t) == 1
+    d = _as_state(ctx.basis, d, SystemError, stacked)
+    if not stacked:
+        d = d[None]
+    times = np.atleast_1d(t)
+    h = ctx.basis.eigenvalues[:, None] * d + _bounded_apply(ctx, stage_fields(ctx, times), d)
+    if ctx.source is not None:
+        h = h + np.stack([ctx.source_coefficients(s) for s in times])
+    return -1j * h if stacked else -1j * h[0]
 
 
 def bilinear_B(ctx, t, psi, phi):
@@ -243,23 +254,39 @@ def _coupling_forms(ctx, psi_g, phi_g, frozen):
 
 
 def adjoint_D(ctx, t, psi, phi):
-    """Adjoint coupling form split into its Hartree and xc-derivative parts."""
+    """Adjoint coupling form split into its Hartree and xc-derivative parts.
+
+    With a (B,) array of times ``t``, ``psi`` and ``phi`` are stacks
+    (B, modes, particles) and each part is the (B,) array of the form at each
+    time (the Hartree part is 0j without Hartree), each item equal to its own
+    single call; a single call is evaluated as the stack of one.
+    """
     if ctx.alpha != 0:
         raise SystemError("the coupling form belongs to the alpha=0 problem")
-    check_layout(np.shape(psi), ctx.basis.size, SystemError)
-    check_layout(np.shape(phi), ctx.basis.size, SystemError)
+    stacked = np.ndim(t) == 1
+    check_layout(np.shape(psi), ctx.basis.size, SystemError, stacked)
+    check_layout(np.shape(phi), ctx.basis.size, SystemError, stacked)
+    if not stacked:
+        psi, phi = np.asarray(psi)[None], np.asarray(phi)[None]
     psi_g = synthesize(ctx.basis, psi)
     phi_g = synthesize(ctx.basis, phi)
-    frozen = frozen_fields(ctx, ctx.lambda_at(t))
-    return _coupling_forms(ctx, psi_g, phi_g, frozen)
+    frozen = frozen_fields(ctx, np.stack([ctx.lambda_at(s) for s in np.atleast_1d(t)]))
+    d_h, d_xc = _coupling_forms(ctx, psi_g, phi_g, frozen)
+    if stacked:
+        return d_h, d_xc
+    return (d_h if np.ndim(d_h) == 0 else complex(d_h[0])), complex(d_xc[0])
 
 
 def nonlinear_G(ctx, d):
-    """Projection of V(rho(d)) * Psi(d) onto every basis mode."""
-    check_layout(np.shape(d), ctx.basis.size, SystemError)
+    """Projection of V(rho(d)) * Psi(d) onto every basis mode.
+
+    A stack (B, modes, particles) of states gives the stack of their
+    projections, each equal to its own single call.
+    """
+    check_layout(np.shape(d), ctx.basis.size, SystemError, np.ndim(d) == 3)
     psi = synthesize(ctx.basis, d)
     rho = density_from_grid(psi)
-    return project(ctx.basis, ctx._ks_grid(rho)[:, None] * psi)
+    return project(ctx.basis, ctx._ks_grid(rho)[..., None] * psi)
 
 
 def bound_constants(ctx):

@@ -20,7 +20,7 @@ import numpy as np
 from .domain import grid_norm, norms, random_coefficients, synthesize
 from .potentials import density_from_grid, hartree_pair_difference, ks_potential
 from .propagate import _source_norms_sq, solve_forward
-from .system import bilinear_B, adjoint_D, bound_constants, nonlinear_G, rhs
+from .system import adjoint_D, bilinear_B, bound_constants, nonlinear_G, rhs, snapshot_blocks
 
 MAX_EXP_ARG = 690.0  # keep assembled envelope constants inside float64
 
@@ -190,27 +190,51 @@ def check_coulomb_lp(n, p, radius=1.0, resolution=128):
 # ---------------------------------------------------------------------------
 
 
-def _pair_ratios(basis, rng, pairs, ratio, low, high, scale=1.0):
-    """ratio(a, b, |a - b|) of each seeded random coefficient pair, in draw order,
-    whose L2 norms are uniform(low, high) * scale; a pair closer than 1e-14 gives 0."""
+def _random_pairs(basis, rng, count, low, high, scale=1.0):
+    """``count`` seeded pairs of random coefficient states, stacked as a and b
+    (count, modes, particles), whose L2 norms are uniform(low, high) * scale;
+    each pair draws a's norm, a, b's norm and b, in that order."""
     particles = basis.spec.particles
-    out = []
-    for _ in range(pairs):
-        a = random_coefficients(basis, particles, rng, rng.uniform(low, high) * scale)
-        b = random_coefficients(basis, particles, rng, rng.uniform(low, high) * scale)
-        gap = float(np.linalg.norm(a - b))
-        out.append(ratio(a, b, gap) if gap >= 1e-14 else 0.0)
+    a = np.empty((count, basis.size, particles), dtype=np.complex128)
+    b = np.empty_like(a)
+    for i in range(count):
+        a[i] = random_coefficients(basis, particles, rng, rng.uniform(low, high) * scale)
+        b[i] = random_coefficients(basis, particles, rng, rng.uniform(low, high) * scale)
+    return a, b
+
+
+def _pair_ratios(basis, rng, pairs, ratio, low, high, scale=1.0):
+    """Ratio of each seeded random coefficient pair, in draw order, whose L2 norms
+    are uniform(low, high) * scale; a pair closer than 1e-14 gives 0.
+
+    Every pair is drawn first.  ``ratio(a, b, gaps)`` then takes the stacks of
+    the pairs that are not that close and the list of their gaps |a - b|, one
+    ``snapshot_blocks`` block at a time, and returns the list of their ratios.
+    """
+    a, b = _random_pairs(basis, rng, pairs, low, high, scale)
+    gaps = [float(np.linalg.norm(x - y)) for x, y in zip(a, b)]
+    kept = [i for i, gap in enumerate(gaps) if gap >= 1e-14]
+    out = [0.0] * pairs
+    for block in snapshot_blocks(basis, len(kept)):
+        items = kept[block]
+        for i, r in zip(items, ratio(a[items], b[items], [gaps[i] for i in items])):
+            out[i] = r
     return out
 
 
 def _hartree_pair_ratios(basis, kernel, pairs, rng):
-    def ratio(a, b, gap):
+    def ratio(a, b, gaps):
         _, h1a = norms(basis, a)
         _, h1b = norms(basis, b)
         num = hartree_pair_difference(
             basis, kernel, synthesize(basis, a), synthesize(basis, b)
         )
-        return num / ((h1a**2 + h1b**2) * gap)
+        # on Python floats, as one pair at a time: a float power calls pow, while
+        # an array power by 2 squares
+        return [
+            n / ((x**2 + y**2) * gap)
+            for n, x, y, gap in zip(num.tolist(), h1a.tolist(), h1b.tolist(), gaps)
+        ]
 
     return _pair_ratios(basis, rng, pairs, ratio, 0.2, 2.0)
 
@@ -227,11 +251,12 @@ def probe_xc_lipschitz(basis, config, rng, radius, pairs):
     n = basis.spec.dimension
     local = replace(config, include_hartree=False)
 
-    def ratio(a, b, gap):
+    def ratio(a, b, gaps):
         ga, gb = synthesize(basis, a), synthesize(basis, b)
         va = ks_potential(local, None, density_from_grid(ga), n)
         vb = ks_potential(local, None, density_from_grid(gb), n)
-        return grid_norm(basis, va[:, None] * ga - vb[:, None] * gb) / gap
+        num = grid_norm(basis, va[..., None] * ga - vb[..., None] * gb)
+        return [x / gap for x, gap in zip(num.tolist(), gaps)]
 
     return max(_pair_ratios(basis, rng, pairs, ratio, 0.05, 1.0, radius))
 
@@ -370,11 +395,11 @@ def check_energy_estimates(traj, ctx, seed=0):
     dual_sq = np.empty(len(traj.times))
     chain_sq = np.empty(len(traj.times))
     inv_w = 1.0 / (1.0 + ctx.basis.eigenvalues)
-    for i, t in enumerate(traj.times):
-        dstate = rhs(ctx, t, traj.states[i])
-        dual_sq[i] = float(
-            np.sum(inv_w[:, None] * (dstate.real**2 + dstate.imag**2))
-        )
+    for block in snapshot_blocks(ctx.basis, len(traj.times)):
+        dstate = rhs(ctx, traj.times[block], traj.states[block])
+        terms = inv_w[:, None] * (dstate.real**2 + dstate.imag**2)
+        dual_sq[block] = np.sum(terms.reshape(len(terms), -1), axis=-1)
+    for i in range(len(traj.times)):  # scalar powers, as in the hartree probe
         chain = ing["c1"] * traj.h1[i] + k_prime * traj.l2[i] + np.sqrt(source_sq[i])
         chain_sq[i] = chain**2
     reports.append(
@@ -554,8 +579,9 @@ def check_coefficient_lipschitz(ctx, radius=1.0, pairs=100, seed=0):
     """Local Lipschitz behaviour of the projected nonlinearity G on coefficient
     balls: stable ratio under sample doubling (one pass of 2*pairs draws, whose
     first ``pairs`` give the base constant), growing with the ball radius."""
-    def ratio(a, b, gap):
-        return float(np.linalg.norm(nonlinear_G(ctx, a) - nonlinear_G(ctx, b))) / gap
+    def ratio(a, b, gaps):
+        diff = nonlinear_G(ctx, a) - nonlinear_G(ctx, b)
+        return [float(np.linalg.norm(d)) / gap for d, gap in zip(diff, gaps)]
 
     def probe(r, count, rng):
         return _pair_ratios(ctx.basis, rng, count, ratio, 0.05, 1.0, r)
@@ -597,29 +623,35 @@ def check_form_bounds(ctx, t=0.0, count=100, seed=0):
     the coupling-form bound with the assembled c0."""
     ing = bound_constants(ctx)
     rng = np.random.default_rng([seed, 97])
-    particles = ctx.basis.spec.particles
+    pairs_a, pairs_b = _random_pairs(ctx.basis, rng, count, 0.2, 2.0)
+    c0_den = ing["c0"] if ing["c0"] > 0 else float("inf")
     ratio_b = 0.0
     ratio_coerce = -float("inf")
     worst_im = 0.0
     ratio_d = 0.0
-    for _ in range(count):
-        a = random_coefficients(ctx.basis, particles, rng, rng.uniform(0.2, 2.0))
-        b = random_coefficients(ctx.basis, particles, rng, rng.uniform(0.2, 2.0))
-        l2a, h1a = norms(ctx.basis, a)
-        _, h1b = norms(ctx.basis, b)
-        val = bilinear_B(ctx, t, a, b)
-        ratio_b = max(ratio_b, abs(val) / (ing["c1"] * h1a * h1b))
-        diag = bilinear_B(ctx, t, a, a)
-        ratio_coerce = max(
-            ratio_coerce, (h1a**2 - diag.real) / (ing["c3"] * l2a**2)
-        )
-        if ctx.alpha == 1:
-            worst_im = max(worst_im, abs(diag.imag))
-        else:
-            c0_den = ing["c0"] if ing["c0"] > 0 else float("inf")
-            worst_im = max(worst_im, abs(diag.imag) / (c0_den * l2a**2))
-            d_h, d_xc = adjoint_D(ctx, t, a, b)
-            ratio_d = max(ratio_d, abs(d_h + d_xc) / (c0_den * l2a * np.linalg.norm(b)))
+    for block in snapshot_blocks(ctx.basis, count):
+        a, b = pairs_a[block], pairs_b[block]
+        times = np.full(len(a), float(t))
+        l2a, h1a = (v.tolist() for v in norms(ctx.basis, a))
+        h1b = norms(ctx.basis, b)[1].tolist()
+        vals = bilinear_B(ctx, times, a, b).tolist()
+        diags = bilinear_B(ctx, times, a, a).tolist()
+        if ctx.alpha == 0:
+            d_h, d_xc = adjoint_D(ctx, times, a, b)
+            d_sum = (d_h + d_xc).tolist()
+        # per pair on Python scalars: a complex abs and float powers as one pair alone
+        for i, (val, diag) in enumerate(zip(vals, diags)):
+            ratio_b = max(ratio_b, abs(val) / (ing["c1"] * h1a[i] * h1b[i]))
+            ratio_coerce = max(
+                ratio_coerce, (h1a[i] ** 2 - diag.real) / (ing["c3"] * l2a[i] ** 2)
+            )
+            if ctx.alpha == 1:
+                worst_im = max(worst_im, abs(diag.imag))
+            else:
+                worst_im = max(worst_im, abs(diag.imag) / (c0_den * l2a[i] ** 2))
+                ratio_d = max(
+                    ratio_d, abs(d_sum[i]) / (c0_den * l2a[i] * np.linalg.norm(b[i]))
+                )
     reports = [
         EstimateReport(
             name=f"form-boundedness-alpha{ctx.alpha}",

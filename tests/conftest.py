@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import reduce
 from types import SimpleNamespace
 
@@ -11,10 +12,18 @@ from tdks import (
     build_coulomb_kernel,
     sample_field,
 )
-from tdks.domain import project, synthesize
-from tdks.potentials import _cell_average
+from tdks.domain import grid_norm, norms, project, random_coefficients, synthesize
+from tdks.potentials import _cell_average, density_from_grid, hartree_pair_difference, ks_potential
 from tdks.propagate import FIXED_POINT_MAX_ITER, FIXED_POINT_TOL
-from tdks.system import bilinear_B, coupling_potentials, frozen_fields
+from tdks.system import (
+    adjoint_D,
+    bilinear_B,
+    bound_constants,
+    coupling_potentials,
+    frozen_fields,
+    nonlinear_G,
+    rhs,
+)
 from tdks.verify import _subsample_cells
 
 
@@ -226,3 +235,101 @@ def ball_quadrature_whole_grid(n, p, radius, resolution, refine_origin=True):
         vals = dist[boundary] ** (-p)
         total += float(np.sum(vals * frac)) * cell
     return total * 2**n
+
+
+def pair_ratios_per_pair(basis, rng, pairs, ratio, low, high, scale=1.0):
+    """Oracle for ``verify._pair_ratios``: each pair is drawn, and its
+    ratio(a, b, gap) evaluated by single operator calls, before the next."""
+    particles = basis.spec.particles
+    out = []
+    for _ in range(pairs):
+        a = random_coefficients(basis, particles, rng, rng.uniform(low, high) * scale)
+        b = random_coefficients(basis, particles, rng, rng.uniform(low, high) * scale)
+        gap = float(np.linalg.norm(a - b))
+        out.append(ratio(a, b, gap) if gap >= 1e-14 else 0.0)
+    return out
+
+
+def hartree_pair_ratio(basis, kernel):
+    """The single-pair ratio of the Hartree pair probe."""
+
+    def ratio(a, b, gap):
+        _, h1a = norms(basis, a)
+        _, h1b = norms(basis, b)
+        num = hartree_pair_difference(basis, kernel, synthesize(basis, a), synthesize(basis, b))
+        return num / ((h1a**2 + h1b**2) * gap)
+
+    return ratio
+
+
+def xc_pair_ratio(basis, config):
+    """The single-pair ratio of the xc Lipschitz probe."""
+    n = basis.spec.dimension
+    local = replace(config, include_hartree=False)
+
+    def ratio(a, b, gap):
+        ga, gb = synthesize(basis, a), synthesize(basis, b)
+        va = ks_potential(local, None, density_from_grid(ga), n)
+        vb = ks_potential(local, None, density_from_grid(gb), n)
+        return grid_norm(basis, va[:, None] * ga - vb[:, None] * gb) / gap
+
+    return ratio
+
+
+def coefficient_pair_ratio(ctx):
+    """The single-pair ratio of the projected-nonlinearity Lipschitz probe."""
+
+    def ratio(a, b, gap):
+        return float(np.linalg.norm(nonlinear_G(ctx, a) - nonlinear_G(ctx, b))) / gap
+
+    return ratio
+
+
+def form_bounds_per_pair(ctx, t, count, seed):
+    """Oracle for the measured values of ``verify.check_form_bounds``, by report
+    name: each pair is drawn and evaluated by single calls before the next."""
+    ing = bound_constants(ctx)
+    rng = np.random.default_rng([seed, 97])
+    particles = ctx.basis.spec.particles
+    ratio_b = 0.0
+    ratio_coerce = -float("inf")
+    worst_im = 0.0
+    ratio_d = 0.0
+    for _ in range(count):
+        a = random_coefficients(ctx.basis, particles, rng, rng.uniform(0.2, 2.0))
+        b = random_coefficients(ctx.basis, particles, rng, rng.uniform(0.2, 2.0))
+        l2a, h1a = norms(ctx.basis, a)
+        _, h1b = norms(ctx.basis, b)
+        val = bilinear_B(ctx, t, a, b)
+        ratio_b = max(ratio_b, abs(val) / (ing["c1"] * h1a * h1b))
+        diag = bilinear_B(ctx, t, a, a)
+        ratio_coerce = max(ratio_coerce, (h1a**2 - diag.real) / (ing["c3"] * l2a**2))
+        if ctx.alpha == 1:
+            worst_im = max(worst_im, abs(diag.imag))
+        else:
+            c0_den = ing["c0"] if ing["c0"] > 0 else float("inf")
+            worst_im = max(worst_im, abs(diag.imag) / (c0_den * l2a**2))
+            d_h, d_xc = adjoint_D(ctx, t, a, b)
+            ratio_d = max(ratio_d, abs(d_h + d_xc) / (c0_den * l2a * np.linalg.norm(b)))
+    alpha = ctx.alpha
+    measured = {
+        f"form-boundedness-alpha{alpha}": ratio_b,
+        f"form-coercivity-alpha{alpha}": ratio_coerce,
+    }
+    if alpha == 1:
+        measured["form-imag-vanishes-alpha1"] = worst_im
+    else:
+        measured["form-imag-bound-alpha0"] = worst_im
+        measured["coupling-form-bound"] = ratio_d
+    return measured
+
+
+def dual_norm_per_snapshot(ctx, traj):
+    """Oracle for the measured value of the dual-norm monitor of
+    ``verify.check_energy_estimates``: one ``rhs`` call per stored snapshot."""
+    inv_w = 1.0 / (1.0 + ctx.basis.eigenvalues)
+    dual_sq = np.empty(len(traj.times))
+    for i, t in enumerate(traj.times):
+        dstate = rhs(ctx, t, traj.states[i])
+        dual_sq[i] = float(np.sum(inv_w[:, None] * (dstate.real**2 + dstate.imag**2)))
+    return float(np.trapezoid(dual_sq, traj.times))

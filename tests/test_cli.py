@@ -255,6 +255,9 @@ NAN = float("nan")
             {"control": {"kind": "samples", "values": [[0.0, 1.0]]}, "domain": {"steps": 1}},
             "control.values",
         ),
+        ({"converge": {"mode_list": [[8], [6], [4]]}}, "converge.mode_list"),
+        ({"converge": {"mode_list": [[4], [8], [12, 2]]}}, "converge.mode_list"),
+        ({"converge": {"mode_list": [[4], [8], [40]]}}, "converge.mode_list"),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
@@ -443,3 +446,18 @@ def test_main_entry_verify_smoke(tmp_path):
     assert status == 0
     echoed = json.loads((tmp_path / "o" / "config.echo.json").read_text())
     assert echoed["seed"] == 5
+
+
+def test_verify_without_hartree_probes_the_grid_kernel(tmp_path, capsys):
+    # the Hartree pair bound belongs to the Coulomb kernel, not to the switch
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"potentials": {"include_hartree": False}}))
+    names = {}
+    for label, config in (("default", []), ("no-hartree", ["--config", str(cfg_path)])):
+        out = tmp_path / label
+        status = main(["verify", *config, "--out", str(out), "--quiet"])
+        reports = json.loads((out / "reports.json").read_text())
+        assert status == (1 if any(r["asserted"] and not r["passed"] for r in reports) else 0)
+        names[label] = [r["name"] for r in reports]
+    assert capsys.readouterr().err == ""
+    assert names["no-hartree"] == names["default"]

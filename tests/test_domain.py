@@ -130,6 +130,24 @@ def test_transforms_match_dense_oracle(case):
     assert np.array_equal(density_from_grid(grids), density)
 
 
+@pytest.mark.parametrize("case", list(TRANSFORM_CASES))
+def test_stacked_projections_and_norms_match_single_calls(case):
+    lengths, grid, modes = TRANSFORM_CASES[case]
+    spec = DomainSpec(dimension=len(lengths), lengths=lengths, grid=grid, particles=3)
+    basis = build_basis(spec, modes)
+    rng = np.random.default_rng(22)
+    states = np.stack([random_coefficients(basis, 3, rng, 1.3) for _ in range(5)])
+    shape = (5, basis.node_count, 3)
+    fields = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(project(basis, fields), [project(basis, f) for f in fields])
+    real = fields.real.copy()
+    assert np.array_equal(project(basis, real), [project(basis, f) for f in real])
+    l2, h1 = norms(basis, states)
+    assert np.array_equal(l2, [norms(basis, d)[0] for d in states])
+    assert np.array_equal(h1, [norms(basis, d)[1] for d in states])
+    assert np.array_equal(grid_norm(basis, fields), [grid_norm(basis, f) for f in fields])
+
+
 def test_large_grid_never_builds_dense_table():
     # 32^3 cells (35,937 nodes) with 16^3 modes: a dense table would be ~1.18 GB
     spec = DomainSpec(dimension=3, lengths=(3.0, 3.0, 3.0), grid=(32, 32, 32), particles=2)

@@ -22,6 +22,8 @@ from tdks import (
     vxc_rho_derivative,
 )
 
+from tdks.potentials import hartree_pair_difference
+
 from conftest import dense_coulomb_rows, hartree_full_inverse, make_setup, unit_state
 
 
@@ -157,6 +159,24 @@ def test_kernel_branches_match_dense_oracle(monkeypatch, case, branch):
     assert np.array_equal(hartree(kernel, stack), np.stack([hartree(kernel, r) for r in stack]))
     row_sum_max = oracle.sum(axis=1).max()
     assert abs(kernel.row_sum_max - row_sum_max) <= 1e-13 * row_sum_max
+
+
+@pytest.mark.parametrize("branch", ["dense", "fft"])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_stacked_hartree_pair_difference_matches_single_calls(monkeypatch, case, branch):
+    lengths, grid, softening = KERNEL_CASES[case]
+    spec = DomainSpec(dimension=len(grid), lengths=lengths, grid=grid, particles=2)
+    basis = build_basis(spec, (2,) * len(grid))
+    limit = basis.node_count if branch == "dense" else basis.node_count - 1
+    monkeypatch.setattr(potentials, "DENSE_MAX_NODES", limit)
+    kernel = build_coulomb_kernel(basis, softening)
+    rng = np.random.default_rng(3)
+    psi, ups = (
+        synthesize(basis, np.stack([random_coefficients(basis, 2, rng, 1.0) for _ in range(4)]))
+        for _ in range(2)
+    )
+    single = [hartree_pair_difference(basis, kernel, p, u) for p, u in zip(psi, ups)]
+    assert np.array_equal(hartree_pair_difference(basis, kernel, psi, ups), single)
 
 
 def test_kernel_large_grid_never_builds_dense_matrix():

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -397,3 +398,28 @@ def test_bound_constants_match_per_snapshot_oracle(monkeypatch, case, alpha, xc,
     blocks = snapshot_blocks(ctx.basis, 2 * block + 1)
     assert [b.stop - b.start for b in blocks] == [block, block, 1]
     assert bound_constants(ctx) == bound_constants_per_snapshot(ctx)
+
+
+# (dimension case, alpha, Hartree branch, source): every operator that takes a stack
+OPERATOR_VARIANTS = list(itertools.product(STACK_CASES, (1, 0), ("dense", "fft"), (False, True)))
+
+
+@pytest.mark.parametrize("case, alpha, branch, source", OPERATOR_VARIANTS)
+def test_stacked_operators_match_single_calls(monkeypatch, case, alpha, branch, source):
+    ctx, rng = stacked_context(monkeypatch, case, alpha, True, branch, snapshots=5)
+    if source:
+        f = random_coefficients(ctx.basis, 2, rng, 0.7)
+        ctx = replace(ctx, source=lambda t: np.sin(3.0 * t) * f)
+    times = np.sort(rng.uniform(0.0, 1.0, 7))
+    psi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])
+    phi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])
+    assert np.array_equal(rhs(ctx, times, psi), [rhs(ctx, t, d) for t, d in zip(times, psi)])
+    fields = stage_fields(ctx, times)
+    single = [_bounded_apply(ctx, item, d) for item, d in zip(stage_items(*fields), psi)]
+    assert np.array_equal(_bounded_apply(ctx, fields, psi), single)
+    assert np.array_equal(nonlinear_G(ctx, psi), [nonlinear_G(ctx, d) for d in psi])
+    if alpha == 0:
+        d_h, d_xc = adjoint_D(ctx, times, psi, phi)
+        parts = [adjoint_D(ctx, t, a, b) for t, a, b in zip(times, psi, phi)]
+        assert np.array_equal(d_h, [p[0] for p in parts])
+        assert np.array_equal(d_xc, [p[1] for p in parts])

@@ -1,6 +1,7 @@
 """The benchmark still finds every layer it times, every config it runs parses, and every
 workload run passes the benchmark's own checks; the alpha=0 steps keep their sweep count and
-take their fields once per block of step midpoints."""
+take their fields once per block of step midpoints, and verify evaluates its snapshots and
+random samples once per block."""
 
 import importlib.util
 import json
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from tdks import system
+import numpy as np
+
+from tdks import system, verify
 from tdks.cli import main, parse_config
 
 E2EBENCH = Path(__file__).resolve().parents[1] / "e2ebench"
@@ -84,3 +87,42 @@ def test_fixed_point_sweeps_per_adjoint_step(tmp_path, monkeypatch):
     # from the start of the adjoint solve to the end of its last step
     during = [b for t, b in calls if spans[solve][1] < t < spans[steps[-1]][2]]
     assert 0 < len(during) <= len(system.snapshot_blocks(during[0], len(steps)))
+
+
+def test_verify_evaluates_samples_in_blocks(tmp_path, monkeypatch):
+    # the dual-norm monitor (rhs) and the form bounds (bilinear_B, adjoint_D) take
+    # their stored snapshots and drawn pairs as stacks, one call per snapshot_blocks
+    # block; so do the pair probes (hartree_pair_difference, nonlinear_G)
+    calls = {}
+
+    def counter(name, operator):
+        def counted(ctx_or_basis, *args):
+            basis = getattr(ctx_or_basis, "basis", ctx_or_basis)
+            sizes = [len(a) for a in args if np.ndim(a) == 3]
+            calls.setdefault(name, []).append((basis, sizes))
+            return operator(ctx_or_basis, *args)
+
+        return counted
+
+    for name in ("rhs", "bilinear_B", "adjoint_D", "hartree_pair_difference", "nonlinear_G"):
+        monkeypatch.setattr(verify, name, counter(name, getattr(verify, name)))
+    assert main(["verify", "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+    basis = calls["rhs"][0][0]
+    steps = parse_config("{}")["domain"]["steps"]
+
+    def blocks(count):
+        return len(system.snapshot_blocks(basis, count))
+
+    # every call takes stacks, whose items add up to the snapshots or samples
+    assert all(sizes and len(set(sizes)) == 1 for c in calls.values() for _, sizes in c)
+    # the forward and the adjoint solve, steps + 1 snapshots each
+    assert len(calls["rhs"]) == 2 * blocks(steps + 1)
+    assert sum(sizes[0] for _, sizes in calls["rhs"]) == 2 * (steps + 1)
+    # 100 pairs in each context, two forms each, and the coupling form for alpha=0
+    assert len(calls["bilinear_B"]) == 2 * 2 * blocks(100)
+    assert len(calls["adjoint_D"]) == blocks(100)
+    # the Hartree pair probe: 2 x 50 pairs, then 40 in each energy check and in gronwall
+    assert len(calls["hartree_pair_difference"]) == blocks(100) + 3 * blocks(40)
+    # the coefficient probe: 2 x 100 pairs, then 100 on the wider ball, two G calls each
+    assert len(calls["nonlinear_G"]) == 2 * (blocks(200) + blocks(100))

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from tdks import (
+    ControlSignal,
+    ObjectiveSpec,
+    adjoint_context,
+    adjoint_sources,
     check_coefficient_lipschitz,
     check_coulomb_lp,
     check_energy_estimates,
@@ -15,12 +19,30 @@ from tdks import (
     check_uniqueness_gronwall,
     forward_context,
     random_coefficients,
+    solve_adjoint,
     solve_forward,
 )
 from tdks.domain import project
-from tdks.verify import EstimateReport, _ball_quadrature, probe_hartree_constant
+from tdks.system import snapshot_blocks
+from tdks.verify import (
+    EstimateReport,
+    _ball_quadrature,
+    _hartree_pair_ratios,
+    probe_hartree_constant,
+    probe_xc_lipschitz,
+)
 
-from conftest import ball_quadrature_whole_grid, make_setup, unit_state
+from conftest import (
+    ball_quadrature_whole_grid,
+    coefficient_pair_ratio,
+    dual_norm_per_snapshot,
+    form_bounds_per_pair,
+    hartree_pair_ratio,
+    make_setup,
+    pair_ratios_per_pair,
+    unit_state,
+    xc_pair_ratio,
+)
 
 
 def test_coulomb_lp_closed_forms():
@@ -348,3 +370,112 @@ def test_checks_are_reproducible(desk):
     a = check_form_bounds(ctx, t=0.0, count=30, seed=7)
     b = check_form_bounds(ctx, t=0.0, count=30, seed=7)
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+
+
+ORACLE_SEEDS = (0, 1701)
+# 33 nodes x 2 particles: snapshot blocks of 31 samples, so 40 span two blocks
+ORACLE_COUNTS = (0, 1, 40)
+
+
+def _oracle_instance(include_hartree):
+    """{alpha: (context, solve)}: a forward solve under a nonzero control and the
+    adjoint solve of a tracking objective, whose source is nonzero."""
+    basis, pot, kernel = make_setup(
+        lengths=(3.0,),
+        grid=(32,),
+        modes=(8,),
+        particles=2,
+        steps=40,
+        confinement={"kind": "harmonic", "amplitude": 1.0},
+        control_shape={"kind": "dipole", "amplitude": 1.0},
+        include_hartree=include_hartree,
+    )
+    assert [b.stop - b.start for b in snapshot_blocks(basis, 40)] == [31, 9]
+    u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 41)), horizon=1.0)
+    ctx = forward_context(basis, pot, kernel=kernel, control=u)
+    psi0 = unit_state(basis, 0, 2) + unit_state(basis, 1, 2, particle=1)
+    traj = solve_forward(ctx, psi0)
+    target = np.zeros_like(psi0)
+    objective = ObjectiveSpec(
+        j1="trajectory", j2="terminal", nu=1.0, target_state=target,
+        target_trajectory=lambda t: target,
+    )
+    terminal, source = adjoint_sources(objective, traj)
+    actx = adjoint_context(
+        basis, pot, forward=traj, kernel=kernel, control=u, source=source
+    )
+    return {1: (ctx, traj), 0: (actx, solve_adjoint(actx, terminal))}
+
+
+@pytest.fixture(scope="module")
+def oracle_instances():
+    return {hartree: _oracle_instance(hartree) for hartree in (True, False)}
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("count", ORACLE_COUNTS)
+@pytest.mark.parametrize("alpha, hartree", [(1, True), (0, True), (0, False)])
+def test_form_bounds_match_per_pair_oracle(oracle_instances, alpha, hartree, count, seed):
+    ctx, _ = oracle_instances[hartree][alpha]
+    t = 0.0 if alpha == 1 else 0.5
+    reports = check_form_bounds(ctx, t=t, count=count, seed=seed)
+    assert {r.name: r.measured for r in reports} == form_bounds_per_pair(ctx, t, count, seed)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("pairs", ORACLE_COUNTS)
+def test_pair_probes_match_per_pair_oracle(oracle_instances, pairs, seed):
+    ctx, _ = oracle_instances[True][1]
+    basis, kernel = ctx.basis, ctx.kernel
+
+    def oracle(stream, count, ratio, low, high, scale=1.0):
+        rng = np.random.default_rng([seed, stream])
+        return pair_ratios_per_pair(basis, rng, count, ratio, low, high, scale)
+
+    hartree = oracle(11, 2 * pairs, hartree_pair_ratio(basis, kernel), 0.2, 2.0)
+    rng = np.random.default_rng([seed, 11])
+    assert _hartree_pair_ratios(basis, kernel, 2 * pairs, rng) == hartree
+    xc = oracle(23, pairs, xc_pair_ratio(basis, ctx.potentials), 0.05, 1.0, 1.5)
+    coefficient = oracle(71, 2 * pairs, coefficient_pair_ratio(ctx), 0.05, 1.0)
+    wide = oracle(72, pairs, coefficient_pair_ratio(ctx), 0.05, 1.0, 4.0)
+
+    def xc_probe(count):
+        return probe_xc_lipschitz(basis, ctx.potentials, np.random.default_rng([seed, 23]), 1.5, count)
+
+    if pairs == 0:  # no sample, no constant: the same error as one pair at a time
+        for call in [
+            lambda: check_hartree_lipschitz(basis, kernel, pairs=0, seed=seed),
+            lambda: xc_probe(0),
+            lambda: check_coefficient_lipschitz(ctx, radius=1.0, pairs=0, seed=seed),
+        ]:
+            with pytest.raises(ValueError):
+                call()
+        return
+    report = check_hartree_lipschitz(basis, kernel, pairs=pairs, seed=seed)
+    assert report.ingredients == {"c_hat": max(hartree[:pairs]), "c_hat_doubled": max(hartree)}
+    assert xc_probe(pairs) == max(xc)
+    stability, growth = check_coefficient_lipschitz(ctx, radius=1.0, pairs=pairs, seed=seed)
+    l_base, l_doubled = max(coefficient[:pairs]), max(coefficient)
+    assert stability.ingredients == {"l_hat": l_base, "l_hat_doubled": l_doubled, "radius": 1.0}
+    assert growth.ingredients == {"l_hat": l_doubled, "l_hat_wide": max(wide), "radius": 1.0}
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("alpha", [1, 0])
+def test_energy_estimates_match_per_snapshot_oracle(oracle_instances, alpha, seed):
+    # the 41 stored snapshots span two blocks; the alpha=0 solve carries a source
+    ctx, traj = oracle_instances[True][alpha]
+    basis = ctx.basis
+    rng = np.random.default_rng([seed, 23])
+    radius = 1.1 * float(traj.l2.max())
+    probed_l = max(pair_ratios_per_pair(
+        basis, rng, 40, xc_pair_ratio(basis, ctx.potentials), 0.05, 1.0, radius
+    ))
+    probed_cu = max(pair_ratios_per_pair(
+        basis, rng, 40, hartree_pair_ratio(basis, ctx.kernel), 0.2, 2.0
+    ))
+    reports = {r.name: r for r in check_energy_estimates(traj, ctx, seed=seed)}
+    monitor = reports[f"dual-norm-monitor-alpha{alpha}"]
+    assert monitor.measured == dual_norm_per_snapshot(ctx, traj)
+    assert monitor.ingredients["probed_xc_lipschitz"] == probed_l
+    assert monitor.ingredients["probed_hartree_constant"] == probed_cu
