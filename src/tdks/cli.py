@@ -219,16 +219,12 @@ def parse_config(text):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    # a given mode list must suit the domain; the runs that read the default check it
-    mode_list_given = isinstance(data.get("converge"), dict) and "mode_list" in data["converge"]
     config = _walk("", _SCHEMA, data)
 
     with _under("domain: ", DomainError):
         spec = DomainSpec(**config["domain"])
     with _under("basis.modes: ", DomainError):
         check_modes(spec, config["basis"]["modes"])
-    if mode_list_given:
-        _mode_list(spec, config["converge"]["mode_list"])
     _potential_config(config["potentials"], spec.dimension)
     # the trajectory covers [0, T] only
     outside = [t for t in config["output"]["density_times"] or () if not 0.0 <= t <= spec.horizon]
@@ -241,7 +237,8 @@ def parse_config(text):
 
 def _mode_list(spec, mode_list):
     """The mode counts of ``converge.mode_list`` as tuples, or a ConfigError under
-    that key unless each entry passes check_modes and embeds in the next."""
+    that key unless each entry passes check_modes and embeds in the next; checked
+    by the runs that read the list, since the default fits only 1-d grids."""
     with _under("converge.mode_list: ", DomainError):
         modes = [check_modes(spec, entry) for entry in mode_list]
     # the Y-norm increments pad each solve into the next basis

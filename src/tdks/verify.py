@@ -207,18 +207,20 @@ def _pair_ratios(basis, rng, pairs, ratio, low, high, scale=1.0):
     """Ratio of each seeded random coefficient pair, in draw order, whose L2 norms
     are uniform(low, high) * scale; a pair closer than 1e-14 gives 0.
 
-    Every pair is drawn first.  ``ratio(a, b, gaps)`` then takes the stacks of
-    the pairs that are not that close and the list of their gaps |a - b|, one
-    ``snapshot_blocks`` block at a time, and returns the list of their ratios.
+    The pairs are drawn one ``snapshot_blocks`` block at a time.  ``ratio(a, b,
+    gaps)`` then takes the stacks of the block's pairs that are not that close
+    and the list of their gaps |a - b|, and returns the list of their ratios.
     """
-    a, b = _random_pairs(basis, rng, pairs, low, high, scale)
-    gaps = [float(np.linalg.norm(x - y)) for x, y in zip(a, b)]
-    kept = [i for i, gap in enumerate(gaps) if gap >= 1e-14]
-    out = [0.0] * pairs
-    for block in snapshot_blocks(basis, len(kept)):
-        items = kept[block]
-        for i, r in zip(items, ratio(a[items], b[items], [gaps[i] for i in items])):
-            out[i] = r
+    out = []
+    for block in snapshot_blocks(basis, pairs):
+        a, b = _random_pairs(basis, rng, block.stop - block.start, low, high, scale)
+        gaps = [float(np.linalg.norm(x - y)) for x, y in zip(a, b)]
+        kept = [i for i, gap in enumerate(gaps) if gap >= 1e-14]
+        ratios = [0.0] * len(gaps)
+        if kept:
+            for i, r in zip(kept, ratio(a[kept], b[kept], [gaps[i] for i in kept])):
+                ratios[i] = r
+        out.extend(ratios)
     return out
 
 
@@ -623,14 +625,13 @@ def check_form_bounds(ctx, t=0.0, count=100, seed=0):
     the coupling-form bound with the assembled c0."""
     ing = bound_constants(ctx)
     rng = np.random.default_rng([seed, 97])
-    pairs_a, pairs_b = _random_pairs(ctx.basis, rng, count, 0.2, 2.0)
     c0_den = ing["c0"] if ing["c0"] > 0 else float("inf")
     ratio_b = 0.0
     ratio_coerce = -float("inf")
     worst_im = 0.0
     ratio_d = 0.0
     for block in snapshot_blocks(ctx.basis, count):
-        a, b = pairs_a[block], pairs_b[block]
+        a, b = _random_pairs(ctx.basis, rng, block.stop - block.start, 0.2, 2.0)
         times = np.full(len(a), float(t))
         l2a, h1a = (v.tolist() for v in norms(ctx.basis, a))
         h1b = norms(ctx.basis, b)[1].tolist()

@@ -25,6 +25,20 @@ def test_config_round_trip():
     assert again["domain"]["steps"] == 123
 
 
+@pytest.mark.parametrize(
+    "domain,modes",
+    [
+        ({"dimension": 2, "lengths": [3.0, 3.0], "grid": [16, 16]}, [4, 4]),
+        ({"dimension": 3, "lengths": [3.0] * 3, "grid": [8] * 3}, [2] * 3),
+    ],
+)
+def test_config_round_trip_beyond_1d(domain, modes):
+    # the default converge.mode_list fits only 1-d grids; the echo still parses
+    given = {"domain": domain, "basis": {"modes": modes}, "potentials": {"coulomb_softening": 0}}
+    cfg = parse_config(json.dumps(given))
+    assert parse_config(emit_config(cfg)) == cfg
+
+
 def test_preset_sections_accept_kind_parameters():
     cfg = parse_config(
         json.dumps(
@@ -273,8 +287,10 @@ def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, con
     cfg_path.write_text(json.dumps(config).replace("TMP", tmp_path.as_posix()))
     out = tmp_path / "out"
     out.mkdir()
-    # only the adjoint and optimize runs read the objective
+    # only the adjoint and optimize runs read the objective, only the converge and
+    # verify runs the mode list
     subcommand = "adjoint" if "objective" in config else "simulate"
+    subcommand = "converge" if "converge" in config else subcommand
     status = main([subcommand, "--config", str(cfg_path), "--out", str(out), "--quiet"])
     assert status == 1
     err = capsys.readouterr().err.splitlines()
