@@ -20,6 +20,7 @@ import numpy as np
 from .control import ControlError, LineSearchError, ObjectiveSpec, adjoint_sources, optimize
 from .domain import DomainError, DomainSpec, build_basis, check_modes, project, synthesize
 from .potentials import (
+    FIELD_PRESETS,
     PotentialConfig,
     PotentialError,
     build_coulomb_kernel,
@@ -53,14 +54,13 @@ class ConfigError(ValueError):
     pass
 
 
-# preset kinds, each with the forms of its optional parameters
+# preset kinds, each with the forms of its optional parameters; a field preset takes
+# those of potentials.FIELD_PRESETS (array values or a number), and an array a .npy path
 _FIELD_PRESETS = {
-    "zero": {},
-    "harmonic": {"amplitude": np.float64},
-    "well": {"depth": np.float64, "width_fraction": np.float64},
-    "dipole": {"amplitude": np.float64},
-    "array": {"values": np.ndarray, "path": str},
+    kind: {key: np.ndarray if default is None else np.float64 for key, default in params.items()}
+    for kind, params in FIELD_PRESETS.items()
 }
+_FIELD_PRESETS["array"]["path"] = str
 _STATE_PRESETS = {
     "lowest_modes": {},
     "coefficients": {"values": np.ndarray},
@@ -115,12 +115,12 @@ _SCHEMA = {
         "nu": (1.0, float, lambda v: v > 0, "the weight must be positive"),
         "target_state": (None, _STATE_PRESETS),
     },
-    "seed": (1234, int),
+    "seed": (1234, int, lambda v: v >= 0, "must be >= 0"),
     "output_dir": ("runs/out", str),
     "output": {"density_times": (None, [float])},
     "converge": {
         "mode_list": (
-            [[4], [8], [12]],
+            None,
             [[int]],
             lambda v: len(v) >= 3,
             "need at least three nested mode counts",
@@ -225,6 +225,18 @@ def parse_config(text):
         spec = DomainSpec(**config["domain"])
     with _under("basis.modes: ", DomainError):
         check_modes(spec, config["basis"]["modes"])
+    if config["converge"]["mode_list"] is None:
+        # per axis, 1/3, 2/3 and all of top = min(3m/2, grid/2) modes, rounded up; lowest_modes
+        # fills the last axis first, so the first rung holds the particles that the second does
+        top = [min(3 * m // 2, g // 2) for m, g in zip(config["basis"]["modes"], spec.grid)]
+        ladder = [[-(-k * i // 3) for k in top] for i in (1, 2, 3)]
+        ladder[0][-1] = max(ladder[0][-1], min(spec.particles, ladder[1][-1]))
+        config["converge"]["mode_list"] = ladder
+    with _under("converge.mode_list: ", DomainError):
+        rungs = [check_modes(spec, entry) for entry in config["converge"]["mode_list"]]
+    # the Y-norm increments pad each solve into the next basis
+    if any(k > m for lo, hi in zip(rungs, rungs[1:]) for k, m in zip(lo, hi)):
+        raise ConfigError("converge.mode_list: the mode counts per axis must not decrease")
     _potential_config(config["potentials"], spec.dimension)
     # the trajectory covers [0, T] only
     outside = [t for t in config["output"]["density_times"] or () if not 0.0 <= t <= spec.horizon]
@@ -233,18 +245,6 @@ def parse_config(text):
             f"output.density_times: {outside[0]!r} is not a time in [0, {spec.horizon!r}]"
         )
     return config
-
-
-def _mode_list(spec, mode_list):
-    """The mode counts of ``converge.mode_list`` as tuples, or a ConfigError under
-    that key unless each entry passes check_modes and embeds in the next; checked
-    by the runs that read the list, since the default fits only 1-d grids."""
-    with _under("converge.mode_list: ", DomainError):
-        modes = [check_modes(spec, entry) for entry in mode_list]
-    # the Y-norm increments pad each solve into the next basis
-    if any(k > m for lo, hi in zip(modes, modes[1:]) for k, m in zip(lo, hi)):
-        raise ConfigError("converge.mode_list: the mode counts per axis must not decrease")
-    return modes
 
 
 def _potential_config(pot, dimension, **fields):
@@ -258,7 +258,7 @@ def _potential_config(pot, dimension, **fields):
 
 
 def emit_config(config):
-    """Canonical JSON text of the resolved config; parse(emit(c)) == c."""
+    """Canonical JSON text of the config and of every JSON artifact; parse(emit(c)) == c."""
     return json.dumps(config, sort_keys=True, indent=2) + "\n"
 
 
@@ -316,6 +316,8 @@ def _build_state(basis, preset, where="initial_state"):
         powers = preset.get("powers") or list(range(2, 2 + n))
         if len(powers) != n:
             raise ConfigError(f"{where}.powers: need one power per particle")
+        if min(powers) < 0:
+            raise ConfigError(f"{where}.powers: must be >= 0")
         x = basis.nodes
         lengths = np.asarray(basis.spec.lengths)
         shape = np.ones(basis.node_count)
@@ -379,7 +381,7 @@ def _objective_from_config(config, basis, purpose):
 
 
 def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(emit_config(payload))
 
 
 def _reports_payload(reports):
@@ -459,7 +461,6 @@ def run_verification_suite(config):
     """
     seed = config["seed"]
     basis, potentials = _build_instruments(config)
-    mode_list = _mode_list(basis.spec, config["converge"]["mode_list"])
     fwd_ctx, psi0 = _forward_problem(basis, potentials, config["initial_state"])
     kernel = fwd_ctx.kernel
     # the Hartree pair bound belongs to the Coulomb kernel, so it is probed on the
@@ -502,7 +503,7 @@ def run_verification_suite(config):
     )
 
     builder = _galerkin_builder(basis.spec, potentials, {"kind": "lowest_modes"})
-    reports.append(check_galerkin_convergence(builder, mode_list))
+    reports.append(check_galerkin_convergence(builder, config["converge"]["mode_list"]))
     reports.append(check_potential_continuity(basis, potentials, kernel, seed=seed))
     reports.extend(check_coefficient_lipschitz(fwd_ctx, radius=1.0, pairs=100, seed=seed))
     return reports
@@ -529,9 +530,8 @@ def _galerkin_builder(spec, potentials, preset):
 
 def _run_converge(config, out, quiet):
     basis, potentials = _build_instruments(config)
-    mode_list = _mode_list(basis.spec, config["converge"]["mode_list"])
     builder = _galerkin_builder(basis.spec, potentials, config["initial_state"])
-    report = check_galerkin_convergence(builder, mode_list)
+    report = check_galerkin_convergence(builder, config["converge"]["mode_list"])
     _write_json(out / "reports.json", _reports_payload([report]))
     _print_report_table([report], quiet)
     return 0 if report.passed else 1
@@ -593,7 +593,7 @@ def run(config, subcommand, out_dir, quiet=False):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     status = _SUBCOMMANDS[subcommand](config, out, quiet)
-    (out / "config.echo.json").write_text(emit_config(config))
+    _write_json(out / "config.echo.json", config)
     return status
 
 
@@ -616,6 +616,7 @@ def main(argv=None):
         text = args.config.read_text() if args.config else "{}"
         config = parse_config(text)
         if args.seed is not None:
+            _check("--seed", args.seed, *_SCHEMA["seed"][1:])
             config["seed"] = args.seed
         out_dir = args.out if args.out else Path(config["output_dir"]) / args.subcommand
         return run(config, args.subcommand, out_dir, quiet=args.quiet)

@@ -318,41 +318,43 @@ def ks_potential(config, kernel, rho, dimension):
     return v
 
 
-_PRESETS = ("zero", "harmonic", "well", "dipole", "array")
+# each field preset's parameters with their defaults; array's values have none
+FIELD_PRESETS = {
+    "zero": {},
+    "harmonic": {"amplitude": 1.0},
+    "well": {"depth": -1.0, "width_fraction": 0.5},
+    "dipole": {"amplitude": 1.0},
+    "array": {"values": None},
+}
 
 
 def sample_field(basis, kind, params=None):
-    """Sample a named analytic potential shape (or explicit array) on the grid."""
-    params = dict(params or {})
+    """Sample a FIELD_PRESETS kind on the grid, each parameter left out at its default."""
+    if kind not in FIELD_PRESETS:
+        raise PotentialError(f"unknown field preset {kind!r}; choose from {tuple(FIELD_PRESETS)}")
+    unused = (params or {}).keys() - FIELD_PRESETS[kind].keys()
+    if unused:
+        raise PotentialError(f"unused field parameters for {kind!r}: {sorted(unused)}")
+    params = {**FIELD_PRESETS[kind], **(params or {})}
     nodes = basis.nodes
-    lengths = np.asarray(basis.spec.lengths)
-    center = lengths / 2.0
+    center = np.asarray(basis.spec.lengths) / 2.0
     if kind == "zero":
         return np.zeros(basis.node_count)
     if kind == "harmonic":
-        amplitude = float(params.pop("amplitude", 1.0))
-        field = amplitude * ((nodes - center) ** 2).sum(axis=1)
-    elif kind == "well":
-        depth = float(params.pop("depth", -1.0))
-        fraction = float(params.pop("width_fraction", 0.5))
-        inside = np.all(np.abs(nodes - center) <= fraction * lengths / 2.0, axis=1)
-        field = np.where(inside, depth, 0.0)
-    elif kind == "dipole":
-        amplitude = float(params.pop("amplitude", 1.0))
-        field = amplitude * (nodes[:, 0] - center[0])
-    elif kind == "array":
-        values = params.pop("values", None)
-        if values is None:
-            raise PotentialError("array field preset needs 'values'")
-        field = np.asarray(values, dtype=np.float64).reshape(-1)
-        if field.shape[0] != basis.node_count:
-            raise PotentialError(
-                f"array field has {field.shape[0]} values, grid has {basis.node_count} nodes"
-            )
-    else:
-        raise PotentialError(f"unknown field preset {kind!r}; choose from {_PRESETS}")
-    if params:
-        raise PotentialError(f"unused field parameters for {kind!r}: {sorted(params)}")
+        return float(params["amplitude"]) * ((nodes - center) ** 2).sum(axis=1)
+    if kind == "well":
+        inside = np.all(np.abs(nodes - center) <= float(params["width_fraction"]) * center, axis=1)
+        return np.where(inside, float(params["depth"]), 0.0)
+    if kind == "dipole":
+        return float(params["amplitude"]) * (nodes[:, 0] - center[0])
+    # the kind is "array"
+    if params["values"] is None:
+        raise PotentialError("array field preset needs 'values'")
+    field = np.asarray(params["values"], dtype=np.float64).reshape(-1)
+    if field.shape[0] != basis.node_count:
+        raise PotentialError(
+            f"array field has {field.shape[0]} values, grid has {basis.node_count} nodes"
+        )
     return field
 
 

@@ -33,7 +33,7 @@ def test_config_round_trip():
     ],
 )
 def test_config_round_trip_beyond_1d(domain, modes):
-    # the default converge.mode_list fits only 1-d grids; the echo still parses
+    # the echo writes out the converge.mode_list derived for the domain, which parses again
     given = {"domain": domain, "basis": {"modes": modes}, "potentials": {"coulomb_softening": 0}}
     cfg = parse_config(json.dumps(given))
     assert parse_config(emit_config(cfg)) == cfg
@@ -272,6 +272,12 @@ NAN = float("nan")
         ({"converge": {"mode_list": [[8], [6], [4]]}}, "converge.mode_list"),
         ({"converge": {"mode_list": [[4], [8], [12, 2]]}}, "converge.mode_list"),
         ({"converge": {"mode_list": [[4], [8], [40]]}}, "converge.mode_list"),
+        ({"seed": -1}, "seed"),
+        ({"initial_state": {"kind": "bump", "powers": [-1]}}, "initial_state.powers"),
+        (
+            {"objective": {"j2": "terminal", "target_state": {"kind": "bump", "powers": [-1]}}},
+            "objective.target_state.powers",
+        ),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
@@ -296,6 +302,63 @@ def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, con
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}")
     assert list(out.iterdir()) == []
+
+
+def test_negative_seed_flag_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    status = main(["verify", "--seed", "-1", "--out", str(out), "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --seed")
+    assert not out.exists()
+
+
+def _domain(dimension, grid, particles=1):
+    return {
+        "dimension": dimension,
+        "lengths": [3.0] * dimension,
+        "grid": [grid] * dimension,
+        "particles": particles,
+    }
+
+
+@pytest.mark.parametrize(
+    "domain,modes,ladder",
+    [
+        (_domain(1, 32), [8], [[4], [8], [12]]),
+        (_domain(3, 16, 2), [6] * 3, [[3] * 3, [6] * 3, [8] * 3]),  # grid/2 caps the top rung
+        (_domain(2, 32), [8] * 2, [[4] * 2, [8] * 2, [12] * 2]),
+        (_domain(1, 64, 2), [16], [[8], [16], [24]]),
+        (_domain(3, 8, 2), [4] * 3, [[2] * 3, [3] * 3, [4] * 3]),  # no rung repeats another
+        (_domain(1, 32, 4), [6], [[4], [6], [9]]),  # the first rung holds the four particles
+    ],
+    ids=["default", "fwd3d", "opt2d", "adj1d", "fwd3d-tiny", "1d-4-particles"],
+)
+def test_mode_list_is_derived_from_the_basis(domain, modes, ladder):
+    potentials = {"coulomb_softening": 0.1 if domain["dimension"] == 1 else 0}
+    given = {"domain": domain, "basis": {"modes": modes}, "potentials": potentials}
+    cfg = parse_config(json.dumps(given))
+    assert cfg["converge"]["mode_list"] == ladder
+    assert parse_config(emit_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "converge"])
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_verify_and_converge_run_beyond_1d_on_the_derived_mode_list(
+    tmp_path, capsys, subcommand, dimension
+):
+    cfg_path = tmp_path / "cfg.json"
+    domain = dict(_domain(dimension, 8), horizon=0.2, steps=20)
+    given = {"domain": domain, "basis": {"modes": [3] * dimension},
+             "potentials": {"coulomb_softening": 0}}
+    cfg_path.write_text(json.dumps(given))
+    out = tmp_path / "out"
+    status = main([subcommand, "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    reports = json.loads((out / "reports.json").read_text())
+    assert status == (1 if any(r["asserted"] and not r["passed"] for r in reports) else 0)
+    assert capsys.readouterr().err == ""
+    (galerkin,) = [r for r in reports if r["name"] == "galerkin-convergence"]
+    assert galerkin["ingredients"]["modes"] == [[2] * dimension, [3] * dimension, [4] * dimension]
 
 
 @pytest.mark.parametrize("output_dir", [5, None])

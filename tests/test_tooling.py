@@ -1,7 +1,7 @@
-"""The benchmark still finds every layer it times, every config it runs parses, and every
-workload run passes the benchmark's own checks; the alpha=0 steps keep their sweep count and
-take their fields once per block of step midpoints, and verify evaluates its snapshots and
-random samples once per block."""
+"""The benchmark still finds every layer it times, every config it runs parses and comes back
+from its echo unchanged, and every workload run passes the benchmark's own checks; the alpha=0
+steps keep their sweep count and take their fields once per block of step midpoints, and verify
+evaluates its snapshots and random samples once per block."""
 
 import importlib.util
 import json
@@ -13,7 +13,7 @@ import pytest
 import numpy as np
 
 from tdks import system, verify
-from tdks.cli import main, parse_config
+from tdks.cli import emit_config, main, parse_config
 
 E2EBENCH = Path(__file__).resolve().parents[1] / "e2ebench"
 
@@ -39,7 +39,8 @@ def test_every_traced_layer_resolves():
 def test_every_workload_config_parses(size, seed):
     workloads = _load("workloads")
     for name in workloads.WORKLOADS:
-        parse_config(json.dumps(workloads.build_config(name, seed, size)))
+        config = parse_config(json.dumps(workloads.build_config(name, seed, size)))
+        assert parse_config(emit_config(config)) == config
 
 
 @pytest.mark.parametrize("name", _load("workloads").WORKLOADS)
