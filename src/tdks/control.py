@@ -38,6 +38,7 @@ from .propagate import (
     solve_forward,
 )
 from .signals import ControlSignal
+from .system import stage_schedule
 
 STEP_INITIAL = 1.0  # first trial step of the line search
 STEP_GROW = 1.5  # growth of the step after an accepted one, up to 1e3 * STEP_INITIAL
@@ -105,26 +106,29 @@ def _state_sq(d):
     return float(np.sum(d.real**2 + d.imag**2))
 
 
-def _objective_parts(spec, u, traj):
-    shape = traj.states.shape[1:]
-    j1 = 0.0
+def _residual(spec, state, t=None):
+    """Psi - target(t) of the J1 term for a state at time t, or Psi - target_T of the
+    J2 term when t is None; a target of another shape than the state raises."""
+    if t is None:
+        return state - spec.terminal_target(state.shape)
+    return state - spec.target_at(t, state.shape)
+
+
+def _solve_objective(spec, ctx, u, psi0):
+    """The forward solve from psi0 under the control u, and J(u) of it."""
+    traj = solve_forward(ctx.with_control(u), psi0)
+    j1 = j2 = 0.0
     if spec.j1 == "trajectory":
-        vals = np.empty(len(traj.times))
-        for i, t in enumerate(traj.times):
-            vals[i] = _state_sq(traj.states[i] - spec.target_at(t, shape))
+        vals = [_state_sq(_residual(spec, d, t)) for d, t in zip(traj.states, traj.times)]
         j1 = float(np.trapezoid(vals, traj.times))
-    j2 = 0.0
     if spec.j2 == "terminal":
-        j2 = _state_sq(traj.states[-1] - spec.terminal_target(shape))
-    reg = spec.nu * u.h1_norm_sq
-    return j1, j2, reg
+        j2 = _state_sq(_residual(spec, traj.states[-1]))
+    return traj, j1 + j2 + spec.nu * u.h1_norm_sq
 
 
 def evaluate_objective(spec, ctx, u, psi0):
     """J(u) with a fresh forward solve from psi0 under the control u."""
-    traj = solve_forward(ctx.with_control(u), psi0)
-    j1, j2, reg = _objective_parts(spec, u, traj)
-    return j1 + j2 + reg
+    return _solve_objective(spec, ctx, u, psi0)[1]
 
 
 def adjoint_sources(spec, traj):
@@ -133,19 +137,18 @@ def adjoint_sources(spec, traj):
     Both are real-pairing derivatives of the tracking terms: the terminal is
     -2 (Lambda(T) - target_T); the source is t -> 2 (Lambda(t) - target(t)).
     """
-    shape = traj.states.shape[1:]
+    final = traj.states[-1]
     if spec.j2 == "terminal":
-        terminal = -2.0 * (traj.states[-1] - spec.terminal_target(shape))
+        terminal = -2.0 * _residual(spec, final)
     else:
-        terminal = np.zeros(shape, dtype=np.complex128)
+        terminal = np.zeros(final.shape, dtype=np.complex128)
+    source = None
     if spec.j1 == "trajectory":
-        spec.target_at(traj.times[-1], shape)  # a mismatch raises here, not mid-solve
+        _residual(spec, final, traj.times[-1])  # a mismatch raises here, not mid-solve
 
         def source(t):
-            return 2.0 * (traj.state_at(t) - spec.target_at(t, shape))
+            return 2.0 * _residual(spec, traj.state_at(t), t)
 
-    else:
-        source = None
     return terminal, source
 
 
@@ -179,34 +182,34 @@ def backward_sweep(spec, ctx, traj):
     mu(t) = -i P(t) + O(dt^2).  Returns (coupling gradient per u sample on
     the control grid, backward states on the time grid).
     """
-    dt = float(traj.times[1] - traj.times[0])
-    steps = len(traj.times) - 1
+    times, states = traj.times, traj.states
+    dt = float(times[1] - times[0])
+    steps = len(times) - 1
 
     omega = np.full(steps + 1, dt)
     omega[0] = omega[-1] = 0.5 * dt
 
-    shape = traj.states.shape[1:]
-    mu = np.zeros_like(traj.states[-1])
+    def tracked(n, mu):
+        """mu plus the derivative of the J1 term at the stored state n."""
+        if spec.j1 != "trajectory":
+            return mu
+        return mu + 2.0 * omega[n] * _residual(spec, states[n], times[n])
+
+    mu = np.zeros_like(states[-1])
     if spec.j2 == "terminal":
-        mu = mu + 2.0 * (traj.states[-1] - spec.terminal_target(shape))
-    if spec.j1 == "trajectory":
-        mu = mu + 2.0 * omega[-1] * (
-            traj.states[-1] - spec.target_at(traj.times[-1], shape)
-        )
+        mu = mu + 2.0 * _residual(spec, states[-1])
     g_mid = np.empty(steps)
-    mu_path = np.empty_like(traj.states)
-    mu_path[-1] = mu
+    mu_path = np.empty_like(states)
+    mu_path[-1] = mu = tracked(steps, mu)
     ahead, back = _kinetic_phase(ctx, 0.5 * dt), _kinetic_phase(ctx, -0.5 * dt)
-    for n in range(steps - 1, -1, -1):
-        t_mid = traj.times[n] + 0.5 * dt
+    # the step midpoints of the solve, in reverse, as the solve's schedule takes them
+    schedule = stage_schedule(ctx, (times[:-1] + 0.5 * dt)[::-1])
+    for n, (external, _) in zip(range(steps - 1, -1, -1), schedule):
         # recompute the stage from the stored state, then pull mu back through
         # the kinetic half-steps (their transpose is the conjugate phase)
-        fields = _potential_stage_fields(ctx, t_mid, ahead * traj.states[n])
+        fields = _potential_stage_fields(ctx, external, ahead * states[n])
         a_bar, g_mid[n] = _potential_stage_vjp(ctx, dt, *fields, back * mu)
-        mu = back * a_bar
-        if spec.j1 == "trajectory":
-            mu = mu + 2.0 * omega[n] * (traj.states[n] - spec.target_at(traj.times[n], shape))
-        mu_path[n] = mu
+        mu_path[n] = mu = tracked(n, back * a_bar)
 
     g_samples = np.zeros(steps + 1)
     g_samples[:-1] += 0.5 * g_mid
@@ -252,9 +255,7 @@ def optimize(spec, ctx, u0, psi0, iters=20):
         raise ControlError("need at least one descent iteration")
 
     u = u0
-    traj = solve_forward(ctx.with_control(u), psi0)
-    j1, j2, reg = _objective_parts(spec, u, traj)
-    j_val = j1 + j2 + reg
+    traj, j_val = _solve_objective(spec, ctx, u, psi0)
     history = []
     s = STEP_INITIAL
     for _ in range(iters):
@@ -268,9 +269,7 @@ def optimize(spec, ctx, u0, psi0, iters=20):
         accepted = False
         for _half in range(MAX_HALVINGS + 1):
             cand = ControlSignal(samples=u.samples + s * direction, horizon=u.horizon)
-            traj_new = solve_forward(ctx.with_control(cand), psi0)
-            j1, j2, reg = _objective_parts(spec, cand, traj_new)
-            j_new = j1 + j2 + reg
+            traj_new, j_new = _solve_objective(spec, ctx, cand, psi0)
             if j_new <= j_val + ARMIJO_C1 * s * slope:
                 accepted = True
                 break

@@ -90,7 +90,6 @@ class SpectralBasis:
     """
 
     spec: DomainSpec
-    modes_per_axis: tuple
     mode_indices: np.ndarray  # (modes, dimension) int, entries start at 1
     eigenvalues: np.ndarray  # (modes,)
     nodes: np.ndarray  # (nodes, dimension)
@@ -156,7 +155,6 @@ def build_basis(spec, modes_per_axis):
 
     return SpectralBasis(
         spec=spec,
-        modes_per_axis=modes,
         mode_indices=mode_indices,
         eigenvalues=eigenvalues,
         nodes=nodes,

@@ -9,11 +9,13 @@ to mode truncation.  The adjoint problem (alpha=0) has non-unitary coupling
 terms that act through the real part of the unknown, so its middle stage is
 an implicit midpoint solve by fixed-point iteration; the iteration only
 sees the bounded (non-stiff) part of the operator, the stiff kinetic term
-having been split off exactly.  The fields that operator reads (the external
-potential and the fields of the frozen forward state) depend on the step
-midpoint only, not on the unknown, so they are taken once per step: a solve
-builds them for one ``snapshot_blocks`` block of step midpoints at a time,
-and every sweep of a step reuses its item.
+having been split off exactly.  The fields the middle stage reads (the
+external potential of u(t) and, for alpha=0, the fields of the frozen forward
+state) depend on the step midpoint only, not on the unknown, so every step
+takes them once, as its item of ``system.stage_schedule``: a solve walks the
+schedule of its step midpoints, which builds them for one ``snapshot_blocks``
+block at a time, and every fixed-point sweep of an alpha=0 step reuses its
+item.  The gradient's backward sweep walks the same schedule in reverse.
 
 Both stage maps are symmetric, so stepping a trajectory with the opposite
 time-step sign reproduces it (used by the reversibility tests).
@@ -33,7 +35,6 @@ trajectory's ``meta``: the envelope
 measuring the frozen-state sups again).
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +49,7 @@ from .system import (
     bound_constants,
     interpolate_states,
     snapshot_blocks,
-    stage_fields,
-    stage_items,
+    stage_schedule,
 )
 
 BLOWUP_FACTOR = 1.0e6
@@ -121,23 +121,24 @@ def _kinetic_phase(ctx, dt):
     return np.exp(-1j * ctx.basis.eigenvalues * dt)[:, None]
 
 
-def _stage_potential(ctx, t_mid, rho):
-    """External plus (when switched on) Kohn-Sham potential on the grid."""
-    v = ctx.external_at(t_mid)
+def _stage_potential(ctx, external, rho):
+    """The external field plus (when switched on) the Kohn-Sham potential on the grid."""
     if ctx.potentials.has_ks:
-        v = v + ctx._ks_grid(rho)
-    return v
+        return external + ctx._ks_grid(rho)
+    return external
 
 
-def _potential_stage_fields(ctx, t_mid, a):
+def _potential_stage_fields(ctx, external, a):
     """Grid state psi, density rho and potential v of the half-kicked coefficients a."""
     psi = synthesize(ctx.basis, a)
     rho = density_from_grid(psi)
-    return psi, rho, _stage_potential(ctx, t_mid, rho)
+    return psi, rho, _stage_potential(ctx, external, rho)
 
 
-def _potential_stage_forward(ctx, t_mid, dt, d):
-    psi, _, v = _potential_stage_fields(ctx, t_mid, d)
+def _potential_stage_forward(ctx, t_mid, dt, d, external):
+    """Phase step of the alpha=1 stage; ``external`` is the field at t_mid, where the
+    source is read."""
+    psi, _, v = _potential_stage_fields(ctx, external, d)
     f = ctx.source_coefficients(t_mid)
     if f is None:
         psi = _kernels.phase_apply(psi, v, dt)
@@ -145,7 +146,7 @@ def _potential_stage_forward(ctx, t_mid, dt, d):
         f_grid = synthesize(ctx.basis, f)
         # midpoint density prediction: with a source the modulus is not conserved
         psi_half = psi - 0.5j * dt * (v[:, None] * psi + f_grid)
-        v = _stage_potential(ctx, t_mid, density_from_grid(psi_half))
+        v = _stage_potential(ctx, external, density_from_grid(psi_half))
         psi = _kernels.phase_apply(psi, v, dt) - 1j * dt * _kernels.phase_apply(
             f_grid, v, 0.5 * dt
         )
@@ -178,10 +179,9 @@ def _potential_stage_vjp(ctx, dt, psi, rho, v, b_bar):
 def _potential_stage_adjoint(ctx, t_mid, dt, d, fields):
     """Implicit midpoint for the bounded part: y = d + dt*g((d+y)/2).
 
-    ``fields`` is the (external, frozen) pair at t_mid, taken once per step
-    (``_solve`` builds them for a block of step midpoints at a time), and the
-    source at t_mid is evaluated once; each fixed-point sweep applies the
-    bounded operator with those fields.
+    ``fields`` is the (external, frozen) pair at t_mid, taken once per step,
+    and the source at t_mid is evaluated once; each fixed-point sweep applies
+    the bounded operator with those fields.
     """
     f = ctx.source_coefficients(t_mid)
 
@@ -207,10 +207,10 @@ def _potential_stage_adjoint(ctx, t_mid, dt, d, fields):
 def step(ctx, t, dt, d, *, fields=None):
     """Second-order one-step map d(t) -> d(t+dt); dt may be negative.
 
-    ``fields`` is the (external, frozen) pair of the midpoint t + dt/2, one
-    item of ``system.stage_fields``, as ``_solve`` hands it to each alpha=0
-    step; without it an alpha=0 step evaluates the pair as a stack of one.
-    The alpha=1 stage reads the midpoint itself and ignores it.
+    ``fields`` is the (external, frozen) pair of the midpoint t + dt/2, its
+    item of ``system.stage_schedule`` (frozen is None for alpha=1), as
+    ``_solve`` hands it to every step; without it the step takes the pair
+    from a schedule of that one midpoint.
     """
     check_layout(np.shape(d), ctx.basis.size, PropagationError)
     if dt == 0.0:
@@ -219,27 +219,13 @@ def step(ctx, t, dt, d, *, fields=None):
     half = _kinetic_phase(ctx, 0.5 * dt)
     d = half * d
     t_mid = t + 0.5 * dt
+    if fields is None:
+        (fields,) = stage_schedule(ctx, [t_mid])
     if ctx.alpha == 1:
-        d = _potential_stage_forward(ctx, t_mid, dt, d)
+        d = _potential_stage_forward(ctx, t_mid, dt, d, fields[0])
     else:
-        if fields is None:
-            (fields,) = stage_items(*stage_fields(ctx, [t_mid]))
         d = _potential_stage_adjoint(ctx, t_mid, dt, d, fields)
     return half * d
-
-
-def _stage_schedule(ctx, mids):
-    """The step fields of every step midpoint in ``mids``, in order.
-
-    For alpha=0, the (external, frozen) pairs are built one ``snapshot_blocks``
-    block of midpoints at a time, so only the current block is held; an
-    alpha=1 step gets None.
-    """
-    if ctx.alpha == 1:
-        yield from itertools.repeat(None, len(mids))
-        return
-    for block in snapshot_blocks(ctx.basis, len(mids)):
-        yield from stage_items(*stage_fields(ctx, mids[block]))
 
 
 def _source_norms_sq(ctx, times):
@@ -305,7 +291,7 @@ def _solve(ctx, start, steps):
     guard = max(l2_start, 1.0) * BLOWUP_FACTOR
     # each step's midpoint written as step writes it: t + 0.5 * dt
     mids = times[order[:-1]] + 0.5 * h
-    for last, i, fields in zip(order, order[1:], _stage_schedule(ctx, mids)):
+    for last, i, fields in zip(order, order[1:], stage_schedule(ctx, mids)):
         d = step(ctx, times[last], h, d, fields=fields)
         states[i] = d
         good = states[: last + 1] if forward else states[last:]

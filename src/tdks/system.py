@@ -165,17 +165,25 @@ def stage_fields(ctx, times):
     return external, frozen
 
 
-def stage_items(external, frozen):
-    """The (external, frozen) pair of each time of a ``stage_fields`` stack, in order."""
-    for i in range(len(external)):
-        yield external[i], None if frozen is None else FrozenFields._make(f[i] for f in frozen)
+def stage_schedule(ctx, times):
+    """The (external, frozen) pair of each of the (B,) ``times``, in order.
+
+    Every step and sweep takes its fields from here.  The pairs are items of
+    one ``stage_fields`` stack per ``snapshot_blocks`` block of times, so
+    only the current block's fields are held; frozen is None for alpha=1.
+    """
+    times = np.asarray(times)
+    for block in snapshot_blocks(ctx.basis, len(times)):
+        external, frozen = stage_fields(ctx, times[block])
+        for i in range(len(external)):
+            yield external[i], None if frozen is None else FrozenFields._make(f[i] for f in frozen)
 
 
 def _bounded_apply(ctx, fields, d):
     """All non-kinetic operator terms applied to d, as coefficients (without f).
 
     ``fields`` is the (external, frozen) pair of the operator's time, one item
-    of ``stage_fields``; the terms read no time themselves.  With the whole
+    of ``stage_schedule``; the terms read no time themselves.  With the whole
     ``stage_fields`` stack of B times and a stack (B, modes, particles) of
     states, the result is the stack of the B applies, each item equal to its
     own single call.
@@ -270,7 +278,7 @@ def adjoint_D(ctx, t, psi, phi):
         psi, phi = np.asarray(psi)[None], np.asarray(phi)[None]
     psi_g = synthesize(ctx.basis, psi)
     phi_g = synthesize(ctx.basis, phi)
-    frozen = frozen_fields(ctx, np.stack([ctx.lambda_at(s) for s in np.atleast_1d(t)]))
+    _, frozen = stage_fields(ctx, np.atleast_1d(t))
     d_h, d_xc = _coupling_forms(ctx, psi_g, phi_g, frozen)
     if stacked:
         return d_h, d_xc

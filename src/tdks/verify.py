@@ -425,14 +425,15 @@ def check_energy_estimates(traj, ctx, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_uniqueness_gronwall(ctx, base, eps_list, seed=0, halving_eps=None):
+def check_uniqueness_gronwall(ctx, base, eps_list, seed=0):
     """Perturbation-growth envelope and first-order scaling of the gap.
 
     ``base`` is the forward solve in ``ctx`` from psi0 = ``base.states[0]``;
     the check solves from psi0 + eps*delta for every eps.  The gap must stay
     under the exponential envelope with the rate assembled from probed
-    Lipschitz constants and the measured H1 diagnostics, and halving eps
-    must roughly halve the gap (ratio within [0.4, 0.6]).
+    Lipschitz constants and the measured H1 diagnostics, and halving the
+    middle eps of the sorted list must roughly halve the gap (ratio within
+    [0.4, 0.6]).
     """
     eps_list = sorted(float(e) for e in eps_list)
     if eps_list[0] < 1e-9:
@@ -444,7 +445,7 @@ def check_uniqueness_gronwall(ctx, base, eps_list, seed=0, halving_eps=None):
     radius = 1.5 * float(base.l2.max()) + max(eps_list)
     probed_l, probed_cu = _probed_constants(ctx, rng, radius)
 
-    halving = float(halving_eps) if halving_eps else eps_list[len(eps_list) // 2]
+    halving = eps_list[len(eps_list) // 2]
     solve_at = sorted(set(eps_list) | {halving, 0.5 * halving})
     worst = 0.0
     gaps_at_t = {}

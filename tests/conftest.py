@@ -14,7 +14,13 @@ from tdks import (
 )
 from tdks.domain import grid_norm, norms, project, random_coefficients, synthesize
 from tdks.potentials import _cell_average, density_from_grid, hartree_pair_difference, ks_potential
-from tdks.propagate import FIXED_POINT_MAX_ITER, FIXED_POINT_TOL
+from tdks.propagate import (
+    FIXED_POINT_MAX_ITER,
+    FIXED_POINT_TOL,
+    _kinetic_phase,
+    _potential_stage_fields,
+    _potential_stage_vjp,
+)
 from tdks.system import (
     adjoint_D,
     bilinear_B,
@@ -206,6 +212,40 @@ def adjoint_solve_per_sweep(ctx, terminal, steps):
         states[last - 1] = half * y
     form = np.array([bilinear_B(ctx, t, d, d) for t, d in zip(times, states)])
     return states, form
+
+
+def backward_sweep_per_step(spec, ctx, traj):
+    """Oracle for ``control.backward_sweep``: every step reads its external field
+    from ``ctx.external_at`` at its own midpoint, and every tracking term forms
+    its residual from the spec's targets in place.
+
+    Returns the coupling gradient per control sample and the backward states.
+    """
+    dt = float(traj.times[1] - traj.times[0])
+    steps = len(traj.times) - 1
+    omega = np.full(steps + 1, dt)
+    omega[0] = omega[-1] = 0.5 * dt
+    mu = np.zeros_like(traj.states[-1])
+    if spec.j2 == "terminal":
+        mu = mu + 2.0 * (traj.states[-1] - spec.target_state)
+    if spec.j1 == "trajectory":
+        mu = mu + 2.0 * omega[-1] * (traj.states[-1] - spec.target_trajectory(traj.times[-1]))
+    g_mid = np.empty(steps)
+    mu_path = np.empty_like(traj.states)
+    mu_path[-1] = mu
+    ahead, back = _kinetic_phase(ctx, 0.5 * dt), _kinetic_phase(ctx, -0.5 * dt)
+    for n in range(steps - 1, -1, -1):
+        t_mid = traj.times[n] + 0.5 * dt
+        fields = _potential_stage_fields(ctx, ctx.external_at(t_mid), ahead * traj.states[n])
+        a_bar, g_mid[n] = _potential_stage_vjp(ctx, dt, *fields, back * mu)
+        mu = back * a_bar
+        if spec.j1 == "trajectory":
+            mu = mu + 2.0 * omega[n] * (traj.states[n] - spec.target_trajectory(traj.times[n]))
+        mu_path[n] = mu
+    g_samples = np.zeros(steps + 1)
+    g_samples[:-1] += 0.5 * g_mid
+    g_samples[1:] += 0.5 * g_mid
+    return g_samples, mu_path
 
 
 def ball_quadrature_whole_grid(n, p, radius, resolution, refine_origin=True):

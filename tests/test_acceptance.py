@@ -179,7 +179,7 @@ def test_criterion_05_uniqueness_gronwall():
     t0 = time.perf_counter()
     basis, pot, kernel, ctx, psi0 = _default_instance()
     envelope, halving = check_uniqueness_gronwall(
-        ctx, solve_forward(ctx, psi0), [1e-2, 1e-3, 1e-4], seed=0, halving_eps=1e-3
+        ctx, solve_forward(ctx, psi0), [1e-2, 1e-3, 1e-4], seed=0
     )
     elapsed = time.perf_counter() - t0
     ratio = halving.ingredients["ratio"]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdks import propagate
+from tdks import cli, propagate
 from tdks.cli import _SCHEMA, ConfigError, default_config, emit_config, main, parse_config, run
 
 
@@ -540,3 +540,18 @@ def test_verify_without_hartree_probes_the_grid_kernel(tmp_path, capsys):
         names[label] = [r["name"] for r in reports]
     assert capsys.readouterr().err == ""
     assert names["no-hartree"] == names["default"]
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "converge"])
+def test_coulomb_kernel_is_built_once_per_run(tmp_path, monkeypatch, subcommand):
+    # the kernel depends on the grid only, so the run's forward problem and every
+    # Galerkin rung share the one built with the instruments
+    calls, build = [], cli.build_coulomb_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "build_coulomb_kernel", counted)
+    assert main([subcommand, "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == 1

@@ -17,8 +17,9 @@ from tdks import (
 from tdks import control
 from tdks.control import ControlError, backward_sweep
 from tdks.domain import grid_inner, synthesize
+from tdks.system import snapshot_blocks
 
-from conftest import make_setup, unit_state
+from conftest import backward_sweep_per_step, make_setup, unit_state
 
 
 def coupling_density(ctx, traj_fwd, traj_adj):
@@ -255,3 +256,26 @@ def test_a_target_of_another_shape_than_the_trajectory_raises(control_setup, tar
         adjoint_sources(spec, traj)
     with pytest.raises(ControlError, match="does not match"):
         backward_sweep(spec, ctx, traj)
+
+
+def test_backward_sweep_matches_per_step_oracle(control_setup):
+    # j1 tracks a moving target and j2 a fixed one under a nonzero control; the
+    # sweep's 100 midpoints come in two blocks of the stage schedule (62 and 38)
+    ctx, psi0 = control_setup
+    assert [b.stop - b.start for b in snapshot_blocks(ctx.basis, 100)] == [62, 38]
+    u = ControlSignal(samples=0.4 * np.sin(np.linspace(0.0, 5.0, 101)), horizon=1.0)
+    ctx_u = ctx.with_control(u)
+    traj = solve_forward(ctx_u, psi0)
+    moving = solve_forward(ctx, unit_state(ctx.basis, 1))
+    spec = ObjectiveSpec(
+        j1="trajectory",
+        j2="terminal",
+        nu=1.0,
+        target_state=unit_state(ctx.basis, 2),
+        target_trajectory=moving.state_at,
+    )
+    g, mu = backward_sweep(spec, ctx_u, traj)
+    g_oracle, mu_oracle = backward_sweep_per_step(spec, ctx_u, traj)
+    assert np.abs(g).max() > 0
+    assert np.array_equal(g, g_oracle)
+    assert np.array_equal(mu, mu_oracle)

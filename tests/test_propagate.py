@@ -348,20 +348,8 @@ def refined_adjoint(lengths, grid, modes, fwd_steps):
     return actx, random_coefficients(basis, 2, rng, 1.0)
 
 
-@pytest.mark.parametrize(
-    "lengths, grid, modes, fwd_steps",
-    [
-        pytest.param((3.0,), (32,), (6,), 20, id="1d-dense"),
-        pytest.param((3.0,) * 3, (16,) * 3, (2,) * 3, 2, id="3d-fft"),  # 17^3 nodes
-    ],
-)
-def test_adjoint_steps_get_the_fields_of_their_midpoint(monkeypatch, lengths, grid, modes,
-                                                        fwd_steps):
-    actx, terminal = refined_adjoint(lengths, grid, modes, fwd_steps)
-    steps = actx.basis.spec.steps
-    assert (actx.kernel.matrix is None) == (len(grid) == 3)
-    if len(grid) == 1:
-        assert [b.stop - b.start for b in snapshot_blocks(actx.basis, steps)] == [31, 9]
+def spy_step_fields(monkeypatch):
+    """Record the (midpoint, fields) of every ``propagate.step`` call into the returned list."""
     seen, step_one = [], propagate.step
 
     def spy(ctx, t, dt, d, *, fields=None):
@@ -369,6 +357,25 @@ def test_adjoint_steps_get_the_fields_of_their_midpoint(monkeypatch, lengths, gr
         return step_one(ctx, t, dt, d, fields=fields)
 
     monkeypatch.setattr(propagate, "step", spy)
+    return seen
+
+
+# (lengths, grid, modes, fwd_steps) of ``refined_adjoint``: a dense and an FFT Hartree apply
+REFINED_CASES = [
+    pytest.param((3.0,), (32,), (6,), 20, id="1d-dense"),
+    pytest.param((3.0,) * 3, (16,) * 3, (2,) * 3, 2, id="3d-fft"),  # 17^3 nodes
+]
+
+
+@pytest.mark.parametrize("lengths, grid, modes, fwd_steps", REFINED_CASES)
+def test_adjoint_steps_get_the_fields_of_their_midpoint(monkeypatch, lengths, grid, modes,
+                                                        fwd_steps):
+    actx, terminal = refined_adjoint(lengths, grid, modes, fwd_steps)
+    steps = actx.basis.spec.steps
+    assert (actx.kernel.matrix is None) == (len(grid) == 3)
+    if len(grid) == 1:
+        assert [b.stop - b.start for b in snapshot_blocks(actx.basis, steps)] == [31, 9]
+    seen = spy_step_fields(monkeypatch)
     solve_adjoint(actx, terminal)
     times = np.linspace(0.0, 1.0, steps + 1)
     assert [t_mid for t_mid, _ in seen] == [t + 0.5 * -(1.0 / steps) for t in times[:0:-1]]
@@ -377,6 +384,23 @@ def test_adjoint_steps_get_the_fields_of_their_midpoint(monkeypatch, lengths, gr
         want = frozen_fields(actx, actx.lambda_at(t_mid))
         for name in FrozenFields._fields:
             assert np.array_equal(getattr(frozen, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("lengths, grid, modes, fwd_steps", REFINED_CASES)
+def test_forward_steps_get_the_fields_of_their_midpoint(monkeypatch, lengths, grid, modes,
+                                                        fwd_steps):
+    # the forward solve walks the same stage schedule: the external field of each
+    # step's own midpoint, with no frozen fields
+    actx, psi0 = refined_adjoint(lengths, grid, modes, fwd_steps)
+    ctx = forward_context(actx.basis, actx.potentials, kernel=actx.kernel, control=actx.control)
+    steps = ctx.basis.spec.steps
+    seen = spy_step_fields(monkeypatch)
+    solve_forward(ctx, psi0)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    assert [t_mid for t_mid, _ in seen] == [t + 0.5 * (1.0 / steps) for t in times[:-1]]
+    for t_mid, (external, frozen) in seen:
+        assert np.array_equal(external, ctx.external_at(t_mid))
+        assert frozen is None
 
 
 @pytest.mark.parametrize("with_source", [False, True], ids=["homogeneous", "source"])
@@ -575,18 +599,19 @@ def test_potential_stage_vjp_dot_product(monkeypatch, dimension, dense_max_nodes
     a, x, y = (random_coefficients(basis, 2, rng, 1.0) for _ in range(3))
     du = 0.7
 
+    def stage(u, d):
+        c = ctx_at(u)
+        return _potential_stage_forward(c, t_mid, dt, d, c.external_at(t_mid))
+
     # the oracle is the stage's derivative ...
     eps = 1e-6
-    fd = (
-        _potential_stage_forward(ctx_at(u0 + eps * du), t_mid, dt, a + eps * x)
-        - _potential_stage_forward(ctx_at(u0 - eps * du), t_mid, dt, a - eps * x)
-    ) / (2 * eps)
+    fd = (stage(u0 + eps * du, a + eps * x) - stage(u0 - eps * du, a - eps * x)) / (2 * eps)
     jx = _stage_tangent(ctx, t_mid, dt, a, x, du)
     assert np.abs(fd - jx).max() < 1e-6 * np.abs(jx).max()
 
     # ... and the VJP is its exact transpose under Re<., .>
     a_bar, u_bar = _potential_stage_vjp(
-        ctx, dt, *_potential_stage_fields(ctx, t_mid, a), y
+        ctx, dt, *_potential_stage_fields(ctx, ctx.external_at(t_mid), a), y
     )
     lhs = float(np.sum(jx * np.conj(y)).real)
     rhs_ = float(np.sum(x * np.conj(a_bar)).real) + du * u_bar

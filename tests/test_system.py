@@ -29,7 +29,7 @@ from tdks.system import (
     frozen_fields,
     snapshot_blocks,
     stage_fields,
-    stage_items,
+    stage_schedule,
 )
 
 from conftest import (
@@ -216,7 +216,7 @@ def test_adjoint_bilinear_matches_bounded_apply(adjoint_pair):
         a = random_coefficients(actx.basis, 2, rng, rng.uniform(0.2, 2.0))
         b = random_coefficients(actx.basis, 2, rng, rng.uniform(0.2, 2.0))
         kin = np.sum(actx.basis.eigenvalues[:, None] * a * np.conj(b))
-        (fields,) = stage_items(*stage_fields(actx, [t]))
+        (fields,) = stage_schedule(actx, [t])
         expect = kin + np.sum(_bounded_apply(actx, fields, a) * np.conj(b))
         val = bilinear_B(actx, t, a, b)
         assert abs(val - expect) <= 1e-13 * abs(expect)
@@ -415,7 +415,7 @@ def test_stacked_operators_match_single_calls(monkeypatch, case, alpha, branch, 
     phi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])
     assert np.array_equal(rhs(ctx, times, psi), [rhs(ctx, t, d) for t, d in zip(times, psi)])
     fields = stage_fields(ctx, times)
-    single = [_bounded_apply(ctx, item, d) for item, d in zip(stage_items(*fields), psi)]
+    single = [_bounded_apply(ctx, item, d) for item, d in zip(stage_schedule(ctx, times), psi)]
     assert np.array_equal(_bounded_apply(ctx, fields, psi), single)
     assert np.array_equal(nonlinear_G(ctx, psi), [nonlinear_G(ctx, d) for d in psi])
     if alpha == 0:

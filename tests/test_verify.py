@@ -227,9 +227,8 @@ def test_energy_estimates_nonlinear_and_adjoint(desk):
 def test_uniqueness_gronwall_nonlinear(desk):
     basis, pot, kernel, ctx = desk
     base = solve_forward(ctx, unit_state(basis, 0))
-    env, halving = check_uniqueness_gronwall(
-        ctx, base, [1e-2, 1e-3], seed=2, halving_eps=1e-3
-    )
+    # the middle eps, 1e-3, is the one halved
+    env, halving = check_uniqueness_gronwall(ctx, base, [1e-2, 1e-3, 5e-4], seed=2)
     assert env.passed and halving.passed
     assert 0.4 <= halving.ingredients["ratio"] <= 0.6
 
