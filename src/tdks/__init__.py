@@ -41,6 +41,7 @@ from .propagate import (
     PropagationError,
     Trajectory,
     adjoint_context,
+    form_values,
     forward_context,
     solve_adjoint,
     solve_forward,

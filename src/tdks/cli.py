@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .control import ControlError, LineSearchError, ObjectiveSpec, adjoint_sources, optimize
-from .domain import DomainError, DomainSpec, build_basis, check_modes, project, synthesize
+from .domain import (
+    DomainError,
+    DomainSpec,
+    build_basis,
+    carry_modes,
+    check_modes,
+    project,
+    synthesize,
+)
 from .potentials import (
     FIELD_PRESETS,
     PotentialConfig,
@@ -423,14 +431,14 @@ def _run_simulate(config, out, quiet, mode):
         adj_ctx = adjoint_context(
             basis, potentials, forward=traj, kernel=kernel, control=control, source=source
         )
-        main = solve_adjoint(adj_ctx, terminal)
+        main, main_ctx = solve_adjoint(adj_ctx, terminal), adj_ctx
         traj.export_csv(out / "forward_trajectory.csv")
-        traj.export_diagnostics_csv(out / "forward_diagnostics.csv")
+        traj.export_diagnostics_csv(out / "forward_diagnostics.csv", fwd_ctx)
     else:
-        main = traj
+        main, main_ctx = traj, fwd_ctx
 
     main.export_csv(out / "trajectory.csv")
-    main.export_diagnostics_csv(out / "diagnostics.csv")
+    main.export_diagnostics_csv(out / "diagnostics.csv", main_ctx)
     density_times = config["output"]["density_times"]
     if density_times is None:
         density_times = [basis.spec.horizon]
@@ -499,7 +507,7 @@ def run_verification_suite(config):
 
     reports.extend(check_uniqueness_gronwall(fwd_ctx, traj, [1e-2, 1e-3, 1e-4], seed=seed))
 
-    builder = _galerkin_builder(basis.spec, potentials, kernel, {"kind": "lowest_modes"})
+    builder = _galerkin_builder(basis, potentials, kernel, {"kind": "lowest_modes"})
     reports.append(check_galerkin_convergence(builder, config["converge"]["mode_list"]))
     reports.append(check_potential_continuity(basis, potentials, kernel, seed=seed))
     reports.extend(check_coefficient_lipschitz(fwd_ctx, radius=1.0, pairs=100, seed=seed))
@@ -516,19 +524,27 @@ def _run_verify(config, out, quiet):
     return 1 if failed else 0
 
 
-def _galerkin_builder(spec, potentials, kernel, preset):
-    """builder(modes) -> (forward context, initial state from preset) on that basis;
-    every rung shares the grid, so it shares the one Coulomb kernel."""
+def _galerkin_builder(basis, potentials, kernel, preset):
+    """builder(modes) -> (forward context, initial state) on the rung of those modes;
+    every rung shares the grid of basis, so it shares the one Coulomb kernel.  A
+    lowest_modes or bump state is built on each rung; a coefficients or file state
+    belongs to basis, so it is built there once and carried to each rung."""
+    given = None
+    if preset["kind"] in ("coefficients", "file"):
+        given = _build_state(basis, preset)
 
     def builder(modes):
-        return _forward_problem(build_basis(spec, modes), potentials, kernel, preset)
+        rung = build_basis(basis.spec, modes)
+        if given is None:
+            return _forward_problem(rung, potentials, kernel, preset)
+        return forward_context(rung, potentials, kernel=kernel), carry_modes(given, basis, rung)
 
     return builder
 
 
 def _run_converge(config, out, quiet):
     basis, potentials, kernel = _build_instruments(config)
-    builder = _galerkin_builder(basis.spec, potentials, kernel, config["initial_state"])
+    builder = _galerkin_builder(basis, potentials, kernel, config["initial_state"])
     report = check_galerkin_convergence(builder, config["converge"]["mode_list"])
     _write_json(out / "reports.json", _reports_payload([report]))
     _print_report_table([report], quiet)

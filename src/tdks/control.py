@@ -166,7 +166,10 @@ def _h1_riesz(u, raw, nu):
     stiff_x = diag * x
     stiff_x[:-1] += off * x[1:]
     stiff_x[1:] += off * x[:-1]
-    raw += 2.0 * nu * (w * x + stiff_x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw += 2.0 * nu * (w * x + stiff_x)
+    if not np.all(np.isfinite(raw)):
+        raise ControlError("the raw gradient is not finite: nu or the control is too large")
     ab = np.zeros((3, x.size))  # banded (upper, diagonal, lower) for solve_banded
     ab[0, 1:] = ab[2, :-1] = off
     ab[1] = w + diag
@@ -249,13 +252,16 @@ def optimize(spec, ctx, u0, psi0, iters=20):
     At most ``iters`` iterations, stopping early once the H1 gradient norm
     falls below ``GRAD_TOL``.  history rows: (J, H1 gradient norm, step size
     tried first); J is monotone non-increasing by construction.  Raises
-    LineSearchError after ``MAX_HALVINGS`` rejected halvings of a step.
+    LineSearchError after ``MAX_HALVINGS`` rejected halvings of a step, and
+    ControlError when J(u0) or a raw gradient is not finite.
     """
     if iters < 1:
         raise ControlError("need at least one descent iteration")
 
     u = u0
     traj, j_val = _solve_objective(spec, ctx, u, psi0)
+    if not np.isfinite(j_val):
+        raise ControlError(f"J(u0) is {j_val}: nu or the control is too large")
     history = []
     s = STEP_INITIAL
     for _ in range(iters):

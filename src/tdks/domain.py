@@ -281,6 +281,17 @@ def grid_inner(basis, f, g):
     return sums if sums.ndim else complex(sums)
 
 
+def carry_modes(d, src, dst):
+    """Coefficients d on the basis src (a state or a stack) carried to the basis dst
+    by mode multi-index: a mode both bases hold keeps its value, any other is 0."""
+    keys = list(map(tuple, src.mode_indices.tolist()))
+    rows = {k: j for j, k in enumerate(map(tuple, dst.mode_indices.tolist()))}
+    shared = [i for i, k in enumerate(keys) if k in rows]
+    out = np.zeros(d.shape[:-2] + (dst.size, d.shape[-1]), dtype=d.dtype)
+    out[..., [rows[keys[i]] for i in shared], :] = d[..., shared, :]
+    return out
+
+
 def random_coefficients(basis, particles, rng, l2_norm=1.0):
     """I.i.d. complex-Gaussian coefficients rescaled to the requested L2 norm."""
     d = rng.standard_normal((basis.size, particles)) + 1j * rng.standard_normal(

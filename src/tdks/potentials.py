@@ -74,6 +74,9 @@ class PotentialConfig:
                 raise PotentialError(f"{name}: Wigner correlation parameters must be positive")
         if self.coulomb_softening < 0:
             raise PotentialError("coulomb_softening: must be >= 0")
+        softening = float(self.coulomb_softening)  # an int would square exactly, never to inf
+        if not math.isfinite(softening * softening):
+            raise PotentialError("coulomb_softening: its square must be finite (below 1.3e154)")
         for name in ("confinement", "control_shape"):
             field = getattr(self, name)
             if field is not None:

@@ -24,15 +24,15 @@ States are (modes, particles) coefficients; any other shape raises
 ``PropagationError`` (``step`` compares only the shape, as its kinetic
 half-step comes before any ``synthesize`` call).
 
-The step loop measures only the L2 and H1 norms of each new state (the L2
-norm feeds the blow-up guard).  The form values Re/Im B(psi, psi) of the
-stored states and the form constants are evaluated after the steps, over
-the stored trajectory in blocks of snapshots.  Every solve checks its norms
-against the exponential L2 envelope and keeps what it measured in the
-trajectory's ``meta``: the envelope
+A solve returns the stored states and the L2 and H1 norms of each (the L2
+norm feeds the blow-up guard), and nothing more.  Every solve checks its norms
+against the exponential L2 envelope of ``l2_envelope`` and keeps what it
+measured in the trajectory's ``meta``: the envelope
 ``l2_envelope_measured``/``l2_envelope_bound`` and the form ``constants``
 (the ``bound_constants`` dict of its context, which readers reuse instead of
-measuring the frozen-state sups again).
+measuring the frozen-state sups again).  The form values B(psi, psi; u(t)) of
+the stored states are left to the readers that want them, through
+``form_values``, which evaluates them over blocks of snapshots.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +53,7 @@ from .system import (
 )
 
 BLOWUP_FACTOR = 1.0e6
+MAX_EXP_ARG = 690.0  # keep assembled envelope constants inside float64
 FIXED_POINT_TOL = 1e-10  # relative sweep-to-sweep change that ends an alpha=0 stage
 FIXED_POINT_MAX_ITER = 50  # sweeps before an alpha=0 stage gives up
 
@@ -78,9 +79,6 @@ class Trajectory:
     states: np.ndarray  # (steps+1, modes, particles)
     l2: np.ndarray
     h1: np.ndarray
-    re_b: np.ndarray
-    im_b: np.ndarray
-    alpha: int
     meta: dict = field(default_factory=dict)
 
     def state_at(self, t):
@@ -96,8 +94,10 @@ class Trajectory:
         table = np.column_stack((self.times, flat.view(np.float64)))
         write_csv(path, header, map(np.ndarray.tolist, table))
 
-    def export_diagnostics_csv(self, path):
-        table = np.column_stack((self.times, self.l2, self.h1, self.re_b, self.im_b))
+    def export_diagnostics_csv(self, path, ctx):
+        """Dump t, the L2/H1 norms and Re/Im of ``form_values`` in ctx, the solve's context."""
+        form = form_values(ctx, self)
+        table = np.column_stack((self.times, self.l2, self.h1, form.real, form.imag))
         write_csv(path, ["t", "l2_norm", "h1_norm", "re_b", "im_b"], map(np.ndarray.tolist, table))
 
 
@@ -228,16 +228,6 @@ def step(ctx, t, dt, d, *, fields=None):
     return half * d
 
 
-def _source_norms_sq(ctx, times):
-    """||F(t)||_L2^2 (coefficient norm) at every time; zeros without a source."""
-    vals = np.zeros(len(times))
-    if ctx.source is not None:
-        for i, t in enumerate(times):
-            f = ctx.source_coefficients(t)
-            vals[i] = np.sum(f.real**2 + f.imag**2)
-    return vals
-
-
 def _record(ctx, d, out, i):
     """Store the norms of the state d at index i and return its L2 norm."""
     l2, out["h1"][i] = norms(ctx.basis, d)
@@ -245,25 +235,40 @@ def _record(ctx, d, out, i):
     return l2
 
 
-def _form_values(ctx, times, states):
-    """B(psi, psi; u(t)) of every stored state, evaluated over blocks of snapshots."""
-    form = np.empty(len(times), dtype=np.complex128)
-    for block in snapshot_blocks(ctx.basis, len(times)):
-        psi = states[block]
-        form[block] = bilinear_B(ctx, times[block], psi, psi)
+def form_values(ctx, traj):
+    """B(psi, psi; u(t)) of every stored state of the solve traj in ctx, evaluated
+    over blocks of snapshots."""
+    form = np.empty(len(traj.times), dtype=np.complex128)
+    for block in snapshot_blocks(ctx.basis, len(traj.times)):
+        psi = traj.states[block]
+        form[block] = bilinear_B(ctx, traj.times[block], psi, psi)
     return form
 
 
-def _check_envelope(ctx, traj, start_norm_sq):
-    ing = bound_constants(ctx)
-    f_y_sq = float(np.trapezoid(_source_norms_sq(ctx, traj.times), traj.times))
-    ctilde0 = (1 - ctx.alpha) * ing["c0"]
+def l2_envelope(ctx, traj):
+    """The parts of the L2 Gronwall envelope of the solve traj in ctx: the factor
+    exp((1 + 2(1-alpha) c0) T) with the exponent capped at ``MAX_EXP_ARG`` (c0 from
+    ``traj.meta["constants"]``), the squared norm of the start state, and the
+    coefficient norm ||F(t)||^2 at every stored time (zeros without a source)."""
+    c0 = (1 - ctx.alpha) * traj.meta["constants"]["c0"]
     horizon = abs(float(traj.times[-1] - traj.times[0]))
-    bound = np.exp((1.0 + 2.0 * ctilde0) * horizon) * (start_norm_sq + f_y_sq)
+    factor = float(np.exp(min((1.0 + 2.0 * c0) * horizon, MAX_EXP_ARG)))
+    start_sq = float(traj.l2[0] if ctx.alpha == 1 else traj.l2[-1]) ** 2
+    source_sq = np.zeros(len(traj.times))
+    if ctx.source is not None:
+        for i, t in enumerate(traj.times):
+            f = ctx.source_coefficients(t)
+            source_sq[i] = np.sum(f.real**2 + f.imag**2)
+    return factor, start_sq, source_sq
+
+
+def _check_envelope(ctx, traj):
+    traj.meta["constants"] = bound_constants(ctx)
+    factor, start_sq, source_sq = l2_envelope(ctx, traj)
+    bound = factor * (start_sq + float(np.trapezoid(source_sq, traj.times)))
     measured = float(np.max(traj.l2**2))
     traj.meta["l2_envelope_measured"] = measured
-    traj.meta["l2_envelope_bound"] = float(bound)
-    traj.meta["constants"] = ing
+    traj.meta["l2_envelope_bound"] = bound
     if measured > bound * 1.05 + 1e-300:
         raise PropagationError(
             f"norm growth violates the exponential envelope: {measured} > {bound}"
@@ -274,8 +279,7 @@ def _solve(ctx, start, steps):
     """Step from the start state toward T (alpha=1) or toward 0 (alpha=0).
 
     Every state is stored at its place on the increasing time grid; a blow-up
-    carries the last good time and the good states, in time order.  The form
-    values of the stored states are evaluated after the steps, in blocks.
+    carries the last good time and the good states, in time order.
     """
     spec = ctx.basis.spec
     dt = spec.horizon / steps
@@ -304,16 +308,8 @@ def _solve(ctx, start, steps):
                 times[last],
                 good,
             )
-    form = _form_values(ctx, times, states)
-    traj = Trajectory(
-        times=times,
-        states=states,
-        **out,
-        re_b=np.ascontiguousarray(form.real),
-        im_b=np.ascontiguousarray(form.imag),
-        alpha=ctx.alpha,
-    )
-    _check_envelope(ctx, traj, l2_start**2)
+    traj = Trajectory(times=times, states=states, **out)
+    _check_envelope(ctx, traj)
     return traj
 
 

@@ -1,10 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tdks import cli, propagate
+from tdks import cli, propagate, verify
 from tdks.cli import _SCHEMA, ConfigError, default_config, emit_config, main, parse_config, run
 
 
@@ -117,6 +118,23 @@ def test_simulate_writes_artifacts(tmp_path):
     } <= names
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["l2_envelope_measured"] <= summary["l2_envelope_bound"]
+
+
+def test_long_horizon_summary_holds_a_finite_envelope_bound(tmp_path):
+    # exp((1 + 2 c~0) T) overflows at T = 1e6; the envelope caps its exponent at
+    # MAX_EXP_ARG, so the bound stays a finite float and the summary valid JSON
+    cfg = _fast_config(domain={"lengths": [3.0], "grid": [16], "horizon": 1e6, "steps": 10})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(cfg, "simulate", tmp_path / "out", quiet=True) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = (tmp_path / "out" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["l2_envelope_bound"] == np.exp(propagate.MAX_EXP_ARG) * summary["l2_initial"] ** 2
 
 
 def test_simulate_free_config_conserves_l2_column(tmp_path):
@@ -278,6 +296,8 @@ NAN = float("nan")
             {"objective": {"j2": "terminal", "target_state": {"kind": "bump", "powers": [-1]}}},
             "objective.target_state.powers",
         ),
+        ({"potentials": {"coulomb_softening": 1e155}}, "potentials.coulomb_softening"),
+        ({"potentials": {"coulomb_softening": 10**200}}, "potentials.coulomb_softening"),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
@@ -482,6 +502,39 @@ def test_converge_subcommand(tmp_path):
     assert reports[0]["name"] == "galerkin-convergence" and reports[0]["passed"]
 
 
+@pytest.mark.parametrize("kind", ["coefficients", "file"])
+def test_converge_carries_a_given_state_to_every_rung(tmp_path, monkeypatch, kind):
+    # the state belongs to basis.modes, the middle rung of [[3], [6], [9]]: that rung
+    # starts from it exactly, the coarser one from its first 3 modes and the finer
+    # one from it padded with zeros
+    state = np.random.default_rng(6).standard_normal((6, 1, 2)) @ [1.0, 1j]
+    preset = {"kind": "file", "path": str(tmp_path / "psi0.npy")}
+    np.save(preset["path"], state)
+    if kind == "coefficients":
+        preset = {"kind": kind, "values": np.stack([state.real, state.imag], -1).tolist()}
+    starts, solve = [], verify.solve_forward
+
+    def spy(ctx, psi0):
+        starts.append(psi0)
+        return solve(ctx, psi0)
+
+    monkeypatch.setattr(verify, "solve_forward", spy)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "domain": {"lengths": [3.0], "grid": [32], "horizon": 0.5, "steps": 150},
+        "basis": {"modes": [6]},
+        "initial_state": preset,
+    }))
+    out = tmp_path / "out"
+    status = main(["converge", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    (report,) = json.loads((out / "reports.json").read_text())
+    assert status == (0 if report["passed"] else 1)
+    assert report["ingredients"]["modes"] == [[3], [6], [9]]
+    assert np.array_equal(starts[1], state)
+    assert np.array_equal(starts[0], state[:3])
+    assert np.array_equal(starts[2], np.concatenate([state, np.zeros((3, 1))]))
+
+
 def test_optimize_subcommand(tmp_path):
     cfg = _fast_config(
         objective={
@@ -503,6 +556,31 @@ def test_optimize_subcommand(tmp_path):
     assert j[-1] <= j[0]
     control = json.loads((tmp_path / "out" / "control_optimized.json").read_text())
     assert len(control["samples"]) == 51
+
+
+@pytest.mark.parametrize(
+    "control,fault",
+    [({"kind": "zero"}, "the raw gradient"), ({"kind": "sine", "amplitude": 0.3}, "J(u0)")],
+    ids=["gradient", "objective"],
+)
+def test_optimize_with_an_overflowing_objective_is_one_error_line(tmp_path, capsys, control,
+                                                                  fault):
+    # nu = 1e308 overflows the H1 penalty: in J itself under a nonzero control, and
+    # under the zero one in the gradient's penalty derivative 2 nu (M + S) u, as 2 nu
+    # is inf
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "domain": {"lengths": [3.0], "grid": [16], "horizon": 0.5, "steps": 50},
+        "basis": {"modes": [4]},
+        "control": control,
+        "objective": {"j2": "terminal", "nu": 1e308, "target_state": {"kind": "lowest_modes"}},
+    }))
+    out = tmp_path / "out"
+    status = main(["optimize", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {fault}")
+    assert list(out.iterdir()) == []
 
 
 def test_simulate_deterministic_artifacts(tmp_path):

@@ -14,6 +14,7 @@ from tdks import (
     adjoint_context,
     bilinear_B,
     bound_constants,
+    form_values,
     forward_context,
     hartree,
     ks_potential,
@@ -30,7 +31,6 @@ from tdks import (
     zero_control,
 )
 from tdks.propagate import (
-    _form_values,
     _potential_stage_fields,
     _potential_stage_forward,
     _potential_stage_vjp,
@@ -278,7 +278,7 @@ def test_solves_store_the_constants_of_their_context():
 
 
 def test_solve_form_values_match_single_calls():
-    # re_b/im_b come from blocks of snapshots after the steps; 61 snapshots of
+    # form_values walks blocks of snapshots of the stored solve; 61 snapshots of
     # 33 nodes x 2 particles make one full block of 31 and a short one of 30
     basis, pot, kernel = make_setup(
         grid=(32,),
@@ -296,8 +296,31 @@ def test_solve_form_values_match_single_calls():
     adj = solve_adjoint(actx, psi0)
     for solve, solve_ctx in ((traj, ctx), (adj, actx)):
         form = [bilinear_B(solve_ctx, t, d, d) for t, d in zip(solve.times, solve.states)]
-        assert np.array_equal(solve.re_b, np.real(form))
-        assert np.array_equal(solve.im_b, np.imag(form))
+        values = form_values(solve_ctx, solve)
+        assert np.array_equal(values.real, np.real(form))
+        assert np.array_equal(values.imag, np.imag(form))
+
+
+def test_solve_makes_no_form_value_call(monkeypatch):
+    # a solve returns its states and norms only; the form values are evaluated by
+    # form_values, one bilinear_B call per block of snapshots, for the readers
+    # that ask for them
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bilinear_B(*args)
+
+    monkeypatch.setattr(propagate, "bilinear_B", counted)
+    basis, pot, kernel = make_setup(grid=(32,), modes=(6,), particles=2, steps=40)
+    ctx = forward_context(basis, pot, kernel=kernel)
+    psi0 = random_coefficients(basis, 2, np.random.default_rng(5), 1.0)
+    traj = solve_forward(ctx, psi0)
+    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
+    adj = solve_adjoint(actx, psi0)
+    assert calls == []
+    form_values(actx, adj)
+    assert len(calls) == len(snapshot_blocks(basis, len(adj.times))) == 2
 
 
 def test_stored_trajectory_diagnostics_run_in_bounded_memory():
@@ -319,7 +342,7 @@ def test_stored_trajectory_diagnostics_run_in_bounded_memory():
     kernel.row_sum_max  # cached on first use; not part of the pass
     tracemalloc.start()
     try:
-        _form_values(actx, times, states)
+        form_values(actx, SimpleNamespace(times=times, states=states))
         bound_constants(actx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -412,8 +435,9 @@ def test_adjoint_solve_matches_per_sweep_oracle(with_source):
     adj = solve_adjoint(actx, terminal)
     states, form = adjoint_solve_per_sweep(actx, terminal, actx.basis.spec.steps)
     assert np.array_equal(adj.states, states)
-    assert np.array_equal(adj.re_b, form.real)
-    assert np.array_equal(adj.im_b, form.imag)
+    values = form_values(actx, adj)
+    assert np.array_equal(values.real, form.real)
+    assert np.array_equal(values.imag, form.imag)
 
 
 def test_long_adjoint_solve_holds_one_block_of_step_fields():
@@ -514,7 +538,7 @@ def test_trajectory_export(tmp_path):
     p1 = tmp_path / "traj.csv"
     p2 = tmp_path / "diag.csv"
     traj.export_csv(p1)
-    traj.export_diagnostics_csv(p2)
+    traj.export_diagnostics_csv(p2, ctx)
     lines = p1.read_text().strip().splitlines()
     assert len(lines) == 7  # header + 6 snapshots
     assert lines[0].split(",")[:3] == ["t", "re_d_k0_p0", "im_d_k0_p0"]

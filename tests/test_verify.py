@@ -478,3 +478,23 @@ def test_energy_estimates_match_per_snapshot_oracle(oracle_instances, alpha, see
     assert monitor.measured == dual_norm_per_snapshot(ctx, traj)
     assert monitor.ingredients["probed_xc_lipschitz"] == probed_l
     assert monitor.ingredients["probed_hartree_constant"] == probed_cu
+
+
+@pytest.mark.parametrize("alpha", [1, 0])
+def test_l2_envelope_report_reads_the_solve_guard(oracle_instances, alpha):
+    # the report restates the envelope the solve checked; the alpha=0 solve carries
+    # a source, whose norms enter the bound
+    ctx, traj = oracle_instances[True][alpha]
+    reports = {r.name: r for r in check_energy_estimates(traj, ctx, seed=0)}
+    report = reports[f"l2-envelope-alpha{alpha}"]
+    assert report.measured == traj.meta["l2_envelope_measured"]
+    assert report.bound == traj.meta["l2_envelope_bound"]
+    c0 = (1 - alpha) * traj.meta["constants"]["c0"]
+    start = traj.l2[0] if alpha == 1 else traj.l2[-1]
+    source_sq = [0.0] * len(traj.times)
+    if ctx.source is not None:
+        source_sq = [np.sum(np.abs(ctx.source_coefficients(t)) ** 2) for t in traj.times]
+    data = start**2 + np.trapezoid(source_sq, traj.times)
+    horizon = traj.times[-1] - traj.times[0]
+    assert report.bound == pytest.approx(np.exp((1.0 + 2.0 * c0) * horizon) * data, rel=1e-12)
+    assert report.measured == np.max(traj.l2**2)
