@@ -22,7 +22,14 @@ time-step sign reproduces it (used by the reversibility tests).
 
 States are (modes, particles) coefficients; any other shape raises
 ``PropagationError`` (``step`` compares only the shape, as its kinetic
-half-step comes before any ``synthesize`` call).
+half-step comes before any ``synthesize`` call).  A stack (B, modes,
+particles) of alpha=1 start states is solved in lockstep: ``solve_forward``
+of a stack makes one ``step`` call per time step for the whole stack and
+returns the B trajectories, each bit-identical to the solve of its start state
+alone, since every layer a step calls treats the stack items apart.  A single
+start state is solved as the stack of one.  The alpha=0 stage stops its
+fixed-point sweeps on the change of everything it is given, so an adjoint
+solve takes one terminal state.
 
 A solve returns the stored states and the L2 and H1 norms of each (the L2
 norm feeds the blow-up guard), and nothing more.  Every solve checks its norms
@@ -35,6 +42,7 @@ the stored states are left to the readers that want them, through
 ``form_values``, which evaluates them over blocks of snapshots.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,8 +144,8 @@ def _potential_stage_fields(ctx, external, a):
 
 
 def _potential_stage_forward(ctx, t_mid, dt, d, external):
-    """Phase step of the alpha=1 stage; ``external`` is the field at t_mid, where the
-    source is read."""
+    """Phase step of the alpha=1 stage on a state or a stack of states; ``external``
+    is the field at t_mid, where the source is read."""
     psi, _, v = _potential_stage_fields(ctx, external, d)
     f = ctx.source_coefficients(t_mid)
     if f is None:
@@ -145,7 +153,7 @@ def _potential_stage_forward(ctx, t_mid, dt, d, external):
     else:
         f_grid = synthesize(ctx.basis, f)
         # midpoint density prediction: with a source the modulus is not conserved
-        psi_half = psi - 0.5j * dt * (v[:, None] * psi + f_grid)
+        psi_half = psi - 0.5j * dt * (v[..., None] * psi + f_grid)
         v = _stage_potential(ctx, external, density_from_grid(psi_half))
         psi = _kernels.phase_apply(psi, v, dt) - 1j * dt * _kernels.phase_apply(
             f_grid, v, 0.5 * dt
@@ -207,12 +215,22 @@ def _potential_stage_adjoint(ctx, t_mid, dt, d, fields):
 def step(ctx, t, dt, d, *, fields=None):
     """Second-order one-step map d(t) -> d(t+dt); dt may be negative.
 
+    ``d`` is a state or a stack (B, modes, particles) of states, each item
+    stepped as it would be alone.  For alpha=0 a stack holds one state: the
+    fixed-point sweeps stop on the change of the whole stack, which is the
+    change of each item only when there is one.
+
     ``fields`` is the (external, frozen) pair of the midpoint t + dt/2, its
     item of ``system.stage_schedule`` (frozen is None for alpha=1), as
     ``_solve`` hands it to every step; without it the step takes the pair
     from a schedule of that one midpoint.
     """
-    check_layout(np.shape(d), ctx.basis.size, PropagationError)
+    stacked = np.ndim(d) == 3
+    check_layout(np.shape(d), ctx.basis.size, PropagationError, stacked)
+    if stacked and ctx.alpha == 0 and len(d) != 1:
+        raise PropagationError(
+            "an alpha=0 step takes one state: its fixed-point sweeps stop per state"
+        )
     if dt == 0.0:
         return np.array(d, dtype=np.complex128, copy=True)
     d = np.asarray(d, dtype=np.complex128)
@@ -226,13 +244,6 @@ def step(ctx, t, dt, d, *, fields=None):
     else:
         d = _potential_stage_adjoint(ctx, t_mid, dt, d, fields)
     return half * d
-
-
-def _record(ctx, d, out, i):
-    """Store the norms of the state d at index i and return its L2 norm."""
-    l2, out["h1"][i] = norms(ctx.basis, d)
-    out["l2"][i] = l2
-    return l2
 
 
 def form_values(ctx, traj):
@@ -276,49 +287,86 @@ def _check_envelope(ctx, traj):
 
 
 def _solve(ctx, start, steps):
-    """Step from the start state toward T (alpha=1) or toward 0 (alpha=0).
+    """Step the stack of start states from 0 toward T (alpha=1) or toward 0 (alpha=0).
 
-    Every state is stored at its place on the increasing time grid; a blow-up
-    carries the last good time and the good states, in time order.
+    ``start`` is a checked (B, modes, particles) stack (of one for alpha=0); the
+    items are stepped in lockstep, one ``step`` call per time step, and the B
+    trajectories are returned, each bit-identical to the solve of its item alone.
+    Every state is stored at its place on the increasing time grid, and each
+    item's states and norms are C-contiguous rows of one array.
+
+    A blow-up raises the error that solving the items one at a time would raise
+    first: that of the lowest item that blows up, with its last good time and its
+    good states in time order.  So a blown-up item and every item after it leave
+    the stack, the items before it run to the end and pass the envelope check
+    first, and then its error is raised.
     """
     spec = ctx.basis.spec
     dt = spec.horizon / steps
-    d = _as_state(ctx.basis, start, PropagationError)
     times = np.linspace(0.0, spec.horizon, steps + 1)
-    states = np.empty((steps + 1,) + d.shape, dtype=np.complex128)
-    out = {k: np.empty(steps + 1) for k in ("l2", "h1")}
+    states = np.empty((len(start), steps + 1) + start.shape[1:], dtype=np.complex128)
+    l2, h1 = np.empty((2, len(start), steps + 1))
     forward = ctx.alpha == 1
     order = range(steps + 1) if forward else range(steps, -1, -1)
     h = dt if forward else -dt
-    states[order[0]] = d
-    l2_start = _record(ctx, d, out, order[0])
-    guard = max(l2_start, 1.0) * BLOWUP_FACTOR
+    d = start
+    states[:, order[0]] = d
+    l2[:, order[0]], h1[:, order[0]] = norms(ctx.basis, d)
+    guard = np.maximum(l2[:, order[0]], 1.0) * BLOWUP_FACTOR
+    failure = None
     # each step's midpoint written as step writes it: t + 0.5 * dt
     mids = times[order[:-1]] + 0.5 * h
     for last, i, fields in zip(order, order[1:], stage_schedule(ctx, mids)):
         d = step(ctx, times[last], h, d, fields=fields)
-        states[i] = d
-        good = states[: last + 1] if forward else states[last:]
-        if not np.all(np.isfinite(d)):
-            raise BlowUpError(f"non-finite state at t={times[i]}", times[last], good)
-        if _record(ctx, d, out, i) > guard:
-            raise BlowUpError(
-                f"norm exceeded {BLOWUP_FACTOR:g} x {'initial' if forward else 'terminal'}"
-                f" at t={times[i]}",
-                times[last],
-                good,
-            )
-    traj = Trajectory(times=times, states=states, **out)
-    _check_envelope(ctx, traj)
-    return traj
+        finite = np.isfinite(d).all(axis=(1, 2))
+        ok = len(d) if finite.all() else int(finite.argmin())
+        l2_i, h1_i = norms(ctx.basis, d[:ok])
+        grown = l2_i > guard[:ok]
+        live = int(grown.argmax()) if grown.any() else ok
+        if live < len(d):
+            if live < ok:
+                why = f"norm exceeded {BLOWUP_FACTOR:g} x {'initial' if forward else 'terminal'}"
+            else:
+                why = "non-finite state"
+            good = states[live, : last + 1] if forward else states[live, last:]
+            failure = BlowUpError(f"{why} at t={times[i]}", times[last], good)
+            d = d[:live]
+        states[:live, i] = d
+        l2[:live, i], h1[:live, i] = l2_i[:live], h1_i[:live]
+        if not live:
+            break
+    trajs = []
+    for b in range(len(d)):
+        traj = Trajectory(times=times, states=states[b], l2=l2[b], h1=h1[b])
+        _check_envelope(ctx, traj)
+        trajs.append(traj)
+    if failure is not None:
+        raise failure
+    return trajs
+
+
+def _step_count(ctx, steps):
+    """``steps``, or the spec's count when it is None, as a positive int."""
+    steps = ctx.basis.spec.steps if steps is None else steps
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise PropagationError(f"the step count must be a positive integer, got {steps!r}")
+    return int(steps)
 
 
 def solve_forward(ctx, psi0, steps=None):
-    """Integrate the alpha=1 problem from psi0 over [0, T]."""
+    """Integrate the alpha=1 problem from psi0 over [0, T].
+
+    ``psi0`` is a (modes, particles) state, which gives its trajectory, or a
+    stack (B, modes, particles) of states, which gives the list of their B
+    trajectories, solved in lockstep; each equals the solve of its state alone.
+    """
     if ctx.alpha != 1:
         raise PropagationError("solve_forward needs an alpha=1 context")
-    steps = int(steps if steps is not None else ctx.basis.spec.steps)
-    return _solve(ctx, psi0, steps)
+    steps = _step_count(ctx, steps)
+    stacked = np.ndim(psi0) == 3
+    d = _as_state(ctx.basis, psi0, PropagationError, stacked)
+    trajs = _solve(ctx, d if stacked else d[None], steps)
+    return trajs if stacked else trajs[0]
 
 
 def solve_adjoint(ctx, terminal, steps=None):
@@ -327,12 +375,14 @@ def solve_adjoint(ctx, terminal, steps=None):
     Implemented as a negative-step solve in physical time; the returned
     trajectory is indexed forward (times increasing from 0 to T).  The time
     grid must be an integer refinement of the stored forward grid so the
-    frozen-state interpolation error stays controlled.
+    frozen-state interpolation error stays controlled.  The terminal state is
+    one (modes, particles) state, not a stack: the fixed-point sweeps of a step
+    stop per state.
     """
     if ctx.alpha != 0:
         raise PropagationError("solve_adjoint needs an alpha=0 context")
     spec = ctx.basis.spec
-    steps = int(steps if steps is not None else spec.steps)
+    steps = _step_count(ctx, steps)
     fwd_times = ctx.forward.times
     fwd_steps = len(fwd_times) - 1
     if abs(fwd_times[-1] - spec.horizon) > 1e-12 * max(1.0, spec.horizon):
@@ -342,7 +392,8 @@ def solve_adjoint(ctx, terminal, steps=None):
             f"adjoint grid ({steps} steps) must be an integer refinement of the "
             f"forward grid ({fwd_steps} steps)"
         )
-    return _solve(ctx, terminal, steps)
+    d = _as_state(ctx.basis, terminal, PropagationError)
+    return _solve(ctx, d[None], steps)[0]
 
 
 def forward_context(basis, potentials, kernel=None, control=None, source=None):

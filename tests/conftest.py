@@ -30,7 +30,6 @@ from tdks.system import (
     nonlinear_G,
     rhs,
 )
-from tdks.verify import _subsample_cells
 
 
 def make_setup(
@@ -248,9 +247,20 @@ def backward_sweep_per_step(spec, ctx, traj):
     return g_samples, mu_path
 
 
+def subsample_distances_pointwise(centers, h, n, sub):
+    """Oracle for ``verify._subsample_cells``: every subsample point is formed, squared
+    and summed over its axes, (cells, sub^n)."""
+    offs = (np.arange(sub) + 0.5) / sub - 0.5
+    smesh = np.meshgrid(*([offs] * n), indexing="ij")
+    shifts = np.stack([m.reshape(-1) for m in smesh], axis=1) * h
+    pts = centers[:, None, :] + shifts[None, :, :]
+    return np.sqrt((pts**2).sum(axis=2))
+
+
 def ball_quadrature_whole_grid(n, p, radius, resolution, refine_origin=True):
     """Oracle for ``verify._ball_quadrature``: the same midpoint rule over the
-    whole positive octant at once, each sum taken over all its cells."""
+    whole positive octant at once, each sum taken over all its cells, with the
+    subsample distances formed point by point."""
     res = int(resolution)
     if res % 2:
         res += 1
@@ -267,10 +277,10 @@ def ball_quadrature_whole_grid(n, p, radius, resolution, refine_origin=True):
     total = float(np.sum(dist[inside] ** (-p))) * cell
 
     if np.any(core):
-        d = _subsample_cells(centers[core], h, n, 11)
+        d = subsample_distances_pointwise(centers[core], h, n, 11)
         total += float(np.sum(d**(-p))) * cell / d.shape[1]
     if np.any(boundary):
-        d = _subsample_cells(centers[boundary], h, n, 5)
+        d = subsample_distances_pointwise(centers[boundary], h, n, 5)
         frac = (d <= radius).mean(axis=1)
         vals = dist[boundary] ** (-p)
         total += float(np.sum(vals * frac)) * cell

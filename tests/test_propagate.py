@@ -462,6 +462,78 @@ def test_long_adjoint_solve_holds_one_block_of_step_fields():
     assert peak < 2e6
 
 
+@pytest.mark.parametrize("with_source", [False, True], ids=["homogeneous", "source"])
+@pytest.mark.parametrize("lengths, grid, modes, fwd_steps", REFINED_CASES)
+def test_stacked_forward_solve_matches_single_solves(lengths, grid, modes, fwd_steps,
+                                                     with_source):
+    # every item of a lockstep solve is its own solve, bit for bit
+    actx, _ = refined_adjoint(lengths, grid, modes, fwd_steps)
+    basis = actx.basis
+    ctx = forward_context(basis, actx.potentials, kernel=actx.kernel, control=actx.control)
+    if with_source:
+        f = random_coefficients(basis, 2, np.random.default_rng(4), 0.5)
+        ctx = replace(ctx, source=lambda t: np.cos(3.0 * t) * f)
+    rng = np.random.default_rng(6)
+    starts = np.stack([random_coefficients(basis, 2, rng, r) for r in (1.0, 0.3, 2.0)])
+    trajs = solve_forward(ctx, starts)
+    assert isinstance(trajs, list) and len(trajs) == len(starts)
+    for start, traj in zip(starts, trajs):
+        alone = solve_forward(ctx, start)
+        for name in ("times", "states", "l2", "h1"):
+            got = getattr(traj, name)
+            assert np.array_equal(got, getattr(alone, name)), name
+            assert got.flags.c_contiguous, name
+        assert traj.meta == alone.meta
+
+
+@pytest.mark.parametrize("scales", [(1e3, 1.0, 3e5), (1e3, 1.0, -1.0)], ids=["one", "two"])
+def test_stacked_blowup_raises_the_error_of_the_second_item_alone(scales):
+    # a unit start trips the guard after a few steps, a large one does not: the
+    # third item runs to the end or blows up at the same step as the second, and
+    # either way the second item's own error is raised, as solving the items one
+    # at a time would
+    basis, pot, _ = make_setup(
+        grid=(16,),
+        modes=(4,),
+        steps=10,
+        include_hartree=False,
+        include_exchange=False,
+        include_correlation=False,
+    )
+    src = unit_state(basis, 0, amplitude=5.2e6)
+    ctx = forward_context(basis, pot, source=lambda t: src)
+    starts = np.stack([c * unit_state(basis, 0) for c in scales])
+    solve_forward(ctx, starts[0])
+    with pytest.raises(BlowUpError) as alone:
+        solve_forward(ctx, starts[1])
+    with pytest.raises(BlowUpError) as stacked:
+        solve_forward(ctx, starts)
+    assert str(stacked.value) == str(alone.value)
+    assert stacked.value.t_last == alone.value.t_last
+    assert np.array_equal(stacked.value.partial, alone.value.partial)
+
+
+def test_adjoint_solve_takes_one_terminal_state():
+    actx, terminal = refined_adjoint((3.0,), (32,), (6,), 20)
+    with pytest.raises(PropagationError, match="not \\(modes, particles\\)"):
+        solve_adjoint(actx, np.stack([terminal, terminal]))
+    with pytest.raises(PropagationError, match="fixed-point sweeps stop per state"):
+        step(actx, 1.0, -0.01, np.stack([terminal, terminal]))
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5, "4", True])
+def test_solves_reject_a_step_count_that_is_not_a_positive_integer(steps):
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=4)
+    ctx = forward_context(basis, pot, kernel=kernel)
+    psi0 = unit_state(basis, 0)
+    with pytest.raises(PropagationError, match="positive integer"):
+        solve_forward(ctx, psi0, steps=steps)
+    actx = adjoint_context(basis, pot, forward=solve_forward(ctx, psi0), kernel=kernel)
+    with pytest.raises(PropagationError, match="positive integer"):
+        solve_adjoint(actx, psi0, steps=steps)
+    assert len(solve_forward(ctx, psi0, steps=np.int64(8)).times) == 9
+
+
 def test_blowup_guard_trips_on_absurd_source():
     basis, pot, _ = make_setup(
         grid=(16,),

@@ -127,3 +127,23 @@ def test_verify_evaluates_samples_in_blocks(tmp_path, monkeypatch):
     assert len(calls["hartree_pair_difference"]) == blocks(100) + 3 * blocks(40)
     # the coefficient probe: 2 x 100 pairs, then 100 on the wider ball, two G calls each
     assert len(calls["nonlinear_G"]) == 2 * (blocks(200) + blocks(100))
+
+
+def test_verify_solves_the_gronwall_perturbations_as_one_stack(tmp_path):
+    # the base solve, the three Galerkin rungs and one stacked solve of gronwall's
+    # four perturbed starts make 5 forward solves; with the adjoint, 6 solves of
+    # 400 steps each
+    tracer = _load("tracer")
+    installed = tracer.Tracer(tracer.LAYER_TARGETS).install()
+    try:
+        assert main(["verify", "--out", str(tmp_path / "out"), "--quiet", "--seed", "0"]) == 0
+    finally:
+        installed.uninstall()
+    spans = installed.spans  # (name index, start, end, parent index), in call order
+    names = [installed.names[s[0]] for s in spans]
+    steps = parse_config("{}")["domain"]["steps"]
+    solves = [i for i, name in enumerate(names) if name == "propagate.solve_forward"]
+    (gronwall,) = [i for i, name in enumerate(names) if name == "verify.check_uniqueness_gronwall"]
+    assert len(solves) == 5
+    assert names.count("propagate.step") == 6 * steps == 2400
+    assert len([i for i in solves if spans[i][3] == gronwall]) == 1

@@ -28,6 +28,7 @@ from tdks.verify import (
     EstimateReport,
     _ball_quadrature,
     _hartree_pair_ratios,
+    _subsample_cells,
     probe_hartree_constant,
     probe_xc_lipschitz,
 )
@@ -40,6 +41,7 @@ from conftest import (
     hartree_pair_ratio,
     make_setup,
     pair_ratios_per_pair,
+    subsample_distances_pointwise,
     unit_state,
     xc_pair_ratio,
 )
@@ -83,6 +85,18 @@ def test_ball_quadrature_matches_oracle():
         if got != ball_quadrature_whole_grid(n, p, radius, res, refine):
             mismatched.append((n, p, res, refine, radius))
     assert len(cases) >= 432 and mismatched == []
+
+
+@pytest.mark.parametrize("sub", [5, 11])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subsample_distances_match_pointwise_oracle(n, sub):
+    # per-axis squares added first axis first are the point-by-point sums, in order
+    h = 0.37
+    centers = np.random.default_rng([n, sub]).uniform(-2.0, 2.0, size=(60, n))
+    assert (centers < 0).any()
+    got = _subsample_cells(centers, h, n, sub)
+    assert got.shape == (len(centers), sub**n)
+    assert np.array_equal(got, subsample_distances_pointwise(centers, h, n, sub))
 
 
 def test_ball_quadrature_runs_in_bounded_memory():
@@ -237,6 +251,12 @@ def test_uniqueness_rejects_tiny_eps(desk):
     _, _, _, ctx = desk
     with pytest.raises(ValueError):
         check_uniqueness_gronwall(ctx, solve_forward(ctx, unit_state(ctx.basis, 0)), [1e-12])
+
+
+def test_uniqueness_rejects_an_empty_eps_list(desk):
+    _, _, _, ctx = desk
+    with pytest.raises(ValueError, match="at least one"):
+        check_uniqueness_gronwall(ctx, solve_forward(ctx, unit_state(ctx.basis, 0)), [])
 
 
 def test_gap_trivial_and_linear_cases():
