@@ -40,9 +40,7 @@ from .propagate import (
     BlowUpError,
     PropagationError,
     Trajectory,
-    adjoint_context,
     form_values,
-    forward_context,
     solve_adjoint,
     solve_forward,
     step,

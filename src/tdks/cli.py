@@ -12,6 +12,7 @@ import copy
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -38,13 +39,12 @@ from .potentials import (
 )
 from .propagate import (
     PropagationError,
-    adjoint_context,
-    forward_context,
     solve_adjoint,
     solve_forward,
     write_csv,
 )
 from .signals import ControlSignal, SignalError, zero_control
+from .system import SystemContext
 from .system import SystemError as SystemContextError
 from .verify import (
     check_coefficient_lipschitz,
@@ -65,7 +65,7 @@ class ConfigError(ValueError):
 # preset kinds, each with the forms of its optional parameters; a field preset takes
 # those of potentials.FIELD_PRESETS (array values or a number), and an array a .npy path
 _FIELD_PRESETS = {
-    kind: {key: np.ndarray if default is None else np.float64 for key, default in params.items()}
+    kind: {key: np.ndarray if default is None else float for key, default in params.items()}
     for kind, params in FIELD_PRESETS.items()
 }
 _FIELD_PRESETS["array"]["path"] = str
@@ -78,7 +78,7 @@ _STATE_PRESETS = {
 _CONTROL_PRESETS = {
     "zero": {},
     "samples": {"values": np.ndarray},
-    "sine": {"amplitude": np.float64, "cycles": np.float64},
+    "sine": {"amplitude": float, "cycles": float},
     "file": {"path": str},
 }
 
@@ -89,7 +89,7 @@ _CONTROL_PRESETS = {
 #   int, float, bool, str    an integer, a finite number (or integer), a boolean, a string
 #   [form]                   a list of values in that form
 #   (choice, ...)            one of these strings
-#   np.float64, np.ndarray   finite numbers by one numpy conversion: one, or any nesting
+#   np.ndarray               finite numbers by one numpy conversion: one, or any nesting
 #   {kind: {key: form}}      a preset: an object with a "kind" and that kind's keys
 # DomainSpec, domain.check_modes, PotentialConfig and potentials.check_softening
 # state the rules on the domain, the mode counts and the potential constants.
@@ -170,14 +170,15 @@ def _check(where, value, form, rule=None, message=None):
     elif isinstance(form, tuple):
         if value not in form:
             raise ConfigError(f"{where}: must be {' or '.join(map(repr, form))}")
-    elif form in (np.float64, np.ndarray):
+    elif form is np.ndarray:
         try:
-            numbers = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
+            numbers = np.asarray(value)
+        except ValueError:  # a ragged nesting
             raise ConfigError(f"{where}: expected numbers") from None
-        if numbers.ndim and form is np.float64:
-            raise ConfigError(f"{where}: expected a number, not a list")
-        if not np.all(np.isfinite(numbers)):
+        # strings, booleans and mixed objects: numpy holds none of them as int or float
+        if numbers.dtype.kind not in "iuf":
+            raise ConfigError(f"{where}: expected numbers")
+        if not np.isfinite(numbers).all():
             raise ConfigError(f"{where}: values must be finite")
     elif not _has_form(value, form):
         raise ConfigError(f"{where}: expected {_name(form)}, got {value!r}")
@@ -302,7 +303,7 @@ def _build_instruments(config):
 
 def _forward_problem(basis, potentials, kernel, preset, control=None):
     """The forward context on the basis and the initial state of the state preset."""
-    ctx = forward_context(basis, potentials, kernel=kernel, control=control)
+    ctx = SystemContext(basis=basis, potentials=potentials, kernel=kernel, control=control)
     return ctx, _build_state(basis, preset)
 
 
@@ -356,9 +357,11 @@ def _build_control(preset, horizon, steps):
         amp = float(preset.get("amplitude", 1.0))
         cycles = float(preset.get("cycles", 1.0))
         t = np.linspace(0.0, horizon, steps + 1)
-        return ControlSignal(
-            samples=amp * np.sin(2.0 * np.pi * cycles * t / horizon), horizon=horizon
-        )
+        # a phase that overflows gives non-finite samples, which the signal rejects
+        with _under("control: ", SignalError), np.errstate(over="ignore", invalid="ignore"):
+            return ControlSignal(
+                samples=amp * np.sin(2.0 * np.pi * cycles * t / horizon), horizon=horizon
+            )
     if kind == "samples":
         values, where = np.asarray(preset["values"], dtype=np.float64), "control.values"
     else:  # the kind is "file"
@@ -428,9 +431,7 @@ def _run_simulate(config, out, quiet, mode):
     traj = solve_forward(fwd_ctx, psi0)
     if mode == "adjoint":
         terminal, source = adjoint_sources(objective, traj)
-        adj_ctx = adjoint_context(
-            basis, potentials, forward=traj, kernel=kernel, control=control, source=source
-        )
+        adj_ctx = replace(fwd_ctx, alpha=0, forward=traj, source=source)
         main, main_ctx = solve_adjoint(adj_ctx, terminal), adj_ctx
         traj.export_csv(out / "forward_trajectory.csv")
         traj.export_diagnostics_csv(out / "forward_diagnostics.csv", fwd_ctx)
@@ -498,9 +499,7 @@ def run_verification_suite(config):
         target_trajectory=lambda t: np.zeros_like(psi0),
     )
     terminal, source = adjoint_sources(objective, traj)
-    adj_ctx = adjoint_context(
-        basis, potentials, forward=traj, kernel=kernel, source=source
-    )
+    adj_ctx = replace(fwd_ctx, alpha=0, forward=traj, source=source)
     adj = solve_adjoint(adj_ctx, terminal)
     reports.extend(check_energy_estimates(adj, adj_ctx, seed=seed))
     reports.extend(check_form_bounds(adj_ctx, t=0.5 * basis.spec.horizon, count=100, seed=seed))
@@ -537,7 +536,8 @@ def _galerkin_builder(basis, potentials, kernel, preset):
         rung = build_basis(basis.spec, modes)
         if given is None:
             return _forward_problem(rung, potentials, kernel, preset)
-        return forward_context(rung, potentials, kernel=kernel), carry_modes(given, basis, rung)
+        ctx = SystemContext(basis=rung, potentials=potentials, kernel=kernel)
+        return ctx, carry_modes(given, basis, rung)
 
     return builder
 

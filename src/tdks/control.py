@@ -25,7 +25,7 @@ its H1 Riesz representative, obtained from the tridiagonal discrete
 admissible control space.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -86,12 +86,6 @@ class ObjectiveSpec:
         if self.target_state is not None:
             object.__setattr__(self, "target_state", _as_target(self.target_state))
 
-    def target_at(self, t, shape):
-        return _as_target(self.target_trajectory(t), shape)
-
-    def terminal_target(self, shape):
-        return _as_target(self.target_state, shape)
-
 
 def _as_target(d, shape=None):
     """(modes, particles) target coefficients; with ``shape``, only of that shape."""
@@ -109,14 +103,13 @@ def _state_sq(d):
 def _residual(spec, state, t=None):
     """Psi - target(t) of the J1 term for a state at time t, or Psi - target_T of the
     J2 term when t is None; a target of another shape than the state raises."""
-    if t is None:
-        return state - spec.terminal_target(state.shape)
-    return state - spec.target_at(t, state.shape)
+    target = spec.target_state if t is None else spec.target_trajectory(t)
+    return state - _as_target(target, state.shape)
 
 
 def _solve_objective(spec, ctx, u, psi0):
     """The forward solve from psi0 under the control u, and J(u) of it."""
-    traj = solve_forward(ctx.with_control(u), psi0)
+    traj = solve_forward(replace(ctx, control=u), psi0)
     j1 = j2 = 0.0
     if spec.j1 == "trajectory":
         vals = [_state_sq(_residual(spec, d, t)) for d, t in zip(traj.states, traj.times)]
@@ -239,7 +232,7 @@ def reduced_gradient(spec, ctx, u, psi0, forward_traj=None):
         )
     if ctx.source is not None:
         raise ControlError("the controlled forward problem carries no inhomogeneity")
-    ctx_u = ctx.with_control(u)
+    ctx_u = replace(ctx, control=u)
     traj = forward_traj if forward_traj is not None else solve_forward(ctx_u, psi0)
     raw, _ = backward_sweep(spec, ctx_u, traj)
     smooth = _h1_riesz(u, raw, spec.nu)

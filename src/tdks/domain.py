@@ -25,6 +25,7 @@ is ever formed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -33,6 +34,12 @@ import numpy as np
 
 class DomainError(ValueError):
     """Raised for invalid domain or basis parameters."""
+
+
+def is_count(value):
+    """Whether value is a positive integer: a ``numbers.Integral`` (so also a numpy
+    integer) that is not a bool.  Every count of the domain and of a solve obeys it."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,10 @@ class DomainSpec:
 
     def __post_init__(self):
         n = self.dimension
-        if n not in (1, 2, 3):
-            raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
+        if not is_count(n) or n > 3:
+            raise DomainError(f"dimension must be 1, 2 or 3, got {n!r}")
+        if not all(map(is_count, self.grid)):
+            raise DomainError(f"grid cells per axis must be positive integers, got {self.grid!r}")
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
         object.__setattr__(self, "grid", tuple(int(v) for v in self.grid))
         if len(self.lengths) != n or len(self.grid) != n:
@@ -65,12 +74,14 @@ class DomainSpec:
             raise DomainError("need at least 4 grid cells per axis")
         if any(m % 2 for m in self.grid):
             raise DomainError("grid cells per axis must be even")
-        if self.particles < 1:
-            raise DomainError("particle count must be >= 1")
+        if not is_count(self.particles):
+            raise DomainError(
+                f"the particle count must be a positive integer, got {self.particles!r}"
+            )
         if not (self.horizon > 0):
             raise DomainError("time horizon must be positive")
-        if self.steps < 1:
-            raise DomainError("need at least one time step")
+        if not is_count(self.steps):
+            raise DomainError(f"the step count must be a positive integer, got {self.steps!r}")
 
     @property
     def spacings(self):
@@ -112,11 +123,12 @@ def check_modes(spec, modes_per_axis):
     Each axis takes 1 to grid/2 modes: the modes above grid/2 are the
     anti-aliasing margin the pseudo-spectral nonlinearity relies on.
     """
-    modes = tuple(int(k) for k in modes_per_axis)
+    modes = tuple(modes_per_axis)
     if len(modes) != spec.dimension:
         raise DomainError("need one mode count per dimension")
-    if any(k < 1 for k in modes):
-        raise DomainError("need at least one mode per axis")
+    if not all(map(is_count, modes)):
+        raise DomainError(f"mode counts per axis must be positive integers, got {modes!r}")
+    modes = tuple(map(int, modes))
     for k, m in zip(modes, spec.grid):
         if k > m // 2:
             raise DomainError(
@@ -177,7 +189,7 @@ def _as_state(basis, d, error=DomainError, stack=False):
     """Finite complex coefficients in the layout of ``check_layout``, or ``error``."""
     d = np.asarray(d, dtype=np.complex128)
     check_layout(d.shape, basis.size, error, stack)
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise error("coefficients contain non-finite entries")
     return d
 

@@ -106,7 +106,6 @@ class CoulombKernel:
     """
 
     softening: float
-    dimension: int
     nodes_per_axis: tuple
     weights: np.ndarray
     matrix: np.ndarray = None
@@ -207,7 +206,6 @@ def build_coulomb_kernel(basis, softening=0.0):
         spectrum = np.fft.rfftn(_offset_table(spacings, softening, folded)).real
     return CoulombKernel(
         softening=softening,
-        dimension=n,
         nodes_per_axis=shape,
         weights=basis.weights,
         matrix=matrix,

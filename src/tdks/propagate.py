@@ -26,8 +26,10 @@ half-step comes before any ``synthesize`` call).  A stack (B, modes,
 particles) of alpha=1 start states is solved in lockstep: ``solve_forward``
 of a stack makes one ``step`` call per time step for the whole stack and
 returns the B trajectories, each bit-identical to the solve of its start state
-alone, since every layer a step calls treats the stack items apart.  A single
-start state is solved as the stack of one.  The alpha=0 stage stops its
+alone, since every layer a step calls treats the stack items apart.  A
+blow-up of any item ends the whole solve at that step, with the error of the
+lowest item that fails there: the error that item's solve alone raises.  A
+single start state is solved as the stack of one.  The alpha=0 stage stops its
 fixed-point sweeps on the change of everything it is given, so an adjoint
 solve takes one terminal state.
 
@@ -42,16 +44,14 @@ the stored states are left to the readers that want them, through
 ``form_values``, which evaluates them over blocks of snapshots.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .domain import _as_state, check_layout, norms, project, synthesize
+from .domain import _as_state, check_layout, is_count, norms, project, synthesize
 from .potentials import density_from_grid, hartree, vxc_rho_derivative
 from .system import (
-    SystemContext,
     _bounded_apply,
     bilinear_B,
     bound_constants,
@@ -295,11 +295,10 @@ def _solve(ctx, start, steps):
     Every state is stored at its place on the increasing time grid, and each
     item's states and norms are C-contiguous rows of one array.
 
-    A blow-up raises the error that solving the items one at a time would raise
-    first: that of the lowest item that blows up, with its last good time and its
-    good states in time order.  So a blown-up item and every item after it leave
-    the stack, the items before it run to the end and pass the envelope check
-    first, and then its error is raised.
+    A blow-up ends the solve at the first step where any item fails: it raises
+    the ``BlowUpError`` of the lowest item that fails at that step, which is the
+    error that item's solve alone raises, with its last good time and its good
+    states in time order.  No envelope is checked then.
     """
     spec = ctx.basis.spec
     dt = spec.horizon / steps
@@ -313,42 +312,35 @@ def _solve(ctx, start, steps):
     states[:, order[0]] = d
     l2[:, order[0]], h1[:, order[0]] = norms(ctx.basis, d)
     guard = np.maximum(l2[:, order[0]], 1.0) * BLOWUP_FACTOR
-    failure = None
     # each step's midpoint written as step writes it: t + 0.5 * dt
     mids = times[order[:-1]] + 0.5 * h
     for last, i, fields in zip(order, order[1:], stage_schedule(ctx, mids)):
         d = step(ctx, times[last], h, d, fields=fields)
         finite = np.isfinite(d).all(axis=(1, 2))
         ok = len(d) if finite.all() else int(finite.argmin())
-        l2_i, h1_i = norms(ctx.basis, d[:ok])
-        grown = l2_i > guard[:ok]
-        live = int(grown.argmax()) if grown.any() else ok
-        if live < len(d):
-            if live < ok:
+        l2[:ok, i], h1[:ok, i] = norms(ctx.basis, d[:ok])
+        grown = l2[:ok, i] > guard[:ok]
+        if grown.any() or ok < len(d):
+            b = int(grown.argmax()) if grown.any() else ok
+            if b < ok:
                 why = f"norm exceeded {BLOWUP_FACTOR:g} x {'initial' if forward else 'terminal'}"
             else:
                 why = "non-finite state"
-            good = states[live, : last + 1] if forward else states[live, last:]
-            failure = BlowUpError(f"{why} at t={times[i]}", times[last], good)
-            d = d[:live]
-        states[:live, i] = d
-        l2[:live, i], h1[:live, i] = l2_i[:live], h1_i[:live]
-        if not live:
-            break
+            good = states[b, : last + 1] if forward else states[b, last:]
+            raise BlowUpError(f"{why} at t={times[i]}", times[last], good)
+        states[:, i] = d
     trajs = []
     for b in range(len(d)):
         traj = Trajectory(times=times, states=states[b], l2=l2[b], h1=h1[b])
         _check_envelope(ctx, traj)
         trajs.append(traj)
-    if failure is not None:
-        raise failure
     return trajs
 
 
 def _step_count(ctx, steps):
     """``steps``, or the spec's count when it is None, as a positive int."""
     steps = ctx.basis.spec.steps if steps is None else steps
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+    if not is_count(steps):
         raise PropagationError(f"the step count must be a positive integer, got {steps!r}")
     return int(steps)
 
@@ -395,25 +387,3 @@ def solve_adjoint(ctx, terminal, steps=None):
     d = _as_state(ctx.basis, terminal, PropagationError)
     return _solve(ctx, d[None], steps)[0]
 
-
-def forward_context(basis, potentials, kernel=None, control=None, source=None):
-    return SystemContext(
-        basis=basis,
-        potentials=potentials,
-        kernel=kernel,
-        alpha=1,
-        control=control,
-        source=source,
-    )
-
-
-def adjoint_context(basis, potentials, forward, kernel=None, control=None, source=None):
-    return SystemContext(
-        basis=basis,
-        potentials=potentials,
-        kernel=kernel,
-        alpha=0,
-        control=control,
-        forward=forward,
-        source=source,
-    )

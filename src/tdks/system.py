@@ -17,7 +17,7 @@ second.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,9 +106,6 @@ class SystemContext:
 
     def external_at(self, t):
         return self._v0 + self.control.value(t) * self._vu
-
-    def with_control(self, control):
-        return replace(self, control=control)
 
     # -- assembly pieces -----------------------------------------------------
 

@@ -15,7 +15,7 @@ from tdks import (
     ControlSignal,
     ObjectiveSpec,
     PotentialConfig,
-    adjoint_context,
+    SystemContext,
     adjoint_sources,
     bilinear_B,
     bound_constants,
@@ -25,7 +25,6 @@ from tdks import (
     check_hartree_lipschitz,
     check_uniqueness_gronwall,
     evaluate_objective,
-    forward_context,
     norms,
     random_coefficients,
     reduced_gradient,
@@ -47,7 +46,7 @@ def test_criterion_01_norm_conservation():
     basis, pot, kernel = make_setup(
         lengths=(3.0,), grid=(48,), modes=(16,), steps=2000, horizon=1.0
     )
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     psi0 = np.zeros((basis.size, 1), dtype=np.complex128)
     psi0[0, 0], psi0[1, 0], psi0[2, 0] = 0.9, 0.3, 0.1j
     psi0 /= np.linalg.norm(psi0)
@@ -69,7 +68,7 @@ def test_criterion_02_free_mode_phase_and_order():
         include_exchange=False,
         include_correlation=False,
     )
-    ctx = forward_context(basis, pot)
+    ctx = SystemContext(basis=basis, potentials=pot)
     k = 6
     traj = solve_forward(ctx, unit_state(basis, k))
     phase_err = abs(
@@ -87,7 +86,7 @@ def test_criterion_02_free_mode_phase_and_order():
         include_correlation=False,
         confinement=v,
     )
-    ctx_o = forward_context(basis_o, pot_o)
+    ctx_o = SystemContext(basis=basis_o, potentials=pot_o)
     exact = expm(-1j * galerkin_matrix(basis_o, v)) @ unit_state(basis_o, 0)
 
     def err(steps):
@@ -134,7 +133,7 @@ def _default_instance():
         confinement={"kind": "harmonic", "amplitude": 1.0},
         control_shape={"kind": "dipole", "amplitude": 1.0},
     )
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     return basis, pot, kernel, ctx, unit_state(basis, 0)
 
 
@@ -152,7 +151,9 @@ def test_criterion_04_energy_envelopes():
         target_trajectory=lambda t: target,
     )
     terminal, source = adjoint_sources(spec_obj, traj)
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel, source=source)
+    actx = SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel, source=source
+    )
     adj = solve_adjoint(actx, terminal)
     back = {r.name: r for r in check_energy_estimates(adj, actx, seed=0)}
 
@@ -201,7 +202,7 @@ def test_criterion_06_galerkin_convergence():
             steps=400,
             confinement={"kind": "harmonic", "amplitude": 1.0},
         )
-        ctx = forward_context(basis, pot, kernel=kernel)
+        ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
         return ctx, unit_state(basis, 0)
 
     report = check_galerkin_convergence(builder, [[4], [8], [12]])
@@ -258,7 +259,7 @@ def test_criterion_08_adjoint_gradient_finite_differences():
         confinement={"kind": "harmonic", "amplitude": 1.0},
         control_shape={"kind": "dipole", "amplitude": 1.0},
     )
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     psi0 = unit_state(basis, 0)
     target = unit_state(basis, 1)
     spec_obj = ObjectiveSpec(j2="terminal", nu=1e-2, target_state=target)
@@ -291,7 +292,7 @@ def test_criterion_08_adjoint_gradient_finite_differences():
 def test_criterion_09_form_bounds_on_random_states():
     basis, pot, kernel, ctx, psi0 = _default_instance()
     traj = solve_forward(ctx, psi0)
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     ing1 = bound_constants(ctx)
     ing0 = bound_constants(actx)
     rng = np.random.default_rng(99)

@@ -298,6 +298,21 @@ NAN = float("nan")
         ),
         ({"potentials": {"coulomb_softening": 1e155}}, "potentials.coulomb_softening"),
         ({"potentials": {"coulomb_softening": 10**200}}, "potentials.coulomb_softening"),
+        ({"control": {"kind": "sine", "amplitude": "2"}}, "control.amplitude"),
+        ({"control": {"kind": "sine", "amplitude": True}}, "control.amplitude"),
+        (
+            {"potentials": {"confinement": {"kind": "harmonic", "amplitude": "3"}}},
+            "potentials.confinement.amplitude",
+        ),
+        (
+            {"initial_state": {"kind": "coefficients", "values": [[["1", "0"]]] * 8}},
+            "initial_state.values",
+        ),
+        (
+            {"initial_state": {"kind": "coefficients", "values": [[[True, False]]] * 8}},
+            "initial_state.values",
+        ),
+        ({"control": {"kind": "sine", "cycles": 1e308}}, "control:"),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):

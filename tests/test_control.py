@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from tdks import (
     ControlSignal,
     LineSearchError,
     ObjectiveSpec,
+    SystemContext,
     adjoint_sources,
     evaluate_objective,
-    forward_context,
     optimize,
     random_coefficients,
     reduced_gradient,
@@ -43,7 +45,7 @@ def control_setup():
         confinement={"kind": "harmonic", "amplitude": 1.0},
         control_shape={"kind": "dipole", "amplitude": 1.0},
     )
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     psi0 = unit_state(basis, 0)
     return ctx, psi0
 
@@ -58,7 +60,7 @@ def test_objective_zero_control_no_tracking(control_setup):
 def test_objective_self_target_leaves_regularisation(control_setup):
     ctx, psi0 = control_setup
     u = ControlSignal(samples=0.3 * np.sin(np.linspace(0, 4, 101)), horizon=1.0)
-    traj = solve_forward(ctx.with_control(u), psi0)
+    traj = solve_forward(replace(ctx, control=u), psi0)
     spec = ObjectiveSpec(
         j1="trajectory",
         j2="terminal",
@@ -74,7 +76,7 @@ def test_objective_analytic_ramp():
     basis, pot, kernel = make_setup(
         lengths=(3.0,), grid=(16,), modes=(4,), steps=1000
     )
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     u = ControlSignal(samples=np.linspace(0.0, 1.0, 1001), horizon=1.0)
     spec = ObjectiveSpec(nu=1.0)
     val = evaluate_objective(spec, ctx, u, unit_state(basis, 0))
@@ -177,7 +179,7 @@ def test_optimize_tracking_decreases_objective_by_half(control_setup):
         confinement={"kind": "well", "depth": -2.0, "width_fraction": 0.6},
         control_shape={"kind": "dipole", "amplitude": 1.0},
     )
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     psi0 = unit_state(basis, 0)
     target = np.zeros((basis.size, 1), dtype=np.complex128)
     target[0, 0] = np.sqrt(0.8)
@@ -202,7 +204,7 @@ def test_optimize_line_search_failure(control_setup, monkeypatch):
 def test_backward_sweep_integrates_the_adjoint_problem(control_setup):
     # the gradient back-propagation is a second-order scheme for the alpha=0
     # problem: its state equals -i * solve_adjoint(...) up to O(dt^2)
-    from tdks import adjoint_context, solve_adjoint
+    from tdks import solve_adjoint
 
     ctx, psi0 = control_setup
     basis = ctx.basis
@@ -210,12 +212,18 @@ def test_backward_sweep_integrates_the_adjoint_problem(control_setup):
     spec = ObjectiveSpec(j2="terminal", nu=1e-2, target_state=target)
     rng = np.random.default_rng(12)
     u = ControlSignal(samples=rng.normal(0.0, 0.3, basis.spec.steps + 1), horizon=1.0)
-    traj = solve_forward(ctx.with_control(u), psi0)
-    _, mu_path = backward_sweep(spec, ctx.with_control(u), traj)
+    traj = solve_forward(replace(ctx, control=u), psi0)
+    _, mu_path = backward_sweep(spec, replace(ctx, control=u), traj)
 
     terminal, source = adjoint_sources(spec, traj)
-    actx = adjoint_context(
-        basis, ctx.potentials, forward=traj, kernel=ctx.kernel, control=u, source=source
+    actx = SystemContext(
+        basis=basis,
+        potentials=ctx.potentials,
+        alpha=0,
+        forward=traj,
+        kernel=ctx.kernel,
+        control=u,
+        source=source,
     )
     adj = solve_adjoint(actx, -1j * terminal)
     scale = np.abs(adj.states).max()
@@ -223,7 +231,7 @@ def test_backward_sweep_integrates_the_adjoint_problem(control_setup):
 
     # and the continuous coupling quadrature approximates the discrete one
     g_cont = coupling_density(ctx, traj, adj)
-    g_disc, _ = backward_sweep(spec, ctx.with_control(u), traj)
+    g_disc, _ = backward_sweep(spec, replace(ctx, control=u), traj)
     dt = u.step
     w = np.full(u.samples.size, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -264,7 +272,7 @@ def test_backward_sweep_matches_per_step_oracle(control_setup):
     ctx, psi0 = control_setup
     assert [b.stop - b.start for b in snapshot_blocks(ctx.basis, 100)] == [62, 38]
     u = ControlSignal(samples=0.4 * np.sin(np.linspace(0.0, 5.0, 101)), horizon=1.0)
-    ctx_u = ctx.with_control(u)
+    ctx_u = replace(ctx, control=u)
     traj = solve_forward(ctx_u, psi0)
     moving = solve_forward(ctx, unit_state(ctx.basis, 1))
     spec = ObjectiveSpec(

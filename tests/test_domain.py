@@ -15,6 +15,7 @@ from tdks import (
     random_coefficients,
     synthesize,
 )
+from tdks.domain import check_modes
 
 from conftest import dense_basis_values, unit_state
 
@@ -56,6 +57,14 @@ def test_modes_exceeding_grid_rejected():
     spec = DomainSpec(dimension=1, lengths=(1.0,), grid=(16,), particles=1)
     with pytest.raises(DomainError):
         build_basis(spec, (9,))
+
+
+def test_mode_counts_must_be_positive_integers():
+    # a numpy integer is a count; a fraction is not truncated to one
+    spec = DomainSpec(dimension=1, lengths=(1.0,), grid=(16,), particles=1)
+    with pytest.raises(DomainError, match="positive integers"):
+        check_modes(spec, [2.7])
+    assert check_modes(spec, [np.int64(3)]) == (3,)
 
 
 def test_synthesize_zero_and_single_mode():
@@ -254,6 +263,12 @@ def test_eigen_relation_via_gradient_quadrature():
         dict(dimension=2, lengths=(1.0,), grid=(8, 8)),
         dict(dimension=1, lengths=(1.0,), grid=(8,), particles=0),
         dict(dimension=1, lengths=(1.0,), grid=(8,), horizon=0.0),
+        dict(dimension=1, lengths=(1.0,), grid=(8,), steps=2.5),
+        dict(dimension=1, lengths=(1.0,), grid=(8,), steps=True),
+        dict(dimension=1, lengths=(1.0,), grid=(8,), particles=1.5),
+        dict(dimension=True, lengths=(1.0,), grid=(8,)),
+        dict(dimension=1.0, lengths=(1.0,), grid=(8,)),
+        dict(dimension=1, lengths=(1.0,), grid=(32.5,)),
     ],
 )
 def test_domain_spec_validation(kwargs):

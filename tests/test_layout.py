@@ -10,10 +10,9 @@ from tdks import (
     DomainError,
     ObjectiveSpec,
     PropagationError,
-    adjoint_context,
+    SystemContext,
     adjoint_D,
     bilinear_B,
-    forward_context,
     grid_inner,
     nonlinear_G,
     norms,
@@ -33,9 +32,11 @@ from conftest import frozen_trajectory, make_setup, unit_state
 @pytest.fixture(scope="module")
 def contexts():
     basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=4)
-    fwd = forward_context(basis, pot, kernel=kernel)
+    fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     lam = unit_state(basis, 0)
-    adj = adjoint_context(basis, pot, forward=frozen_trajectory(lam, 1.0), kernel=kernel)
+    adj = SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=frozen_trajectory(lam, 1.0), kernel=kernel
+    )
     return basis, fwd, adj
 
 
@@ -86,7 +87,9 @@ def test_cli_initial_state_file_of_modes_only_is_rejected(tmp_path):
 def test_a_source_must_return_modes_by_particles_coefficients(contexts, layout):
     basis, fwd, _ = contexts
     value = np.ones((basis.node_count, 1)) if layout == "grid field" else np.ones(basis.size)
-    ctx = forward_context(basis, fwd.potentials, kernel=fwd.kernel, source=lambda t: value)
+    ctx = SystemContext(
+        basis=basis, potentials=fwd.potentials, kernel=fwd.kernel, source=lambda t: value
+    )
     with pytest.raises(SystemError, match="modes, particles"):
         ctx.source_coefficients(0.0)
 

@@ -11,11 +11,10 @@ from tdks import (
     BlowUpError,
     ControlSignal,
     PropagationError,
-    adjoint_context,
+    SystemContext,
     bilinear_B,
     bound_constants,
     form_values,
-    forward_context,
     hartree,
     ks_potential,
     potentials,
@@ -62,7 +61,7 @@ def free_setup():
 
 def test_free_single_mode_phase_oracle(free_setup):
     basis, pot, _ = free_setup
-    ctx = forward_context(basis, pot)
+    ctx = SystemContext(basis=basis, potentials=pot)
     k = 6
     traj = solve_forward(ctx, unit_state(basis, k))
     expect = np.exp(-1j * basis.eigenvalues[k] * basis.spec.horizon)
@@ -72,14 +71,14 @@ def test_free_single_mode_phase_oracle(free_setup):
 
 def test_zero_initial_state_stays_zero(free_setup):
     basis, pot, _ = free_setup
-    ctx = forward_context(basis, pot)
+    ctx = SystemContext(basis=basis, potentials=pot)
     traj = solve_forward(ctx, np.zeros((basis.size, 1)))
     assert np.abs(traj.states).max() == 0
 
 
 def test_nonlinear_norm_conservation():
     basis, pot, kernel = make_setup(grid=(48,), modes=(12,), steps=600)
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     psi0 = np.zeros((basis.size, 1), dtype=np.complex128)
     psi0[0, 0], psi0[1, 0], psi0[2, 0] = 0.9, 0.3, 0.1j
     psi0 /= np.linalg.norm(psi0)
@@ -90,7 +89,7 @@ def test_nonlinear_norm_conservation():
 
 def test_step_identity_at_small_dt():
     basis, pot, kernel = make_setup(grid=(32,), modes=(8,))
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     rng = np.random.default_rng(0)
     d = random_coefficients(basis, 1, rng, 1.0)
     assert np.abs(step(ctx, 0.0, 0.0, d) - d).max() == 0
@@ -118,7 +117,7 @@ def _cosine_ctx(amplitude, modes=8, grid=32):
         include_correlation=False,
         confinement=v,
     )
-    return forward_context(basis, pot), v
+    return SystemContext(basis=basis, potentials=pot), v
 
 
 def test_richardson_order_two_against_exponential_oracle():
@@ -167,7 +166,7 @@ def test_adjoint_frozen_state_matches_real_linear_exponential():
     rng = np.random.default_rng(5)
     lam = random_coefficients(basis, 2, rng, 1.0)
     frozen = frozen_trajectory(lam, basis.spec.horizon)
-    actx = adjoint_context(basis, pot, forward=frozen, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=frozen, kernel=kernel)
 
     dim = basis.size * 2
     gen = np.zeros((2 * dim, 2 * dim))
@@ -193,16 +192,18 @@ def test_adjoint_frozen_state_matches_real_linear_exponential():
 
 def test_adjoint_trivial_cases():
     basis, pot, kernel = make_setup(grid=(32,), modes=(6,), steps=100)
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     traj = solve_forward(ctx, unit_state(basis, 0))
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     adj = solve_adjoint(actx, np.zeros((basis.size, 1)))
     assert np.abs(adj.states).max() == 0
 
     # frozen zero forward: the coupling terms vanish and the flow is the
     # linear external one, here compared against its exponential oracle
     frozen_zero = frozen_trajectory(np.zeros((basis.size, 1)), basis.spec.horizon)
-    zero_fwd = adjoint_context(basis, pot, forward=frozen_zero, kernel=kernel)
+    zero_fwd = SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=frozen_zero, kernel=kernel
+    )
     term = unit_state(basis, 1)
     adj = solve_adjoint(zero_fwd, term, steps=400)
     h_matrix = galerkin_matrix(basis, np.zeros(basis.node_count))
@@ -212,9 +213,9 @@ def test_adjoint_trivial_cases():
 
 def test_adjoint_requires_refined_grid():
     basis, pot, kernel = make_setup(grid=(32,), modes=(6,), steps=100)
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     traj = solve_forward(ctx, unit_state(basis, 0))
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     with pytest.raises(PropagationError):
         solve_adjoint(actx, unit_state(basis, 0), steps=150)
     solve_adjoint(actx, unit_state(basis, 0), steps=200)
@@ -222,7 +223,7 @@ def test_adjoint_requires_refined_grid():
 
 def test_time_reversal_consistency():
     basis, pot, kernel = make_setup(grid=(32,), modes=(8,), particles=1, steps=150)
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     psi0 = unit_state(basis, 0)
     traj = solve_forward(ctx, psi0)
     # the nonlinear stage is symmetric up to the anti-aliasing truncation
@@ -231,7 +232,7 @@ def test_time_reversal_consistency():
         back = step(ctx, traj.times[i + 1], -dt, traj.states[i + 1])
         assert np.abs(back - traj.states[i]).max() < 1e-6
 
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     adj = solve_adjoint(actx, psi0)
     for i in (5, 80):
         fwd = step(actx, adj.times[i], dt, adj.states[i])
@@ -242,14 +243,16 @@ def test_adjoint_gronwall_envelope_metadata():
     basis, pot, kernel = make_setup(
         grid=(32,), modes=(6,), steps=150, confinement={"kind": "harmonic", "amplitude": 1.0}
     )
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     traj = solve_forward(ctx, unit_state(basis, 0))
     target = unit_state(basis, 2)
 
     def source(t):
         return 2.0 * (traj.state_at(t) - target)
 
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel, source=source)
+    actx = SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel, source=source
+    )
     adj = solve_adjoint(actx, -2.0 * (traj.states[-1] - target))
     assert adj.meta["l2_envelope_measured"] <= adj.meta["l2_envelope_bound"]
     assert adj.meta["constants"]["c0"] > 0
@@ -267,10 +270,12 @@ def test_solves_store_the_constants_of_their_context():
         control_shape={"kind": "dipole", "amplitude": 1.0},
     )
     u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 61)), horizon=1.0)
-    ctx = forward_context(basis, pot, kernel=kernel, control=u)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel, control=u)
     psi0 = random_coefficients(basis, 2, np.random.default_rng(8), 1.0)
     traj = solve_forward(ctx, psi0)
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel, control=u)
+    actx = SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel, control=u
+    )
     adj = solve_adjoint(actx, psi0)
     for solve, solve_ctx in ((traj, ctx), (adj, actx)):
         assert solve.meta["constants"] == bound_constants(solve_ctx)
@@ -289,10 +294,12 @@ def test_solve_form_values_match_single_calls():
         control_shape={"kind": "dipole", "amplitude": 1.0},
     )
     u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 61)), horizon=1.0)
-    ctx = forward_context(basis, pot, kernel=kernel, control=u)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel, control=u)
     psi0 = random_coefficients(basis, 2, np.random.default_rng(9), 1.0)
     traj = solve_forward(ctx, psi0)
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel, control=u)
+    actx = SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel, control=u
+    )
     adj = solve_adjoint(actx, psi0)
     for solve, solve_ctx in ((traj, ctx), (adj, actx)):
         form = [bilinear_B(solve_ctx, t, d, d) for t, d in zip(solve.times, solve.states)]
@@ -313,10 +320,10 @@ def test_solve_makes_no_form_value_call(monkeypatch):
 
     monkeypatch.setattr(propagate, "bilinear_B", counted)
     basis, pot, kernel = make_setup(grid=(32,), modes=(6,), particles=2, steps=40)
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     psi0 = random_coefficients(basis, 2, np.random.default_rng(5), 1.0)
     traj = solve_forward(ctx, psi0)
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     adj = solve_adjoint(actx, psi0)
     assert calls == []
     form_values(actx, adj)
@@ -337,7 +344,7 @@ def test_stored_trajectory_diagnostics_run_in_bounded_memory():
 
     times = np.linspace(0.0, 1.0, 2001)
     forward = SimpleNamespace(times=times, states=snapshots())
-    actx = adjoint_context(basis, pot, forward=forward, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=forward, kernel=kernel)
     states = snapshots()
     kernel.row_sum_max  # cached on first use; not part of the pass
     tracemalloc.start()
@@ -366,8 +373,12 @@ def refined_adjoint(lengths, grid, modes, fwd_steps):
     u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 11)), horizon=1.0)
     rng = np.random.default_rng(len(grid))
     psi0 = random_coefficients(basis, 2, rng, 1.0)
-    traj = solve_forward(forward_context(basis, pot, kernel=kernel, control=u), psi0, fwd_steps)
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel, control=u)
+    traj = solve_forward(
+        SystemContext(basis=basis, potentials=pot, kernel=kernel, control=u), psi0, fwd_steps
+    )
+    actx = SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel, control=u
+    )
     return actx, random_coefficients(basis, 2, rng, 1.0)
 
 
@@ -415,7 +426,9 @@ def test_forward_steps_get_the_fields_of_their_midpoint(monkeypatch, lengths, gr
     # the forward solve walks the same stage schedule: the external field of each
     # step's own midpoint, with no frozen fields
     actx, psi0 = refined_adjoint(lengths, grid, modes, fwd_steps)
-    ctx = forward_context(actx.basis, actx.potentials, kernel=actx.kernel, control=actx.control)
+    ctx = SystemContext(
+        basis=actx.basis, potentials=actx.potentials, kernel=actx.kernel, control=actx.control
+    )
     steps = ctx.basis.spec.steps
     seen = spy_step_fields(monkeypatch)
     solve_forward(ctx, psi0)
@@ -450,7 +463,7 @@ def test_long_adjoint_solve_holds_one_block_of_step_fields():
     rng = np.random.default_rng(5)
     states = np.stack([random_coefficients(basis, 2, rng, 1.0) for _ in range(101)])
     forward = SimpleNamespace(times=np.linspace(0.0, 1.0, 101), states=states)
-    actx = adjoint_context(basis, pot, forward=forward, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=forward, kernel=kernel)
     terminal = random_coefficients(basis, 2, rng, 1.0)
     kernel.row_sum_max  # cached on first use; not part of the solve
     tracemalloc.start()
@@ -469,7 +482,9 @@ def test_stacked_forward_solve_matches_single_solves(lengths, grid, modes, fwd_s
     # every item of a lockstep solve is its own solve, bit for bit
     actx, _ = refined_adjoint(lengths, grid, modes, fwd_steps)
     basis = actx.basis
-    ctx = forward_context(basis, actx.potentials, kernel=actx.kernel, control=actx.control)
+    ctx = SystemContext(
+        basis=basis, potentials=actx.potentials, kernel=actx.kernel, control=actx.control
+    )
     if with_source:
         f = random_coefficients(basis, 2, np.random.default_rng(4), 0.5)
         ctx = replace(ctx, source=lambda t: np.cos(3.0 * t) * f)
@@ -501,7 +516,7 @@ def test_stacked_blowup_raises_the_error_of_the_second_item_alone(scales):
         include_correlation=False,
     )
     src = unit_state(basis, 0, amplitude=5.2e6)
-    ctx = forward_context(basis, pot, source=lambda t: src)
+    ctx = SystemContext(basis=basis, potentials=pot, source=lambda t: src)
     starts = np.stack([c * unit_state(basis, 0) for c in scales])
     solve_forward(ctx, starts[0])
     with pytest.raises(BlowUpError) as alone:
@@ -511,6 +526,32 @@ def test_stacked_blowup_raises_the_error_of_the_second_item_alone(scales):
     assert str(stacked.value) == str(alone.value)
     assert stacked.value.t_last == alone.value.t_last
     assert np.array_equal(stacked.value.partial, alone.value.partial)
+
+
+def test_stacked_blowup_raises_at_the_first_step_any_item_fails():
+    # the first item's larger start raises its guard, so it blows up a step after
+    # the second; the stacked solve stops at the second item's step with its error
+    basis, pot, _ = make_setup(
+        grid=(16,),
+        modes=(4,),
+        steps=10,
+        include_hartree=False,
+        include_exchange=False,
+        include_correlation=False,
+    )
+    src = unit_state(basis, 0, amplitude=8e6)
+    ctx = SystemContext(basis=basis, potentials=pot, source=lambda t: src)
+    starts = np.stack([c * unit_state(basis, 0) for c in (1.5, 1.0, 3.0)])
+    with pytest.raises(BlowUpError) as first:
+        solve_forward(ctx, starts[0])
+    with pytest.raises(BlowUpError) as second:
+        solve_forward(ctx, starts[1])
+    assert second.value.t_last < first.value.t_last
+    with pytest.raises(BlowUpError) as stacked:
+        solve_forward(ctx, starts)
+    assert str(stacked.value) == str(second.value)
+    assert stacked.value.t_last == second.value.t_last
+    assert np.array_equal(stacked.value.partial, second.value.partial)
 
 
 def test_adjoint_solve_takes_one_terminal_state():
@@ -524,11 +565,13 @@ def test_adjoint_solve_takes_one_terminal_state():
 @pytest.mark.parametrize("steps", [0, -3, 2.5, "4", True])
 def test_solves_reject_a_step_count_that_is_not_a_positive_integer(steps):
     basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=4)
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     psi0 = unit_state(basis, 0)
     with pytest.raises(PropagationError, match="positive integer"):
         solve_forward(ctx, psi0, steps=steps)
-    actx = adjoint_context(basis, pot, forward=solve_forward(ctx, psi0), kernel=kernel)
+    actx = SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=solve_forward(ctx, psi0), kernel=kernel
+    )
     with pytest.raises(PropagationError, match="positive integer"):
         solve_adjoint(actx, psi0, steps=steps)
     assert len(solve_forward(ctx, psi0, steps=np.int64(8)).times) == 9
@@ -544,7 +587,7 @@ def test_blowup_guard_trips_on_absurd_source():
         include_correlation=False,
     )
     src = unit_state(basis, 0, amplitude=1e8)
-    ctx = forward_context(basis, pot, source=lambda t: src)
+    ctx = SystemContext(basis=basis, potentials=pot, source=lambda t: src)
     with pytest.raises(BlowUpError) as exc:
         solve_forward(ctx, unit_state(basis, 0))
     assert exc.value.t_last >= 0.0
@@ -564,10 +607,12 @@ def test_blowup_carries_the_good_states_in_time_order(direction):
     start = unit_state(basis, 0)
     forward = direction == "forward"
     if forward:
-        ctx, solve = forward_context(basis, pot, source=lambda t: src), solve_forward
+        ctx, solve = SystemContext(basis=basis, potentials=pot, source=lambda t: src), solve_forward
     else:
-        traj = solve_forward(forward_context(basis, pot), start)
-        ctx = adjoint_context(basis, pot, forward=traj, source=lambda t: src)
+        traj = solve_forward(SystemContext(basis=basis, potentials=pot), start)
+        ctx = SystemContext(
+            basis=basis, potentials=pot, alpha=0, forward=traj, source=lambda t: src
+        )
         solve = solve_adjoint
     with pytest.raises(BlowUpError) as exc:
         solve(ctx, start)
@@ -596,16 +641,16 @@ def test_fixed_point_divergence_reported():
         steps=1,
         confinement={"kind": "harmonic", "amplitude": 300.0},
     )
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     traj = solve_forward(ctx, unit_state(basis, 0))
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     with pytest.raises(PropagationError, match="fixed-point.*more steps"):
         solve_adjoint(actx, unit_state(basis, 0), steps=1)
 
 
 def test_trajectory_export(tmp_path):
     basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=5)
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     traj = solve_forward(ctx, unit_state(basis, 0))
     p1 = tmp_path / "traj.csv"
     p2 = tmp_path / "diag.csv"
@@ -685,8 +730,11 @@ def test_potential_stage_vjp_dot_product(monkeypatch, dimension, dense_max_nodes
     steps, u0, t_mid, dt = basis.spec.steps, 0.3, 0.4, 0.05
 
     def ctx_at(u):
-        return forward_context(
-            basis, pot, kernel=kernel, control=ControlSignal(np.full(steps + 1, u), 1.0)
+        return SystemContext(
+            basis=basis,
+            potentials=pot,
+            kernel=kernel,
+            control=ControlSignal(np.full(steps + 1, u), 1.0),
         )
 
     ctx = ctx_at(u0)

@@ -8,10 +8,8 @@ import pytest
 from tdks import (
     ControlSignal,
     adjoint_D,
-    adjoint_context,
     bilinear_B,
     bound_constants,
-    forward_context,
     nonlinear_G,
     potentials,
     random_coefficients,
@@ -50,13 +48,13 @@ def free_ctx():
         include_exchange=False,
         include_correlation=False,
     )
-    return forward_context(basis, pot)
+    return SystemContext(basis=basis, potentials=pot)
 
 
 @pytest.fixture(scope="module")
 def nonlinear_ctx():
     basis, pot, kernel = make_setup(grid=(48,), modes=(12,))
-    return forward_context(basis, pot, kernel=kernel)
+    return SystemContext(basis=basis, potentials=pot, kernel=kernel)
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +66,12 @@ def adjoint_pair():
         steps=200,
         confinement={"kind": "harmonic", "amplitude": 1.0},
     )
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     psi0 = np.zeros((basis.size, 2), dtype=np.complex128)
     psi0[0, 0] = 1.0
     psi0[1, 1] = 1.0
     traj = solve_forward(ctx, psi0)
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     return ctx, actx, traj
 
 
@@ -139,7 +137,7 @@ def test_adjoint_coupling_trivial_cases(adjoint_pair):
 
     basis, pot, kernel = make_setup(grid=(32,), modes=(8,), particles=2)
     zero_fwd = frozen_trajectory(np.zeros((8, 2)), basis.spec.horizon)
-    zero_ctx = adjoint_context(basis, pot, forward=zero_fwd, kernel=kernel)
+    zero_ctx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=zero_fwd, kernel=kernel)
     rng = np.random.default_rng(5)
     a = random_coefficients(basis, 2, rng, 1.0)
     b = random_coefficients(basis, 2, rng, 1.0)
@@ -226,7 +224,7 @@ def test_nonlinear_g_zero_and_correlation_bound():
     basis, pot, _ = make_setup(
         grid=(32,), modes=(8,), include_hartree=False, include_exchange=False
     )
-    ctx = forward_context(basis, pot)
+    ctx = SystemContext(basis=basis, potentials=pot)
     assert np.abs(nonlinear_G(ctx, np.zeros((basis.size, 1)))).max() == 0
     rng = np.random.default_rng(8)
     bound = pot.correlation_a / pot.correlation_b
@@ -265,8 +263,12 @@ def test_project_f_zero_and_single_mode(nonlinear_ctx):
     basis = nonlinear_ctx.basis
     phi3 = dense_basis_values(basis)[2].astype(np.complex128)
     # a provider returns coefficients, so a grid-field inhomogeneity is projected in it
-    ctx = forward_context(basis, nonlinear_ctx.potentials, kernel=nonlinear_ctx.kernel,
-                          source=lambda t: project(basis, phi3[:, None]))
+    ctx = SystemContext(
+        basis=basis,
+        potentials=nonlinear_ctx.potentials,
+        kernel=nonlinear_ctx.kernel,
+        source=lambda t: project(basis, phi3[:, None]),
+    )
     f = ctx.source_coefficients(0.7)
     expect = unit_state(basis, 2)
     assert np.abs(f - expect).max() < 1e-10
@@ -282,7 +284,9 @@ def test_project_f_matches_direct_quadrature(adjoint_pair):
     def source(t):
         return 2.0 * (traj.state_at(t) - target)
 
-    src_ctx = forward_context(basis, ctx.potentials, kernel=ctx.kernel, source=source)
+    src_ctx = SystemContext(
+        basis=basis, potentials=ctx.potentials, kernel=ctx.kernel, source=source
+    )
     t = 0.37
     f = src_ctx.source_coefficients(t)
     from tdks.domain import project
@@ -300,16 +304,31 @@ def test_context_validation():
     with pytest.raises(SystemError):
         SystemContext(basis=basis, potentials=pot, kernel=None, alpha=1)
     with pytest.raises(SystemError):
-        adjoint_D(forward_context(basis, pot, kernel=kernel), 0.0, unit_state(basis, 0), unit_state(basis, 1))
+        adjoint_D(
+            SystemContext(basis=basis, potentials=pot, kernel=kernel),
+            0.0,
+            unit_state(basis, 0),
+            unit_state(basis, 1),
+        )
 
 
 def test_adjoint_context_rejects_a_callable_forward():
     # the frozen state comes only from a stored trajectory
     basis, pot, kernel = make_setup(grid=(16,), modes=(4,))
     with pytest.raises(SystemError, match="stored forward trajectory"):
-        adjoint_context(basis, pot, forward=lambda t: unit_state(basis, 0), kernel=kernel)
-    ctx = adjoint_context(
-        basis, pot, forward=frozen_trajectory(unit_state(basis, 0), 1.0), kernel=kernel
+        SystemContext(
+            basis=basis,
+            potentials=pot,
+            alpha=0,
+            forward=lambda t: unit_state(basis, 0),
+            kernel=kernel,
+        )
+    ctx = SystemContext(
+        basis=basis,
+        potentials=pot,
+        alpha=0,
+        forward=frozen_trajectory(unit_state(basis, 0), 1.0),
+        kernel=kernel,
     )
     assert np.abs(ctx.lambda_at(0.3) - unit_state(basis, 0)).max() < 1e-15
 
@@ -319,7 +338,7 @@ def test_bound_constants_coercivity_and_boundedness(adjoint_pair):
 
     _, actx, _ = adjoint_pair
     u = ControlSignal(samples=0.5 * np.ones(actx.basis.spec.steps + 1), horizon=1.0)
-    actx_u = actx.with_control(u)
+    actx_u = replace(actx, control=u)
     ing = bound_constants(actx_u)
     rng = np.random.default_rng(10)
     t = 0.6
@@ -370,10 +389,12 @@ def stacked_context(monkeypatch, case, alpha, xc, branch, snapshots):
     u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 11)), horizon=1.0)
     rng = np.random.default_rng(len(grid) + 10 * alpha)
     if alpha == 1:
-        return forward_context(basis, pot, kernel=kernel, control=u), rng
+        return SystemContext(basis=basis, potentials=pot, kernel=kernel, control=u), rng
     states = np.stack([random_coefficients(basis, 2, rng, 1.0) for _ in range(snapshots)])
     fw = SimpleNamespace(times=np.linspace(0.0, 1.0, snapshots), states=states)
-    return adjoint_context(basis, pot, forward=fw, kernel=kernel, control=u), rng
+    return SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=fw, kernel=kernel, control=u
+    ), rng
 
 
 @pytest.mark.parametrize("case, alpha, xc, branch", STACK_VARIANTS)

@@ -7,7 +7,7 @@ import pytest
 from tdks import (
     ControlSignal,
     ObjectiveSpec,
-    adjoint_context,
+    SystemContext,
     adjoint_sources,
     check_coefficient_lipschitz,
     check_coulomb_lp,
@@ -17,7 +17,6 @@ from tdks import (
     check_hartree_lipschitz,
     check_potential_continuity,
     check_uniqueness_gronwall,
-    forward_context,
     random_coefficients,
     solve_adjoint,
     solve_forward,
@@ -136,7 +135,7 @@ def desk():
         steps=300,
         confinement={"kind": "harmonic", "amplitude": 1.0},
     )
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     return basis, pot, kernel, ctx
 
 
@@ -206,7 +205,7 @@ def test_energy_estimates_free_mode():
         include_exchange=False,
         include_correlation=False,
     )
-    ctx = forward_context(basis, pot)
+    ctx = SystemContext(basis=basis, potentials=pot)
     traj = solve_forward(ctx, unit_state(basis, 0))
     reports = {r.name: r for r in check_energy_estimates(traj, ctx, seed=0)}
     env = reports["l2-envelope-alpha1"]
@@ -222,7 +221,7 @@ def test_energy_estimates_nonlinear_and_adjoint(desk):
     fwd_reports = check_energy_estimates(traj, ctx, seed=1)
     assert all(r.passed for r in fwd_reports)
 
-    from tdks import adjoint_context, adjoint_sources, solve_adjoint, ObjectiveSpec
+    from tdks import adjoint_sources, solve_adjoint, ObjectiveSpec
 
     target = np.zeros_like(psi0)
     spec_obj = ObjectiveSpec(
@@ -230,7 +229,9 @@ def test_energy_estimates_nonlinear_and_adjoint(desk):
         target_trajectory=lambda t: target,
     )
     term, src = adjoint_sources(spec_obj, traj)
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel, source=src)
+    actx = SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel, source=src
+    )
     adj = solve_adjoint(actx, term)
     adj_reports = check_energy_estimates(adj, actx, seed=1)
     assert all(r.passed for r in adj_reports)
@@ -262,7 +263,7 @@ def test_uniqueness_rejects_an_empty_eps_list(desk):
 def test_gap_trivial_and_linear_cases():
     # identical data: deterministic solver gives identical trajectories
     basis, pot, kernel = make_setup(grid=(32,), modes=(6,), steps=100)
-    ctx = forward_context(basis, pot, kernel=kernel)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     psi0 = unit_state(basis, 0)
     t1 = solve_forward(ctx, psi0)
     t2 = solve_forward(ctx, psi0)
@@ -273,7 +274,7 @@ def test_gap_trivial_and_linear_cases():
         grid=(32,), modes=(6,), steps=100,
         include_hartree=False, include_exchange=False, include_correlation=False,
     )
-    ctx_f = forward_context(basis_f, pot_f)
+    ctx_f = SystemContext(basis=basis_f, potentials=pot_f)
     rng = np.random.default_rng(3)
     delta = random_coefficients(basis_f, 1, rng, 1.0)
     a = solve_forward(ctx_f, psi0)
@@ -301,7 +302,7 @@ def _convergence_builder(include_exchange=True, source_field=None):
             def source(t):
                 return project(basis, source_field(t))
 
-        ctx = forward_context(basis, pot, kernel=kernel, source=source)
+        ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel, source=source)
         return ctx, unit_state(basis, 0)
 
     return builder
@@ -313,7 +314,7 @@ def test_galerkin_convergence_invariant_subspace():
             grid=(32,), modes=modes, steps=100,
             include_hartree=False, include_exchange=False, include_correlation=False,
         )
-        return forward_context(basis, pot), unit_state(basis, 0)
+        return SystemContext(basis=basis, potentials=pot), unit_state(basis, 0)
 
     r = check_galerkin_convergence(builder, [[4], [6], [8]])
     assert r.passed and r.measured == 0.0
@@ -374,10 +375,9 @@ def test_form_bounds_both_instances(desk):
     names = {r.name for r in reports}
     assert "form-imag-vanishes-alpha1" in names
 
-    from tdks import adjoint_context
 
     traj = solve_forward(ctx, unit_state(basis, 0))
-    actx = adjoint_context(basis, pot, forward=traj, kernel=kernel)
+    actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     reports0 = check_form_bounds(actx, t=0.5, count=60, seed=6)
     assert all(r.passed for r in reports0)
     names0 = {r.name for r in reports0}
@@ -411,7 +411,7 @@ def _oracle_instance(include_hartree):
     )
     assert [b.stop - b.start for b in snapshot_blocks(basis, 40)] == [31, 9]
     u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 41)), horizon=1.0)
-    ctx = forward_context(basis, pot, kernel=kernel, control=u)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel, control=u)
     psi0 = unit_state(basis, 0, 2) + unit_state(basis, 1, 2, particle=1)
     traj = solve_forward(ctx, psi0)
     target = np.zeros_like(psi0)
@@ -420,8 +420,8 @@ def _oracle_instance(include_hartree):
         target_trajectory=lambda t: target,
     )
     terminal, source = adjoint_sources(objective, traj)
-    actx = adjoint_context(
-        basis, pot, forward=traj, kernel=kernel, control=u, source=source
+    actx = SystemContext(
+        basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel, control=u, source=source
     )
     return {1: (ctx, traj), 0: (actx, solve_adjoint(actx, terminal))}
 
