@@ -9,6 +9,7 @@ sorted keys, and no timestamps or wall-clock data enter any file.
 
 import argparse
 import copy
+import itertools
 import json
 import sys
 from contextlib import contextmanager
@@ -89,7 +90,7 @@ _CONTROL_PRESETS = {
 #   int, float, bool, str    an integer, a finite number (or integer), a boolean, a string
 #   [form]                   a list of values in that form
 #   (choice, ...)            one of these strings
-#   np.ndarray               finite numbers by one numpy conversion: one, or any nesting
+#   np.ndarray               finite numbers, none a boolean: one, or any nesting
 #   {kind: {key: form}}      a preset: an object with a "kind" and that kind's keys
 # DomainSpec, domain.check_modes, PotentialConfig and potentials.check_softening
 # state the rules on the domain, the mode counts and the potential constants.
@@ -178,6 +179,13 @@ def _check(where, value, form, rule=None, message=None):
         # strings, booleans and mixed objects: numpy holds none of them as int or float
         if numbers.dtype.kind not in "iuf":
             raise ConfigError(f"{where}: expected numbers")
+        # but it holds a boolean among numbers as 0 or 1: only then are the values scanned
+        if numbers.ndim and ((numbers == 0) | (numbers == 1)).any():
+            flat = value
+            for _ in range(numbers.ndim - 1):
+                flat = itertools.chain.from_iterable(flat)
+            if bool in set(map(type, flat)):
+                raise ConfigError(f"{where}: expected numbers")
         if not np.isfinite(numbers).all():
             raise ConfigError(f"{where}: values must be finite")
     elif not _has_form(value, form):

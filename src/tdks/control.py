@@ -22,13 +22,13 @@ The raw gradient lives on the control sample grid; the descent direction is
 its H1 Riesz representative, obtained from the tridiagonal discrete
 (lumped trapezoid mass + stiffness) solve, whose mass weights are the ones
 ``ControlSignal.l2_norm_sq`` integrates with, so updates stay in the
-admissible control space.
+admissible control space.  The matrix is diagonally dominant, so the solve
+is an elimination without pivoting, with the bits of LAPACK's dgtsv.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .domain import check_layout
 from .propagate import (
@@ -149,7 +149,16 @@ def _h1_riesz(u, raw, nu):
     """Add the derivative of nu * ||u||_H1^2 to raw (in place) and return the H1
     Riesz representative g of the sum: (diag(w) + S) g = raw, with w the lumped
     trapezoid weights ``ControlSignal.l2_norm_sq`` integrates with and S the
-    tridiagonal forward-difference stiffness of ``derivative_norm_sq``."""
+    tridiagonal forward-difference stiffness of ``derivative_norm_sq``.
+
+    The solve is Gaussian elimination without row interchanges.  Every pivot it
+    divides by is at least |off| = 1/dt, rounding included: the diagonal holds at
+    least 1/dt on the first row and 2/dt on the inner ones, and eliminating a row
+    takes at most |off| off the next pivot.  So LAPACK's dgtsv, which swaps rows
+    only for a pivot smaller than |off|, runs exactly these operations in this
+    order on the matrix, and g has its bits.  Only the last pivot can round to 0,
+    once dt/2 is lost against 1/dt (dt <= 1e-8); then the solve raises.
+    """
     x, dt = u.samples, u.step
     w = np.full(x.size, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -163,10 +172,17 @@ def _h1_riesz(u, raw, nu):
         raw += 2.0 * nu * (w * x + stiff_x)
     if not np.all(np.isfinite(raw)):
         raise ControlError("the raw gradient is not finite: nu or the control is too large")
-    ab = np.zeros((3, x.size))  # banded (upper, diagonal, lower) for solve_banded
-    ab[0, 1:] = ab[2, :-1] = off
-    ab[1] = w + diag
-    return solve_banded((1, 1), ab, raw)
+    d, g = (w + diag).tolist(), raw.tolist()
+    for i in range(x.size - 1):
+        fact = off / d[i]
+        d[i + 1] -= fact * off
+        g[i + 1] -= fact * g[i]
+    if d[-1] == 0.0:
+        raise ControlError(f"the H1 Riesz solve is singular: the control step {dt:g} is too small")
+    g[-1] /= d[-1]
+    for i in range(x.size - 2, -1, -1):
+        g[i] = (g[i] - off * g[i + 1]) / d[i]
+    return np.array(g)
 
 
 def backward_sweep(spec, ctx, traj):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it lazily: load it here, not in the first kernel build
 
 from .domain import grid_norm, synthesize
 

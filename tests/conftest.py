@@ -4,6 +4,7 @@ from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from tdks import (
     DomainSpec,
@@ -383,3 +384,14 @@ def dual_norm_per_snapshot(ctx, traj):
         dstate = rhs(ctx, t, traj.states[i])
         dual_sq[i] = float(np.sum(inv_w[:, None] * (dstate.real**2 + dstate.imag**2)))
     return float(np.trapezoid(dual_sq, traj.times))
+
+
+def h1_riesz_banded(dt, rhs):
+    """Oracle for the solve of ``control._h1_riesz``: its system, assembled apart,
+    handed to ``scipy.linalg.solve_banded`` as a (1, 1) band, which LAPACK's dgtsv
+    solves.  A singular system raises ``numpy.linalg.LinAlgError``."""
+    ab = np.zeros((3, rhs.size))  # banded (upper, diagonal, lower)
+    ab[0, 1:] = ab[2, :-1] = -1.0 / dt
+    ab[1] = dt + 2.0 / dt
+    ab[1, [0, -1]] = 0.5 * dt + 1.0 / dt
+    return solve_banded((1, 1), ab, rhs)

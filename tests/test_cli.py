@@ -313,6 +313,27 @@ NAN = float("nan")
             "initial_state.values",
         ),
         ({"control": {"kind": "sine", "cycles": 1e308}}, "control:"),
+        (
+            {"control": {"kind": "samples", "values": [0.5, True, 0.0]}, "domain": {"steps": 2}},
+            "control.values: expected numbers",
+        ),
+        (
+            {"control": {"kind": "samples", "values": [0, 1, False]}, "domain": {"steps": 2}},
+            "control.values: expected numbers",
+        ),
+        (
+            {
+                "initial_state": {
+                    "kind": "coefficients",
+                    "values": [[[1.0, 0.0]]] * 7 + [[[True, 0.0]]],
+                }
+            },
+            "initial_state.values: expected numbers",
+        ),
+        (
+            {"potentials": {"confinement": {"kind": "array", "values": [0.0] * 32 + [False]}}},
+            "potentials.confinement.values: expected numbers",
+        ),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
@@ -336,6 +357,26 @@ def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, con
     assert status == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}")
+    assert list(out.iterdir()) == []
+
+
+def test_singular_riesz_solve_is_one_error_line(tmp_path, capsys):
+    # dt = 1e-9: the mass term dt/2 is lost against 1/dt, and the last pivot of the
+    # H1 Riesz solve rounds to 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "domain": {"lengths": [3.0], "grid": [16], "horizon": 1e-6, "steps": 1000},
+        "basis": {"modes": [4]},
+        "objective": {"j2": "terminal", "target_state": {"kind": "lowest_modes"}},
+        "control": {"kind": "sine", "amplitude": 0.5},
+        "optimize": {"iterations": 2},
+    }))
+    out = tmp_path / "out"
+    out.mkdir()
+    status = main(["optimize", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the H1 Riesz solve is singular")
     assert list(out.iterdir()) == []
 
 

@@ -21,7 +21,7 @@ from tdks.control import ControlError, backward_sweep
 from tdks.domain import grid_inner, synthesize
 from tdks.system import snapshot_blocks
 
-from conftest import backward_sweep_per_step, make_setup, unit_state
+from conftest import backward_sweep_per_step, h1_riesz_banded, make_setup, unit_state
 
 
 def coupling_density(ctx, traj_fwd, traj_adj):
@@ -287,3 +287,33 @@ def test_backward_sweep_matches_per_step_oracle(control_setup):
     assert np.abs(g).max() > 0
     assert np.array_equal(g, g_oracle)
     assert np.array_equal(mu, mu_oracle)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 100, 2000, 100000])
+def test_h1_riesz_solve_has_the_bits_of_the_banded_lapack_solve(steps):
+    # dt from 1e-10 to 1e8; right-hand sides spanning 1e-8 to 1e8 with exact zeros of
+    # both signs, under zero and nonzero controls; below some dt both solves are singular
+    rng = np.random.default_rng(steps)
+    singular = []
+    for dt in sorted([*10.0 ** np.arange(-10, 9), 5e-9, 1.5e-8]):
+        for scale in (0.0, 1.0):
+            x = scale * rng.standard_normal(steps + 1) * 10.0 ** rng.uniform(-8, 8, steps + 1)
+            raw = rng.standard_normal(steps + 1) * 10.0 ** rng.uniform(-8, 8, steps + 1)
+            raw[rng.random(steps + 1) < 1 / 3] = 0.0
+            raw[rng.random(steps + 1) < 1 / 6] = -0.0
+            u = ControlSignal(samples=x, horizon=dt * steps)
+            try:
+                got = control._h1_riesz(u, raw, 0.5)  # raw becomes the right-hand side
+            except ControlError as exc:
+                assert "singular" in str(exc)
+                got = None
+            try:
+                want = h1_riesz_banded(u.step, raw)
+            except np.linalg.LinAlgError:
+                want = None
+            assert (got is None) == (want is None), (steps, dt)
+            singular.append(got is None)
+            if got is not None:
+                assert np.array_equal(got, want), (steps, dt)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (steps, dt)
+    assert 0 < sum(singular) < len(singular)

@@ -1,10 +1,13 @@
 """The benchmark still finds every layer it times, every config it runs parses and comes back
 from its echo unchanged, and every workload run passes the benchmark's own checks; the alpha=0
-steps keep their sweep count and take their fields once per block of step midpoints, and verify
-evaluates its snapshots and random samples once per block."""
+steps keep their sweep count and take their fields once per block of step midpoints, verify
+evaluates its snapshots and random samples once per block, and the runtime loads numpy alone."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from tdks import system, verify
 from tdks.cli import emit_config, main, parse_config
 
 E2EBENCH = Path(__file__).resolve().parents[1] / "e2ebench"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _load(name):
@@ -147,3 +151,39 @@ def test_verify_solves_the_gronwall_perturbations_as_one_stack(tmp_path):
     assert len(solves) == 5
     assert names.count("propagate.step") == 6 * steps == 2400
     assert len([i for i in solves if spans[i][3] == gronwall]) == 1
+
+
+_IMPORT_SURFACE = """
+import json, sys
+from tdks import cli
+
+def loaded():
+    return {m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")}
+
+at_import = loaded()
+status = [
+    cli.run(cli.parse_config(sys.argv[1]), "optimize", "opt2d", quiet=True),
+    cli.run(cli.parse_config("{}"), "verify", "verify", quiet=True),
+]
+print(json.dumps({"at_import": sorted(at_import), "later": sorted(loaded() - at_import),
+                  "status": status}))
+"""
+
+
+def test_the_runtime_loads_numpy_alone(tmp_path):
+    # in a fresh process, since this one has scipy loaded for the test oracles: importing
+    # the CLI loads no scipy, and loads numpy.fft and numpy.random (which numpy 2 loads on
+    # first use) at once, so a run loads no numpy or scipy module while it runs; run, not
+    # main, since argparse loads modules of its own on first use
+    workloads = _load("workloads")
+    config = json.dumps(workloads.build_config("opt2d", workloads.DEFAULT_SEED, "tiny"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SURFACE, config],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    surface = json.loads(proc.stdout)
+    assert [m for m in surface["at_import"] if m.startswith("scipy")] == []
+    assert {"numpy.fft", "numpy.random"} <= set(surface["at_import"])
+    assert surface["later"] == []
+    assert surface["status"] == [0, 0]
