@@ -179,8 +179,8 @@ def _check(where, value, form, rule=None, message=None):
         # strings, booleans and mixed objects: numpy holds none of them as int or float
         if numbers.dtype.kind not in "iuf":
             raise ConfigError(f"{where}: expected numbers")
-        # but it holds a boolean among numbers as 0 or 1: only then are the values scanned
-        if numbers.ndim and ((numbers == 0) | (numbers == 1)).any():
+        # but it holds a boolean among numbers as 0 or 1, so the values are scanned for one
+        if numbers.ndim:
             flat = value
             for _ in range(numbers.ndim - 1):
                 flat = itertools.chain.from_iterable(flat)

@@ -156,8 +156,10 @@ def _h1_riesz(u, raw, nu):
     least 1/dt on the first row and 2/dt on the inner ones, and eliminating a row
     takes at most |off| off the next pivot.  So LAPACK's dgtsv, which swaps rows
     only for a pivot smaller than |off|, runs exactly these operations in this
-    order on the matrix, and g has its bits.  Only the last pivot can round to 0,
-    once dt/2 is lost against 1/dt (dt <= 1e-8); then the solve raises.
+    order on the matrix (its back-solve's term for the zeroed second
+    superdiagonal included), and g has its bits, signs of zero too.  Only the
+    last pivot can round to 0, once dt/2 is lost against 1/dt (dt <= 1e-8);
+    then the solve raises.
     """
     x, dt = u.samples, u.step
     w = np.full(x.size, dt)
@@ -180,8 +182,11 @@ def _h1_riesz(u, raw, nu):
     if d[-1] == 0.0:
         raise ControlError(f"the H1 Riesz solve is singular: the control step {dt:g} is too small")
     g[-1] /= d[-1]
-    for i in range(x.size - 2, -1, -1):
-        g[i] = (g[i] - off * g[i + 1]) / d[i]
+    g[-2] = (g[-2] - off * g[-1]) / d[-2]
+    # dgtsv also subtracts its second superdiagonal, zeroed, times g[i + 2]: kept,
+    # since it turns a -0.0 into +0.0
+    for i in range(x.size - 3, -1, -1):
+        g[i] = (g[i] - off * g[i + 1] - 0.0 * g[i + 2]) / d[i]
     return np.array(g)
 
 

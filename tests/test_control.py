@@ -317,3 +317,11 @@ def test_h1_riesz_solve_has_the_bits_of_the_banded_lapack_solve(steps):
                 assert np.array_equal(got, want), (steps, dt)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (steps, dt)
     assert 0 < sum(singular) < len(singular)
+    # a right-hand side of -0.0 throughout (nu = 0 adds -0.0 under a negative control):
+    # dgtsv's back-solve also subtracts its zeroed second superdiagonal times g[i + 2],
+    # which turns -0.0 into +0.0
+    u = ControlSignal(samples=np.full(steps + 1, -0.75), horizon=1.0)
+    got = control._h1_riesz(u, np.full(steps + 1, -0.0), 0.0)
+    want = h1_riesz_banded(u.step, np.full(steps + 1, -0.0))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(got).sum() == min(steps + 1, 2)
