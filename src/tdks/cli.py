@@ -228,6 +228,16 @@ def _under(prefix, *errors):
 _FILE_ERRORS = (OSError, TypeError, ValueError)
 
 
+def _load_numbers(where, path, kinds="iuf"):
+    """The array in the .npy file at path; a ConfigError under the key path where
+    unless its dtype kind is one of kinds (booleans are none of them)."""
+    with _under(f"{where}: ", *_FILE_ERRORS):
+        values = np.asarray(np.load(path))
+    if values.dtype.kind not in kinds:
+        raise ConfigError(f"{where}: expected numbers")
+    return values
+
+
 def parse_config(text):
     """Parse and validate a JSON config; returns the resolved dict, every default filled in."""
     try:
@@ -298,8 +308,7 @@ def _build_instruments(config):
         # an array preset's file is read only when no values are given inline
         path = params.pop("path", None)
         if path is not None and "values" not in params:
-            with _under(f"potentials.{name}.path: ", *_FILE_ERRORS):
-                params["values"] = np.load(path)
+            params["values"] = _load_numbers(f"potentials.{name}.path", path)
         with _under(f"potentials.{name}: ", PotentialError):
             fields[name] = sample_field(basis, params.pop("kind"), params)
     potentials = _potential_config(config["potentials"], basis.spec.dimension, **fields)
@@ -348,8 +357,7 @@ def _build_state(basis, preset, where="initial_state"):
         return d / nrm
     # the kind is "file"
     where = f"{where}.path"
-    with _under(f"{where}: ", *_FILE_ERRORS):
-        d = np.asarray(np.load(preset["path"]), dtype=np.complex128)
+    d = _load_numbers(where, preset["path"], "iufc").astype(np.complex128)
     if d.shape != (basis.size, n):
         raise ConfigError(f"{where}: expected shape ({basis.size}, {n})")
     if not np.all(np.isfinite(d)):
@@ -371,13 +379,15 @@ def _build_control(preset, horizon, steps):
                 samples=amp * np.sin(2.0 * np.pi * cycles * t / horizon), horizon=horizon
             )
     if kind == "samples":
-        values, where = np.asarray(preset["values"], dtype=np.float64), "control.values"
-    else:  # the kind is "file"
-        with _under("control.path: ", *_FILE_ERRORS):
-            values = np.asarray(json.loads(Path(preset["path"]).read_text()), dtype=np.float64)
+        values, where = preset["values"], "control.values"
+    else:  # the kind is "file", checked as inline values are
         where = "control.path"
-    if values.size != steps + 1:
-        raise ConfigError(f"{where}: expected {steps + 1} samples")
+        with _under(f"{where}: ", *_FILE_ERRORS):
+            values = json.loads(Path(preset["path"]).read_text())
+        _check(where, values, np.ndarray)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.size != steps + 1:
+        raise ConfigError(f"{where}: expected a flat list of {steps + 1} samples")
     with _under(f"{where}: ", SignalError):
         return ControlSignal(samples=values, horizon=horizon)
 
@@ -452,9 +462,9 @@ def _run_simulate(config, out, quiet, mode):
     if density_times is None:
         density_times = [basis.spec.horizon]
     header = [f"x{i}" for i in range(basis.spec.dimension)] + ["weight", "rho"]
-    for i, t in enumerate(density_times):
-        rho = density_from_grid(synthesize(basis, main.state_at(float(t))))
-        table = np.column_stack((basis.nodes, basis.weights, rho))
+    rho = density_from_grid(synthesize(basis, main.state_at(np.array(density_times, float))))
+    for i, rho_t in enumerate(rho):
+        table = np.column_stack((basis.nodes, basis.weights, rho_t))
         write_csv(out / f"density_{i}.csv", header, map(np.ndarray.tolist, table))
     summary = {
         "mode": mode,

@@ -211,12 +211,14 @@ def _along_axes(tables, a):
     if split:
         a = np.ascontiguousarray(a).view(np.float64)
     stack, width = a.shape[:-2], a.shape[-1]
-    lead = math.prod(stack)
+    # explicit sizes: a reshape cannot infer a -1 axis of an empty stack
+    lead, rest, nodes = math.prod(stack), a.shape[-2] * width, 1
     for t in tables:
         out, inner = t.shape
-        a = np.matmul(t, a.reshape(lead, inner, -1))
-        lead *= out
-    a = a.reshape(stack + (-1, width))
+        rest //= inner
+        a = np.matmul(t, a.reshape(lead * nodes, inner, rest))
+        nodes *= out
+    a = a.reshape(stack + (nodes, width))
     return a.view(np.complex128) if split else a
 
 

@@ -273,8 +273,8 @@ def l2_envelope(ctx, traj):
     return factor, start_sq, source_sq
 
 
-def _check_envelope(ctx, traj):
-    traj.meta["constants"] = bound_constants(ctx)
+def _check_envelope(ctx, traj, constants):
+    traj.meta["constants"] = dict(constants)
     factor, start_sq, source_sq = l2_envelope(ctx, traj)
     bound = factor * (start_sq + float(np.trapezoid(source_sq, traj.times)))
     measured = float(np.max(traj.l2**2))
@@ -329,10 +329,10 @@ def _solve(ctx, start, steps):
             good = states[b, : last + 1] if forward else states[b, last:]
             raise BlowUpError(f"{why} at t={times[i]}", times[last], good)
         states[:, i] = d
-    trajs = []
+    trajs, constants = [], bound_constants(ctx)
     for b in range(len(d)):
         traj = Trajectory(times=times, states=states[b], l2=l2[b], h1=h1[b])
-        _check_envelope(ctx, traj)
+        _check_envelope(ctx, traj, constants)
         trajs.append(traj)
     return trajs
 

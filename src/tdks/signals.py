@@ -40,7 +40,9 @@ class ControlSignal:
         return np.linspace(0.0, self.horizon, self.samples.size)
 
     def value(self, t):
-        return float(np.interp(min(max(t, 0.0), self.horizon), self.times, self.samples))
+        """u at t, held at its end samples outside [0, T]; an array of times gives an array."""
+        u = np.interp(t, self.times, self.samples)
+        return float(u) if np.ndim(t) == 0 else u
 
     @property
     def sup(self):

@@ -49,11 +49,10 @@ def snapshot_blocks(basis, count):
 
 
 def interpolate_states(times, states, t):
-    """Piecewise-linear value at t (clamped to the grid) of states stored at times."""
-    t = float(min(max(t, times[0]), times[-1]))
-    i = int(np.searchsorted(times, t, side="right") - 1)
-    i = min(max(i, 0), len(times) - 2)
-    w = (t - times[i]) / (times[i + 1] - times[i])
+    """Linear interpolant at t (clamped to the grid) of states stored at times; t may be (B,)."""
+    t = np.minimum(np.maximum(t, times[0]), times[-1])
+    i = np.searchsorted(times[1:-1], t, side="right")  # t in [times[i], times[i + 1]]
+    w = ((t - times[i]) / (times[i + 1] - times[i]))[..., None, None]
     return (1.0 - w) * states[i] + w * states[i + 1]
 
 
@@ -105,7 +104,7 @@ class SystemContext:
         return interpolate_states(self.forward.times, self.forward.states, t)
 
     def external_at(self, t):
-        return self._v0 + self.control.value(t) * self._vu
+        return self._v0 + np.multiply.outer(self.control.value(t), self._vu)
 
     # -- assembly pieces -----------------------------------------------------
 
@@ -151,15 +150,12 @@ def coupling_potentials(ctx, psi_g, frozen):
 def stage_fields(ctx, times):
     """Fields of the non-kinetic operator at each of the (B,) ``times``.
 
-    Returns the (B, nodes) stack of external potentials and, for alpha=0, the
-    stacked ``FrozenFields`` of ``ctx.lambda_at(t)`` (None for alpha=1).  Each
-    stack item equals its own single-time evaluation exactly.
+    Returns the (B, nodes) stack ``ctx.external_at(times)`` and, for alpha=0,
+    the stacked ``FrozenFields`` of ``ctx.lambda_at(times)`` (None for
+    alpha=1).  Each stack item equals its own single-time evaluation exactly.
     """
-    external = np.stack([ctx.external_at(t) for t in times])
-    frozen = None
-    if ctx.alpha == 0:
-        frozen = frozen_fields(ctx, np.stack([ctx.lambda_at(t) for t in times]))
-    return external, frozen
+    frozen = None if ctx.alpha == 1 else frozen_fields(ctx, ctx.lambda_at(times))
+    return ctx.external_at(times), frozen
 
 
 def stage_schedule(ctx, times):

@@ -128,6 +128,21 @@ def unit_state(basis, mode, particles=1, particle=0, amplitude=1.0):
     return d
 
 
+def control_value_at(u, t):
+    """Oracle for ``ControlSignal.value`` at one time: u at t clamped to [0, T]."""
+    return float(np.interp(min(max(t, 0.0), u.horizon), u.times, u.samples))
+
+
+def interpolate_state_at(times, states, t):
+    """Oracle for ``interpolate_states`` at one time: the linear interpolant of the
+    interval holding t clamped to the grid, the last interval at the end."""
+    t = float(min(max(t, times[0]), times[-1]))
+    i = int(np.searchsorted(times, t, side="right") - 1)
+    i = min(max(i, 0), len(times) - 2)
+    w = (t - times[i]) / (times[i + 1] - times[i])
+    return (1.0 - w) * states[i] + w * states[i + 1]
+
+
 def frozen_trajectory(lam, horizon):
     """A stored forward trajectory that stays at lam: two equal snapshots at 0 and T."""
     lam = np.asarray(lam, dtype=np.complex128)

@@ -120,6 +120,31 @@ def test_simulate_writes_artifacts(tmp_path):
     assert summary["l2_envelope_measured"] <= summary["l2_envelope_bound"]
 
 
+def test_density_output_evaluates_every_time_at_once(tmp_path):
+    # each density file is the one a run of its time alone writes; in 2-d the one
+    # stacked synthesize goes through the per-axis products
+    base = {
+        "domain": {"dimension": 2, "lengths": [3.0, 3.0], "grid": [8, 8], "particles": 2,
+                   "horizon": 0.5, "steps": 10},
+        "basis": {"modes": [3, 3]},
+        "potentials": {"coulomb_softening": 0.0},
+        "control": {"kind": "sine"},
+    }
+    times = [0.0, 0.025, 0.13, 0.5, 0.05, 0.05]
+
+    def densities(label, density_times):
+        config = parse_config(json.dumps(dict(base, output={"density_times": density_times})))
+        assert run(config, "simulate", tmp_path / label, quiet=True) == 0
+        files = sorted((tmp_path / label).glob("density_*.csv"))
+        return [(tmp_path / label / f"density_{i}.csv").read_bytes() for i in range(len(files))]
+
+    together = densities("all", times)
+    assert len(together) == len(times)
+    for i, t in enumerate(times):
+        assert together[i] == densities(f"one{i}", [t])[0]
+    assert densities("none", []) == []
+
+
 def test_long_horizon_summary_holds_a_finite_envelope_bound(tmp_path):
     # exp((1 + 2 c~0) T) overflows at T = 1e6; the envelope caps its exponent at
     # MAX_EXP_ARG, so the bound stays a finite float and the summary valid JSON
@@ -334,6 +359,39 @@ NAN = float("nan")
             {"potentials": {"confinement": {"kind": "array", "values": [0.0] * 32 + [False]}}},
             "potentials.confinement.values: expected numbers",
         ),
+        (
+            {"control": {"kind": "file", "path": "TMP/bool.json"}, "domain": {"steps": 3}},
+            "control.path: expected numbers",
+        ),
+        (
+            {"potentials": {"confinement": {"kind": "array", "path": "TMP/bool33.npy"}}},
+            "potentials.confinement.path: expected numbers",
+        ),
+        (
+            {"potentials": {"confinement": {"kind": "array", "path": "TMP/arrays.npz"}}},
+            "potentials.confinement.path: expected numbers",
+        ),
+        (
+            {"initial_state": {"kind": "file", "path": "TMP/bool.npy"}},
+            "initial_state.path: expected numbers",
+        ),
+        (
+            {
+                "objective": {
+                    "j2": "terminal",
+                    "target_state": {"kind": "file", "path": "TMP/bool.npy"},
+                }
+            },
+            "objective.target_state.path: expected numbers",
+        ),
+        (
+            {"control": {"kind": "samples", "values": [[1, 2], [3, 4]]}, "domain": {"steps": 3}},
+            "control.values: expected a flat list of 4 samples",
+        ),
+        (
+            {"control": {"kind": "file", "path": "TMP/nested.json"}, "domain": {"steps": 3}},
+            "control.path: expected a flat list of 4 samples",
+        ),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
@@ -345,6 +403,12 @@ def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, con
     (tmp_path / "nan.json").write_text("[NaN, 0.0]")
     np.save(tmp_path / "nan.npy", np.full((8, 1), np.nan))
     np.save(tmp_path / "wide.npy", np.zeros((8, 2)))
+    # booleans where numbers belong (the default grid has 33 nodes), and an archive
+    (tmp_path / "bool.json").write_text("[1, 2, true, 4]")
+    (tmp_path / "nested.json").write_text("[[1, 2], [3, 4]]")
+    np.save(tmp_path / "bool33.npy", np.ones(33, dtype=bool))
+    np.save(tmp_path / "bool.npy", np.ones((8, 1), dtype=bool))
+    np.savez(tmp_path / "arrays.npz", values=np.zeros(33))
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config).replace("TMP", tmp_path.as_posix()))
     out = tmp_path / "out"

@@ -157,6 +157,19 @@ def test_stacked_projections_and_norms_match_single_calls(case):
     assert np.array_equal(grid_norm(basis, fields), [grid_norm(basis, f) for f in fields])
 
 
+@pytest.mark.parametrize("case", list(TRANSFORM_CASES))
+def test_empty_stacks_transform_to_empty_stacks(case):
+    # a stack of no items (an empty list of output times) keeps its shape rule
+    lengths, grid, modes = TRANSFORM_CASES[case]
+    spec = DomainSpec(dimension=len(lengths), lengths=lengths, grid=grid, particles=3)
+    basis = build_basis(spec, modes)
+    grids = synthesize(basis, np.zeros((0, basis.size, 3), dtype=np.complex128))
+    assert grids.shape == (0, basis.node_count, 3) and grids.dtype == np.complex128
+    for dtype in (np.float64, np.complex128):
+        coeff = project(basis, np.zeros((0, basis.node_count, 3), dtype=dtype))
+        assert coeff.shape == (0, basis.size, 3) and coeff.dtype == dtype
+
+
 def test_large_grid_never_builds_dense_table():
     # 32^3 cells (35,937 nodes) with 16^3 modes: a dense table would be ~1.18 GB
     spec = DomainSpec(dimension=3, lengths=(3.0, 3.0, 3.0), grid=(32, 32, 32), particles=2)

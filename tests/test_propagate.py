@@ -36,12 +36,20 @@ from tdks.propagate import (
     write_csv,
 )
 from tdks.signals import SignalError
-from tdks.system import FrozenFields, frozen_fields, snapshot_blocks
+from tdks.system import (
+    FrozenFields,
+    frozen_fields,
+    interpolate_states,
+    snapshot_blocks,
+    stage_fields,
+)
 
 from conftest import (
     adjoint_solve_per_sweep,
+    control_value_at,
     frozen_trajectory,
     galerkin_matrix,
+    interpolate_state_at,
     make_setup,
     unit_state,
 )
@@ -439,6 +447,65 @@ def test_forward_steps_get_the_fields_of_their_midpoint(monkeypatch, lengths, gr
         assert frozen is None
 
 
+def test_time_arrays_give_the_single_time_values_item_by_item():
+    # a refined adjoint grid (forward 20 steps, adjoint 40) under a control of 10 steps
+    actx, _ = refined_adjoint((3.0,), (32,), (6,), 20)
+    traj, u = actx.forward, actx.control
+    adj = np.linspace(0.0, 1.0, 41)
+    times = np.concatenate([
+        [-0.7, -1e-300, 0.0, 1.0, 1.0 + 1e-12, 3.5],  # clamped, and the ends
+        traj.times, 0.5 * (traj.times[:-1] + traj.times[1:]),  # forward samples, midpoints
+        u.times, 0.5 * (u.times[:-1] + u.times[1:]),  # control samples and midpoints
+        adj, adj[:-1] + 0.5 * (1.0 / 40),  # adjoint grid and its step midpoints
+    ])
+    forms = {
+        "value": u.value,
+        "external_at": actx.external_at,
+        "lambda_at": actx.lambda_at,
+        "interpolate_states": lambda t: interpolate_states(traj.times, traj.states, t),
+        "state_at": traj.state_at,
+    }
+    for name, form in forms.items():
+        stack = form(times)
+        assert len(stack) == len(times) and len(form(times[:0])) == 0, name
+        for t, item in zip(times, stack):
+            assert np.array_equal(item, form(float(t))), (name, t)
+            assert np.array_equal(item, form(t)), (name, t)
+    # a single time gives what the one-time formulas give, a float for the control
+    for t in times:
+        one = u.value(float(t))
+        assert type(one) is float and one == control_value_at(u, float(t))
+        want = interpolate_state_at(traj.times, traj.states, float(t))
+        assert np.array_equal(traj.state_at(float(t)), want)
+        assert np.array_equal(actx.external_at(float(t)), actx._v0 + one * actx._vu)
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_stage_fields_take_one_control_and_frozen_state_call_per_block(monkeypatch, alpha):
+    actx, start = refined_adjoint((3.0,), (32,), (6,), 20)
+    ctx = actx
+    if alpha == 1:
+        ctx = SystemContext(
+            basis=actx.basis, potentials=actx.potentials, kernel=actx.kernel, control=actx.control
+        )
+    calls = {"value": 0, "lambda_at": 0}
+    for cls, name in ((ControlSignal, "value"), (SystemContext, "lambda_at")):
+
+        def counted(self, t, one=getattr(cls, name), name=name):
+            calls[name] += 1
+            return one(self, t)
+
+        monkeypatch.setattr(cls, name, counted)
+    stage_fields(ctx, np.linspace(0.0, 1.0, 7))
+    assert calls == {"value": 1, "lambda_at": 1 - alpha}
+    calls.update(value=0, lambda_at=0)
+    # a solve builds its fields one block of step midpoints at a time: 31 and 9
+    blocks = len(snapshot_blocks(ctx.basis, ctx.basis.spec.steps))
+    assert blocks == 2
+    (solve_forward if alpha == 1 else solve_adjoint)(ctx, start)
+    assert calls == {"value": blocks, "lambda_at": (1 - alpha) * blocks}
+
+
 @pytest.mark.parametrize("with_source", [False, True], ids=["homogeneous", "source"])
 def test_adjoint_solve_matches_per_sweep_oracle(with_source):
     actx, terminal = refined_adjoint((3.0,), (32,), (6,), 20)
@@ -499,6 +566,28 @@ def test_stacked_forward_solve_matches_single_solves(lengths, grid, modes, fwd_s
             assert np.array_equal(got, getattr(alone, name)), name
             assert got.flags.c_contiguous, name
         assert traj.meta == alone.meta
+
+
+def test_a_stacked_solve_measures_its_constants_once(monkeypatch):
+    actx, _ = refined_adjoint((3.0,), (32,), (6,), 20)
+    ctx = SystemContext(
+        basis=actx.basis, potentials=actx.potentials, kernel=actx.kernel, control=actx.control
+    )
+    calls, measure = [], propagate.bound_constants
+
+    def counted(c):
+        calls.append(c)
+        return measure(c)
+
+    monkeypatch.setattr(propagate, "bound_constants", counted)
+    rng = np.random.default_rng(6)
+    starts = np.stack([random_coefficients(ctx.basis, 2, rng, r) for r in (1.0, 0.3, 2.0)])
+    trajs = solve_forward(ctx, starts)
+    assert calls == [ctx]
+    # each trajectory holds its own copy of the one measurement
+    first, second, third = (traj.meta["constants"] for traj in trajs)
+    assert first == second == third == measure(ctx)
+    assert first is not second and second is not third and first is not third
 
 
 @pytest.mark.parametrize("scales", [(1e3, 1.0, 3e5), (1e3, 1.0, -1.0)], ids=["one", "two"])
