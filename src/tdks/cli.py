@@ -244,6 +244,8 @@ def parse_config(text):
         data = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config nests too deeply to read: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     config = _walk("", _SCHEMA, data)
@@ -382,7 +384,7 @@ def _build_control(preset, horizon, steps):
         values, where = preset["values"], "control.values"
     else:  # the kind is "file", checked as inline values are
         where = "control.path"
-        with _under(f"{where}: ", *_FILE_ERRORS):
+        with _under(f"{where}: ", *_FILE_ERRORS, RecursionError):
             values = json.loads(Path(preset["path"]).read_text())
         _check(where, values, np.ndarray)
     values = np.asarray(values, dtype=np.float64)
@@ -402,7 +404,7 @@ def _objective_from_config(config, basis, purpose):
     return ObjectiveSpec(
         **dict(obj, target_state=target),
         # CLI runs track the fixed target state, at every time for j1
-        target_trajectory=lambda t: target,
+        target_trajectory=lambda times: np.broadcast_to(target, (len(times),) + target.shape),
     )
 
 
@@ -514,7 +516,7 @@ def run_verification_suite(config):
         j2="terminal",
         nu=1.0,
         target_state=np.zeros_like(psi0),
-        target_trajectory=lambda t: np.zeros_like(psi0),
+        target_trajectory=lambda times: np.zeros((len(times),) + psi0.shape, psi0.dtype),
     )
     terminal, source = adjoint_sources(objective, traj)
     adj_ctx = replace(fwd_ctx, alpha=0, forward=traj, source=source)

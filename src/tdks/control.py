@@ -59,8 +59,8 @@ class LineSearchError(RuntimeError):
 class ObjectiveSpec:
     """Tracking objective configuration.
 
-    ``j1``: "none" or "trajectory" (needs target_trajectory: callable t -> state,
-    e.g. ``traj.state_at``); ``j2``: "none" or "terminal" (needs target_state).
+    ``j1``: "none" or "trajectory" (needs target_trajectory: callable (B,) times -> their
+    stack of states, e.g. ``traj.state_at``); ``j2``: "none" or "terminal" (needs target_state).
     Target states are (modes, particles) coefficients; any other shape, or
     one that differs from the tracked trajectory's, raises ``ControlError``.
     ``nu`` weights the control H1 penalty and must be positive.
@@ -84,27 +84,25 @@ class ObjectiveSpec:
         if self.j2 == "terminal" and self.target_state is None:
             raise ControlError("terminal tracking needs a target state")
         if self.target_state is not None:
-            object.__setattr__(self, "target_state", _as_target(self.target_state))
-
-
-def _as_target(d, shape=None):
-    """(modes, particles) target coefficients; with ``shape``, only of that shape."""
-    d = np.asarray(d, dtype=np.complex128)
-    check_layout(d.shape, None, ControlError)
-    if shape is not None and d.shape != shape:
-        raise ControlError(f"target of shape {d.shape} does not match the trajectory's {shape}")
-    return d
+            target = np.asarray(self.target_state, dtype=np.complex128)
+            check_layout(target.shape, None, ControlError)
+            object.__setattr__(self, "target_state", target)
 
 
 def _state_sq(d):
-    return float(np.sum(d.real**2 + d.imag**2))
+    return np.sum(d.real**2 + d.imag**2, axis=(-2, -1))
 
 
-def _residual(spec, state, t=None):
-    """Psi - target(t) of the J1 term for a state at time t, or Psi - target_T of the
-    J2 term when t is None; a target of another shape than the state raises."""
-    target = spec.target_state if t is None else spec.target_trajectory(t)
-    return state - _as_target(target, state.shape)
+def _residual(spec, state, times=None):
+    """Psi - target(t) of the J1 term for states at the (B,) times, or Psi - target_T of
+    the J2 term when times is None; a target of another shape than the state raises."""
+    target = spec.target_state if times is None else spec.target_trajectory(times)
+    target = np.asarray(target, dtype=np.complex128)
+    if target.shape != state.shape:
+        raise ControlError(
+            f"target of shape {target.shape} does not match the trajectory's {state.shape}"
+        )
+    return state - target
 
 
 def _solve_objective(spec, ctx, u, psi0):
@@ -112,10 +110,10 @@ def _solve_objective(spec, ctx, u, psi0):
     traj = solve_forward(replace(ctx, control=u), psi0)
     j1 = j2 = 0.0
     if spec.j1 == "trajectory":
-        vals = [_state_sq(_residual(spec, d, t)) for d, t in zip(traj.states, traj.times)]
+        vals = _state_sq(_residual(spec, traj.states, traj.times))
         j1 = float(np.trapezoid(vals, traj.times))
     if spec.j2 == "terminal":
-        j2 = _state_sq(_residual(spec, traj.states[-1]))
+        j2 = float(_state_sq(_residual(spec, traj.states[-1])))
     return traj, j1 + j2 + spec.nu * u.h1_norm_sq
 
 
@@ -128,7 +126,7 @@ def adjoint_sources(spec, traj):
     """Terminal state and inhomogeneity provider for the backward problem.
 
     Both are real-pairing derivatives of the tracking terms: the terminal is
-    -2 (Lambda(T) - target_T); the source is t -> 2 (Lambda(t) - target(t)).
+    -2 (Lambda(T) - target_T); the source is (B,) times -> 2 (Lambda(t) - target(t)).
     """
     final = traj.states[-1]
     if spec.j2 == "terminal":
@@ -137,10 +135,10 @@ def adjoint_sources(spec, traj):
         terminal = np.zeros(final.shape, dtype=np.complex128)
     source = None
     if spec.j1 == "trajectory":
-        _residual(spec, final, traj.times[-1])  # a mismatch raises here, not mid-solve
+        _residual(spec, traj.states[-1:], traj.times[-1:])  # a mismatch raises before a solve
 
-        def source(t):
-            return 2.0 * _residual(spec, traj.state_at(t), t)
+        def source(times):
+            return 2.0 * _residual(spec, traj.state_at(times), times)
 
     return terminal, source
 
@@ -206,27 +204,25 @@ def backward_sweep(spec, ctx, traj):
     omega = np.full(steps + 1, dt)
     omega[0] = omega[-1] = 0.5 * dt
 
-    def tracked(n, mu):
-        """mu plus the derivative of the J1 term at the stored state n."""
-        if spec.j1 != "trajectory":
-            return mu
-        return mu + 2.0 * omega[n] * _residual(spec, states[n], times[n])
-
+    # the derivative of the J1 term at every stored state, added to mu there
+    tracking = None
+    if spec.j1 == "trajectory":
+        tracking = 2.0 * omega[:, None, None] * _residual(spec, states, times)
     mu = np.zeros_like(states[-1])
     if spec.j2 == "terminal":
         mu = mu + 2.0 * _residual(spec, states[-1])
     g_mid = np.empty(steps)
     mu_path = np.empty_like(states)
-    mu_path[-1] = mu = tracked(steps, mu)
+    mu_path[-1] = mu = mu if tracking is None else mu + tracking[-1]
     ahead, back = _kinetic_phase(ctx, 0.5 * dt), _kinetic_phase(ctx, -0.5 * dt)
     # the step midpoints of the solve, in reverse, as the solve's schedule takes them
     schedule = stage_schedule(ctx, (times[:-1] + 0.5 * dt)[::-1])
-    for n, (external, _) in zip(range(steps - 1, -1, -1), schedule):
+    for n, (external, _, _) in zip(range(steps - 1, -1, -1), schedule):
         # recompute the stage from the stored state, then pull mu back through
         # the kinetic half-steps (their transpose is the conjugate phase)
         fields = _potential_stage_fields(ctx, external, ahead * states[n])
         a_bar, g_mid[n] = _potential_stage_vjp(ctx, dt, *fields, back * mu)
-        mu_path[n] = mu = tracked(n, back * a_bar)
+        mu_path[n] = mu = back * a_bar if tracking is None else back * a_bar + tracking[n]
 
     g_samples = np.zeros(steps + 1)
     g_samples[:-1] += 0.5 * g_mid

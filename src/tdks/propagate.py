@@ -10,12 +10,12 @@ terms that act through the real part of the unknown, so its middle stage is
 an implicit midpoint solve by fixed-point iteration; the iteration only
 sees the bounded (non-stiff) part of the operator, the stiff kinetic term
 having been split off exactly.  The fields the middle stage reads (the
-external potential of u(t) and, for alpha=0, the fields of the frozen forward
-state) depend on the step midpoint only, not on the unknown, so every step
-takes them once, as its item of ``system.stage_schedule``: a solve walks the
-schedule of its step midpoints, which builds them for one ``snapshot_blocks``
-block at a time, and every fixed-point sweep of an alpha=0 step reuses its
-item.  The gradient's backward sweep walks the same schedule in reverse.
+external potential of u(t), for alpha=0 the frozen forward state's, and the
+source) depend on the step midpoint only, so every step takes them once, as
+its item of ``system.stage_schedule``, and reads no time itself: a solve walks
+the schedule of its step midpoints, built one ``snapshot_blocks`` block at a
+time, and every fixed-point sweep of an alpha=0 step reuses its item.  The
+gradient's backward sweep walks the same schedule in reverse.
 
 Both stage maps are symmetric, so stepping a trajectory with the opposite
 time-step sign reproduces it (used by the reversibility tests).
@@ -143,11 +143,11 @@ def _potential_stage_fields(ctx, external, a):
     return psi, rho, _stage_potential(ctx, external, rho)
 
 
-def _potential_stage_forward(ctx, t_mid, dt, d, external):
-    """Phase step of the alpha=1 stage on a state or a stack of states; ``external``
-    is the field at t_mid, where the source is read."""
+def _potential_stage_forward(ctx, dt, d, fields):
+    """Phase step of the alpha=1 stage on a state or a stack of states; ``fields``
+    is the (external, frozen, source) item of the step midpoint."""
+    external, _, f = fields
     psi, _, v = _potential_stage_fields(ctx, external, d)
-    f = ctx.source_coefficients(t_mid)
     if f is None:
         psi = _kernels.phase_apply(psi, v, dt)
     else:
@@ -187,11 +187,11 @@ def _potential_stage_vjp(ctx, dt, psi, rho, v, b_bar):
 def _potential_stage_adjoint(ctx, t_mid, dt, d, fields):
     """Implicit midpoint for the bounded part: y = d + dt*g((d+y)/2).
 
-    ``fields`` is the (external, frozen) pair at t_mid, taken once per step,
-    and the source at t_mid is evaluated once; each fixed-point sweep applies
-    the bounded operator with those fields.
+    ``fields`` is the (external, frozen, source) item of t_mid, taken once per
+    step; each fixed-point sweep applies the bounded operator and adds the
+    source with those fields.  t_mid only names the step in the error.
     """
-    f = ctx.source_coefficients(t_mid)
+    f = fields[2]
 
     def g(z):
         h = _bounded_apply(ctx, fields, z)
@@ -220,10 +220,10 @@ def step(ctx, t, dt, d, *, fields=None):
     fixed-point sweeps stop on the change of the whole stack, which is the
     change of each item only when there is one.
 
-    ``fields`` is the (external, frozen) pair of the midpoint t + dt/2, its
-    item of ``system.stage_schedule`` (frozen is None for alpha=1), as
-    ``_solve`` hands it to every step; without it the step takes the pair
-    from a schedule of that one midpoint.
+    ``fields`` is the (external, frozen, source) item of the midpoint
+    t + dt/2 in ``system.stage_schedule`` (frozen is None for alpha=1, source
+    None without one), as ``_solve`` hands it to every step; without it the
+    step takes the item from a schedule of that one midpoint.
     """
     stacked = np.ndim(d) == 3
     check_layout(np.shape(d), ctx.basis.size, PropagationError, stacked)
@@ -240,7 +240,7 @@ def step(ctx, t, dt, d, *, fields=None):
     if fields is None:
         (fields,) = stage_schedule(ctx, [t_mid])
     if ctx.alpha == 1:
-        d = _potential_stage_forward(ctx, t_mid, dt, d, fields[0])
+        d = _potential_stage_forward(ctx, dt, d, fields)
     else:
         d = _potential_stage_adjoint(ctx, t_mid, dt, d, fields)
     return half * d
@@ -267,9 +267,9 @@ def l2_envelope(ctx, traj):
     start_sq = float(traj.l2[0] if ctx.alpha == 1 else traj.l2[-1]) ** 2
     source_sq = np.zeros(len(traj.times))
     if ctx.source is not None:
-        for i, t in enumerate(traj.times):
-            f = ctx.source_coefficients(t)
-            source_sq[i] = np.sum(f.real**2 + f.imag**2)
+        for block in snapshot_blocks(ctx.basis, len(traj.times)):
+            f = ctx.source_coefficients(traj.times[block])
+            source_sq[block] = np.sum(f.real**2 + f.imag**2, axis=(1, 2))
     return factor, start_sq, source_sq
 
 

@@ -64,9 +64,9 @@ class SystemContext:
     alpha=0: the stored forward trajectory, i.e. an object with increasing
     float ``times`` and complex ``states`` (times, modes, particles) arrays as
     ``solve_forward`` returns it; the frozen state is its piecewise-linear
-    interpolant.  ``source`` is an optional callable t -> the inhomogeneity
-    as (modes, particles) coefficients, i.e. its projection onto the basis;
-    any other shape raises ``SystemError`` when it is read.
+    interpolant.  ``source`` is an optional callable (B,) times -> the inhomogeneity
+    at each as (B, modes, particles) coefficients, i.e. its projection onto the
+    basis; any other shape raises ``SystemError`` when it is read.
     """
 
     basis: object
@@ -111,14 +111,14 @@ class SystemContext:
     def _ks_grid(self, rho):
         return ks_potential(self.potentials, self.kernel, rho, self.basis.spec.dimension)
 
-    def source_coefficients(self, t):
-        """Inhomogeneity at t as (modes, particles) coefficients, or None."""
+    def source_coefficients(self, times):
+        """Inhomogeneity at the (B,) ``times`` as (B, modes, particles) coefficients, or None."""
         if self.source is None:
             return None
-        f = np.asarray(self.source(t), dtype=np.complex128)
-        want = (self.basis.size, self.basis.spec.particles)
+        f = np.asarray(self.source(times), dtype=np.complex128)
+        want = (len(times), self.basis.size, self.basis.spec.particles)
         if f.shape != want:
-            raise SystemError(f"source gave shape {f.shape}, not (modes, particles) {want}")
+            raise SystemError(f"source gave shape {f.shape}, not (B, modes, particles) {want}")
         return f
 
 
@@ -159,29 +159,31 @@ def stage_fields(ctx, times):
 
 
 def stage_schedule(ctx, times):
-    """The (external, frozen) pair of each of the (B,) ``times``, in order.
+    """The (external, frozen, source) fields of each of the (B,) ``times``, in order.
 
-    Every step and sweep takes its fields from here.  The pairs are items of
-    one ``stage_fields`` stack per ``snapshot_blocks`` block of times, so
-    only the current block's fields are held; frozen is None for alpha=1.
+    Every step and sweep takes its fields from here: one ``stage_fields`` stack and one
+    ``source_coefficients`` call per ``snapshot_blocks`` block of times, so only the
+    current block's are held; frozen is None for alpha=1, source without one.
     """
     times = np.asarray(times)
     for block in snapshot_blocks(ctx.basis, len(times)):
         external, frozen = stage_fields(ctx, times[block])
-        for i in range(len(external)):
-            yield external[i], None if frozen is None else FrozenFields._make(f[i] for f in frozen)
+        source = ctx.source_coefficients(times[block])
+        absent = [None] * len(external)
+        frozen = absent if frozen is None else map(FrozenFields._make, zip(*frozen))
+        yield from zip(external, frozen, absent if source is None else source)
 
 
 def _bounded_apply(ctx, fields, d):
     """All non-kinetic operator terms applied to d, as coefficients (without f).
 
-    ``fields`` is the (external, frozen) pair of the operator's time, one item
-    of ``stage_schedule``; the terms read no time themselves.  With the whole
-    ``stage_fields`` stack of B times and a stack (B, modes, particles) of
-    states, the result is the stack of the B applies, each item equal to its
-    own single call.
+    ``fields`` starts with the (external, frozen) pair of the operator's time:
+    one item of ``stage_schedule``, whose source is not applied here; the
+    terms read no time themselves.  With the whole ``stage_fields`` stack of B
+    times and a stack (B, modes, particles) of states, the result is the stack
+    of the B applies, each item equal to its own single call.
     """
-    external, frozen = fields
+    external, frozen = fields[:2]
     psi = synthesize(ctx.basis, d)
     fld = external[..., None] * psi
     if ctx.alpha == 1:
@@ -210,7 +212,7 @@ def rhs(ctx, t, d):
     times = np.atleast_1d(t)
     h = ctx.basis.eigenvalues[:, None] * d + _bounded_apply(ctx, stage_fields(ctx, times), d)
     if ctx.source is not None:
-        h = h + np.stack([ctx.source_coefficients(s) for s in times])
+        h = h + ctx.source_coefficients(times)
     return -1j * h if stacked else -1j * h[0]
 
 

@@ -128,6 +128,12 @@ def unit_state(basis, mode, particles=1, particle=0, amplitude=1.0):
     return d
 
 
+def at_every_time(value):
+    """A source or tracking target that gives ``value`` at every one of the (B,)
+    times it is asked for, as a (B,) + value.shape stack."""
+    return lambda times: np.broadcast_to(value, (len(times),) + np.shape(value))
+
+
 def control_value_at(u, t):
     """Oracle for ``ControlSignal.value`` at one time: u at t clamped to [0, T]."""
     return float(np.interp(min(max(t, 0.0), u.horizon), u.times, u.samples))
@@ -207,11 +213,11 @@ def adjoint_solve_per_sweep(ctx, terminal, steps):
 
     for last in range(steps, 0, -1):
         t_mid = times[last] + 0.5 * h
-        f = ctx.source_coefficients(t_mid)
+        f = ctx.source_coefficients(np.array([t_mid]))
 
         def g(z):
             v = bounded(t_mid, z)
-            return -1j * (v if f is None else v + f)
+            return -1j * (v if f is None else v + f[0])
 
         d = half * states[last]
         scale = max(1.0, float(np.linalg.norm(d)))
@@ -244,7 +250,8 @@ def backward_sweep_per_step(spec, ctx, traj):
     if spec.j2 == "terminal":
         mu = mu + 2.0 * (traj.states[-1] - spec.target_state)
     if spec.j1 == "trajectory":
-        mu = mu + 2.0 * omega[-1] * (traj.states[-1] - spec.target_trajectory(traj.times[-1]))
+        target = spec.target_trajectory(traj.times[-1:])[0]
+        mu = mu + 2.0 * omega[-1] * (traj.states[-1] - target)
     g_mid = np.empty(steps)
     mu_path = np.empty_like(traj.states)
     mu_path[-1] = mu
@@ -255,7 +262,8 @@ def backward_sweep_per_step(spec, ctx, traj):
         a_bar, g_mid[n] = _potential_stage_vjp(ctx, dt, *fields, back * mu)
         mu = back * a_bar
         if spec.j1 == "trajectory":
-            mu = mu + 2.0 * omega[n] * (traj.states[n] - spec.target_trajectory(traj.times[n]))
+            target = spec.target_trajectory(traj.times[n : n + 1])[0]
+            mu = mu + 2.0 * omega[n] * (traj.states[n] - target)
         mu_path[n] = mu
     g_samples = np.zeros(steps + 1)
     g_samples[:-1] += 0.5 * g_mid

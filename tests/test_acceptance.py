@@ -34,7 +34,7 @@ from tdks import (
 )
 from tdks.cli import _reports_payload, default_config, run_verification_suite
 
-from conftest import galerkin_matrix, make_setup, unit_state
+from conftest import at_every_time, galerkin_matrix, make_setup, unit_state
 
 
 def _verdict(num, ok, detail):
@@ -148,7 +148,7 @@ def test_criterion_04_energy_envelopes():
         j2="terminal",
         nu=1.0,
         target_state=target,
-        target_trajectory=lambda t: target,
+        target_trajectory=at_every_time(target),
     )
     terminal, source = adjoint_sources(spec_obj, traj)
     actx = SystemContext(

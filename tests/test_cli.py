@@ -424,6 +424,31 @@ def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, con
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "site, start",
+    [("config", "error: config nests too deeply"), ("control file", "error: control.path: ")],
+    ids=["config", "control-file"],
+)
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, site, start):
+    # 100,000 nested brackets: the JSON decoder gives up with a RecursionError
+    nested = "[" * 100_000 + "]" * 100_000
+    cfg_path = tmp_path / "cfg.json"
+    if site == "config":
+        cfg_path.write_text('{"seed": ' + nested + "}")
+    else:
+        (tmp_path / "control.json").write_text(nested)
+        path = (tmp_path / "control.json").as_posix()
+        cfg_path.write_text(json.dumps({"control": {"kind": "file", "path": path}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    status = main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(start)
+    assert "Traceback" not in err[0]
+    assert list(out.iterdir()) == []
+
+
 def test_singular_riesz_solve_is_one_error_line(tmp_path, capsys):
     # dt = 1e-9: the mass term dt/2 is lost against 1/dt, and the last pivot of the
     # H1 Riesz solve rounds to 0

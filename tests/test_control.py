@@ -21,7 +21,13 @@ from tdks.control import ControlError, backward_sweep
 from tdks.domain import grid_inner, synthesize
 from tdks.system import snapshot_blocks
 
-from conftest import backward_sweep_per_step, h1_riesz_banded, make_setup, unit_state
+from conftest import (
+    at_every_time,
+    backward_sweep_per_step,
+    h1_riesz_banded,
+    make_setup,
+    unit_state,
+)
 
 
 def coupling_density(ctx, traj_fwd, traj_adj):
@@ -257,13 +263,36 @@ def test_a_target_of_another_shape_than_the_trajectory_raises(control_setup, tar
     if target == "target_state":
         spec = ObjectiveSpec(j2="terminal", target_state=wrong)
     else:
-        spec = ObjectiveSpec(j1="trajectory", target_trajectory=lambda t: wrong)
+        spec = ObjectiveSpec(j1="trajectory", target_trajectory=at_every_time(wrong))
     with pytest.raises(ControlError, match="does not match"):
         evaluate_objective(spec, ctx, zero_control(1.0, 100), psi0)
     with pytest.raises(ControlError, match="does not match"):
         adjoint_sources(spec, traj)
     with pytest.raises(ControlError, match="does not match"):
         backward_sweep(spec, ctx, traj)
+
+
+@pytest.mark.parametrize("target", ["fixed", "moving"])
+def test_adjoint_source_items_equal_their_single_time_residuals(control_setup, target):
+    ctx, psi0 = control_setup
+    u = ControlSignal(samples=0.4 * np.sin(np.linspace(0.0, 5.0, 101)), horizon=1.0)
+    traj = solve_forward(replace(ctx, control=u), psi0)
+    if target == "fixed":
+        fixed = unit_state(ctx.basis, 2)
+        target_at, tracked = (lambda t: fixed), at_every_time(fixed)
+    else:
+        moving = solve_forward(ctx, unit_state(ctx.basis, 1))
+        target_at = tracked = moving.state_at
+    spec = ObjectiveSpec(j1="trajectory", target_trajectory=tracked)
+    times = np.concatenate([
+        [0.0, 1.0, 0.123456789, 0.5 + 1e-13, 0.999],  # the ends and times off the grid
+        0.5 * (traj.times[:-1] + traj.times[1:]),  # the step midpoints
+    ])
+    _, source = adjoint_sources(spec, traj)
+    stack = source(times)
+    assert stack.shape == (len(times),) + psi0.shape
+    for t, item in zip(times, stack):
+        assert np.array_equal(item, 2 * (traj.state_at(t) - target_at(t)))
 
 
 def test_backward_sweep_matches_per_step_oracle(control_setup):

@@ -26,7 +26,7 @@ from tdks.cli import ConfigError, parse_config, run
 from tdks.control import ControlError
 from tdks.system import SystemError
 
-from conftest import frozen_trajectory, make_setup, unit_state
+from conftest import at_every_time, frozen_trajectory, make_setup, unit_state
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +88,10 @@ def test_a_source_must_return_modes_by_particles_coefficients(contexts, layout):
     basis, fwd, _ = contexts
     value = np.ones((basis.node_count, 1)) if layout == "grid field" else np.ones(basis.size)
     ctx = SystemContext(
-        basis=basis, potentials=fwd.potentials, kernel=fwd.kernel, source=lambda t: value
+        basis=basis, potentials=fwd.potentials, kernel=fwd.kernel, source=at_every_time(value)
     )
     with pytest.raises(SystemError, match="modes, particles"):
-        ctx.source_coefficients(0.0)
+        ctx.source_coefficients(np.array([0.0]))
 
 
 def test_grid_inner_rejects_single_channel_fields(contexts):

@@ -10,9 +10,11 @@ from scipy.linalg import expm
 from tdks import (
     BlowUpError,
     ControlSignal,
+    ObjectiveSpec,
     PropagationError,
     SystemContext,
     bilinear_B,
+    adjoint_sources,
     bound_constants,
     form_values,
     hartree,
@@ -46,6 +48,7 @@ from tdks.system import (
 
 from conftest import (
     adjoint_solve_per_sweep,
+    at_every_time,
     control_value_at,
     frozen_trajectory,
     galerkin_matrix,
@@ -421,7 +424,7 @@ def test_adjoint_steps_get_the_fields_of_their_midpoint(monkeypatch, lengths, gr
     solve_adjoint(actx, terminal)
     times = np.linspace(0.0, 1.0, steps + 1)
     assert [t_mid for t_mid, _ in seen] == [t + 0.5 * -(1.0 / steps) for t in times[:0:-1]]
-    for t_mid, (external, frozen) in seen:
+    for t_mid, (external, frozen, _) in seen:
         assert np.array_equal(external, actx.external_at(t_mid))
         want = frozen_fields(actx, actx.lambda_at(t_mid))
         for name in FrozenFields._fields:
@@ -442,7 +445,7 @@ def test_forward_steps_get_the_fields_of_their_midpoint(monkeypatch, lengths, gr
     solve_forward(ctx, psi0)
     times = np.linspace(0.0, 1.0, steps + 1)
     assert [t_mid for t_mid, _ in seen] == [t + 0.5 * (1.0 / steps) for t in times[:-1]]
-    for t_mid, (external, frozen) in seen:
+    for t_mid, (external, frozen, _) in seen:
         assert np.array_equal(external, ctx.external_at(t_mid))
         assert frozen is None
 
@@ -506,12 +509,30 @@ def test_stage_fields_take_one_control_and_frozen_state_call_per_block(monkeypat
     assert calls == {"value": blocks, "lambda_at": (1 - alpha) * blocks}
 
 
+def test_tracking_source_is_read_once_per_block_of_times(monkeypatch):
+    actx, terminal = refined_adjoint((3.0,), (32,), (6,), 20)
+    target = at_every_time(unit_state(actx.basis, 2, particles=2))
+    spec = ObjectiveSpec(j1="trajectory", target_trajectory=target)
+    actx = replace(actx, source=adjoint_sources(spec, actx.forward)[1])
+    sizes, one = [], SystemContext.source_coefficients
+
+    def counted(self, times):
+        sizes.append(np.size(times))
+        return one(self, times)
+
+    monkeypatch.setattr(SystemContext, "source_coefficients", counted)
+    solve_adjoint(actx, terminal)
+    # the schedule reads the 40 step midpoints in blocks of 31 and 9, then the
+    # envelope the 41 stored times in blocks of 31 and 10
+    assert sizes == [31, 9, 31, 10]
+
+
 @pytest.mark.parametrize("with_source", [False, True], ids=["homogeneous", "source"])
 def test_adjoint_solve_matches_per_sweep_oracle(with_source):
     actx, terminal = refined_adjoint((3.0,), (32,), (6,), 20)
     if with_source:
         f = random_coefficients(actx.basis, 2, np.random.default_rng(3), 0.5)
-        actx = replace(actx, source=lambda t: np.cos(3.0 * t) * f)
+        actx = replace(actx, source=lambda t: np.cos(3.0 * t)[:, None, None] * f)
     adj = solve_adjoint(actx, terminal)
     states, form = adjoint_solve_per_sweep(actx, terminal, actx.basis.spec.steps)
     assert np.array_equal(adj.states, states)
@@ -554,7 +575,7 @@ def test_stacked_forward_solve_matches_single_solves(lengths, grid, modes, fwd_s
     )
     if with_source:
         f = random_coefficients(basis, 2, np.random.default_rng(4), 0.5)
-        ctx = replace(ctx, source=lambda t: np.cos(3.0 * t) * f)
+        ctx = replace(ctx, source=lambda t: np.cos(3.0 * t)[:, None, None] * f)
     rng = np.random.default_rng(6)
     starts = np.stack([random_coefficients(basis, 2, rng, r) for r in (1.0, 0.3, 2.0)])
     trajs = solve_forward(ctx, starts)
@@ -605,7 +626,7 @@ def test_stacked_blowup_raises_the_error_of_the_second_item_alone(scales):
         include_correlation=False,
     )
     src = unit_state(basis, 0, amplitude=5.2e6)
-    ctx = SystemContext(basis=basis, potentials=pot, source=lambda t: src)
+    ctx = SystemContext(basis=basis, potentials=pot, source=at_every_time(src))
     starts = np.stack([c * unit_state(basis, 0) for c in scales])
     solve_forward(ctx, starts[0])
     with pytest.raises(BlowUpError) as alone:
@@ -629,7 +650,7 @@ def test_stacked_blowup_raises_at_the_first_step_any_item_fails():
         include_correlation=False,
     )
     src = unit_state(basis, 0, amplitude=8e6)
-    ctx = SystemContext(basis=basis, potentials=pot, source=lambda t: src)
+    ctx = SystemContext(basis=basis, potentials=pot, source=at_every_time(src))
     starts = np.stack([c * unit_state(basis, 0) for c in (1.5, 1.0, 3.0)])
     with pytest.raises(BlowUpError) as first:
         solve_forward(ctx, starts[0])
@@ -676,7 +697,7 @@ def test_blowup_guard_trips_on_absurd_source():
         include_correlation=False,
     )
     src = unit_state(basis, 0, amplitude=1e8)
-    ctx = SystemContext(basis=basis, potentials=pot, source=lambda t: src)
+    ctx = SystemContext(basis=basis, potentials=pot, source=at_every_time(src))
     with pytest.raises(BlowUpError) as exc:
         solve_forward(ctx, unit_state(basis, 0))
     assert exc.value.t_last >= 0.0
@@ -696,11 +717,12 @@ def test_blowup_carries_the_good_states_in_time_order(direction):
     start = unit_state(basis, 0)
     forward = direction == "forward"
     if forward:
-        ctx, solve = SystemContext(basis=basis, potentials=pot, source=lambda t: src), solve_forward
+        ctx = SystemContext(basis=basis, potentials=pot, source=at_every_time(src))
+        solve = solve_forward
     else:
         traj = solve_forward(SystemContext(basis=basis, potentials=pot), start)
         ctx = SystemContext(
-            basis=basis, potentials=pot, alpha=0, forward=traj, source=lambda t: src
+            basis=basis, potentials=pot, alpha=0, forward=traj, source=at_every_time(src)
         )
         solve = solve_adjoint
     with pytest.raises(BlowUpError) as exc:
@@ -834,7 +856,7 @@ def test_potential_stage_vjp_dot_product(monkeypatch, dimension, dense_max_nodes
 
     def stage(u, d):
         c = ctx_at(u)
-        return _potential_stage_forward(c, t_mid, dt, d, c.external_at(t_mid))
+        return _potential_stage_forward(c, dt, d, (c.external_at(t_mid), None, None))
 
     # the oracle is the stage's derivative ...
     eps = 1e-6

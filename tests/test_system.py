@@ -258,7 +258,7 @@ def test_nonlinear_g_local_lipschitz_ratio(nonlinear_ctx):
 
 
 def test_project_f_zero_and_single_mode(nonlinear_ctx):
-    assert nonlinear_ctx.source_coefficients(0.0) is None
+    assert nonlinear_ctx.source_coefficients(np.array([0.0])) is None
 
     basis = nonlinear_ctx.basis
     phi3 = dense_basis_values(basis)[2].astype(np.complex128)
@@ -267,9 +267,9 @@ def test_project_f_zero_and_single_mode(nonlinear_ctx):
         basis=basis,
         potentials=nonlinear_ctx.potentials,
         kernel=nonlinear_ctx.kernel,
-        source=lambda t: project(basis, phi3[:, None]),
+        source=lambda t: project(basis, np.repeat(phi3[None, :, None], len(t), axis=0)),
     )
-    f = ctx.source_coefficients(0.7)
+    f = ctx.source_coefficients(np.array([0.7]))[0]
     expect = unit_state(basis, 2)
     assert np.abs(f - expect).max() < 1e-10
 
@@ -288,7 +288,7 @@ def test_project_f_matches_direct_quadrature(adjoint_pair):
         basis=basis, potentials=ctx.potentials, kernel=ctx.kernel, source=source
     )
     t = 0.37
-    f = src_ctx.source_coefficients(t)
+    f = src_ctx.source_coefficients(np.array([t]))[0]
     from tdks.domain import project
 
     direct = project(basis, synthesize(basis, 2.0 * (traj.state_at(t) - target)))
@@ -430,7 +430,7 @@ def test_stacked_operators_match_single_calls(monkeypatch, case, alpha, branch, 
     ctx, rng = stacked_context(monkeypatch, case, alpha, True, branch, snapshots=5)
     if source:
         f = random_coefficients(ctx.basis, 2, rng, 0.7)
-        ctx = replace(ctx, source=lambda t: np.sin(3.0 * t) * f)
+        ctx = replace(ctx, source=lambda t: np.sin(3.0 * t)[:, None, None] * f)
     times = np.sort(rng.uniform(0.0, 1.0, 7))
     psi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])
     phi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])

@@ -33,6 +33,7 @@ from tdks.verify import (
 )
 
 from conftest import (
+    at_every_time,
     ball_quadrature_whole_grid,
     coefficient_pair_ratio,
     dual_norm_per_snapshot,
@@ -226,7 +227,7 @@ def test_energy_estimates_nonlinear_and_adjoint(desk):
     target = np.zeros_like(psi0)
     spec_obj = ObjectiveSpec(
         j1="trajectory", j2="terminal", nu=1.0, target_state=target,
-        target_trajectory=lambda t: target,
+        target_trajectory=at_every_time(target),
     )
     term, src = adjoint_sources(spec_obj, traj)
     actx = SystemContext(
@@ -284,8 +285,8 @@ def test_gap_trivial_and_linear_cases():
 
 
 def _convergence_builder(include_exchange=True, source_field=None):
-    """builder(modes); ``source_field`` (t -> (nodes, 1) grid field) is projected
-    onto each basis inside the source provider."""
+    """builder(modes); ``source_field`` ((B,) times -> (B, nodes, 1) grid fields) is
+    projected onto each basis inside the source provider."""
 
     def builder(modes):
         basis, pot, kernel = make_setup(
@@ -337,7 +338,7 @@ def test_galerkin_convergence_with_inhomogeneity():
     def source_field(t):
         return (
             0.3
-            * np.cos(2.0 * t)
+            * np.cos(2.0 * t)[:, None, None]
             * np.sin(2 * np.pi * basis_probe.nodes[:, :1] / 3.0)
         ).astype(np.complex128)
 
@@ -417,7 +418,7 @@ def _oracle_instance(include_hartree):
     target = np.zeros_like(psi0)
     objective = ObjectiveSpec(
         j1="trajectory", j2="terminal", nu=1.0, target_state=target,
-        target_trajectory=lambda t: target,
+        target_trajectory=at_every_time(target),
     )
     terminal, source = adjoint_sources(objective, traj)
     actx = SystemContext(
@@ -513,7 +514,9 @@ def test_l2_envelope_report_reads_the_solve_guard(oracle_instances, alpha):
     start = traj.l2[0] if alpha == 1 else traj.l2[-1]
     source_sq = [0.0] * len(traj.times)
     if ctx.source is not None:
-        source_sq = [np.sum(np.abs(ctx.source_coefficients(t)) ** 2) for t in traj.times]
+        source_sq = [
+            np.sum(np.abs(ctx.source_coefficients(np.array([t]))) ** 2) for t in traj.times
+        ]
     data = start**2 + np.trapezoid(source_sq, traj.times)
     horizon = traj.times[-1] - traj.times[0]
     assert report.bound == pytest.approx(np.exp((1.0 + 2.0 * c0) * horizon) * data, rel=1e-12)
