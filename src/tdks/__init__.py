@@ -14,6 +14,7 @@ from .domain import (
     DomainError,
     DomainSpec,
     SpectralBasis,
+    TdksError,
     build_basis,
     grid_inner,
     grid_norm,

@@ -11,6 +11,7 @@ import argparse
 import copy
 import itertools
 import json
+import reprlib
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -19,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import ControlError, LineSearchError, ObjectiveSpec, adjoint_sources, optimize
+from .control import ObjectiveSpec, adjoint_sources, optimize
 from .domain import (
     DomainError,
     DomainSpec,
+    TdksError,
     build_basis,
     carry_modes,
     check_modes,
@@ -38,15 +40,9 @@ from .potentials import (
     density_from_grid,
     sample_field,
 )
-from .propagate import (
-    PropagationError,
-    solve_adjoint,
-    solve_forward,
-    write_csv,
-)
+from .propagate import solve_adjoint, solve_forward, write_csv
 from .signals import ControlSignal, SignalError, zero_control
 from .system import SystemContext
-from .system import SystemError as SystemContextError
 from .verify import (
     check_coefficient_lipschitz,
     check_coulomb_lp,
@@ -59,7 +55,7 @@ from .verify import (
 )
 
 
-class ConfigError(ValueError):
+class ConfigError(TdksError, ValueError):
     pass
 
 
@@ -140,6 +136,11 @@ _SCHEMA = {
 
 _NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
+# a value of the wrong form is echoed to its top level only, with at most six items of at
+# most about 40 characters each, so a value of any size or depth gives one short line
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 1
+
 
 def _name(form):
     return f"a list, each {_name(form[0])}" if isinstance(form, list) else _NAMES[form]
@@ -161,7 +162,9 @@ def _check(where, value, form, rule=None, message=None):
             raise ConfigError(f"{where}: expected an object with a 'kind' key")
         kind = value["kind"]
         if not isinstance(kind, str) or kind not in form:
-            raise ConfigError(f"{where}.kind: unknown preset {kind!r}; choose from {sorted(form)}")
+            raise ConfigError(
+                f"{where}.kind: unknown preset {_ECHO.repr(kind)}; choose from {sorted(form)}"
+            )
         extra = value.keys() - form[kind].keys() - {"kind"}
         if extra:
             raise ConfigError(f"{where}.{min(extra)}: unknown key for preset {kind!r}")
@@ -189,7 +192,7 @@ def _check(where, value, form, rule=None, message=None):
         if not np.isfinite(numbers).all():
             raise ConfigError(f"{where}: values must be finite")
     elif not _has_form(value, form):
-        raise ConfigError(f"{where}: expected {_name(form)}, got {value!r}")
+        raise ConfigError(f"{where}: expected {_name(form)}, got {_ECHO.repr(value)}")
     if rule is not None and not rule(value):
         raise ConfigError(f"{where}: {message}")
 
@@ -306,12 +309,14 @@ def _build_instruments(config):
     basis = build_basis(DomainSpec(**config["domain"]), config["basis"]["modes"])
     fields = {}
     for name in ("confinement", "control_shape"):
+        where = f"potentials.{name}"
         params = dict(config["potentials"][name])
         # an array preset's file is read only when no values are given inline
         path = params.pop("path", None)
         if path is not None and "values" not in params:
-            params["values"] = _load_numbers(f"potentials.{name}.path", path)
-        with _under(f"potentials.{name}: ", PotentialError):
+            params["values"] = _load_numbers(f"{where}.path", path)
+        # a field that overflows is not finite, which PotentialConfig then refuses
+        with _under(f"{where}: ", PotentialError), np.errstate(over="ignore", invalid="ignore"):
             fields[name] = sample_field(basis, params.pop("kind"), params)
     potentials = _potential_config(config["potentials"], basis.spec.dimension, **fields)
     kernel = None
@@ -606,20 +611,6 @@ _SUBCOMMANDS = {
 }
 
 
-# failures reported as one "error:" line and exit status 1 instead of a traceback
-_RUN_ERRORS = (
-    ConfigError,
-    OSError,
-    PropagationError,
-    ControlError,
-    LineSearchError,
-    SystemContextError,
-    DomainError,
-    PotentialError,
-    SignalError,
-)
-
-
 def run(config, subcommand, out_dir, quiet=False):
     """Validate, execute, and write artifacts; returns the exit status."""
     if subcommand not in _SUBCOMMANDS:
@@ -632,6 +623,8 @@ def run(config, subcommand, out_dir, quiet=False):
 
 
 def main(argv=None):
+    """The tdks command line; returns the exit status.  Any ``TdksError`` or
+    ``OSError`` ends the run in one ``error:`` line on stderr and status 1."""
     parser = argparse.ArgumentParser(
         prog="tdks",
         description="Spectral-Galerkin simulator and verification harness for "
@@ -654,7 +647,7 @@ def main(argv=None):
             config["seed"] = args.seed
         out_dir = args.out if args.out else Path(config["output_dir"]) / args.subcommand
         return run(config, args.subcommand, out_dir, quiet=args.quiet)
-    except _RUN_ERRORS as exc:
+    except (TdksError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

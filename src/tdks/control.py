@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import check_layout
+from .domain import TdksError, check_layout
 from .propagate import (
     _kinetic_phase,
     _potential_stage_fields,
@@ -47,11 +47,11 @@ ARMIJO_C1 = 1e-4  # sufficient-decrease fraction of the line search
 MAX_HALVINGS = 30  # rejected step halvings before the line search gives up
 
 
-class ControlError(ValueError):
+class ControlError(TdksError, ValueError):
     pass
 
 
-class LineSearchError(RuntimeError):
+class LineSearchError(TdksError, RuntimeError):
     pass
 
 

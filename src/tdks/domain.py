@@ -32,7 +32,13 @@ from functools import reduce
 import numpy as np
 
 
-class DomainError(ValueError):
+class TdksError(Exception):
+    """Base of every exception class tdks defines: inputs the theory does not admit,
+    and solves that fail.  ``tdks.cli.main`` ends each one in a single ``error:``
+    line.  Each subclass also derives from ``ValueError`` or ``RuntimeError``."""
+
+
+class DomainError(TdksError, ValueError):
     """Raised for invalid domain or basis parameters."""
 
 
@@ -74,6 +80,11 @@ class DomainSpec:
             raise DomainError("need at least 4 grid cells per axis")
         if any(m % 2 for m in self.grid):
             raise DomainError("grid cells per axis must be even")
+        # the largest eigenvalue a basis on the grid resolves, sum_i ((grid_i/2)*pi/L_i)^2;
+        # Python floats, whose x * x overflows to inf where x ** 2 would raise
+        top = [m // 2 * math.pi / l for l, m in zip(self.lengths, self.grid)]
+        if not math.isfinite(sum(k * k for k in top)):
+            raise DomainError("edge lengths too short for the grid: its eigenvalues overflow")
         if not is_count(self.particles):
             raise DomainError(
                 f"the particle count must be a positive integer, got {self.particles!r}"

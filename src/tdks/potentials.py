@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import numpy.fft  # numpy 2 loads it lazily: load it here, not in the first kernel build
 
-from .domain import grid_norm, synthesize
+from .domain import TdksError, grid_norm, synthesize
 
 DEFAULT_EXCHANGE_C = -((3.0 / math.pi) ** (1.0 / 3.0))
 DEFAULT_EXCHANGE_BETA = 1.0 / 3.0
@@ -40,7 +40,7 @@ DEFAULT_WIGNER_B = 7.8
 DENSE_MAX_NODES = 512
 
 
-class PotentialError(ValueError):
+class PotentialError(TdksError, ValueError):
     """Raised for unphysical potential parameters or mismatched grids."""
 
 

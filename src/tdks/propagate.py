@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .domain import _as_state, check_layout, is_count, norms, project, synthesize
+from .domain import TdksError, _as_state, check_layout, is_count, norms, project, synthesize
 from .potentials import density_from_grid, hartree, vxc_rho_derivative
 from .system import (
     _bounded_apply,
@@ -66,7 +66,7 @@ FIXED_POINT_TOL = 1e-10  # relative sweep-to-sweep change that ends an alpha=0 s
 FIXED_POINT_MAX_ITER = 50  # sweeps before an alpha=0 stage gives up
 
 
-class PropagationError(RuntimeError):
+class PropagationError(TdksError, RuntimeError):
     pass
 
 

@@ -5,8 +5,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .domain import TdksError
 
-class SignalError(ValueError):
+
+class SignalError(TdksError, ValueError):
     pass
 
 

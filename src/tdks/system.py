@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import _as_state, check_layout, grid_inner, project, synthesize
+from .domain import TdksError, _as_state, check_layout, grid_inner, project, synthesize
 from .potentials import (
     density_from_grid,
     hartree,
@@ -31,7 +31,7 @@ from .potentials import (
 from .signals import zero_control
 
 
-class SystemError(ValueError):
+class SystemError(TdksError, ValueError):
     pass
 
 

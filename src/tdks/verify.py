@@ -547,7 +547,8 @@ def check_galerkin_convergence(builder, mode_lists):
 
 
 def check_potential_continuity(basis, config, kernel, seed=0):
-    """V(Psi_n)Psi_n -> V(Psi)Psi in L2 along a geometric perturbation schedule."""
+    """V(Psi_n)Psi_n -> V(Psi)Psi in L2 along a geometric perturbation schedule,
+    evaluated one ``snapshot_blocks`` block of perturbations at a time."""
     rng = np.random.default_rng([seed, 53])
     particles = basis.spec.particles
     base = random_coefficients(basis, particles, rng, 1.0)
@@ -556,13 +557,11 @@ def check_potential_continuity(basis, config, kernel, seed=0):
     g_base = synthesize(basis, base)
     v_base = ks_potential(config, kernel, density_from_grid(g_base), n)
     errors = []
-    for k in range(25):
-        pert = base + 0.5 * 2.0**-k * direction
-        g = synthesize(basis, pert)
+    for block in snapshot_blocks(basis, 25):
+        k = np.arange(block.start, block.stop)
+        g = synthesize(basis, base + (0.5 * 2.0**-k)[:, None, None] * direction)
         v = ks_potential(config, kernel, density_from_grid(g), n)
-        errors.append(
-            grid_norm(basis, v[:, None] * g - v_base[:, None] * g_base)
-        )
+        errors.extend(grid_norm(basis, v[..., None] * g - v_base[:, None] * g_base).tolist())
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
     measured = errors[-1] if monotone else float("inf")
     return EstimateReport(

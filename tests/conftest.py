@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import math
+import pkgutil
 from dataclasses import replace
 from functools import reduce
 from types import SimpleNamespace
@@ -6,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg import solve_banded
 
+import tdks
 from tdks import (
     DomainSpec,
     PotentialConfig,
@@ -31,6 +35,19 @@ from tdks.system import (
     nonlinear_G,
     rhs,
 )
+
+
+def tdks_exception_classes():
+    """Every ``Exception`` subclass that a module of the tdks package defines."""
+    found = []
+    for info in pkgutil.iter_modules(tdks.__path__):
+        module = importlib.import_module(f"tdks.{info.name}")
+        found += [
+            cls
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__ == module.__name__
+        ]
+    return found
 
 
 def make_setup(
@@ -322,6 +339,24 @@ def pair_ratios_per_pair(basis, rng, pairs, ratio, low, high, scale=1.0):
         gap = float(np.linalg.norm(a - b))
         out.append(ratio(a, b, gap) if gap >= 1e-14 else 0.0)
     return out
+
+
+def potential_continuity_per_perturbation(basis, config, kernel, seed):
+    """Oracle for the ``errors`` of ``verify.check_potential_continuity``: each of the
+    25 perturbations is synthesized and evaluated by single calls before the next."""
+    rng = np.random.default_rng([seed, 53])
+    particles = basis.spec.particles
+    base = random_coefficients(basis, particles, rng, 1.0)
+    direction = random_coefficients(basis, particles, rng, 1.0)
+    n = basis.spec.dimension
+    g_base = synthesize(basis, base)
+    v_base = ks_potential(config, kernel, density_from_grid(g_base), n)
+    errors = []
+    for k in range(25):
+        g = synthesize(basis, base + 0.5 * 2.0**-k * direction)
+        v = ks_potential(config, kernel, density_from_grid(g), n)
+        errors.append(grid_norm(basis, v[:, None] * g - v_base[:, None] * g_base))
+    return errors
 
 
 def hartree_pair_ratio(basis, kernel):

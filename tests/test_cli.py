@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdks import cli, propagate, verify
+from tdks import TdksError, cli, propagate, verify
 from tdks.cli import _SCHEMA, ConfigError, default_config, emit_config, main, parse_config, run
+from tdks.propagate import BlowUpError
+
+from conftest import tdks_exception_classes
 
 
 def test_minimal_config_gets_defaults():
@@ -392,6 +395,9 @@ NAN = float("nan")
             {"control": {"kind": "file", "path": "TMP/nested.json"}, "domain": {"steps": 3}},
             "control.path: expected a flat list of 4 samples",
         ),
+        # a small value of the wrong type is echoed in full
+        ({"seed": 2.5}, "seed: expected an integer, got 2.5"),
+        ({"seed": "x"}, "seed: expected an integer, got 'x'"),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
@@ -446,6 +452,67 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, site, start):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(start)
     assert "Traceback" not in err[0]
+    assert list(out.iterdir()) == []
+
+
+def _nested_900_deep():
+    value = 0
+    for _ in range(900):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "config, start",
+    [
+        ({"seed": [0] * 200_000}, "error: seed:"),
+        ({"seed": _nested_900_deep()}, "error: seed:"),
+        ({"control": {"kind": "z" * 200_000}}, "error: control.kind: unknown preset"),
+        # the eigenvalue (16 pi / 1e-300)^2 of the 32-cell grid overflows
+        ({"domain": {"lengths": [1e-300]}}, "error: domain: edge lengths"),
+        (
+            {"potentials": {"confinement": {"kind": "harmonic", "amplitude": 1e308}}},
+            "error: potentials.confinement:",
+        ),
+    ],
+    ids=["long-seed", "deep-seed", "long-kind", "tiny-length", "huge-amplitude"],
+)
+def test_huge_or_overflowing_value_is_one_short_error_line(tmp_path, capsys, config, start):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning is a second line
+        status = main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(start)
+    assert len(err[0].encode()) <= 200
+    assert list(out.iterdir()) == []
+
+
+def test_every_tdks_exception_class_is_a_tdks_error():
+    classes = tdks_exception_classes()
+    assert len(classes) >= 9
+    for cls in classes:
+        assert issubclass(cls, TdksError), cls
+        # and keeps the builtin base that callers catch it by
+        assert cls is TdksError or issubclass(cls, (ValueError, RuntimeError)), cls
+
+
+@pytest.mark.parametrize(
+    "cls", tdks_exception_classes(), ids=lambda cls: f"{cls.__module__}.{cls.__name__}"
+)
+def test_every_tdks_error_ends_in_one_error_line(tmp_path, capsys, monkeypatch, cls):
+    def fail(config, out, quiet):
+        raise cls("boom", 0.0) if issubclass(cls, BlowUpError) else cls("boom")
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "simulate", fail)
+    out = tmp_path / "out"
+    status = main(["simulate", "--out", str(out), "--quiet"])
+    assert status == 1
+    assert capsys.readouterr().err.splitlines() == ["error: boom"]
     assert list(out.iterdir()) == []
 
 

@@ -21,7 +21,9 @@ from tdks import (
     solve_adjoint,
     solve_forward,
 )
+from tdks import verify
 from tdks.domain import project
+from tdks.potentials import ks_potential
 from tdks.system import snapshot_blocks
 from tdks.verify import (
     EstimateReport,
@@ -41,6 +43,7 @@ from conftest import (
     hartree_pair_ratio,
     make_setup,
     pair_ratios_per_pair,
+    potential_continuity_per_perturbation,
     subsample_distances_pointwise,
     unit_state,
     xc_pair_ratio,
@@ -360,6 +363,37 @@ def test_potential_continuity(desk):
     errors = r.ingredients["errors"]
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-6
+
+
+@pytest.mark.parametrize("seed", (0, 1701, 5))
+@pytest.mark.parametrize(
+    "lengths, grid, modes, particles",
+    [
+        ((3.0,), (32,), (8,), 1),  # 25 perturbations in one block
+        ((3.0,), (128,), (16,), 1),  # blocks of 15: two blocks
+        ((3.0, 3.0), (16, 16), (4, 4), 2),  # blocks of 3: nine blocks
+        ((3.0,) * 3, (8,) * 3, (2,) * 3, 1),  # blocks of 2 on the FFT Hartree path
+    ],
+    ids=["1d-one-block", "1d-two-blocks", "2d-nine-blocks", "3d-thirteen-blocks"],
+)
+def test_potential_continuity_matches_per_perturbation_oracle(
+    monkeypatch, lengths, grid, modes, particles, seed
+):
+    basis, pot, kernel = make_setup(
+        lengths=lengths,
+        grid=grid,
+        modes=modes,
+        particles=particles,
+        confinement={"kind": "harmonic", "amplitude": 1.0},
+    )
+    want = potential_continuity_per_perturbation(basis, pot, kernel, seed)
+    calls = []
+    monkeypatch.setattr(verify, "ks_potential", lambda *a: calls.append(a) or ks_potential(*a))
+    r = check_potential_continuity(basis, pot, kernel, seed=seed)
+    assert r.ingredients["errors"] == want
+    assert all(type(e) is float for e in r.ingredients["errors"])
+    # the base state, then one call per block of perturbations
+    assert len(calls) == 1 + len(snapshot_blocks(basis, 25))
 
 
 def test_coefficient_lipschitz(desk):
