@@ -142,6 +142,12 @@ _ECHO = reprlib.Repr()
 _ECHO.maxlevel = 1
 
 
+def _echo_key(key):
+    """An unknown key as given when it is short and printable; else cut and escaped by
+    _ECHO, so a key of any length or content gives one short line."""
+    return key if key.isprintable() and len(key) <= _ECHO.maxstring else _ECHO.repr(key)
+
+
 def _name(form):
     return f"a list, each {_name(form[0])}" if isinstance(form, list) else _NAMES[form]
 
@@ -167,7 +173,7 @@ def _check(where, value, form, rule=None, message=None):
             )
         extra = value.keys() - form[kind].keys() - {"kind"}
         if extra:
-            raise ConfigError(f"{where}.{min(extra)}: unknown key for preset {kind!r}")
+            raise ConfigError(f"{where}.{_echo_key(min(extra))}: unknown key for preset {kind!r}")
         for key, param_form in form[kind].items():
             if key in value:
                 _check(f"{where}.{key}", value[key], param_form)
@@ -207,7 +213,7 @@ def _walk(where, schema, given):
     prefix = f"{where}." if where else ""
     unknown = given.keys() - schema.keys()
     if unknown:
-        raise ConfigError(f"{prefix}{min(unknown)}: unknown key")
+        raise ConfigError(f"{prefix}{_echo_key(min(unknown))}: unknown key")
     for key, entry in schema.items():
         if isinstance(entry, dict):
             given[key] = _walk(prefix + key, entry, given.get(key))
@@ -495,6 +501,8 @@ def run_verification_suite(config):
     Instances derive from the config's potential constants and seed; sizes
     are fixed so the suite stays fast and reproducible.
     """
+    import numpy.random  # numpy 2 loads it on first use: here, outside every traced check
+
     seed = config["seed"]
     basis, potentials, kernel = _build_instruments(config)
     fwd_ctx, psi0 = _forward_problem(basis, potentials, kernel, config["initial_state"])

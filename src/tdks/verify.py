@@ -16,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import numpy.random  # numpy 2 loads it lazily: load it here, not in the first draw
 
 from .domain import carry_modes, grid_norm, norms, random_coefficients, synthesize
 from .potentials import density_from_grid, hartree_pair_difference, ks_potential

@@ -474,8 +474,25 @@ def _nested_900_deep():
             {"potentials": {"confinement": {"kind": "harmonic", "amplitude": 1e308}}},
             "error: potentials.confinement:",
         ),
+        # an unknown key that is long or not printable is echoed cut and escaped
+        (
+            {"domain": {"z" * 200_000: 1}},
+            "error: domain.'zzzzzzzzzzzz...zzzzzzzzzzzzz': unknown key",
+        ),
+        ({"domain": {"a\nb": 1}}, "error: domain.'a\\nb': unknown key"),
+        (
+            {"initial_state": {"kind": "lowest_modes", "z" * 200_000: 1}},
+            "error: initial_state.'zzzzzzzzzzzz...zzzzzzzzzzzzz': unknown key for preset",
+        ),
+        (
+            {"initial_state": {"kind": "lowest_modes", "x\ny": 1}},
+            "error: initial_state.'x\\ny': unknown key for preset",
+        ),
     ],
-    ids=["long-seed", "deep-seed", "long-kind", "tiny-length", "huge-amplitude"],
+    ids=[
+        "long-seed", "deep-seed", "long-kind", "tiny-length", "huge-amplitude",
+        "long-key", "newline-key", "long-preset-key", "newline-preset-key",
+    ],
 )
 def test_huge_or_overflowing_value_is_one_short_error_line(tmp_path, capsys, config, start):
     cfg_path = tmp_path / "cfg.json"

@@ -1,7 +1,8 @@
 """The benchmark still finds every layer it times, every config it runs parses and comes back
 from its echo unchanged, and every workload run passes the benchmark's own checks; the alpha=0
 steps keep their sweep count and take their fields once per block of step midpoints, verify
-evaluates its snapshots and random samples once per block, and the runtime loads numpy alone."""
+evaluates its snapshots and random samples once per block, and the runtime loads numpy alone,
+with numpy.random only in verify."""
 
 import importlib.util
 import json
@@ -160,30 +161,43 @@ from tdks import cli
 def loaded():
     return {m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")}
 
-at_import = loaded()
-status = [
-    cli.run(cli.parse_config(sys.argv[1]), "optimize", "opt2d", quiet=True),
-    cli.run(cli.parse_config("{}"), "verify", "verify", quiet=True),
-]
-print(json.dumps({"at_import": sorted(at_import), "later": sorted(loaded() - at_import),
-                  "status": status}))
+surface = {"at_import": sorted(loaded())}
+configs = json.loads(sys.argv[1])
+for subcommand, out, config in [*configs, ("converge", "converge", {}), ("verify", "verify", {})]:
+    before = loaded()
+    status = cli.run(cli.parse_config(json.dumps(config)), subcommand, out, quiet=True)
+    surface[subcommand] = {"status": status, "later": sorted(loaded() - before)}
+print(json.dumps(surface))
 """
 
 
 def test_the_runtime_loads_numpy_alone(tmp_path):
-    # in a fresh process, since this one has scipy loaded for the test oracles: importing
-    # the CLI loads no scipy, and loads numpy.fft and numpy.random (which numpy 2 loads on
-    # first use) at once, so a run loads no numpy or scipy module while it runs; run, not
-    # main, since argparse loads modules of its own on first use
+    # in a fresh process, since this one has scipy and numpy.random loaded for the test
+    # oracles: importing the CLI loads numpy.fft (which numpy 2 loads on first use) and no
+    # scipy or numpy.random, so simulate, adjoint, optimize and converge load no numpy
+    # module while they run, and verify, the one run that draws, loads numpy.random alone;
+    # run, not main, since argparse loads modules of its own on first use
     workloads = _load("workloads")
-    config = json.dumps(workloads.build_config("opt2d", workloads.DEFAULT_SEED, "tiny"))
+    configs = [
+        (workloads.subcommand(name), name,
+         workloads.build_config(name, workloads.DEFAULT_SEED, "tiny"))
+        for name in ("fwd3d", "adj1d", "opt2d")
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_SURFACE, config],
+        [sys.executable, "-c", _IMPORT_SURFACE, json.dumps(configs)],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True,
     )
     surface = json.loads(proc.stdout)
-    assert [m for m in surface["at_import"] if m.startswith("scipy")] == []
-    assert {"numpy.fft", "numpy.random"} <= set(surface["at_import"])
-    assert surface["later"] == []
-    assert surface["status"] == [0, 0]
+    at_import = surface.pop("at_import")
+    assert "numpy.fft" in at_import
+    assert [m for m in at_import if m.startswith(("scipy", "numpy.random"))] == []
+    verify_run = surface.pop("verify")
+    assert verify_run["status"] == 0
+    assert [m for m in verify_run["later"] if not m.startswith("numpy.random.")] == [
+        "numpy.random"
+    ]
+    assert surface == {
+        name: {"status": 0, "later": []}
+        for name in ("simulate", "adjoint", "optimize", "converge")
+    }
