@@ -45,6 +45,7 @@ from .propagate import (
     solve_adjoint,
     solve_forward,
     step,
+    step_vjp,
 )
 from .signals import ControlSignal, zero_control
 from .system import (

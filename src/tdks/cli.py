@@ -354,7 +354,7 @@ def _build_state(basis, preset, where="initial_state"):
             raise ConfigError(f"{where}.values: expected shape ({basis.size}, {n}, 2) [re, im]")
         return values[..., 0] + 1j * values[..., 1]
     if kind == "bump":
-        powers = preset.get("powers") or list(range(2, 2 + n))
+        powers = preset.get("powers", list(range(2, 2 + n)))
         if len(powers) != n:
             raise ConfigError(f"{where}.powers: need one power per particle")
         if min(powers) < 0:
@@ -366,8 +366,7 @@ def _build_state(basis, preset, where="initial_state"):
             shape = shape * np.sin(np.pi * x[:, axis] / l)
         fields = np.stack([shape**p for p in powers], axis=1).astype(np.complex128)
         d = project(basis, fields)
-        nrm = np.sqrt((d.real**2 + d.imag**2).sum())
-        return d / nrm
+        return d / np.sqrt((d.real**2 + d.imag**2).sum(axis=0))
     # the kind is "file"
     where = f"{where}.path"
     d = _load_numbers(where, preset["path"], "iufc").astype(np.complex128)

@@ -31,12 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import TdksError, check_layout
-from .propagate import (
-    _kinetic_phase,
-    _potential_stage_fields,
-    _potential_stage_vjp,
-    solve_forward,
-)
+from .propagate import solve_forward, step_vjp
 from .signals import ControlSignal
 from .system import stage_schedule
 
@@ -214,15 +209,11 @@ def backward_sweep(spec, ctx, traj):
     g_mid = np.empty(steps)
     mu_path = np.empty_like(states)
     mu_path[-1] = mu = mu if tracking is None else mu + tracking[-1]
-    ahead, back = _kinetic_phase(ctx, 0.5 * dt), _kinetic_phase(ctx, -0.5 * dt)
     # the step midpoints of the solve, in reverse, as the solve's schedule takes them
     schedule = stage_schedule(ctx, (times[:-1] + 0.5 * dt)[::-1])
-    for n, (external, _, _) in zip(range(steps - 1, -1, -1), schedule):
-        # recompute the stage from the stored state, then pull mu back through
-        # the kinetic half-steps (their transpose is the conjugate phase)
-        fields = _potential_stage_fields(ctx, external, ahead * states[n])
-        a_bar, g_mid[n] = _potential_stage_vjp(ctx, dt, *fields, back * mu)
-        mu_path[n] = mu = back * a_bar if tracking is None else back * a_bar + tracking[n]
+    for n, fields in zip(range(steps - 1, -1, -1), schedule):
+        d_bar, g_mid[n] = step_vjp(ctx, dt, states[n], mu, fields)
+        mu_path[n] = mu = d_bar if tracking is None else d_bar + tracking[n]
 
     g_samples = np.zeros(steps + 1)
     g_samples[:-1] += 0.5 * g_mid

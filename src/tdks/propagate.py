@@ -15,7 +15,8 @@ source) depend on the step midpoint only, so every step takes them once, as
 its item of ``system.stage_schedule``, and reads no time itself: a solve walks
 the schedule of its step midpoints, built one ``snapshot_blocks`` block at a
 time, and every fixed-point sweep of an alpha=0 step reuses its item.  The
-gradient's backward sweep walks the same schedule in reverse.
+gradient's backward sweep walks the same schedule in reverse, one ``step_vjp``
+(the transpose of a source-free alpha=1 step) per item.
 
 Both stage maps are symmetric, so stepping a trajectory with the opposite
 time-step sign reproduces it (used by the reversibility tests).
@@ -161,29 +162,6 @@ def _potential_stage_forward(ctx, dt, d, fields):
     return project(ctx.basis, psi)
 
 
-def _potential_stage_vjp(ctx, dt, psi, rho, v, b_bar):
-    """Exact transpose of the source-free potential stage under Re<., .>.
-
-    (psi, rho, v) are the stage fields of the input coefficients a and b_bar
-    is the cotangent of the output project(phase(v) * psi).  Returns the
-    cotangent of a and the derivative with respect to u(t_mid).  Grid
-    cotangents stay unweighted: the transpose of project is
-    weights * synthesize, and K.T @ (weights * r) = weights * (K @ r) because
-    w(x_q - x_r) is symmetric, so the weights enter once, in the final project.
-    """
-    y = synthesize(ctx.basis, b_bar)
-    phi = _kernels.phase_apply(psi, v, dt)
-    # cotangent of v: d phi = -i dt dv phi pairs with y through Im(phi conj y)
-    r = dt * (
-        np.einsum("qj,qj->q", phi.imag, y.real) - np.einsum("qj,qj->q", phi.real, y.imag)
-    )
-    s = vxc_rho_derivative(ctx.potentials, rho, ctx.basis.spec.dimension) * r
-    if ctx.potentials.include_hartree:
-        s = s + hartree(ctx.kernel, r)
-    a_bar = project(ctx.basis, _kernels.phase_apply(y, v, -dt) + 2.0 * s[:, None] * psi)
-    return a_bar, float(ctx._vu @ (ctx.basis.weights * r))
-
-
 def _potential_stage_adjoint(ctx, t_mid, dt, d, fields):
     """Implicit midpoint for the bounded part: y = d + dt*g((d+y)/2).
 
@@ -244,6 +222,35 @@ def step(ctx, t, dt, d, *, fields=None):
     else:
         d = _potential_stage_adjoint(ctx, t_mid, dt, d, fields)
     return half * d
+
+
+def step_vjp(ctx, dt, d, d_bar, fields):
+    """Exact transpose under Re<., .> of the source-free alpha=1 ``step`` from d.
+
+    ``d`` is the (modes, particles) state the step starts from, ``d_bar`` the
+    cotangent of the state it ends at, and ``fields`` the step's item of
+    ``system.stage_schedule``.  Returns the cotangent of d and the derivative
+    with respect to u(t_mid).  The stage is recomputed from the half-kicked d;
+    the kinetic half-steps transpose to their conjugate phase.  Grid cotangents
+    stay unweighted: the transpose of project is weights * synthesize, and
+    K.T @ (weights * r) = weights * (K @ r) because w(x_q - x_r) is symmetric,
+    so the weights enter once, in the final project.
+    """
+    if ctx.alpha != 1 or fields[2] is not None:
+        raise PropagationError("step_vjp transposes the source-free alpha=1 step only")
+    half, back = _kinetic_phase(ctx, 0.5 * dt), _kinetic_phase(ctx, -0.5 * dt)
+    psi, rho, v = _potential_stage_fields(ctx, fields[0], half * d)
+    y = synthesize(ctx.basis, back * d_bar)
+    phi = _kernels.phase_apply(psi, v, dt)
+    # cotangent of v: d phi = -i dt dv phi pairs with y through Im(phi conj y)
+    r = dt * (
+        np.einsum("qj,qj->q", phi.imag, y.real) - np.einsum("qj,qj->q", phi.real, y.imag)
+    )
+    s = vxc_rho_derivative(ctx.potentials, rho, ctx.basis.spec.dimension) * r
+    if ctx.potentials.include_hartree:
+        s = s + hartree(ctx.kernel, r)
+    a_bar = project(ctx.basis, _kernels.phase_apply(y, v, -dt) + 2.0 * s[:, None] * psi)
+    return back * a_bar, float(ctx._vu @ (ctx.basis.weights * r))
 
 
 def form_values(ctx, traj):

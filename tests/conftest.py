@@ -19,13 +19,7 @@ from tdks import (
 )
 from tdks.domain import grid_norm, norms, project, random_coefficients, synthesize
 from tdks.potentials import _cell_average, density_from_grid, hartree_pair_difference, ks_potential
-from tdks.propagate import (
-    FIXED_POINT_MAX_ITER,
-    FIXED_POINT_TOL,
-    _kinetic_phase,
-    _potential_stage_fields,
-    _potential_stage_vjp,
-)
+from tdks.propagate import FIXED_POINT_MAX_ITER, FIXED_POINT_TOL, step_vjp
 from tdks.system import (
     adjoint_D,
     bilinear_B,
@@ -272,12 +266,9 @@ def backward_sweep_per_step(spec, ctx, traj):
     g_mid = np.empty(steps)
     mu_path = np.empty_like(traj.states)
     mu_path[-1] = mu
-    ahead, back = _kinetic_phase(ctx, 0.5 * dt), _kinetic_phase(ctx, -0.5 * dt)
     for n in range(steps - 1, -1, -1):
-        t_mid = traj.times[n] + 0.5 * dt
-        fields = _potential_stage_fields(ctx, ctx.external_at(t_mid), ahead * traj.states[n])
-        a_bar, g_mid[n] = _potential_stage_vjp(ctx, dt, *fields, back * mu)
-        mu = back * a_bar
+        fields = (ctx.external_at(traj.times[n] + 0.5 * dt), None, None)
+        mu, g_mid[n] = step_vjp(ctx, dt, traj.states[n], mu, fields)
         if spec.j1 == "trajectory":
             target = spec.target_trajectory(traj.times[n : n + 1])[0]
             mu = mu + 2.0 * omega[n] * (traj.states[n] - target)

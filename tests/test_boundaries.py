@@ -1,0 +1,57 @@
+"""Each tdks module uses another only through its public names: no module imports an
+underscore name from another, apart from the few shared helpers listed here."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tdks"
+
+# private helpers that two modules share on purpose, as "module.name"; the _kernels
+# module itself is imported by name
+SHARED_PRIVATE = {"domain._as_state", "system._bounded_apply"}
+SHARED_MODULES = {"_kernels"}
+
+
+def private_imports(path):
+    """Every ``module.name`` that the source file at path imports from another tdks
+    module and whose name starts with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.module is not None and node.module.startswith("tdks"):
+            module = node.module.removeprefix("tdks").lstrip(".") or None
+        else:
+            continue
+        for alias in node.names:
+            if module is None:  # from . import name: name is a module of the package
+                if alias.name.startswith("_") and alias.name not in SHARED_MODULES:
+                    found.append(alias.name)
+            elif alias.name.startswith("_") and f"{module}.{alias.name}" not in SHARED_PRIVATE:
+                found.append(f"{module}.{alias.name}")
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    offenders = {p.name: private_imports(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in offenders.items() if names} == {}
+
+
+def test_the_lint_sees_every_form_of_a_private_import(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "from . import _kernels, _hidden\n"
+        "from .domain import _as_state, _secret\n"
+        "from tdks.propagate import _kinetic_phase, step\n"
+        "from numpy import _private\n"
+        "def f():\n"
+        "    from .system import _bounded_apply, _other\n"
+    )
+    assert sorted(private_imports(source)) == [
+        "_hidden",
+        "domain._secret",
+        "propagate._kinetic_phase",
+        "system._other",
+    ]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdks import TdksError, cli, propagate, verify
+from tdks import TdksError, cli, project, propagate, verify
 from tdks.cli import _SCHEMA, ConfigError, default_config, emit_config, main, parse_config, run
 from tdks.propagate import BlowUpError
 
@@ -398,6 +398,29 @@ NAN = float("nan")
         # a small value of the wrong type is echoed in full
         ({"seed": 2.5}, "seed: expected an integer, got 2.5"),
         ({"seed": "x"}, "seed: expected an integer, got 'x'"),
+        ([], "config root must be a JSON object"),
+        ({"domain": 3}, "domain: expected an object"),
+        (
+            {"initial_state": {"kind": "coefficients", "values": [[1, 2], [3]]}},
+            "initial_state.values: expected numbers",
+        ),
+        (
+            {"domain": {"particles": 3}, "basis": {"modes": [2]}},
+            "initial_state: more particles than basis modes",
+        ),
+        (
+            {"initial_state": {"kind": "coefficients", "values": [[[1.0, 0.0]]]}},
+            "initial_state.values: expected shape (8, 1, 2)",
+        ),
+        (
+            {"potentials": {"confinement": {"kind": "array"}}},
+            "potentials.confinement: array field preset needs 'values'",
+        ),
+        # an explicit empty list is not the default: it gives no power to the particle
+        (
+            {"initial_state": {"kind": "bump", "powers": []}},
+            "initial_state.powers: need one power per particle",
+        ),
     ],
 )
 def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path, capsys, config, key):
@@ -764,6 +787,40 @@ def test_converge_carries_a_given_state_to_every_rung(tmp_path, monkeypatch, kin
     assert np.array_equal(starts[2], np.concatenate([state, np.zeros((3, 1))]))
 
 
+@pytest.mark.parametrize("dimension, powers", [(1, None), (2, [2, 4])], ids=["1-default", "2"])
+def test_bump_state_has_unit_orbitals_on_every_rung(tmp_path, monkeypatch, dimension, powers):
+    # converge builds the bump on each rung's basis: every particle's column there is
+    # the projected sine-power bump of its power divided by its own L2 norm; left out,
+    # the powers are 2, 3, ...
+    starts, solve = [], verify.solve_forward
+
+    def spy(ctx, psi0):
+        starts.append((ctx.basis, psi0))
+        return solve(ctx, psi0)
+
+    monkeypatch.setattr(verify, "solve_forward", spy)
+    preset = {"kind": "bump"} if powers is None else {"kind": "bump", "powers": powers}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "domain": {"dimension": dimension, "lengths": [3.0] * dimension,
+                   "grid": [12] * dimension, "particles": 2, "horizon": 0.1, "steps": 10},
+        "basis": {"modes": [4] * dimension},
+        "potentials": {"coulomb_softening": 0.1 if dimension == 1 else 0.0},
+        "initial_state": preset,
+    }))
+    out = tmp_path / "out"
+    status = main(["converge", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    (report,) = json.loads((out / "reports.json").read_text())
+    assert status == (0 if report["passed"] else 1)
+    rungs = [[len(t) for t in b.axis_tables] for b, _ in starts]
+    assert rungs == report["ingredients"]["modes"]
+    for basis, psi0 in starts:
+        bump = np.prod(np.sin(np.pi * basis.nodes / 3.0), axis=1)
+        for j, p in enumerate(powers or [2, 3]):
+            column = project(basis, (bump**p)[:, None].astype(np.complex128))[:, 0]
+            assert np.allclose(psi0[:, j], column / np.linalg.norm(column), rtol=0, atol=1e-14)
+
+
 def test_optimize_subcommand(tmp_path):
     cfg = _fast_config(
         objective={
@@ -862,3 +919,62 @@ def test_coulomb_kernel_is_built_once_per_run(tmp_path, monkeypatch, subcommand)
     monkeypatch.setattr(cli, "build_coulomb_kernel", counted)
     assert main([subcommand, "--out", str(tmp_path), "--quiet"]) == 0
     assert len(calls) == 1
+
+
+def test_an_unknown_subcommand_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="unknown subcommand 'bogus'"):
+        run(default_config(), "bogus", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["simulate", "adjoint", "verify", "verify-failing", "converge", "optimize"]
+)
+def test_quiet_changes_only_what_is_printed(tmp_path, capsys, monkeypatch, subcommand):
+    # the same artifacts and status either way; a quiet run prints nothing, a verbose one
+    # its report table in reports.json order, its solve's drift or its descent's summary
+    forced_failure = subcommand == "verify-failing"
+    if forced_failure:
+        subcommand = "verify"
+        failing = verify.EstimateReport(
+            "hartree-lipschitz", "ref", measured=2.0, bound=1.0, tolerance=0.0, formula="f"
+        )
+        monkeypatch.setattr(cli, "check_hartree_lipschitz", lambda *a, **k: failing)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "domain": {"lengths": [3.0], "grid": [16], "horizon": 0.2, "steps": 20},
+        "basis": {"modes": [4]},
+        "control": {"kind": "sine", "amplitude": 0.3},
+        "objective": {"j2": "terminal", "target_state": {"kind": "lowest_modes"}},
+        "optimize": {"iterations": 2},
+    }))
+
+    def run_cli(label, *flags):
+        out = tmp_path / label
+        status = main([subcommand, "--config", str(cfg_path), "--out", str(out), *flags])
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        return status, {f.name: f.read_bytes() for f in out.iterdir()}, printed.out.splitlines()
+
+    status, files, quiet_lines = run_cli("quiet", "--quiet")
+    assert quiet_lines == []
+    verbose_status, verbose_files, lines = run_cli("verbose")
+    assert (verbose_status, verbose_files) == (status, files)
+    if subcommand in ("simulate", "adjoint"):
+        mode = "forward" if subcommand == "simulate" else "adjoint"
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{mode} solve: 20 steps, max |l2^2 - l2(0)^2| / l2(0)^2 = ")
+    elif subcommand == "optimize":
+        rows = files["optimize_history.csv"].decode().splitlines()[1:]
+        first, last = (float(row.split(",")[1]) for row in (rows[0], rows[-1]))
+        assert lines == [f"optimize: J {first:.6g} -> {last:.6g} in {len(rows)} iterations"]
+    else:
+        reports = json.loads(files["reports.json"])
+        table = [tuple(line.split()[:2]) for line in lines[: len(reports)]]
+        assert table == [("PASS" if r["passed"] else "FAIL", r["name"]) for r in reports]
+        failed = sum(r["asserted"] and not r["passed"] for r in reports)
+        assert status == (1 if failed else 0)
+        assert failed or not forced_failure
+        # verify alone counts its failed checks
+        tail = [f"{failed} asserted check(s) failed"] if failed and subcommand == "verify" else []
+        assert lines[len(reports) :] == tail

@@ -253,6 +253,8 @@ def test_objective_spec_validation():
         ObjectiveSpec(j2="terminal", nu=1.0)
     with pytest.raises(ControlError):
         ObjectiveSpec(j1="sometimes", nu=1.0)
+    with pytest.raises(ControlError, match="j2 must be 'none' or 'terminal'"):
+        ObjectiveSpec(j2="bogus")
 
 
 @pytest.mark.parametrize("target", ["target_state", "target_trajectory"])
@@ -354,3 +356,14 @@ def test_h1_riesz_solve_has_the_bits_of_the_banded_lapack_solve(steps):
     want = h1_riesz_banded(u.step, np.full(steps + 1, -0.0))
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.signbit(got).sum() == min(steps + 1, 2)
+
+
+def test_misuse_of_the_gradient_and_the_descent_raises_a_control_error(control_setup):
+    ctx, psi0 = control_setup
+    spec = ObjectiveSpec(nu=1.0)
+    u = zero_control(1.0, ctx.basis.spec.steps)
+    sourced = replace(ctx, source=at_every_time(np.zeros_like(psi0)))
+    with pytest.raises(ControlError, match="controlled forward problem carries no inhomogeneity"):
+        reduced_gradient(spec, sourced, u, psi0)
+    with pytest.raises(ControlError, match="need at least one descent iteration"):
+        optimize(spec, ctx, u, psi0, iters=0)

@@ -386,3 +386,10 @@ def test_grid_inner_conjugation_convention(setup_1d):
     )
     assert abs(grid_inner(basis, 2j * f, g) - 2j * grid_inner(basis, f, g)) < 1e-12
     assert abs(grid_inner(basis, f, 2j * g) - (-2j) * grid_inner(basis, f, g)) < 1e-12
+
+
+def test_ks_potential_with_hartree_needs_a_kernel(setup_1d):
+    basis, pot, _ = setup_1d
+    assert pot.include_hartree
+    with pytest.raises(PotentialError, match="Hartree term requested but no Coulomb kernel"):
+        potentials.ks_potential(pot, None, np.ones(basis.node_count), 1)

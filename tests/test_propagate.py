@@ -31,12 +31,7 @@ from tdks import (
     vxc_rho_derivative,
     zero_control,
 )
-from tdks.propagate import (
-    _potential_stage_fields,
-    _potential_stage_forward,
-    _potential_stage_vjp,
-    write_csv,
-)
+from tdks.propagate import step_vjp, write_csv
 from tdks.signals import SignalError
 from tdks.system import (
     FrozenFields,
@@ -44,6 +39,7 @@ from tdks.system import (
     interpolate_states,
     snapshot_blocks,
     stage_fields,
+    stage_schedule,
 )
 
 from conftest import (
@@ -805,17 +801,19 @@ def test_control_signal_h1_machinery():
         ControlSignal(samples=np.zeros(5), horizon=0.0)
 
 
-def _stage_tangent(ctx, t_mid, dt, a, da, du):
-    """Tangent-linear map of the source-free potential stage, written out directly."""
+def _step_tangent(ctx, t_mid, dt, d, dd, du):
+    """Tangent-linear map of the source-free alpha=1 step from d, written out directly:
+    the potential stage's between the two exact kinetic half-steps."""
     dim = ctx.basis.spec.dimension
-    psi, dpsi = synthesize(ctx.basis, a), synthesize(ctx.basis, da)
+    half = np.exp(-0.5j * dt * ctx.basis.eigenvalues)[:, None]
+    psi, dpsi = synthesize(ctx.basis, half * d), synthesize(ctx.basis, half * dd)
     rho = np.sum(np.abs(psi) ** 2, axis=1)
     drho = 2.0 * np.sum((np.conj(psi) * dpsi).real, axis=1)
     v = ctx.external_at(t_mid) + ks_potential(ctx.potentials, ctx.kernel, rho, dim)
     dv = du * ctx._vu + vxc_rho_derivative(ctx.potentials, rho, dim) * drho
     dv = dv + hartree(ctx.kernel, drho)
     phase = np.exp(-1j * dt * v)[:, None]
-    return project(ctx.basis, phase * dpsi - 1j * dt * dv[:, None] * phase * psi)
+    return half * project(ctx.basis, phase * dpsi - 1j * dt * dv[:, None] * phase * psi)
 
 
 @pytest.mark.parametrize(
@@ -851,23 +849,74 @@ def test_potential_stage_vjp_dot_product(monkeypatch, dimension, dense_max_nodes
     ctx = ctx_at(u0)
     assert (kernel.matrix is None) == (basis.node_count > potentials.DENSE_MAX_NODES)
     rng = np.random.default_rng(dimension)
-    a, x, y = (random_coefficients(basis, 2, rng, 1.0) for _ in range(3))
+    d, x, y = (random_coefficients(basis, 2, rng, 1.0) for _ in range(3))
     du = 0.7
 
-    def stage(u, d):
-        c = ctx_at(u)
-        return _potential_stage_forward(c, dt, d, (c.external_at(t_mid), None, None))
-
-    # the oracle is the stage's derivative ...
+    # the oracle is the derivative of step itself in d and u ...
     eps = 1e-6
-    fd = (stage(u0 + eps * du, a + eps * x) - stage(u0 - eps * du, a - eps * x)) / (2 * eps)
-    jx = _stage_tangent(ctx, t_mid, dt, a, x, du)
-    assert np.abs(fd - jx).max() < 1e-6 * np.abs(jx).max()
+    fwd, bwd = (step(ctx_at(u0 + e * du), t_mid - 0.5 * dt, dt, d + e * x) for e in (eps, -eps))
+    jx = _step_tangent(ctx, t_mid, dt, d, x, du)
+    assert np.abs((fwd - bwd) / (2 * eps) - jx).max() < 1e-6 * np.abs(jx).max()
 
-    # ... and the VJP is its exact transpose under Re<., .>
-    a_bar, u_bar = _potential_stage_vjp(
-        ctx, dt, *_potential_stage_fields(ctx, ctx.external_at(t_mid), a), y
-    )
+    # ... and step_vjp is its exact transpose under Re<., .>
+    (fields,) = stage_schedule(ctx, [t_mid])
+    d_bar, u_bar = step_vjp(ctx, dt, d, y, fields)
     lhs = float(np.sum(jx * np.conj(y)).real)
-    rhs_ = float(np.sum(x * np.conj(a_bar)).real) + du * u_bar
+    rhs_ = float(np.sum(x * np.conj(d_bar)).real) + du * u_bar
     assert abs(lhs - rhs_) <= 1e-12 * abs(lhs)
+
+
+def test_step_vjp_transposes_the_source_free_forward_step_only():
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=4)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    d = unit_state(basis, 0)
+    sourced = replace(ctx, source=at_every_time(d))
+    adjoint = replace(ctx, alpha=0, forward=frozen_trajectory(d, 1.0))
+    for c in (sourced, adjoint):
+        (fields,) = stage_schedule(c, [0.125])
+        with pytest.raises(PropagationError, match="source-free alpha=1 step only"):
+            step_vjp(c, 0.25, d, d, fields)
+
+
+def test_solves_reject_the_other_problem_and_a_short_forward_trajectory():
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=4)
+    fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    psi0 = unit_state(basis, 0)
+    adj = replace(fwd, alpha=0, forward=solve_forward(fwd, psi0))
+    with pytest.raises(PropagationError, match="solve_forward needs an alpha=1 context"):
+        solve_forward(adj, psi0)
+    with pytest.raises(PropagationError, match="solve_adjoint needs an alpha=0 context"):
+        solve_adjoint(fwd, psi0)
+    short = replace(adj, forward=frozen_trajectory(psi0, 0.5))
+    with pytest.raises(PropagationError, match=r"forward trajectory does not cover \[0, T\]"):
+        solve_adjoint(short, psi0)
+
+
+def test_a_non_finite_state_ends_the_solve_at_its_last_good_time(monkeypatch):
+    # every step from t >= 0.5 gives NaN coefficients: the step from 0.5 is the first to fail
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=10)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    start = unit_state(basis, 0)
+    good = solve_forward(ctx, start).states[:6]
+    real_step = propagate.step
+
+    def poisoned(c, t, dt, d, **kwargs):
+        out = real_step(c, t, dt, d, **kwargs)
+        return out if t < 0.5 else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(propagate, "step", poisoned)
+    with pytest.raises(BlowUpError, match="^non-finite state at t=0.6") as exc:
+        solve_forward(ctx, start)
+    assert exc.value.t_last == 0.5
+    assert np.array_equal(exc.value.partial, good)
+
+
+def test_norm_growth_beyond_the_envelope_raises(monkeypatch):
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=4)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    # an envelope of half the start norm: the measured unit norm violates it
+    monkeypatch.setattr(
+        propagate, "l2_envelope", lambda c, traj: (1.0, 0.5, np.zeros(len(traj.times)))
+    )
+    with pytest.raises(PropagationError, match="violates the exponential envelope: .* > 0.5$"):
+        solve_forward(ctx, unit_state(basis, 0))

@@ -444,3 +444,9 @@ def test_stacked_operators_match_single_calls(monkeypatch, case, alpha, branch, 
         parts = [adjoint_D(ctx, t, a, b) for t, a, b in zip(times, psi, phi)]
         assert np.array_equal(d_h, [p[0] for p in parts])
         assert np.array_equal(d_xc, [p[1] for p in parts])
+
+
+def test_a_field_of_another_node_count_is_rejected(nonlinear_ctx):
+    pot = replace(nonlinear_ctx.potentials, confinement=np.zeros(5))
+    with pytest.raises(SystemError, match="confinement field does not match the quadrature grid"):
+        SystemContext(basis=nonlinear_ctx.basis, potentials=pot, kernel=nonlinear_ctx.kernel)

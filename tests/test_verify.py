@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from tdks import (
     solve_forward,
 )
 from tdks import verify
+from tdks.cli import emit_config
 from tdks.domain import project
 from tdks.potentials import ks_potential
 from tdks.system import snapshot_blocks
@@ -128,6 +130,13 @@ def test_report_invariant():
     assert r.passed
     r = EstimateReport("x", "ref", measured=float("inf"), bound=1.0, tolerance=0.0, formula="f")
     assert not r.passed
+
+    # a non-finite measurement is written as its repr, which stays valid JSON
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert r.to_dict()["measured"] == "inf"
+    assert json.loads(emit_config(r.to_dict()), parse_constant=reject)["measured"] == "inf"
 
 
 @pytest.fixture(scope="module")
