@@ -462,14 +462,14 @@ def _run_simulate(config, out, quiet, mode):
     if mode == "adjoint":
         terminal, source = adjoint_sources(objective, traj)
         adj_ctx = replace(fwd_ctx, alpha=0, forward=traj, source=source)
-        main, main_ctx = solve_adjoint(adj_ctx, terminal), adj_ctx
+        main = solve_adjoint(adj_ctx, terminal)
         traj.export_csv(out / "forward_trajectory.csv")
-        traj.export_diagnostics_csv(out / "forward_diagnostics.csv", fwd_ctx)
+        traj.export_diagnostics_csv(out / "forward_diagnostics.csv")
     else:
-        main, main_ctx = traj, fwd_ctx
+        main = traj
 
     main.export_csv(out / "trajectory.csv")
-    main.export_diagnostics_csv(out / "diagnostics.csv", main_ctx)
+    main.export_diagnostics_csv(out / "diagnostics.csv")
     density_times = config["output"]["density_times"]
     if density_times is None:
         density_times = [basis.spec.horizon]
@@ -519,7 +519,7 @@ def run_verification_suite(config):
     reports.append(check_hartree_lipschitz(basis, pair_kernel, pairs=50, seed=seed))
 
     traj = solve_forward(fwd_ctx, psi0)
-    reports.extend(check_energy_estimates(traj, fwd_ctx, seed=seed))
+    reports.extend(check_energy_estimates(traj, seed=seed))
     reports.extend(check_form_bounds(fwd_ctx, t=0.0, count=100, seed=seed))
 
     # adjoint instance with a nonzero inhomogeneity from a tracking objective
@@ -533,10 +533,10 @@ def run_verification_suite(config):
     terminal, source = adjoint_sources(objective, traj)
     adj_ctx = replace(fwd_ctx, alpha=0, forward=traj, source=source)
     adj = solve_adjoint(adj_ctx, terminal)
-    reports.extend(check_energy_estimates(adj, adj_ctx, seed=seed))
+    reports.extend(check_energy_estimates(adj, seed=seed))
     reports.extend(check_form_bounds(adj_ctx, t=0.5 * basis.spec.horizon, count=100, seed=seed))
 
-    reports.extend(check_uniqueness_gronwall(fwd_ctx, traj, [1e-2, 1e-3, 1e-4], seed=seed))
+    reports.extend(check_uniqueness_gronwall(traj, [1e-2, 1e-3, 1e-4], seed=seed))
 
     builder = _galerkin_builder(basis, potentials, kernel, {"kind": "lowest_modes"})
     reports.append(check_galerkin_convergence(builder, config["converge"]["mode_list"]))

@@ -183,8 +183,8 @@ def _h1_riesz(u, raw, nu):
     return np.array(g)
 
 
-def backward_sweep(spec, ctx, traj):
-    """Back-propagate the objective derivative through the integrator.
+def backward_sweep(spec, traj):
+    """Back-propagate the objective derivative through the integrator of the solve traj.
 
     This is the exact transpose of the splitting scheme, which doubles as a
     second-order integrator of the adjoint problem with the forward solution
@@ -192,7 +192,7 @@ def backward_sweep(spec, ctx, traj):
     mu(t) = -i P(t) + O(dt^2).  Returns (coupling gradient per u sample on
     the control grid, backward states on the time grid).
     """
-    times, states = traj.times, traj.states
+    ctx, times, states = traj.ctx, traj.times, traj.states
     dt = float(times[1] - times[0])
     steps = len(times) - 1
 
@@ -221,8 +221,8 @@ def backward_sweep(spec, ctx, traj):
     return g_samples, mu_path
 
 
-def reduced_gradient(spec, ctx, u, psi0, forward_traj=None):
-    """Gradient of J at u: returns (H1 Riesz representative, raw sample gradient).
+def reduced_gradient(spec, traj):
+    """Gradient of J at u = traj.ctx.control: returns (H1 Riesz representative, raw gradient).
 
     The raw vector holds the exact discrete partial derivatives of J with
     respect to the control samples: the analytic derivative of the H1
@@ -231,18 +231,23 @@ def reduced_gradient(spec, ctx, u, psi0, forward_traj=None):
     solution of the alpha=0 problem).  It is what central finite differences
     of J converge to.  The returned signal is its H1 Riesz representative
     (see ``_h1_riesz``), the steepest-descent direction in the discrete H1
-    metric.
+    metric.  ``traj`` is a forward solve under u, whose samples must be those
+    of the solver grid: as many as its times, on the same horizon.
     """
+    ctx, u = traj.ctx, traj.ctx.control
     steps = ctx.basis.spec.steps
     if u.samples.size != steps + 1:
         raise ControlError(
             f"control has {u.samples.size} samples but the solver grid has {steps + 1}"
         )
+    horizon = ctx.basis.spec.horizon
+    if abs(u.horizon - horizon) > 1e-12 * horizon:
+        raise ControlError(
+            f"control has horizon {u.horizon!r} but the solver grid has {horizon!r}"
+        )
     if ctx.source is not None:
         raise ControlError("the controlled forward problem carries no inhomogeneity")
-    ctx_u = replace(ctx, control=u)
-    traj = forward_traj if forward_traj is not None else solve_forward(ctx_u, psi0)
-    raw, _ = backward_sweep(spec, ctx_u, traj)
+    raw, _ = backward_sweep(spec, traj)
     smooth = _h1_riesz(u, raw, spec.nu)
     return ControlSignal(samples=smooth, horizon=u.horizon), raw
 
@@ -266,7 +271,7 @@ def optimize(spec, ctx, u0, psi0, iters=20):
     history = []
     s = STEP_INITIAL
     for _ in range(iters):
-        smooth, raw = reduced_gradient(spec, ctx, u, psi0, forward_traj=traj)
+        smooth, raw = reduced_gradient(spec, traj)
         gnorm = float(np.sqrt(max(raw @ smooth.samples, 0.0)))
         history.append((j_val, gnorm, s))
         if gnorm < GRAD_TOL:

@@ -44,7 +44,7 @@ class DomainError(TdksError, ValueError):
 
 def is_count(value):
     """Whether value is a positive integer: a ``numbers.Integral`` (so also a numpy
-    integer) that is not a bool.  Every count of the domain and of a solve obeys it."""
+    integer) that is not a bool.  Every count of the domain and of a basis obeys it."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 

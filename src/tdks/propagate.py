@@ -40,9 +40,10 @@ against the exponential L2 envelope of ``l2_envelope`` and keeps what it
 measured in the trajectory's ``meta``: the envelope
 ``l2_envelope_measured``/``l2_envelope_bound`` and the form ``constants``
 (the ``bound_constants`` dict of its context, which readers reuse instead of
-measuring the frozen-state sups again).  The form values B(psi, psi; u(t)) of
-the stored states are left to the readers that want them, through
-``form_values``, which evaluates them over blocks of snapshots.
+measuring the frozen-state sups again), and its ``ctx`` is the context of the
+solve, so every reader takes the trajectory alone.  The form values
+B(psi, psi; u(t)) of the stored states are left to the readers that want them,
+through ``form_values``, which evaluates them over blocks of snapshots.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .domain import TdksError, _as_state, check_layout, is_count, norms, project, synthesize
+from .domain import TdksError, _as_state, check_layout, norms, project, synthesize
 from .potentials import density_from_grid, hartree, vxc_rho_derivative
 from .system import (
     _bounded_apply,
@@ -82,12 +83,13 @@ class BlowUpError(PropagationError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """Time-ordered snapshots of a solve plus per-step diagnostics."""
+    """Time-ordered snapshots of a solve, per-step diagnostics and its context."""
 
     times: np.ndarray
     states: np.ndarray  # (steps+1, modes, particles)
     l2: np.ndarray
     h1: np.ndarray
+    ctx: object
     meta: dict = field(default_factory=dict)
 
     def state_at(self, t):
@@ -103,9 +105,9 @@ class Trajectory:
         table = np.column_stack((self.times, flat.view(np.float64)))
         write_csv(path, header, map(np.ndarray.tolist, table))
 
-    def export_diagnostics_csv(self, path, ctx):
-        """Dump t, the L2/H1 norms and Re/Im of ``form_values`` in ctx, the solve's context."""
-        form = form_values(ctx, self)
+    def export_diagnostics_csv(self, path):
+        """Dump t, the L2/H1 norms and Re/Im of ``form_values``."""
+        form = form_values(self)
         table = np.column_stack((self.times, self.l2, self.h1, form.real, form.imag))
         write_csv(path, ["t", "l2_norm", "h1_norm", "re_b", "im_b"], map(np.ndarray.tolist, table))
 
@@ -253,9 +255,10 @@ def step_vjp(ctx, dt, d, d_bar, fields):
     return back * a_bar, float(ctx._vu @ (ctx.basis.weights * r))
 
 
-def form_values(ctx, traj):
-    """B(psi, psi; u(t)) of every stored state of the solve traj in ctx, evaluated
-    over blocks of snapshots."""
+def form_values(traj):
+    """B(psi, psi; u(t)) of every stored state of the solve traj in its context,
+    evaluated over blocks of snapshots."""
+    ctx = traj.ctx
     form = np.empty(len(traj.times), dtype=np.complex128)
     for block in snapshot_blocks(ctx.basis, len(traj.times)):
         psi = traj.states[block]
@@ -263,11 +266,12 @@ def form_values(ctx, traj):
     return form
 
 
-def l2_envelope(ctx, traj):
-    """The parts of the L2 Gronwall envelope of the solve traj in ctx: the factor
+def l2_envelope(traj):
+    """The parts of the L2 Gronwall envelope of the solve traj: the factor
     exp((1 + 2(1-alpha) c0) T) with the exponent capped at ``MAX_EXP_ARG`` (c0 from
     ``traj.meta["constants"]``), the squared norm of the start state, and the
     coefficient norm ||F(t)||^2 at every stored time (zeros without a source)."""
+    ctx = traj.ctx
     c0 = (1 - ctx.alpha) * traj.meta["constants"]["c0"]
     horizon = abs(float(traj.times[-1] - traj.times[0]))
     factor = float(np.exp(min((1.0 + 2.0 * c0) * horizon, MAX_EXP_ARG)))
@@ -280,9 +284,9 @@ def l2_envelope(ctx, traj):
     return factor, start_sq, source_sq
 
 
-def _check_envelope(ctx, traj, constants):
+def _check_envelope(traj, constants):
     traj.meta["constants"] = dict(constants)
-    factor, start_sq, source_sq = l2_envelope(ctx, traj)
+    factor, start_sq, source_sq = l2_envelope(traj)
     bound = factor * (start_sq + float(np.trapezoid(source_sq, traj.times)))
     measured = float(np.max(traj.l2**2))
     traj.meta["l2_envelope_measured"] = measured
@@ -293,8 +297,9 @@ def _check_envelope(ctx, traj, constants):
         )
 
 
-def _solve(ctx, start, steps):
-    """Step the stack of start states from 0 toward T (alpha=1) or toward 0 (alpha=0).
+def _solve(ctx, start):
+    """Step the stack of start states from 0 toward T (alpha=1) or toward 0 (alpha=0)
+    in the ``spec.steps`` steps of ctx.
 
     ``start`` is a checked (B, modes, particles) stack (of one for alpha=0); the
     items are stepped in lockstep, one ``step`` call per time step, and the B
@@ -308,6 +313,7 @@ def _solve(ctx, start, steps):
     states in time order.  No envelope is checked then.
     """
     spec = ctx.basis.spec
+    steps = spec.steps
     dt = spec.horizon / steps
     times = np.linspace(0.0, spec.horizon, steps + 1)
     states = np.empty((len(start), steps + 1) + start.shape[1:], dtype=np.complex128)
@@ -338,21 +344,13 @@ def _solve(ctx, start, steps):
         states[:, i] = d
     trajs, constants = [], bound_constants(ctx)
     for b in range(len(d)):
-        traj = Trajectory(times=times, states=states[b], l2=l2[b], h1=h1[b])
-        _check_envelope(ctx, traj, constants)
+        traj = Trajectory(times=times, states=states[b], l2=l2[b], h1=h1[b], ctx=ctx)
+        _check_envelope(traj, constants)
         trajs.append(traj)
     return trajs
 
 
-def _step_count(ctx, steps):
-    """``steps``, or the spec's count when it is None, as a positive int."""
-    steps = ctx.basis.spec.steps if steps is None else steps
-    if not is_count(steps):
-        raise PropagationError(f"the step count must be a positive integer, got {steps!r}")
-    return int(steps)
-
-
-def solve_forward(ctx, psi0, steps=None):
+def solve_forward(ctx, psi0):
     """Integrate the alpha=1 problem from psi0 over [0, T].
 
     ``psi0`` is a (modes, particles) state, which gives its trajectory, or a
@@ -361,36 +359,40 @@ def solve_forward(ctx, psi0, steps=None):
     """
     if ctx.alpha != 1:
         raise PropagationError("solve_forward needs an alpha=1 context")
-    steps = _step_count(ctx, steps)
     stacked = np.ndim(psi0) == 3
     d = _as_state(ctx.basis, psi0, PropagationError, stacked)
-    trajs = _solve(ctx, d if stacked else d[None], steps)
+    trajs = _solve(ctx, d if stacked else d[None])
     return trajs if stacked else trajs[0]
 
 
-def solve_adjoint(ctx, terminal, steps=None):
+def solve_adjoint(ctx, terminal):
     """Integrate the alpha=0 problem backward from the terminal state.
 
     Implemented as a negative-step solve in physical time; the returned
-    trajectory is indexed forward (times increasing from 0 to T).  The time
-    grid must be an integer refinement of the stored forward grid so the
-    frozen-state interpolation error stays controlled.  The terminal state is
-    one (modes, particles) state, not a stack: the fixed-point sweeps of a step
+    trajectory is indexed forward (times increasing from 0 to T).  The stored
+    forward times must increase strictly from 0 to T, and the context's time
+    grid must be an integer refinement of theirs so the frozen-state
+    interpolation error stays controlled.  The terminal state is one
+    (modes, particles) state, not a stack: the fixed-point sweeps of a step
     stop per state.
     """
     if ctx.alpha != 0:
         raise PropagationError("solve_adjoint needs an alpha=0 context")
     spec = ctx.basis.spec
-    steps = _step_count(ctx, steps)
     fwd_times = ctx.forward.times
     fwd_steps = len(fwd_times) - 1
-    if abs(fwd_times[-1] - spec.horizon) > 1e-12 * max(1.0, spec.horizon):
+    tol = 1e-12 * max(1.0, spec.horizon)
+    if fwd_steps < 1:
+        raise PropagationError("forward trajectory needs at least two stored times")
+    if not np.all(np.diff(fwd_times) > 0):
+        raise PropagationError("forward trajectory times must increase strictly")
+    if abs(fwd_times[0]) > tol or abs(fwd_times[-1] - spec.horizon) > tol:
         raise PropagationError("forward trajectory does not cover [0, T]")
-    if steps % fwd_steps != 0:
+    if spec.steps % fwd_steps != 0:
         raise PropagationError(
-            f"adjoint grid ({steps} steps) must be an integer refinement of the "
+            f"adjoint grid ({spec.steps} steps) must be an integer refinement of the "
             f"forward grid ({fwd_steps} steps)"
         )
     d = _as_state(ctx.basis, terminal, PropagationError)
-    return _solve(ctx, d[None], steps)[0]
+    return _solve(ctx, d[None])[0]
 

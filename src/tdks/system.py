@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import TdksError, _as_state, check_layout, grid_inner, project, synthesize
+from .domain import TdksError, _as_state, grid_inner, project, synthesize
 from .potentials import (
     density_from_grid,
     hartree,
@@ -66,7 +66,8 @@ class SystemContext:
     ``solve_forward`` returns it; the frozen state is its piecewise-linear
     interpolant.  ``source`` is an optional callable (B,) times -> the inhomogeneity
     at each as (B, modes, particles) coefficients, i.e. its projection onto the
-    basis; any other shape raises ``SystemError`` when it is read.
+    basis; any other shape, or a value that is not finite, raises ``SystemError``
+    when it is read.
     """
 
     basis: object
@@ -119,6 +120,9 @@ class SystemContext:
         want = (len(times), self.basis.size, self.basis.spec.particles)
         if f.shape != want:
             raise SystemError(f"source gave shape {f.shape}, not (B, modes, particles) {want}")
+        finite = np.isfinite(f).all(axis=(1, 2))
+        if not finite.all():
+            raise SystemError(f"source is not finite at t={np.asarray(times)[finite.argmin()]}")
         return f
 
 
@@ -267,10 +271,10 @@ def adjoint_D(ctx, t, psi, phi):
     if ctx.alpha != 0:
         raise SystemError("the coupling form belongs to the alpha=0 problem")
     stacked = np.ndim(t) == 1
-    check_layout(np.shape(psi), ctx.basis.size, SystemError, stacked)
-    check_layout(np.shape(phi), ctx.basis.size, SystemError, stacked)
+    psi = _as_state(ctx.basis, psi, SystemError, stacked)
+    phi = _as_state(ctx.basis, phi, SystemError, stacked)
     if not stacked:
-        psi, phi = np.asarray(psi)[None], np.asarray(phi)[None]
+        psi, phi = psi[None], phi[None]
     psi_g = synthesize(ctx.basis, psi)
     phi_g = synthesize(ctx.basis, phi)
     _, frozen = stage_fields(ctx, np.atleast_1d(t))
@@ -286,7 +290,7 @@ def nonlinear_G(ctx, d):
     A stack (B, modes, particles) of states gives the stack of their
     projections, each equal to its own single call.
     """
-    check_layout(np.shape(d), ctx.basis.size, SystemError, np.ndim(d) == 3)
+    d = _as_state(ctx.basis, d, SystemError, np.ndim(d) == 3)
     psi = synthesize(ctx.basis, d)
     rho = density_from_grid(psi)
     return project(ctx.basis, ctx._ks_grid(rho)[..., None] * psi)

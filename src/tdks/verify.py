@@ -304,19 +304,19 @@ def check_hartree_lipschitz(basis, kernel, pairs=30, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_energy_estimates(traj, ctx, seed=0):
+def check_energy_estimates(traj, seed=0):
     """Envelope checks along one solve: L2 envelope, quadratic-form bound,
     H1 sup bound, time-integrated H1 bound (all asserted), and the discrete
     dual-norm surrogate (monitored: the sup is truncated to the basis).
 
-    ``traj`` is a solve in ``ctx``; its ``meta`` supplies the form constants and
-    the L2 envelope the solve checked, and every other bound uses the envelope
-    factor of ``l2_envelope``."""
-    ing = traj.meta["constants"]
+    The ``meta`` of the solve ``traj`` supplies the form constants and the L2
+    envelope the solve checked, and every other bound uses the envelope factor
+    of ``l2_envelope``."""
+    ctx, ing = traj.ctx, traj.meta["constants"]
     alpha = ctx.alpha
     horizon = float(traj.times[-1] - traj.times[0])
     ctilde0 = (1 - alpha) * ing["c0"]
-    env, start_sq, source_sq = l2_envelope(ctx, traj)
+    env, start_sq, source_sq = l2_envelope(traj)
     f_y_sq = float(np.trapezoid(source_sq, traj.times))
     f_sup_sq = float(np.max(source_sq))
     data = start_sq + f_y_sq
@@ -358,7 +358,7 @@ def check_energy_estimates(traj, ctx, seed=0):
         EstimateReport(
             name=f"form-value-bound-alpha{alpha}",
             reference="quadratic-form-value-bound",
-            measured=float(np.max(form_values(ctx, traj).real)),
+            measured=float(np.max(form_values(traj).real)),
             bound=c_form,
             tolerance=0.05,
             formula="max_t Re B <= (alpha*(L+a/b)+1/2)*env*(data) + sup_t|F(t)|^2/2",
@@ -430,11 +430,11 @@ def check_energy_estimates(traj, ctx, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_uniqueness_gronwall(ctx, base, eps_list, seed=0):
+def check_uniqueness_gronwall(base, eps_list, seed=0):
     """Perturbation-growth envelope and first-order scaling of the gap.
 
-    ``base`` is the forward solve in ``ctx`` from psi0 = ``base.states[0]``;
-    the check solves from psi0 + eps*delta for every eps, all in one stacked
+    ``base`` is a forward solve from psi0 = ``base.states[0]``; the check solves
+    in its context from psi0 + eps*delta for every eps, all in one stacked
     ``solve_forward``.  The gap must stay under the exponential envelope with
     the rate assembled from probed Lipschitz constants and the measured H1
     diagnostics, and halving the middle eps of the sorted list must roughly
@@ -445,6 +445,7 @@ def check_uniqueness_gronwall(ctx, base, eps_list, seed=0):
         raise ValueError("need at least one perturbation size")
     if eps_list[0] < 1e-9:
         raise ValueError("perturbation below integrator resolution; use eps >= 1e-9")
+    ctx = base.ctx
     rng = np.random.default_rng([seed, 37])
     delta = random_coefficients(ctx.basis, ctx.basis.spec.particles, rng, 1.0)
 

@@ -166,6 +166,13 @@ def frozen_trajectory(lam, horizon):
     return SimpleNamespace(times=np.array([0.0, float(horizon)]), states=np.stack([lam, lam]))
 
 
+def with_steps(ctx, steps):
+    """The context ctx on a spec of ``steps`` time steps, over the same basis tables; a
+    solve takes the step count of its context's spec."""
+    spec = replace(ctx.basis.spec, steps=steps)
+    return replace(ctx, basis=replace(ctx.basis, spec=spec))
+
+
 def bound_constants_per_snapshot(ctx):
     """Oracle for ``bound_constants``: the frozen-state sups taken one stored
     forward snapshot at a time, with the same assembly of the constants."""

@@ -1,5 +1,8 @@
-"""Each tdks module uses another only through its public names: no module imports an
-underscore name from another, apart from the few shared helpers listed here."""
+"""Structural lints of the tdks sources.
+
+Each tdks module uses another only through its public names: no module imports an
+underscore name from another, apart from the few shared helpers listed here.  And a
+stored solve carries its context: no function takes a context next to a trajectory."""
 
 import ast
 from pathlib import Path
@@ -54,4 +57,50 @@ def test_the_lint_sees_every_form_of_a_private_import(tmp_path):
         "domain._secret",
         "propagate._kinetic_phase",
         "system._other",
+    ]
+
+
+# a trajectory's ctx is the context of its solve, so a reader that also takes a
+# context could pair the trajectory with another one
+CONTEXT = "ctx"
+TRAJECTORIES = {"traj", "base", "forward_traj"}
+
+
+def context_with_trajectory(path):
+    """The name of every function (or lambda) in the source file at path that has a
+    ``ctx`` parameter together with a trajectory parameter, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        names = {p.arg for p in params}
+        if CONTEXT in names and names & TRAJECTORIES:
+            found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return [name for _, name in sorted(found)]
+
+
+def test_no_function_takes_a_context_next_to_a_trajectory():
+    offenders = {p.name: context_with_trajectory(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in offenders.items() if names} == {}
+
+
+def test_the_lint_sees_every_function_that_pairs_a_context_with_a_trajectory(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def reader(ctx, traj): pass\n"
+        "def gronwall(ctx, base, eps, seed=0): pass\n"
+        "def gradient(spec, ctx, u, psi0, forward_traj=None): pass\n"
+        "class T:\n"
+        "    def export(self, path, *, ctx, traj=None): pass\n"
+        "async def later(traj, **ctx): pass\n"
+        "check = lambda ctx, /, traj: None\n"
+        "def alone(traj): pass\n"
+        "def solve(ctx, psi0): pass\n"
+        "def outer(spec, traj):\n"
+        "    def inner(ctx, d): pass\n"
+    )
+    assert context_with_trajectory(source) == [
+        "reader", "gronwall", "gradient", "export", "later", "<lambda>"
     ]

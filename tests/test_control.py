@@ -124,11 +124,12 @@ def test_gradient_pure_regularisation_is_exact(control_setup):
     ctx, psi0 = control_setup
     spec = ObjectiveSpec(nu=0.3)
     u = ControlSignal(samples=np.cos(np.linspace(0, 2, 101)), horizon=1.0)
-    smooth, raw = reduced_gradient(spec, ctx, u, psi0)
+    smooth, raw = reduced_gradient(spec, solve_forward(replace(ctx, control=u), psi0))
     # Riesz representative of the quadratic penalty gradient is 2*nu*u itself
     assert np.abs(smooth.samples - 2 * spec.nu * u.samples).max() < 1e-10
 
-    smooth0, raw0 = reduced_gradient(spec, ctx, zero_control(1.0, 100), psi0)
+    zero = solve_forward(replace(ctx, control=zero_control(1.0, 100)), psi0)
+    smooth0, raw0 = reduced_gradient(spec, zero)
     assert np.abs(raw0).max() == 0 and np.abs(smooth0.samples).max() == 0
 
 
@@ -138,7 +139,7 @@ def test_gradient_matches_finite_differences(control_setup):
     spec = ObjectiveSpec(j2="terminal", nu=1e-2, target_state=target)
     rng = np.random.default_rng(42)
     u = ControlSignal(samples=rng.normal(0.0, 0.3, 101), horizon=1.0)
-    _, raw = reduced_gradient(spec, ctx, u, psi0)
+    _, raw = reduced_gradient(spec, solve_forward(replace(ctx, control=u), psi0))
     for idx in (0, 33, 77, 100):
         eps = 3e-5
         up, dn = u.samples.copy(), u.samples.copy()
@@ -152,8 +153,30 @@ def test_gradient_matches_finite_differences(control_setup):
 
 def test_gradient_grid_mismatch_rejected(control_setup):
     ctx, psi0 = control_setup
+    traj = solve_forward(replace(ctx, control=zero_control(1.0, 55)), psi0)
     with pytest.raises(ControlError):
-        reduced_gradient(ObjectiveSpec(nu=1.0), ctx, zero_control(1.0, 55), psi0)
+        reduced_gradient(ObjectiveSpec(nu=1.0), traj)
+
+
+def test_a_control_on_another_horizon_than_the_solver_grid_is_rejected():
+    # the sweep puts each step's derivative on samples n and n + 1, which are the
+    # step's ends only when the control samples the solver grid
+    basis, pot, kernel = make_setup(
+        grid=(16,), modes=(4,), steps=20, control_shape={"kind": "dipole", "amplitude": 1.0}
+    )
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    psi0 = unit_state(basis, 0)
+    spec = ObjectiveSpec(j2="terminal", nu=1e-2, target_state=unit_state(basis, 1))
+    samples = 0.3 * np.sin(np.linspace(0.0, 3.0, 21))
+    for horizon in (1.0, 1.0 + 1e-13):
+        u = ControlSignal(samples=samples, horizon=horizon)
+        reduced_gradient(spec, solve_forward(replace(ctx, control=u), psi0))
+    u = ControlSignal(samples=samples, horizon=2.0)
+    traj = solve_forward(replace(ctx, control=u), psi0)
+    with pytest.raises(ControlError, match="control has horizon 2.0 but the solver grid has 1.0"):
+        reduced_gradient(spec, traj)
+    with pytest.raises(ControlError, match="horizon"):
+        optimize(spec, ctx, u, psi0, iters=1)
 
 
 def test_optimize_zero_gradient_start(control_setup):
@@ -219,7 +242,7 @@ def test_backward_sweep_integrates_the_adjoint_problem(control_setup):
     rng = np.random.default_rng(12)
     u = ControlSignal(samples=rng.normal(0.0, 0.3, basis.spec.steps + 1), horizon=1.0)
     traj = solve_forward(replace(ctx, control=u), psi0)
-    _, mu_path = backward_sweep(spec, replace(ctx, control=u), traj)
+    _, mu_path = backward_sweep(spec, traj)
 
     terminal, source = adjoint_sources(spec, traj)
     actx = SystemContext(
@@ -237,7 +260,7 @@ def test_backward_sweep_integrates_the_adjoint_problem(control_setup):
 
     # and the continuous coupling quadrature approximates the discrete one
     g_cont = coupling_density(ctx, traj, adj)
-    g_disc, _ = backward_sweep(spec, replace(ctx, control=u), traj)
+    g_disc, _ = backward_sweep(spec, traj)
     dt = u.step
     w = np.full(u.samples.size, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -271,7 +294,7 @@ def test_a_target_of_another_shape_than_the_trajectory_raises(control_setup, tar
     with pytest.raises(ControlError, match="does not match"):
         adjoint_sources(spec, traj)
     with pytest.raises(ControlError, match="does not match"):
-        backward_sweep(spec, ctx, traj)
+        backward_sweep(spec, traj)
 
 
 @pytest.mark.parametrize("target", ["fixed", "moving"])
@@ -313,7 +336,7 @@ def test_backward_sweep_matches_per_step_oracle(control_setup):
         target_state=unit_state(ctx.basis, 2),
         target_trajectory=moving.state_at,
     )
-    g, mu = backward_sweep(spec, ctx_u, traj)
+    g, mu = backward_sweep(spec, traj)
     g_oracle, mu_oracle = backward_sweep_per_step(spec, ctx_u, traj)
     assert np.abs(g).max() > 0
     assert np.array_equal(g, g_oracle)
@@ -363,7 +386,8 @@ def test_misuse_of_the_gradient_and_the_descent_raises_a_control_error(control_s
     spec = ObjectiveSpec(nu=1.0)
     u = zero_control(1.0, ctx.basis.spec.steps)
     sourced = replace(ctx, source=at_every_time(np.zeros_like(psi0)))
+    traj = solve_forward(replace(sourced, control=u), psi0)
     with pytest.raises(ControlError, match="controlled forward problem carries no inhomogeneity"):
-        reduced_gradient(spec, sourced, u, psi0)
+        reduced_gradient(spec, traj)
     with pytest.raises(ControlError, match="need at least one descent iteration"):
         optimize(spec, ctx, u, psi0, iters=0)

@@ -282,6 +282,9 @@ def test_eigen_relation_via_gradient_quadrature():
         dict(dimension=True, lengths=(1.0,), grid=(8,)),
         dict(dimension=1.0, lengths=(1.0,), grid=(8,)),
         dict(dimension=1, lengths=(1.0,), grid=(32.5,)),
+        dict(dimension=1, lengths=(1.0,), grid=(8,), steps=0),
+        dict(dimension=1, lengths=(1.0,), grid=(8,), steps=-3),
+        dict(dimension=1, lengths=(1.0,), grid=(8,), steps="4"),
     ],
 )
 def test_domain_spec_validation(kwargs):

@@ -2,6 +2,7 @@
 rejected with the error class of the module it is passed to, never promoted."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,36 @@ def test_a_source_must_return_modes_by_particles_coefficients(contexts, layout):
     )
     with pytest.raises(SystemError, match="modes, particles"):
         ctx.source_coefficients(np.array([0.0]))
+
+
+@pytest.mark.parametrize("solve", ["forward", "adjoint"])
+def test_a_non_finite_source_is_a_system_error_naming_its_time(solve):
+    # NaN from t = 0.5 on: the forward solve reads the step midpoints upward, so its
+    # first NaN is at 0.525; the adjoint reads them downward from 0.975, all in one block
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=20)
+    value = unit_state(basis, 0)
+
+    def source(times):
+        return np.where(times >= 0.5, np.nan, 1.0)[:, None, None] * value
+
+    fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    if solve == "forward":
+        with pytest.raises(SystemError, match="^source is not finite at t=0.525$"):
+            solve_forward(replace(fwd, source=source), value)
+    else:
+        adj = replace(fwd, alpha=0, forward=solve_forward(fwd, value), source=source)
+        with pytest.raises(SystemError, match="^source is not finite at t=0.975$"):
+            solve_adjoint(adj, value)
+
+
+@pytest.mark.parametrize("name", ["rhs", "bilinear_B", "nonlinear_G", "adjoint_D"])
+def test_a_non_finite_state_is_rejected_by_every_operator(contexts, name):
+    basis, fwd, adj = contexts
+    error, call = CASES[name]
+    d = unit_state(basis, 0)
+    d[1, 0] = np.nan
+    with pytest.raises(error, match="non-finite"):
+        call(basis, fwd, adj, d)
 
 
 def test_grid_inner_rejects_single_channel_fields(contexts):

@@ -51,6 +51,7 @@ from conftest import (
     interpolate_state_at,
     make_setup,
     unit_state,
+    with_steps,
 )
 
 
@@ -191,7 +192,7 @@ def test_adjoint_frozen_state_matches_real_linear_exponential():
 
     errs = {}
     for steps in (200, 400):
-        adj = solve_adjoint(actx, term, steps=steps)
+        adj = solve_adjoint(with_steps(actx, steps), term)
         errs[steps] = np.linalg.norm(adj.states[0] - exact0)
     assert errs[200] < 5e-4
     assert 3.0 < errs[200] / errs[400] < 5.0
@@ -212,7 +213,7 @@ def test_adjoint_trivial_cases():
         basis=basis, potentials=pot, alpha=0, forward=frozen_zero, kernel=kernel
     )
     term = unit_state(basis, 1)
-    adj = solve_adjoint(zero_fwd, term, steps=400)
+    adj = solve_adjoint(with_steps(zero_fwd, 400), term)
     h_matrix = galerkin_matrix(basis, np.zeros(basis.node_count))
     z = expm(1j * h_matrix * basis.spec.horizon) @ term  # backward linear flow
     assert np.linalg.norm(adj.states[0] - z) < 1e-8
@@ -224,8 +225,8 @@ def test_adjoint_requires_refined_grid():
     traj = solve_forward(ctx, unit_state(basis, 0))
     actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     with pytest.raises(PropagationError):
-        solve_adjoint(actx, unit_state(basis, 0), steps=150)
-    solve_adjoint(actx, unit_state(basis, 0), steps=200)
+        solve_adjoint(with_steps(actx, 150), unit_state(basis, 0))
+    solve_adjoint(with_steps(actx, 200), unit_state(basis, 0))
 
 
 def test_time_reversal_consistency():
@@ -285,6 +286,7 @@ def test_solves_store_the_constants_of_their_context():
     )
     adj = solve_adjoint(actx, psi0)
     for solve, solve_ctx in ((traj, ctx), (adj, actx)):
+        assert solve.ctx is solve_ctx
         assert solve.meta["constants"] == bound_constants(solve_ctx)
     assert adj.meta["constants"]["c0"] > 0 and traj.meta["constants"]["c0"] == 0.0
 
@@ -310,7 +312,7 @@ def test_solve_form_values_match_single_calls():
     adj = solve_adjoint(actx, psi0)
     for solve, solve_ctx in ((traj, ctx), (adj, actx)):
         form = [bilinear_B(solve_ctx, t, d, d) for t, d in zip(solve.times, solve.states)]
-        values = form_values(solve_ctx, solve)
+        values = form_values(solve)
         assert np.array_equal(values.real, np.real(form))
         assert np.array_equal(values.imag, np.imag(form))
 
@@ -333,7 +335,7 @@ def test_solve_makes_no_form_value_call(monkeypatch):
     actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     adj = solve_adjoint(actx, psi0)
     assert calls == []
-    form_values(actx, adj)
+    form_values(adj)
     assert len(calls) == len(snapshot_blocks(basis, len(adj.times))) == 2
 
 
@@ -356,7 +358,7 @@ def test_stored_trajectory_diagnostics_run_in_bounded_memory():
     kernel.row_sum_max  # cached on first use; not part of the pass
     tracemalloc.start()
     try:
-        form_values(actx, SimpleNamespace(times=times, states=states))
+        form_values(SimpleNamespace(times=times, states=states, ctx=actx))
         bound_constants(actx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -380,9 +382,8 @@ def refined_adjoint(lengths, grid, modes, fwd_steps):
     u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 11)), horizon=1.0)
     rng = np.random.default_rng(len(grid))
     psi0 = random_coefficients(basis, 2, rng, 1.0)
-    traj = solve_forward(
-        SystemContext(basis=basis, potentials=pot, kernel=kernel, control=u), psi0, fwd_steps
-    )
+    fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel, control=u)
+    traj = solve_forward(with_steps(fwd, fwd_steps), psi0)
     actx = SystemContext(
         basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel, control=u
     )
@@ -532,7 +533,7 @@ def test_adjoint_solve_matches_per_sweep_oracle(with_source):
     adj = solve_adjoint(actx, terminal)
     states, form = adjoint_solve_per_sweep(actx, terminal, actx.basis.spec.steps)
     assert np.array_equal(adj.states, states)
-    values = form_values(actx, adj)
+    values = form_values(adj)
     assert np.array_equal(values.real, form.real)
     assert np.array_equal(values.imag, form.imag)
 
@@ -668,19 +669,15 @@ def test_adjoint_solve_takes_one_terminal_state():
         step(actx, 1.0, -0.01, np.stack([terminal, terminal]))
 
 
-@pytest.mark.parametrize("steps", [0, -3, 2.5, "4", True])
-def test_solves_reject_a_step_count_that_is_not_a_positive_integer(steps):
-    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=4)
+def test_a_solve_takes_the_step_count_of_its_spec():
+    # DomainSpec takes any positive integer count, numpy's too; it is the only count
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=np.int64(8))
+    assert basis.spec.steps == 8
     ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
-    psi0 = unit_state(basis, 0)
-    with pytest.raises(PropagationError, match="positive integer"):
-        solve_forward(ctx, psi0, steps=steps)
-    actx = SystemContext(
-        basis=basis, potentials=pot, alpha=0, forward=solve_forward(ctx, psi0), kernel=kernel
-    )
-    with pytest.raises(PropagationError, match="positive integer"):
-        solve_adjoint(actx, psi0, steps=steps)
-    assert len(solve_forward(ctx, psi0, steps=np.int64(8)).times) == 9
+    traj = solve_forward(ctx, unit_state(basis, 0))
+    assert np.array_equal(traj.times, np.linspace(0.0, 1.0, 9))
+    adj = solve_adjoint(with_steps(replace(ctx, alpha=0, forward=traj), 16), traj.states[-1])
+    assert np.array_equal(adj.times, np.linspace(0.0, 1.0, 17))
 
 
 def test_blowup_guard_trips_on_absurd_source():
@@ -752,7 +749,7 @@ def test_fixed_point_divergence_reported():
     traj = solve_forward(ctx, unit_state(basis, 0))
     actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     with pytest.raises(PropagationError, match="fixed-point.*more steps"):
-        solve_adjoint(actx, unit_state(basis, 0), steps=1)
+        solve_adjoint(actx, unit_state(basis, 0))
 
 
 def test_trajectory_export(tmp_path):
@@ -762,7 +759,7 @@ def test_trajectory_export(tmp_path):
     p1 = tmp_path / "traj.csv"
     p2 = tmp_path / "diag.csv"
     traj.export_csv(p1)
-    traj.export_diagnostics_csv(p2, ctx)
+    traj.export_diagnostics_csv(p2)
     lines = p1.read_text().strip().splitlines()
     assert len(lines) == 7  # header + 6 snapshots
     assert lines[0].split(",")[:3] == ["t", "re_d_k0_p0", "im_d_k0_p0"]
@@ -890,6 +887,15 @@ def test_solves_reject_the_other_problem_and_a_short_forward_trajectory():
     short = replace(adj, forward=frozen_trajectory(psi0, 0.5))
     with pytest.raises(PropagationError, match=r"forward trajectory does not cover \[0, T\]"):
         solve_adjoint(short, psi0)
+    # one stored time, a grid that starts late, and times that do not increase
+    for times, why in (
+        ([1.0], "needs at least two stored times"),
+        ([0.5, 1.0], r"does not cover \[0, T\]"),
+        ([1.0, 0.0, 1.0], "times must increase strictly"),
+    ):
+        stored = SimpleNamespace(times=np.array(times), states=np.stack([psi0] * len(times)))
+        with pytest.raises(PropagationError, match=f"forward trajectory {why}"):
+            solve_adjoint(replace(adj, forward=stored), psi0)
 
 
 def test_a_non_finite_state_ends_the_solve_at_its_last_good_time(monkeypatch):
@@ -916,7 +922,7 @@ def test_norm_growth_beyond_the_envelope_raises(monkeypatch):
     ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     # an envelope of half the start norm: the measured unit norm violates it
     monkeypatch.setattr(
-        propagate, "l2_envelope", lambda c, traj: (1.0, 0.5, np.zeros(len(traj.times)))
+        propagate, "l2_envelope", lambda traj: (1.0, 0.5, np.zeros(len(traj.times)))
     )
     with pytest.raises(PropagationError, match="violates the exponential envelope: .* > 0.5$"):
         solve_forward(ctx, unit_state(basis, 0))

@@ -203,7 +203,7 @@ def test_hartree_lipschitz_scaling(desk):
 def test_energy_estimates_zero_solution(desk):
     basis, pot, kernel, ctx = desk
     traj = solve_forward(ctx, np.zeros((basis.size, 1)))
-    reports = check_energy_estimates(traj, ctx, seed=0)
+    reports = check_energy_estimates(traj, seed=0)
     for r in reports:
         assert r.measured == 0.0
         assert r.passed
@@ -220,7 +220,7 @@ def test_energy_estimates_free_mode():
     )
     ctx = SystemContext(basis=basis, potentials=pot)
     traj = solve_forward(ctx, unit_state(basis, 0))
-    reports = {r.name: r for r in check_energy_estimates(traj, ctx, seed=0)}
+    reports = {r.name: r for r in check_energy_estimates(traj, seed=0)}
     env = reports["l2-envelope-alpha1"]
     assert env.passed
     assert env.measured <= 1.0 + 1e-12  # norm conserved, envelope has e^T margin
@@ -231,7 +231,7 @@ def test_energy_estimates_nonlinear_and_adjoint(desk):
     basis, pot, kernel, ctx = desk
     psi0 = unit_state(basis, 0)
     traj = solve_forward(ctx, psi0)
-    fwd_reports = check_energy_estimates(traj, ctx, seed=1)
+    fwd_reports = check_energy_estimates(traj, seed=1)
     assert all(r.passed for r in fwd_reports)
 
     from tdks import adjoint_sources, solve_adjoint, ObjectiveSpec
@@ -246,7 +246,7 @@ def test_energy_estimates_nonlinear_and_adjoint(desk):
         basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel, source=src
     )
     adj = solve_adjoint(actx, term)
-    adj_reports = check_energy_estimates(adj, actx, seed=1)
+    adj_reports = check_energy_estimates(adj, seed=1)
     assert all(r.passed for r in adj_reports)
     names = {r.name for r in adj_reports}
     assert "l2-envelope-alpha0" in names and "x-norm-bound-alpha0" in names
@@ -256,7 +256,7 @@ def test_uniqueness_gronwall_nonlinear(desk):
     basis, pot, kernel, ctx = desk
     base = solve_forward(ctx, unit_state(basis, 0))
     # the middle eps, 1e-3, is the one halved
-    env, halving = check_uniqueness_gronwall(ctx, base, [1e-2, 1e-3, 5e-4], seed=2)
+    env, halving = check_uniqueness_gronwall(base, [1e-2, 1e-3, 5e-4], seed=2)
     assert env.passed and halving.passed
     assert 0.4 <= halving.ingredients["ratio"] <= 0.6
 
@@ -264,13 +264,13 @@ def test_uniqueness_gronwall_nonlinear(desk):
 def test_uniqueness_rejects_tiny_eps(desk):
     _, _, _, ctx = desk
     with pytest.raises(ValueError):
-        check_uniqueness_gronwall(ctx, solve_forward(ctx, unit_state(ctx.basis, 0)), [1e-12])
+        check_uniqueness_gronwall(solve_forward(ctx, unit_state(ctx.basis, 0)), [1e-12])
 
 
 def test_uniqueness_rejects_an_empty_eps_list(desk):
     _, _, _, ctx = desk
     with pytest.raises(ValueError, match="at least one"):
-        check_uniqueness_gronwall(ctx, solve_forward(ctx, unit_state(ctx.basis, 0)), [])
+        check_uniqueness_gronwall(solve_forward(ctx, unit_state(ctx.basis, 0)), [])
 
 
 def test_gap_trivial_and_linear_cases():
@@ -537,7 +537,7 @@ def test_energy_estimates_match_per_snapshot_oracle(oracle_instances, alpha, see
     probed_cu = max(pair_ratios_per_pair(
         basis, rng, 40, hartree_pair_ratio(basis, ctx.kernel), 0.2, 2.0
     ))
-    reports = {r.name: r for r in check_energy_estimates(traj, ctx, seed=seed)}
+    reports = {r.name: r for r in check_energy_estimates(traj, seed=seed)}
     monitor = reports[f"dual-norm-monitor-alpha{alpha}"]
     assert monitor.measured == dual_norm_per_snapshot(ctx, traj)
     assert monitor.ingredients["probed_xc_lipschitz"] == probed_l
@@ -549,7 +549,7 @@ def test_l2_envelope_report_reads_the_solve_guard(oracle_instances, alpha):
     # the report restates the envelope the solve checked; the alpha=0 solve carries
     # a source, whose norms enter the bound
     ctx, traj = oracle_instances[True][alpha]
-    reports = {r.name: r for r in check_energy_estimates(traj, ctx, seed=0)}
+    reports = {r.name: r for r in check_energy_estimates(traj, seed=0)}
     report = reports[f"l2-envelope-alpha{alpha}"]
     assert report.measured == traj.meta["l2_envelope_measured"]
     assert report.bound == traj.meta["l2_envelope_bound"]
