@@ -100,8 +100,8 @@ def _residual(spec, state, times=None):
     return state - target
 
 
-def _solve_objective(spec, ctx, u, psi0):
-    """The forward solve from psi0 under the control u, and J(u) of it."""
+def evaluate_objective(spec, ctx, u, psi0):
+    """The forward solve from psi0 under the control u, and J(u) of it: (traj, J)."""
     traj = solve_forward(replace(ctx, control=u), psi0)
     j1 = j2 = 0.0
     if spec.j1 == "trajectory":
@@ -110,11 +110,6 @@ def _solve_objective(spec, ctx, u, psi0):
     if spec.j2 == "terminal":
         j2 = float(_state_sq(_residual(spec, traj.states[-1])))
     return traj, j1 + j2 + spec.nu * u.h1_norm_sq
-
-
-def evaluate_objective(spec, ctx, u, psi0):
-    """J(u) with a fresh forward solve from psi0 under the control u."""
-    return _solve_objective(spec, ctx, u, psi0)[1]
 
 
 def adjoint_sources(spec, traj):
@@ -183,6 +178,13 @@ def _h1_riesz(u, raw, nu):
     return np.array(g)
 
 
+def _forward_context(traj):
+    """The context of traj, which the gradient needs to be a forward (alpha=1) solve."""
+    if traj.ctx.alpha != 1:
+        raise ControlError("the gradient needs a forward (alpha=1) solve: traj is not one")
+    return traj.ctx
+
+
 def backward_sweep(spec, traj):
     """Back-propagate the objective derivative through the integrator of the solve traj.
 
@@ -192,9 +194,9 @@ def backward_sweep(spec, traj):
     mu(t) = -i P(t) + O(dt^2).  Returns (coupling gradient per u sample on
     the control grid, backward states on the time grid).
     """
-    ctx, times, states = traj.ctx, traj.times, traj.states
-    dt = float(times[1] - times[0])
-    steps = len(times) - 1
+    ctx, times, states = _forward_context(traj), traj.times, traj.states
+    steps = ctx.basis.spec.steps
+    dt = ctx.basis.spec.horizon / steps
 
     omega = np.full(steps + 1, dt)
     omega[0] = omega[-1] = 0.5 * dt
@@ -234,8 +236,8 @@ def reduced_gradient(spec, traj):
     metric.  ``traj`` is a forward solve under u, whose samples must be those
     of the solver grid: as many as its times, on the same horizon.
     """
-    ctx, u = traj.ctx, traj.ctx.control
-    steps = ctx.basis.spec.steps
+    ctx = _forward_context(traj)
+    u, steps = ctx.control, ctx.basis.spec.steps
     if u.samples.size != steps + 1:
         raise ControlError(
             f"control has {u.samples.size} samples but the solver grid has {steps + 1}"
@@ -265,7 +267,7 @@ def optimize(spec, ctx, u0, psi0, iters=20):
         raise ControlError("need at least one descent iteration")
 
     u = u0
-    traj, j_val = _solve_objective(spec, ctx, u, psi0)
+    traj, j_val = evaluate_objective(spec, ctx, u, psi0)
     if not np.isfinite(j_val):
         raise ControlError(f"J(u0) is {j_val}: nu or the control is too large")
     history = []
@@ -281,7 +283,7 @@ def optimize(spec, ctx, u0, psi0, iters=20):
         accepted = False
         for _half in range(MAX_HALVINGS + 1):
             cand = ControlSignal(samples=u.samples + s * direction, horizon=u.horizon)
-            traj_new, j_new = _solve_objective(spec, ctx, cand, psi0)
+            traj_new, j_new = evaluate_objective(spec, ctx, cand, psi0)
             if j_new <= j_val + ARMIJO_C1 * s * slope:
                 accepted = True
                 break

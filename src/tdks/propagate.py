@@ -83,14 +83,21 @@ class BlowUpError(PropagationError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """Time-ordered snapshots of a solve, per-step diagnostics and its context."""
+    """Snapshots of a solve at every time of its context's grid (``times``, which
+    ``_solve`` steps on), per-step diagnostics and its context."""
 
-    times: np.ndarray
     states: np.ndarray  # (steps+1, modes, particles)
     l2: np.ndarray
     h1: np.ndarray
     ctx: object
     meta: dict = field(default_factory=dict)
+    times: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        spec = self.ctx.basis.spec
+        self.times = np.linspace(0.0, spec.horizon, spec.steps + 1)
+        if len(self.states) != len(self.times):
+            raise PropagationError(f"{len(self.states)} states on a grid of {spec.steps} steps")
 
     def state_at(self, t):
         return interpolate_states(self.times, self.states, t)
@@ -273,8 +280,7 @@ def l2_envelope(traj):
     coefficient norm ||F(t)||^2 at every stored time (zeros without a source)."""
     ctx = traj.ctx
     c0 = (1 - ctx.alpha) * traj.meta["constants"]["c0"]
-    horizon = abs(float(traj.times[-1] - traj.times[0]))
-    factor = float(np.exp(min((1.0 + 2.0 * c0) * horizon, MAX_EXP_ARG)))
+    factor = float(np.exp(min((1.0 + 2.0 * c0) * ctx.basis.spec.horizon, MAX_EXP_ARG)))
     start_sq = float(traj.l2[0] if ctx.alpha == 1 else traj.l2[-1]) ** 2
     source_sq = np.zeros(len(traj.times))
     if ctx.source is not None:
@@ -344,7 +350,7 @@ def _solve(ctx, start):
         states[:, i] = d
     trajs, constants = [], bound_constants(ctx)
     for b in range(len(d)):
-        traj = Trajectory(times=times, states=states[b], l2=l2[b], h1=h1[b], ctx=ctx)
+        traj = Trajectory(states=states[b], l2=l2[b], h1=h1[b], ctx=ctx)
         _check_envelope(traj, constants)
         trajs.append(traj)
     return trajs
@@ -369,29 +375,21 @@ def solve_adjoint(ctx, terminal):
     """Integrate the alpha=0 problem backward from the terminal state.
 
     Implemented as a negative-step solve in physical time; the returned
-    trajectory is indexed forward (times increasing from 0 to T).  The stored
-    forward times must increase strictly from 0 to T, and the context's time
-    grid must be an integer refinement of theirs so the frozen-state
-    interpolation error stays controlled.  The terminal state is one
-    (modes, particles) state, not a stack: the fixed-point sweeps of a step
-    stop per state.
+    trajectory is indexed forward (times increasing from 0 to T).  The frozen
+    forward solve must span the same [0, T] on a grid that the context's refines
+    by an integer, so the frozen-state interpolation error stays controlled.
+    The terminal state is one (modes, particles) state, not a stack: the
+    fixed-point sweeps of a step stop per state.
     """
     if ctx.alpha != 0:
         raise PropagationError("solve_adjoint needs an alpha=0 context")
-    spec = ctx.basis.spec
-    fwd_times = ctx.forward.times
-    fwd_steps = len(fwd_times) - 1
-    tol = 1e-12 * max(1.0, spec.horizon)
-    if fwd_steps < 1:
-        raise PropagationError("forward trajectory needs at least two stored times")
-    if not np.all(np.diff(fwd_times) > 0):
-        raise PropagationError("forward trajectory times must increase strictly")
-    if abs(fwd_times[0]) > tol or abs(fwd_times[-1] - spec.horizon) > tol:
+    spec, fwd_spec = ctx.basis.spec, ctx.forward.ctx.basis.spec
+    if abs(fwd_spec.horizon - spec.horizon) > 1e-12 * max(1.0, spec.horizon):
         raise PropagationError("forward trajectory does not cover [0, T]")
-    if spec.steps % fwd_steps != 0:
+    if spec.steps % fwd_spec.steps != 0:
         raise PropagationError(
             f"adjoint grid ({spec.steps} steps) must be an integer refinement of the "
-            f"forward grid ({fwd_steps} steps)"
+            f"forward grid ({fwd_spec.steps} steps)"
         )
     d = _as_state(ctx.basis, terminal, PropagationError)
     return _solve(ctx, d[None])[0]

@@ -61,10 +61,9 @@ class SystemContext:
     """Immutable bundle of everything the ODE right-hand side needs.
 
     ``control`` defaults to the zero signal.  ``forward`` is required when
-    alpha=0: the stored forward trajectory, i.e. an object with increasing
-    float ``times`` and complex ``states`` (times, modes, particles) arrays as
-    ``solve_forward`` returns it; the frozen state is its piecewise-linear
-    interpolant.  ``source`` is an optional callable (B,) times -> the inhomogeneity
+    alpha=0: the stored forward trajectory, the ``Trajectory`` of an alpha=1
+    solve; the frozen state is its piecewise-linear interpolant on its time grid.
+    ``source`` is an optional callable (B,) times -> the inhomogeneity
     at each as (B, modes, particles) coefficients, i.e. its projection onto the
     basis; any other shape, or a value that is not finite, raises ``SystemError``
     when it is read.
@@ -83,8 +82,7 @@ class SystemContext:
     def __post_init__(self):
         if self.alpha not in (0, 1):
             raise SystemError("alpha selects the problem instance and must be 0 or 1")
-        fw = self.forward
-        if self.alpha == 0 and not (hasattr(fw, "times") and hasattr(fw, "states")):
+        if self.alpha == 0 and getattr(getattr(self.forward, "ctx", None), "alpha", 0) != 1:
             raise SystemError("the adjoint problem (alpha=0) needs the stored forward trajectory")
         if self.control is None:
             self.control = zero_control(self.basis.spec.horizon, self.basis.spec.steps)

@@ -314,7 +314,7 @@ def check_energy_estimates(traj, seed=0):
     of ``l2_envelope``."""
     ctx, ing = traj.ctx, traj.meta["constants"]
     alpha = ctx.alpha
-    horizon = float(traj.times[-1] - traj.times[0])
+    horizon = float(ctx.basis.spec.horizon)
     ctilde0 = (1 - alpha) * ing["c0"]
     env, start_sq, source_sq = l2_envelope(traj)
     f_y_sq = float(np.trapezoid(source_sq, traj.times))

@@ -4,7 +4,6 @@ import math
 import pkgutil
 from dataclasses import replace
 from functools import reduce
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -19,7 +18,7 @@ from tdks import (
 )
 from tdks.domain import grid_norm, norms, project, random_coefficients, synthesize
 from tdks.potentials import _cell_average, density_from_grid, hartree_pair_difference, ks_potential
-from tdks.propagate import FIXED_POINT_MAX_ITER, FIXED_POINT_TOL, step_vjp
+from tdks.propagate import FIXED_POINT_MAX_ITER, FIXED_POINT_TOL, Trajectory, step_vjp
 from tdks.system import (
     adjoint_D,
     bilinear_B,
@@ -160,17 +159,21 @@ def interpolate_state_at(times, states, t):
     return (1.0 - w) * states[i] + w * states[i + 1]
 
 
-def frozen_trajectory(lam, horizon):
-    """A stored forward trajectory that stays at lam: two equal snapshots at 0 and T."""
-    lam = np.asarray(lam, dtype=np.complex128)
-    return SimpleNamespace(times=np.array([0.0, float(horizon)]), states=np.stack([lam, lam]))
-
-
 def with_steps(ctx, steps):
     """The context ctx on a spec of ``steps`` time steps, over the same basis tables; a
     solve takes the step count of its context's spec."""
     spec = replace(ctx.basis.spec, steps=steps)
     return replace(ctx, basis=replace(ctx.basis, spec=spec))
+
+
+def stored_trajectory(ctx, states):
+    """The ``Trajectory`` of the given states on ``with_steps(ctx, len(states) - 1)``,
+    with their norms as l2 and h1: a solve of ctx as a reader sees it, without the
+    stepping.  With an alpha=1 ctx it is a frozen state for an alpha=0 context, e.g.
+    the one that stays at lam for ``[lam, lam]``."""
+    states = np.asarray(states, dtype=np.complex128)
+    l2, h1 = norms(ctx.basis, states)
+    return Trajectory(states=states, l2=l2, h1=h1, ctx=with_steps(ctx, len(states) - 1))
 
 
 def bound_constants_per_snapshot(ctx):

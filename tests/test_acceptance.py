@@ -275,8 +275,8 @@ def test_criterion_08_adjoint_gradient_finite_differences():
                 up, dn = u.samples.copy(), u.samples.copy()
                 up[idx] += eps
                 dn[idx] -= eps
-                jp = evaluate_objective(spec_obj, ctx, ControlSignal(up, 1.0), psi0)
-                jm = evaluate_objective(spec_obj, ctx, ControlSignal(dn, 1.0), psi0)
+                jp = evaluate_objective(spec_obj, ctx, ControlSignal(up, 1.0), psi0)[1]
+                jm = evaluate_objective(spec_obj, ctx, ControlSignal(dn, 1.0), psi0)[1]
                 fd = (jp - jm) / (2 * eps)
                 best = min(best, abs(fd - raw[idx]) / max(abs(fd), 1e-14))
             worst = max(worst, best)

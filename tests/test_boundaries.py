@@ -1,8 +1,9 @@
 """Structural lints of the tdks sources.
 
 Each tdks module uses another only through its public names: no module imports an
-underscore name from another, apart from the few shared helpers listed here.  And a
-stored solve carries its context: no function takes a context next to a trajectory."""
+underscore name from another, apart from the few shared helpers listed here.  A
+stored solve carries its context: no function takes a context next to a trajectory.
+And a trajectory's times come from that context, so only the solve builds one."""
 
 import ast
 from pathlib import Path
@@ -104,3 +105,52 @@ def test_the_lint_sees_every_function_that_pairs_a_context_with_a_trajectory(tmp
     assert context_with_trajectory(source) == [
         "reader", "gronwall", "gradient", "export", "later", "<lambda>"
     ]
+
+
+# the solve that steps on a context's time grid is the one builder of its trajectory
+BUILDERS = {"propagate": ["_solve"]}
+
+
+def trajectory_builders(path):
+    """The scope of every ``Trajectory(...)`` call in the source file at path, in
+    source order: the dotted names of its enclosing classes and functions, or
+    ``<module>`` at the top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Trajectory":
+                    found.append((child.lineno, scope or "<module>"))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return [scope for _, scope in sorted(found)]
+
+
+def test_only_the_solve_builds_a_trajectory():
+    builders = {p.stem: trajectory_builders(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: scopes for name, scopes in builders.items() if scopes} == BUILDERS
+
+
+def test_the_lint_sees_every_place_that_builds_a_trajectory(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import tdks\n"
+        "from .propagate import Trajectory\n"
+        "def _solve(ctx, states):\n"
+        "    return [Trajectory(states=s, ctx=ctx) for s in states]\n"
+        "class Reader:\n"
+        "    def rebuild(self, traj):\n"
+        "        return tdks.Trajectory(states=traj.states, ctx=traj.ctx)\n"
+        "def outer():\n"
+        "    async def inner(): return propagate.Trajectory()\n"
+        "copy = Trajectory(states=None)\n"
+        "def unrelated(traj): return Trajectories(), trajectory(), traj.Trajectory\n"
+    )
+    assert trajectory_builders(source) == ["_solve", "Reader.rebuild", "outer.inner", "<module>"]

@@ -13,6 +13,7 @@ from tdks import (
     optimize,
     random_coefficients,
     reduced_gradient,
+    solve_adjoint,
     solve_forward,
     zero_control,
 )
@@ -59,7 +60,7 @@ def control_setup():
 def test_objective_zero_control_no_tracking(control_setup):
     ctx, psi0 = control_setup
     spec = ObjectiveSpec(nu=1.0)
-    val = evaluate_objective(spec, ctx, zero_control(1.0, 100), psi0)
+    val = evaluate_objective(spec, ctx, zero_control(1.0, 100), psi0)[1]
     assert val == 0.0
 
 
@@ -74,7 +75,7 @@ def test_objective_self_target_leaves_regularisation(control_setup):
         target_state=traj.states[-1],
         target_trajectory=traj.state_at,
     )
-    val = evaluate_objective(spec, ctx, u, psi0)
+    val = evaluate_objective(spec, ctx, u, psi0)[1]
     assert abs(val - 0.7 * u.h1_norm_sq) < 1e-12
 
 
@@ -85,7 +86,7 @@ def test_objective_analytic_ramp():
     ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     u = ControlSignal(samples=np.linspace(0.0, 1.0, 1001), horizon=1.0)
     spec = ObjectiveSpec(nu=1.0)
-    val = evaluate_objective(spec, ctx, u, unit_state(basis, 0))
+    val = evaluate_objective(spec, ctx, u, unit_state(basis, 0))[1]
     assert abs(val - 4.0 / 3.0) < 1e-6
 
 
@@ -145,8 +146,8 @@ def test_gradient_matches_finite_differences(control_setup):
         up, dn = u.samples.copy(), u.samples.copy()
         up[idx] += eps
         dn[idx] -= eps
-        jp = evaluate_objective(spec, ctx, ControlSignal(up, 1.0), psi0)
-        jm = evaluate_objective(spec, ctx, ControlSignal(dn, 1.0), psi0)
+        jp = evaluate_objective(spec, ctx, ControlSignal(up, 1.0), psi0)[1]
+        jm = evaluate_objective(spec, ctx, ControlSignal(dn, 1.0), psi0)[1]
         fd = (jp - jm) / (2 * eps)
         assert abs(fd - raw[idx]) / max(abs(fd), 1e-12) < 1e-6
 
@@ -391,3 +392,14 @@ def test_misuse_of_the_gradient_and_the_descent_raises_a_control_error(control_s
         reduced_gradient(spec, traj)
     with pytest.raises(ControlError, match="need at least one descent iteration"):
         optimize(spec, ctx, u, psi0, iters=0)
+
+
+def test_the_gradient_refuses_an_adjoint_solve(control_setup):
+    # an alpha=0 trajectory used to end in step_vjp's error, which names neither the
+    # gradient nor the trajectory
+    ctx, psi0 = control_setup
+    spec = ObjectiveSpec(j2="terminal", target_state=psi0)
+    adj = solve_adjoint(replace(ctx, alpha=0, forward=solve_forward(ctx, psi0)), psi0)
+    for gradient in (reduced_gradient, backward_sweep):
+        with pytest.raises(ControlError, match=r"gradient needs a forward \(alpha=1\) solve"):
+            gradient(spec, adj)

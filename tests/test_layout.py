@@ -27,7 +27,7 @@ from tdks.cli import ConfigError, parse_config, run
 from tdks.control import ControlError
 from tdks.system import SystemError
 
-from conftest import at_every_time, frozen_trajectory, make_setup, unit_state
+from conftest import at_every_time, make_setup, stored_trajectory, unit_state
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,11 @@ def contexts():
     fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     lam = unit_state(basis, 0)
     adj = SystemContext(
-        basis=basis, potentials=pot, alpha=0, forward=frozen_trajectory(lam, 1.0), kernel=kernel
+        basis=basis,
+        potentials=pot,
+        alpha=0,
+        forward=stored_trajectory(fwd, [lam, lam]),
+        kernel=kernel,
     )
     return basis, fwd, adj
 

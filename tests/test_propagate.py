@@ -31,10 +31,11 @@ from tdks import (
     vxc_rho_derivative,
     zero_control,
 )
-from tdks.propagate import step_vjp, write_csv
+from tdks.propagate import Trajectory, step_vjp, write_csv
 from tdks.signals import SignalError
 from tdks.system import (
     FrozenFields,
+    SystemError,
     frozen_fields,
     interpolate_states,
     snapshot_blocks,
@@ -46,10 +47,10 @@ from conftest import (
     adjoint_solve_per_sweep,
     at_every_time,
     control_value_at,
-    frozen_trajectory,
     galerkin_matrix,
     interpolate_state_at,
     make_setup,
+    stored_trajectory,
     unit_state,
     with_steps,
 )
@@ -173,7 +174,8 @@ def test_adjoint_frozen_state_matches_real_linear_exponential():
     )
     rng = np.random.default_rng(5)
     lam = random_coefficients(basis, 2, rng, 1.0)
-    frozen = frozen_trajectory(lam, basis.spec.horizon)
+    fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    frozen = stored_trajectory(fwd, [lam, lam])
     actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=frozen, kernel=kernel)
 
     dim = basis.size * 2
@@ -208,7 +210,7 @@ def test_adjoint_trivial_cases():
 
     # frozen zero forward: the coupling terms vanish and the flow is the
     # linear external one, here compared against its exponential oracle
-    frozen_zero = frozen_trajectory(np.zeros((basis.size, 1)), basis.spec.horizon)
+    frozen_zero = stored_trajectory(ctx, np.zeros((2, basis.size, 1)))
     zero_fwd = SystemContext(
         basis=basis, potentials=pot, alpha=0, forward=frozen_zero, kernel=kernel
     )
@@ -351,14 +353,14 @@ def test_stored_trajectory_diagnostics_run_in_bounded_memory():
     def snapshots():
         return np.stack([random_coefficients(basis, 2, rng, 1.0) for _ in range(2001)])
 
-    times = np.linspace(0.0, 1.0, 2001)
-    forward = SimpleNamespace(times=times, states=snapshots())
+    fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    forward = stored_trajectory(fwd, snapshots())
     actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=forward, kernel=kernel)
-    states = snapshots()
+    stored = stored_trajectory(actx, snapshots())
     kernel.row_sum_max  # cached on first use; not part of the pass
     tracemalloc.start()
     try:
-        form_values(SimpleNamespace(times=times, states=states, ctx=actx))
+        form_values(stored)
         bound_constants(actx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -547,7 +549,8 @@ def test_long_adjoint_solve_holds_one_block_of_step_fields():
     )
     rng = np.random.default_rng(5)
     states = np.stack([random_coefficients(basis, 2, rng, 1.0) for _ in range(101)])
-    forward = SimpleNamespace(times=np.linspace(0.0, 1.0, 101), states=states)
+    fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    forward = stored_trajectory(fwd, states)
     actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=forward, kernel=kernel)
     terminal = random_coefficients(basis, 2, rng, 1.0)
     kernel.row_sum_max  # cached on first use; not part of the solve
@@ -868,7 +871,7 @@ def test_step_vjp_transposes_the_source_free_forward_step_only():
     ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     d = unit_state(basis, 0)
     sourced = replace(ctx, source=at_every_time(d))
-    adjoint = replace(ctx, alpha=0, forward=frozen_trajectory(d, 1.0))
+    adjoint = replace(ctx, alpha=0, forward=stored_trajectory(ctx, [d, d]))
     for c in (sourced, adjoint):
         (fields,) = stage_schedule(c, [0.125])
         with pytest.raises(PropagationError, match="source-free alpha=1 step only"):
@@ -884,18 +887,49 @@ def test_solves_reject_the_other_problem_and_a_short_forward_trajectory():
         solve_forward(adj, psi0)
     with pytest.raises(PropagationError, match="solve_adjoint needs an alpha=0 context"):
         solve_adjoint(fwd, psi0)
-    short = replace(adj, forward=frozen_trajectory(psi0, 0.5))
+    half = replace(fwd, basis=replace(basis, spec=replace(basis.spec, horizon=0.5)))
+    short = replace(adj, forward=stored_trajectory(half, [psi0, psi0]))
     with pytest.raises(PropagationError, match=r"forward trajectory does not cover \[0, T\]"):
         solve_adjoint(short, psi0)
-    # one stored time, a grid that starts late, and times that do not increase
-    for times, why in (
-        ([1.0], "needs at least two stored times"),
-        ([0.5, 1.0], r"does not cover \[0, T\]"),
-        ([1.0, 0.0, 1.0], "times must increase strictly"),
-    ):
+    # one stored time, a grid that starts late, and times that do not increase: no
+    # trajectory has such times, so the adjoint context refuses them as its forward
+    for times in ([1.0], [0.5, 1.0], [1.0, 0.0, 1.0]):
         stored = SimpleNamespace(times=np.array(times), states=np.stack([psi0] * len(times)))
-        with pytest.raises(PropagationError, match=f"forward trajectory {why}"):
-            solve_adjoint(replace(adj, forward=stored), psi0)
+        with pytest.raises(SystemError, match="needs the stored forward trajectory"):
+            replace(adj, forward=stored)
+
+
+def test_a_stored_forward_off_the_adjoint_grid_is_refused():
+    # a 20-step adjoint over forward times [0, 0.37, 1] passed the refinement check
+    # (20 % 2 == 0), though 0.37 is on no refined grid: only a solve is a frozen state
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=20)
+    psi0 = unit_state(basis, 0)
+    stored = SimpleNamespace(times=np.array([0.0, 0.37, 1.0]), states=np.stack([psi0] * 3))
+    with pytest.raises(SystemError, match="needs the stored forward trajectory"):
+        SystemContext(basis=basis, potentials=pot, alpha=0, forward=stored, kernel=kernel)
+
+
+def test_an_adjoint_solve_is_not_a_frozen_state():
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=4)
+    fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    psi0 = unit_state(basis, 0)
+    adj = replace(fwd, alpha=0, forward=solve_forward(fwd, psi0))
+    with pytest.raises(SystemError, match="needs the stored forward trajectory"):
+        replace(adj, forward=solve_adjoint(adj, psi0))
+
+
+def test_a_trajectory_takes_its_times_from_its_context():
+    basis, pot, kernel = make_setup(grid=(16,), modes=(4,), horizon=0.3, steps=7)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    traj = solve_forward(ctx, unit_state(basis, 0))
+    assert np.array_equal(traj.times, np.linspace(0.0, 0.3, 8))
+    with pytest.raises(PropagationError, match="^3 states on a grid of 7 steps$"):
+        Trajectory(states=traj.states[:3], l2=traj.l2[:3], h1=traj.h1[:3], ctx=ctx)
+    # readers take T and dt = T / steps from the spec: the grid's own ends and spacing
+    for horizon in (0.3, 1.0, 2.5, 7.0):
+        for steps in range(1, 400):
+            t = np.linspace(0.0, horizon, steps + 1)
+            assert t[-1] == horizon and t[1] - t[0] == horizon / steps
 
 
 def test_a_non_finite_state_ends_the_solve_at_its_last_good_time(monkeypatch):

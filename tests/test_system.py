@@ -1,6 +1,5 @@
 import itertools
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,8 +32,8 @@ from tdks.system import (
 from conftest import (
     bound_constants_per_snapshot,
     dense_basis_values,
-    frozen_trajectory,
     make_setup,
+    stored_trajectory,
     unit_state,
 )
 
@@ -136,7 +135,10 @@ def test_adjoint_coupling_trivial_cases(adjoint_pair):
     assert abs(d_h) < 1e-12 and abs(d_xc) < 1e-12
 
     basis, pot, kernel = make_setup(grid=(32,), modes=(8,), particles=2)
-    zero_fwd = frozen_trajectory(np.zeros((8, 2)), basis.spec.horizon)
+    zero_lam = np.zeros((8, 2))
+    zero_fwd = stored_trajectory(
+        SystemContext(basis=basis, potentials=pot, kernel=kernel), [zero_lam, zero_lam]
+    )
     zero_ctx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=zero_fwd, kernel=kernel)
     rng = np.random.default_rng(5)
     a = random_coefficients(basis, 2, rng, 1.0)
@@ -327,7 +329,9 @@ def test_adjoint_context_rejects_a_callable_forward():
         basis=basis,
         potentials=pot,
         alpha=0,
-        forward=frozen_trajectory(unit_state(basis, 0), 1.0),
+        forward=stored_trajectory(
+            SystemContext(basis=basis, potentials=pot, kernel=kernel), [unit_state(basis, 0)] * 2
+        ),
         kernel=kernel,
     )
     assert np.abs(ctx.lambda_at(0.3) - unit_state(basis, 0)).max() < 1e-15
@@ -388,10 +392,11 @@ def stacked_context(monkeypatch, case, alpha, xc, branch, snapshots):
     assert (kernel.matrix is None) == (branch == "fft")
     u = ControlSignal(samples=0.5 * np.sin(np.linspace(0.0, 3.0, 11)), horizon=1.0)
     rng = np.random.default_rng(len(grid) + 10 * alpha)
+    fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel, control=u)
     if alpha == 1:
-        return SystemContext(basis=basis, potentials=pot, kernel=kernel, control=u), rng
+        return fwd, rng
     states = np.stack([random_coefficients(basis, 2, rng, 1.0) for _ in range(snapshots)])
-    fw = SimpleNamespace(times=np.linspace(0.0, 1.0, snapshots), states=states)
+    fw = stored_trajectory(fwd, states)
     return SystemContext(
         basis=basis, potentials=pot, alpha=0, forward=fw, kernel=kernel, control=u
     ), rng
