@@ -461,7 +461,7 @@ def _run_simulate(config, out, quiet, mode):
     traj = solve_forward(fwd_ctx, psi0)
     if mode == "adjoint":
         terminal, source = adjoint_sources(objective, traj)
-        adj_ctx = replace(fwd_ctx, alpha=0, forward=traj, source=source)
+        adj_ctx = replace(traj.ctx, alpha=0, forward=traj, source=source)
         main = solve_adjoint(adj_ctx, terminal)
         traj.export_csv(out / "forward_trajectory.csv")
         traj.export_diagnostics_csv(out / "forward_diagnostics.csv")
@@ -531,7 +531,7 @@ def run_verification_suite(config):
         target_trajectory=lambda times: np.zeros((len(times),) + psi0.shape, psi0.dtype),
     )
     terminal, source = adjoint_sources(objective, traj)
-    adj_ctx = replace(fwd_ctx, alpha=0, forward=traj, source=source)
+    adj_ctx = replace(traj.ctx, alpha=0, forward=traj, source=source)
     adj = solve_adjoint(adj_ctx, terminal)
     reports.extend(check_energy_estimates(adj, seed=seed))
     reports.extend(check_form_bounds(adj_ctx, t=0.5 * basis.spec.horizon, count=100, seed=seed))

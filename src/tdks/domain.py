@@ -82,8 +82,9 @@ class DomainSpec:
             raise DomainError("grid cells per axis must be even")
         # the largest eigenvalue a basis on the grid resolves, sum_i ((grid_i/2)*pi/L_i)^2;
         # Python floats, whose x * x overflows to inf where x ** 2 would raise
-        top = [m // 2 * math.pi / l for l, m in zip(self.lengths, self.grid)]
-        if not math.isfinite(sum(k * k for k in top)):
+        k_top = [m // 2 * math.pi / l for l, m in zip(self.lengths, self.grid)]
+        lam_top = sum(k * k for k in k_top)
+        if not math.isfinite(lam_top):
             raise DomainError("edge lengths too short for the grid: its eigenvalues overflow")
         if not is_count(self.particles):
             raise DomainError(
@@ -93,6 +94,9 @@ class DomainSpec:
             raise DomainError("time horizon must be positive")
         if not is_count(self.steps):
             raise DomainError(f"the step count must be a positive integer, got {self.steps!r}")
+        # the kinetic phase of a step is exp(-i lambda_k dt), and dt = horizon / steps
+        if not math.isfinite(lam_top * (self.horizon / self.steps)):
+            raise DomainError("time step too long for the grid: its kinetic phase overflows")
 
     @property
     def spacings(self):

@@ -46,6 +46,7 @@ B(psi, psi; u(t)) of the stored states are left to the readers that want them,
 through ``form_values``, which evaluates them over blocks of snapshots.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,14 +54,7 @@ import numpy as np
 from . import _kernels
 from .domain import TdksError, _as_state, check_layout, norms, project, synthesize
 from .potentials import density_from_grid, hartree, vxc_rho_derivative
-from .system import (
-    _bounded_apply,
-    bilinear_B,
-    bound_constants,
-    interpolate_states,
-    snapshot_blocks,
-    stage_schedule,
-)
+from .system import _bounded_apply, bilinear_B, bound_constants, snapshot_blocks, stage_schedule
 
 BLOWUP_FACTOR = 1.0e6
 MAX_EXP_ARG = 690.0  # keep assembled envelope constants inside float64
@@ -100,7 +94,12 @@ class Trajectory:
             raise PropagationError(f"{len(self.states)} states on a grid of {spec.steps} steps")
 
     def state_at(self, t):
-        return interpolate_states(self.times, self.states, t)
+        """Linear interpolant at t (clamped to [0, T]) of the stored states; t may be (B,)."""
+        times = self.times
+        t = np.minimum(np.maximum(t, times[0]), times[-1])
+        i = np.searchsorted(times[1:-1], t, side="right")  # t in [times[i], times[i + 1]]
+        w = ((t - times[i]) / (times[i + 1] - times[i]))[..., None, None]
+        return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
     def export_csv(self, path):
         """Dump t followed by re/im of every coefficient, mode-major then particle."""
@@ -186,16 +185,24 @@ def _potential_stage_adjoint(ctx, t_mid, dt, d, fields):
             h = h + f
         return -1j * h
 
-    scale = max(1.0, float(np.linalg.norm(d)))
-    y = d + dt * g(d)
-    for _ in range(FIXED_POINT_MAX_ITER):
-        y_new = d + dt * g(0.5 * (d + y))
-        if np.linalg.norm(y_new - y) <= FIXED_POINT_TOL * scale:
-            return y_new
-        y = y_new
+    # an iterate or a change that is not finite ends the stage at once, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(1.0, float(np.linalg.norm(d)))
+        y = d + dt * g(d)
+        change = 0.0 if np.isfinite(y).all() else math.inf  # the predictor's
+        for _ in range(FIXED_POINT_MAX_ITER):
+            if not math.isfinite(change):
+                break
+            y_new = d + dt * g(0.5 * (d + y))
+            change = np.linalg.norm(y_new - y)
+            if change <= FIXED_POINT_TOL * scale:
+                return y_new
+            y = y_new
+    why = "diverged"
+    if math.isfinite(change):
+        why = f"did not converge within {FIXED_POINT_MAX_ITER} sweeps"
     raise PropagationError(
-        f"fixed-point iteration did not converge within {FIXED_POINT_MAX_ITER} sweeps"
-        f" at t={t_mid}; a smaller time step (more steps) is the remedy"
+        f"fixed-point iteration {why} at t={t_mid}; a smaller time step (more steps) is the remedy"
     )
 
 
@@ -375,22 +382,12 @@ def solve_adjoint(ctx, terminal):
     """Integrate the alpha=0 problem backward from the terminal state.
 
     Implemented as a negative-step solve in physical time; the returned
-    trajectory is indexed forward (times increasing from 0 to T).  The frozen
-    forward solve must span the same [0, T] on a grid that the context's refines
-    by an integer, so the frozen-state interpolation error stays controlled.
-    The terminal state is one (modes, particles) state, not a stack: the
-    fixed-point sweeps of a step stop per state.
+    trajectory is indexed forward (times increasing from 0 to T).  The terminal
+    state is one (modes, particles) state, not a stack: the fixed-point sweeps
+    of a step stop per state.
     """
     if ctx.alpha != 0:
         raise PropagationError("solve_adjoint needs an alpha=0 context")
-    spec, fwd_spec = ctx.basis.spec, ctx.forward.ctx.basis.spec
-    if abs(fwd_spec.horizon - spec.horizon) > 1e-12 * max(1.0, spec.horizon):
-        raise PropagationError("forward trajectory does not cover [0, T]")
-    if spec.steps % fwd_spec.steps != 0:
-        raise PropagationError(
-            f"adjoint grid ({spec.steps} steps) must be an integer refinement of the "
-            f"forward grid ({fwd_spec.steps} steps)"
-        )
     d = _as_state(ctx.basis, terminal, PropagationError)
     return _solve(ctx, d[None])[0]
 

@@ -17,7 +17,7 @@ second.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,21 +48,14 @@ def snapshot_blocks(basis, count):
     return [slice(i, min(i + size, count)) for i in range(0, count, size)]
 
 
-def interpolate_states(times, states, t):
-    """Linear interpolant at t (clamped to the grid) of states stored at times; t may be (B,)."""
-    t = np.minimum(np.maximum(t, times[0]), times[-1])
-    i = np.searchsorted(times[1:-1], t, side="right")  # t in [times[i], times[i + 1]]
-    w = ((t - times[i]) / (times[i + 1] - times[i]))[..., None, None]
-    return (1.0 - w) * states[i] + w * states[i + 1]
-
-
 @dataclass(eq=False)
 class SystemContext:
     """Immutable bundle of everything the ODE right-hand side needs.
 
     ``control`` defaults to the zero signal.  ``forward`` is required when
-    alpha=0: the stored forward trajectory, the ``Trajectory`` of an alpha=1
-    solve; the frozen state is its piecewise-linear interpolant on its time grid.
+    alpha=0: the ``Trajectory`` of an alpha=1 solve, whose piecewise-linear
+    interpolant is the frozen state and whose context this one is, up to alpha,
+    source and a refinement of its steps (``control`` defaults to the forward's).
     ``source`` is an optional callable (B,) times -> the inhomogeneity
     at each as (B, modes, particles) coefficients, i.e. its projection onto the
     basis; any other shape, or a value that is not finite, raises ``SystemError``
@@ -82,8 +75,26 @@ class SystemContext:
     def __post_init__(self):
         if self.alpha not in (0, 1):
             raise SystemError("alpha selects the problem instance and must be 0 or 1")
-        if self.alpha == 0 and getattr(getattr(self.forward, "ctx", None), "alpha", 0) != 1:
-            raise SystemError("the adjoint problem (alpha=0) needs the stored forward trajectory")
+        if self.alpha == 0:
+            fwd = getattr(self.forward, "ctx", None)
+            if getattr(fwd, "alpha", 0) != 1:
+                raise SystemError("the adjoint problem (alpha=0) needs the stored forward trajectory")
+            self.control = fwd.control if self.control is None else self.control
+            spec, fwd_spec = self.basis.spec, fwd.basis.spec
+            if spec.horizon != fwd_spec.horizon:
+                raise SystemError("forward trajectory does not cover [0, T]")
+            if spec.steps % fwd_spec.steps != 0:
+                raise SystemError(
+                    f"adjoint grid ({spec.steps} steps) must be an integer refinement of the "
+                    f"forward grid ({fwd_spec.steps} steps)"
+                )
+            if replace(fwd_spec, steps=spec.steps) != spec or not np.array_equal(
+                self.basis.mode_indices, fwd.basis.mode_indices
+            ):
+                raise SystemError("the adjoint does not share its forward solve's basis")
+            for name in ("potentials", "kernel", "control"):
+                if getattr(self, name) is not getattr(fwd, name):
+                    raise SystemError(f"the adjoint does not share its forward solve's {name}")
         if self.control is None:
             self.control = zero_control(self.basis.spec.horizon, self.basis.spec.steps)
         q = self.basis.node_count
@@ -100,7 +111,7 @@ class SystemContext:
     # -- frozen forward state ------------------------------------------------
 
     def lambda_at(self, t):
-        return interpolate_states(self.forward.times, self.forward.states, t)
+        return self.forward.state_at(t)
 
     def external_at(self, t):
         return self._v0 + np.multiply.outer(self.control.value(t), self._vu)

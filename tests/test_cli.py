@@ -511,10 +511,12 @@ def _nested_900_deep():
             {"initial_state": {"kind": "lowest_modes", "x\ny": 1}},
             "error: initial_state.'x\\ny': unknown key for preset",
         ),
+        # dt = 1e308 / 4 times the largest eigenvalue overflows the kinetic phase
+        ({"domain": {"horizon": 1e308, "steps": 4}}, "error: domain: time step too long"),
     ],
     ids=[
         "long-seed", "deep-seed", "long-kind", "tiny-length", "huge-amplitude",
-        "long-key", "newline-key", "long-preset-key", "newline-preset-key",
+        "long-key", "newline-key", "long-preset-key", "newline-preset-key", "huge-horizon",
     ],
 )
 def test_huge_or_overflowing_value_is_one_short_error_line(tmp_path, capsys, config, start):
@@ -529,6 +531,30 @@ def test_huge_or_overflowing_value_is_one_short_error_line(tmp_path, capsys, con
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(start)
     assert len(err[0].encode()) <= 200
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("horizon", [1e6, 1e12])
+def test_a_diverging_adjoint_stage_is_one_short_error_line(tmp_path, capsys, horizon):
+    # the fixed-point iterates of a step of dt = horizon / 4 overflow: at 1e6 their change,
+    # at 1e12 an iterate; both warned, and 1e12 ended in a DomainError naming no stage
+    config = {
+        "domain": {"steps": 4, "horizon": horizon},
+        "objective": {"j2": "terminal", "target_state": {"kind": "lowest_modes"}},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning is a second line
+        status = main(["adjoint", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"error: fixed-point iteration diverged at t={0.875 * horizon}; "
+        "a smaller time step (more steps) is the remedy"
+    ]
     assert list(out.iterdir()) == []
 
 

@@ -294,6 +294,15 @@ def test_domain_spec_validation(kwargs):
         DomainSpec(**defaults)
 
 
+def test_a_time_step_whose_kinetic_phase_overflows_is_refused():
+    # the largest eigenvalue (4 pi)^2 of the 8-cell grid times dt = 1e308 / 4 is not finite
+    with pytest.raises(DomainError, match="^time step too long for the grid: its kinetic phase"):
+        DomainSpec(dimension=1, lengths=(1.0,), grid=(8,), horizon=1e308, steps=4)
+    # a finite product is accepted, and more steps bring 1e308 back within range
+    DomainSpec(dimension=1, lengths=(1.0,), grid=(8,), horizon=1e305, steps=1)
+    DomainSpec(dimension=1, lengths=(1.0,), grid=(8,), horizon=1e308, steps=10**4)
+
+
 def test_coefficient_shape_mismatch_rejected():
     basis = basis_1d()
     with pytest.raises(DomainError):

@@ -16,6 +16,8 @@ from tdks import (
     bilinear_B,
     adjoint_sources,
     bound_constants,
+    build_basis,
+    build_coulomb_kernel,
     form_values,
     hartree,
     ks_potential,
@@ -37,7 +39,6 @@ from tdks.system import (
     FrozenFields,
     SystemError,
     frozen_fields,
-    interpolate_states,
     snapshot_blocks,
     stage_fields,
     stage_schedule,
@@ -226,8 +227,8 @@ def test_adjoint_requires_refined_grid():
     ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     traj = solve_forward(ctx, unit_state(basis, 0))
     actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
-    with pytest.raises(PropagationError):
-        solve_adjoint(with_steps(actx, 150), unit_state(basis, 0))
+    with pytest.raises(SystemError, match="must be an integer refinement"):
+        with_steps(actx, 150)
     solve_adjoint(with_steps(actx, 200), unit_state(basis, 0))
 
 
@@ -464,7 +465,6 @@ def test_time_arrays_give_the_single_time_values_item_by_item():
         "value": u.value,
         "external_at": actx.external_at,
         "lambda_at": actx.lambda_at,
-        "interpolate_states": lambda t: interpolate_states(traj.times, traj.states, t),
         "state_at": traj.state_at,
     }
     for name, form in forms.items():
@@ -755,6 +755,24 @@ def test_fixed_point_divergence_reported():
         solve_adjoint(actx, unit_state(basis, 0))
 
 
+def test_a_non_finite_predictor_ends_the_adjoint_stage_before_any_sweep(monkeypatch):
+    # the predictor d + dt g(d) overflows: it was swept on, warned and ended in a DomainError
+    basis, pot, kernel = make_setup(
+        grid=(16,), modes=(4,), steps=4, confinement={"kind": "harmonic", "amplitude": 1e160}
+    )
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
+    adjoint = replace(ctx, alpha=0, forward=solve_forward(ctx, unit_state(basis, 0)))
+    applies = []
+    apply = propagate._bounded_apply
+    monkeypatch.setattr(propagate, "_bounded_apply", lambda *a: applies.append(1) or apply(*a))
+    with pytest.raises(PropagationError) as exc:
+        solve_adjoint(adjoint, unit_state(basis, 1, amplitude=1e150))
+    assert str(exc.value) == (
+        "fixed-point iteration diverged at t=0.875; a smaller time step (more steps) is the remedy"
+    )
+    assert len(applies) == 1
+
+
 def test_trajectory_export(tmp_path):
     basis, pot, kernel = make_setup(grid=(16,), modes=(4,), steps=5)
     ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
@@ -888,9 +906,8 @@ def test_solves_reject_the_other_problem_and_a_short_forward_trajectory():
     with pytest.raises(PropagationError, match="solve_adjoint needs an alpha=0 context"):
         solve_adjoint(fwd, psi0)
     half = replace(fwd, basis=replace(basis, spec=replace(basis.spec, horizon=0.5)))
-    short = replace(adj, forward=stored_trajectory(half, [psi0, psi0]))
-    with pytest.raises(PropagationError, match=r"forward trajectory does not cover \[0, T\]"):
-        solve_adjoint(short, psi0)
+    with pytest.raises(SystemError, match=r"forward trajectory does not cover \[0, T\]"):
+        replace(adj, forward=stored_trajectory(half, [psi0, psi0]))
     # one stored time, a grid that starts late, and times that do not increase: no
     # trajectory has such times, so the adjoint context refuses them as its forward
     for times in ([1.0], [0.5, 1.0], [1.0, 0.0, 1.0]):
@@ -916,6 +933,50 @@ def test_an_adjoint_solve_is_not_a_frozen_state():
     adj = replace(fwd, alpha=0, forward=solve_forward(fwd, psi0))
     with pytest.raises(SystemError, match="needs the stored forward trajectory"):
         replace(adj, forward=solve_adjoint(adj, psi0))
+
+
+@pytest.fixture(scope="module")
+def ramp_forward():
+    """A 20-step forward solve under the ramp control u(t) = t through a dipole field."""
+    basis, pot, kernel = make_setup(
+        grid=(16,), modes=(4,), steps=20, control_shape={"kind": "dipole", "amplitude": 1.0}
+    )
+    u = ControlSignal(np.linspace(0, 1, 21), 1.0)
+    ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel, control=u)
+    return solve_forward(ctx, unit_state(basis, 0))
+
+
+def test_an_adjoint_context_without_a_control_takes_its_forward_solves(ramp_forward):
+    # such a context took the zero signal: the adjoint of a solve under u was solved at u = 0
+    fwd = ramp_forward.ctx
+    actx = SystemContext(
+        basis=fwd.basis, potentials=fwd.potentials, kernel=fwd.kernel, alpha=0, forward=ramp_forward
+    )
+    assert actx.control is fwd.control
+    terminal = unit_state(fwd.basis, 1)
+    want = solve_adjoint(replace(fwd, alpha=0, forward=ramp_forward), terminal)
+    assert np.array_equal(solve_adjoint(actx, terminal).states, want.states)
+
+
+@pytest.mark.parametrize(
+    "case", ["zero-control", "hartree-off", "other-kernel", "six-modes", "other-lengths"]
+)
+def test_an_adjoint_context_off_its_forward_solve_is_refused(ramp_forward, case):
+    # each solved, or failed only in the solve, with a context its forward was not solved in
+    fwd = ramp_forward.ctx
+    spec = fwd.basis.spec
+    name, parts = {
+        "zero-control": ("control", {"control": zero_control(1.0, 20)}),
+        "hartree-off": (
+            "potentials",
+            {"potentials": replace(fwd.potentials, include_hartree=False), "kernel": None},
+        ),
+        "other-kernel": ("kernel", {"kernel": build_coulomb_kernel(fwd.basis, 0.1)}),
+        "six-modes": ("basis", {"basis": build_basis(spec, (6,))}),
+        "other-lengths": ("basis", {"basis": build_basis(replace(spec, lengths=(2.0,)), (4,))}),
+    }[case]
+    with pytest.raises(SystemError, match=f"^the adjoint does not share its forward solve's {name}$"):
+        replace(fwd, alpha=0, forward=ramp_forward, **parts)
 
 
 def test_a_trajectory_takes_its_times_from_its_context():

@@ -340,9 +340,10 @@ def test_adjoint_context_rejects_a_callable_forward():
 def test_bound_constants_coercivity_and_boundedness(adjoint_pair):
     from tdks.domain import norms
 
-    _, actx, _ = adjoint_pair
+    ctx, actx, traj = adjoint_pair
     u = ControlSignal(samples=0.5 * np.ones(actx.basis.spec.steps + 1), horizon=1.0)
-    actx_u = replace(actx, control=u)
+    traj_u = solve_forward(replace(ctx, control=u), traj.states[0])
+    actx_u = replace(traj_u.ctx, alpha=0, forward=traj_u)
     ing = bound_constants(actx_u)
     rng = np.random.default_rng(10)
     t = 0.6
