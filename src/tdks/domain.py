@@ -275,10 +275,17 @@ def norms(basis, d):
     their norms, each item equal to its own single call.
     """
     d = _as_state(basis, d, stack=np.ndim(d) == 3)
+    l2, h1 = finite_norms(basis, d)
+    return (l2, h1) if d.ndim == 3 else (float(l2), float(h1))
+
+
+def finite_norms(basis, d):
+    """``norms`` of a state or stack already known to be finite complex coefficients in
+    its layout, without checking it again: (B,) arrays for a stack, 0-d ones for a state."""
     sq = (d.real**2 + d.imag**2).sum(axis=-1)
     l2 = np.sqrt(sq.sum(axis=-1))
     h1 = np.sqrt(((1.0 + basis.eigenvalues) * sq).sum(axis=-1))
-    return (l2, h1) if d.ndim == 3 else (float(l2), float(h1))
+    return l2, h1
 
 
 def grid_norm(basis, field):

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .domain import TdksError, _as_state, check_layout, norms, project, synthesize
+from .domain import TdksError, _as_state, check_layout, finite_norms, project, synthesize
 from .potentials import density_from_grid, hartree, vxc_rho_derivative
 from .system import _bounded_apply, bilinear_B, bound_constants, snapshot_blocks, stage_schedule
 
@@ -170,6 +170,14 @@ def _potential_stage_forward(ctx, dt, d, fields):
     return project(ctx.basis, psi)
 
 
+def _norm(x):
+    """float(np.linalg.norm(x)) of a complex array, without its dispatch: the same
+    expression, the flattened real and imaginary parts each dotted with itself."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _potential_stage_adjoint(ctx, t_mid, dt, d, fields):
     """Implicit midpoint for the bounded part: y = d + dt*g((d+y)/2).
 
@@ -187,14 +195,14 @@ def _potential_stage_adjoint(ctx, t_mid, dt, d, fields):
 
     # an iterate or a change that is not finite ends the stage at once, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = max(1.0, float(np.linalg.norm(d)))
+        scale = max(1.0, _norm(d))
         y = d + dt * g(d)
         change = 0.0 if np.isfinite(y).all() else math.inf  # the predictor's
         for _ in range(FIXED_POINT_MAX_ITER):
             if not math.isfinite(change):
                 break
             y_new = d + dt * g(0.5 * (d + y))
-            change = np.linalg.norm(y_new - y)
+            change = _norm(y_new - y)
             if change <= FIXED_POINT_TOL * scale:
                 return y_new
             y = y_new
@@ -336,7 +344,7 @@ def _solve(ctx, start):
     h = dt if forward else -dt
     d = start
     states[:, order[0]] = d
-    l2[:, order[0]], h1[:, order[0]] = norms(ctx.basis, d)
+    l2[:, order[0]], h1[:, order[0]] = finite_norms(ctx.basis, d)
     guard = np.maximum(l2[:, order[0]], 1.0) * BLOWUP_FACTOR
     # each step's midpoint written as step writes it: t + 0.5 * dt
     mids = times[order[:-1]] + 0.5 * h
@@ -344,7 +352,7 @@ def _solve(ctx, start):
         d = step(ctx, times[last], h, d, fields=fields)
         finite = np.isfinite(d).all(axis=(1, 2))
         ok = len(d) if finite.all() else int(finite.argmin())
-        l2[:ok, i], h1[:ok, i] = norms(ctx.basis, d[:ok])
+        l2[:ok, i], h1[:ok, i] = finite_norms(ctx.basis, d[:ok])
         grown = l2[:ok, i] > guard[:ok]
         if grown.any() or ok < len(d):
             b = int(grown.argmax()) if grown.any() else ok

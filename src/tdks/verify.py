@@ -101,15 +101,24 @@ def _ball_quadrature(n, p, radius, resolution, refine_origin=True):
     under reflection of each axis, so only the cells of the positive octant
     are evaluated and their sum counts 2^n times.
 
+    ``p`` is one power, which gives its total, or a sequence of powers, which
+    gives the list of their totals from one walk of the cells: the cells, masks
+    and subsamples do not depend on the power, only the values dist^-p do, so
+    each total is the one its power gives alone.
+
     The octant is walked one slab of the first axis at a time, so the peak
     memory is that of one slab's cells and sphere-cut subsamples, not of
     the whole grid.  Each slab's per-cell values are kept and every sum is
     taken once over them in row-major cell order: the numbers added, and
     their order, are those of the whole-grid rule, so the result is
-    bit-identical to it.  The subsample distances come from per-axis squares
+    bit-identical to it.  A slab's squared distances are its per-axis squares
+    added first axis first, ((x^2 + y^2) + z^2), the order in which the rows of
+    squared centers sum, and cell centers are formed only for the cells that
+    are subsampled.  The subsample distances come from per-axis squares
     (``_subsample_cells``): the same sums as squaring every subsample point,
     taken in the same order.
     """
+    powers = list(p) if np.ndim(p) else [p]
     res = int(resolution)
     if res % 2:
         res += 1
@@ -117,61 +126,85 @@ def _ball_quadrature(n, p, radius, resolution, refine_origin=True):
     axis = (np.arange(res // 2) + 0.5) * h
     mesh = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
     rest = np.stack([m.reshape(-1) for m in mesh], axis=1) if n > 1 else np.empty((1, 0))
+    rest_sq = [rest[:, k] ** 2 for k in range(n - 1)]
     half_diag = 0.5 * h * math.sqrt(n)
     cell = h**n
-    inside_vals, core_centers, boundary_vals = [], [], []
-    for x in axis:
-        centers = np.column_stack((np.full(len(rest), x), rest))
-        dist = np.sqrt((centers**2).sum(axis=1))
+    inside_vals, boundary_vals = [[] for _ in powers], [[] for _ in powers]
+    core_centers = []
+    for x, x_sq in zip(axis, axis**2):
+        dist_sq = np.full(len(rest), x_sq)
+        for col in rest_sq:
+            dist_sq += col
+        dist = np.sqrt(dist_sq)
         core = (dist < 3.0 * h) if refine_origin else np.zeros(dist.shape, dtype=bool)
         inside = (dist <= radius - half_diag) & ~core
         boundary = (~inside) & ~core & (dist < radius + half_diag)
-        inside_vals.append(dist[inside] ** (-p))
-        core_centers.append(centers[core])
+        if np.any(core):
+            core_centers.append(np.insert(rest[core], 0, x, axis=1))
+        for vals, q in zip(inside_vals, powers):
+            vals.append(dist[inside] ** (-q))
         if np.any(boundary):
-            d = _subsample_cells(centers[boundary], h, n, 5)
+            d = _subsample_cells(np.insert(rest[boundary], 0, x, axis=1), h, n, 5)
             frac = (d <= radius).mean(axis=1)
-            boundary_vals.append(dist[boundary] ** (-p) * frac)
-    total = float(np.sum(np.concatenate(inside_vals))) * cell
+            for vals, q in zip(boundary_vals, powers):
+                vals.append(dist[boundary] ** (-q) * frac)
+    totals = [float(np.sum(np.concatenate(vals))) * cell for vals in inside_vals]
 
-    core_centers = np.concatenate(core_centers)
-    if len(core_centers):
-        d = _subsample_cells(core_centers, h, n, 11)
-        total += float(np.sum(d**(-p))) * cell / d.shape[1]
-    if boundary_vals:
-        total += float(np.sum(np.concatenate(boundary_vals))) * cell
-    return total * 2**n
+    if core_centers:
+        d = _subsample_cells(np.concatenate(core_centers), h, n, 11)
+        for i, q in enumerate(powers):
+            totals[i] += float(np.sum(d ** (-q))) * cell / d.shape[1]
+    for i, vals in enumerate(boundary_vals):
+        if vals:
+            totals[i] += float(np.sum(np.concatenate(vals))) * cell
+    totals = [total * 2**n for total in totals]
+    return totals if np.ndim(p) else totals[0]
+
+
+def _closed_form_report(n, p, radius, resolution, quad):
+    """The report of the quadrature ``quad`` of an integrable power p < n against
+    its closed form."""
+    closed = (
+        n
+        * math.pi ** (n / 2.0)
+        / math.gamma(n / 2.0 + 1.0)
+        * radius ** (n - p)
+        / (n - p)
+    )
+    rel = abs(quad / closed - 1.0)
+    return EstimateReport(
+        name=f"coulomb-lp-n{n}-p{p}",
+        reference="coulomb-kernel-integrability",
+        measured=rel,
+        bound=0.01,
+        tolerance=0.0,
+        formula="|quadrature/closed - 1| <= 0.01, closed = n*pi^(n/2)/Gamma(n/2+1) * R^(n-p)/(n-p)",
+        ingredients={
+            "quadrature": quad,
+            "closed_form": closed,
+            "resolution": resolution,
+        },
+        detail=f"ball radius {radius}, midpoint grid {resolution}^{n}",
+    )
 
 
 def check_coulomb_lp(n, p, radius=1.0, resolution=128):
     """Integrability of |x|^-p over a ball: closed form for n > p, divergence
-    under refinement for n <= p."""
+    under refinement for n <= p.
+
+    A sequence of integrable powers p (each below n) gives the list of their
+    reports, from one walk of the ball's cells; each equals its power's report
+    alone."""
     if radius <= 0:
         raise ValueError("ball radius must be positive")
+    if np.ndim(p):
+        if any(q >= n for q in p):
+            raise ValueError("only integrable powers (p < n) share a walk of the ball")
+        quads = _ball_quadrature(n, p, radius, resolution)
+        return [_closed_form_report(n, q, radius, resolution, quad) for q, quad in zip(p, quads)]
     if n > p:
         quad = _ball_quadrature(n, p, radius, resolution)
-        closed = (
-            n
-            * math.pi ** (n / 2.0)
-            / math.gamma(n / 2.0 + 1.0)
-            * radius ** (n - p)
-            / (n - p)
-        )
-        rel = abs(quad / closed - 1.0)
-        return EstimateReport(
-            name=f"coulomb-lp-n{n}-p{p}",
-            reference="coulomb-kernel-integrability",
-            measured=rel,
-            bound=0.01,
-            tolerance=0.0,
-            formula="|quadrature/closed - 1| <= 0.01, closed = n*pi^(n/2)/Gamma(n/2+1) * R^(n-p)/(n-p)",
-            ingredients={
-                "quadrature": quad,
-                "closed_form": closed,
-                "resolution": resolution,
-            },
-            detail=f"ball radius {radius}, midpoint grid {resolution}^{n}",
-        )
+        return _closed_form_report(n, p, radius, resolution, quad)
     values = []
     res = int(resolution)
     for _ in range(5):
@@ -406,9 +439,11 @@ def check_energy_estimates(traj, seed=0):
         dstate = rhs(ctx, traj.times[block], traj.states[block])
         terms = inv_w[:, None] * (dstate.real**2 + dstate.imag**2)
         dual_sq[block] = np.sum(terms.reshape(len(terms), -1), axis=-1)
-    for i in range(len(traj.times)):  # scalar powers, as in the hartree probe
-        chain = ing["c1"] * traj.h1[i] + k_prime * traj.l2[i] + np.sqrt(source_sq[i])
-        chain_sq[i] = chain**2
+    # scalar powers, as in the hartree probe; a chain past about 1e154 squares to inf
+    with np.errstate(over="ignore"):
+        for i in range(len(traj.times)):
+            chain = ing["c1"] * traj.h1[i] + k_prime * traj.l2[i] + np.sqrt(source_sq[i])
+            chain_sq[i] = chain**2
     reports.append(
         EstimateReport(
             name=f"dual-norm-monitor-alpha{alpha}",
@@ -504,22 +539,19 @@ def check_uniqueness_gronwall(base, eps_list, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_galerkin_convergence(builder, mode_lists):
+def check_galerkin_convergence(solve, mode_lists):
     """Y-norm increments between solves at nested mode counts must decrease
     strictly, with the final increment below 10 percent of the first.
 
-    ``builder(modes_per_axis)`` returns (ctx, psi0) on a common grid.
+    ``solve(modes_per_axis)`` returns the forward solve on the rung of those
+    modes; every rung is on a common grid.
     """
     if len(mode_lists) < 3:
         raise ValueError("need at least three nested mode counts")
-    solves = []
-    for modes in mode_lists:
-        ctx, psi0 = builder(tuple(modes))
-        traj = solve_forward(ctx, psi0)
-        solves.append((ctx.basis, traj))
+    solves = [solve(tuple(modes)) for modes in mode_lists]
     increments = []
-    for (b_lo, t_lo), (b_hi, t_hi) in zip(solves, solves[1:]):
-        padded = carry_modes(t_lo.states, b_lo, b_hi)
+    for t_lo, t_hi in zip(solves, solves[1:]):
+        padded = carry_modes(t_lo.states, t_lo.ctx.basis, t_hi.ctx.basis)
         diff_sq = np.sum(np.abs(t_hi.states - padded) ** 2, axis=(1, 2))
         increments.append(float(np.sqrt(np.trapezoid(diff_sq, t_hi.times))))
     if all(v < 1e-12 for v in increments):

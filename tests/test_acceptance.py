@@ -195,7 +195,7 @@ def test_criterion_05_uniqueness_gronwall():
 
 
 def test_criterion_06_galerkin_convergence():
-    def builder(modes):
+    def solve(modes):
         basis, pot, kernel = make_setup(
             lengths=(3.0,),
             grid=(32,),
@@ -204,9 +204,9 @@ def test_criterion_06_galerkin_convergence():
             confinement={"kind": "harmonic", "amplitude": 1.0},
         )
         ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
-        return ctx, unit_state(basis, 0)
+        return solve_forward(ctx, unit_state(basis, 0))
 
-    report = check_galerkin_convergence(builder, [[4], [8], [12]])
+    report = check_galerkin_convergence(solve, [[4], [8], [12]])
     inc = report.ingredients["increments"]
     ok = report.passed
     _verdict(

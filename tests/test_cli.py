@@ -558,6 +558,29 @@ def test_a_diverging_adjoint_stage_is_one_short_error_line(tmp_path, capsys, hor
     assert list(out.iterdir()) == []
 
 
+def test_a_verify_whose_dual_norm_chain_overflows_is_one_short_error_line(tmp_path, capsys):
+    # the energy checks of the forward solve square a dual-norm chain past 1e154, which
+    # warned of an overflow in a scalar power before the adjoint stage diverged
+    config = {
+        "domain": {"steps": 4, "horizon": 1e12},
+        "objective": {"j2": "terminal", "target_state": {"kind": "lowest_modes"}},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning is a second line
+        status = main(["verify", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: fixed-point iteration diverged at t=875000000000.0; "
+        "a smaller time step (more steps) is the remedy"
+    ]
+    assert list(out.iterdir()) == []
+
+
 def test_every_tdks_exception_class_is_a_tdks_error():
     classes = tdks_exception_classes()
     assert len(classes) >= 9
@@ -780,6 +803,42 @@ def test_converge_subcommand(tmp_path):
     assert reports[0]["name"] == "galerkin-convergence" and reports[0]["passed"]
 
 
+@pytest.mark.parametrize(
+    "config, solved",
+    [
+        ({}, [4, 12]),
+        ({"initial_state": {"kind": "bump"}}, [4, 8, 12]),
+        ({"basis": {"modes": [12]}}, [6, 11, 16]),
+    ],
+    ids=["default", "bump", "modes-12"],
+)
+def test_verify_reuses_its_base_solve_only_as_the_rung_it_equals(monkeypatch, config, solved):
+    # every rung starts from lowest_modes under zero control, as the base solve does with
+    # a lowest_modes start, so the default suite's rung [8] of [[4], [8], [12]] is its base
+    # solve; a bump start, or modes [12] off the ladder [[6], [11], [16]], solves every rung
+    config = parse_config(json.dumps(config))
+    sizes, reports = [], []
+    real_solve, real_check = cli.solve_forward, cli.check_galerkin_convergence
+
+    def spy_solve(ctx, psi0):
+        sizes.append(ctx.basis.size)
+        return real_solve(ctx, psi0)
+
+    def spy_check(solve, mode_lists):
+        sizes.clear()  # the base solve comes before the check
+        reports.append(real_check(solve, mode_lists))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "solve_forward", spy_solve)
+    monkeypatch.setattr(cli, "check_galerkin_convergence", spy_check)
+    cli.run_verification_suite(config)
+    assert sizes == solved
+    basis, potentials, kernel = cli._build_instruments(config)
+    every_rung = cli._galerkin_solver(basis, potentials, kernel, {"kind": "lowest_modes"})
+    fresh = real_check(every_rung, config["converge"]["mode_list"])
+    assert len(reports) == 1 and reports[0].to_dict() == fresh.to_dict()
+
+
 @pytest.mark.parametrize("kind", ["coefficients", "file"])
 def test_converge_carries_a_given_state_to_every_rung(tmp_path, monkeypatch, kind):
     # the state belongs to basis.modes, the middle rung of [[3], [6], [9]]: that rung
@@ -790,13 +849,13 @@ def test_converge_carries_a_given_state_to_every_rung(tmp_path, monkeypatch, kin
     np.save(preset["path"], state)
     if kind == "coefficients":
         preset = {"kind": kind, "values": np.stack([state.real, state.imag], -1).tolist()}
-    starts, solve = [], verify.solve_forward
+    starts, solve = [], cli.solve_forward
 
     def spy(ctx, psi0):
         starts.append(psi0)
         return solve(ctx, psi0)
 
-    monkeypatch.setattr(verify, "solve_forward", spy)
+    monkeypatch.setattr(cli, "solve_forward", spy)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "domain": {"lengths": [3.0], "grid": [32], "horizon": 0.5, "steps": 150},
@@ -818,13 +877,13 @@ def test_bump_state_has_unit_orbitals_on_every_rung(tmp_path, monkeypatch, dimen
     # converge builds the bump on each rung's basis: every particle's column there is
     # the projected sine-power bump of its power divided by its own L2 norm; left out,
     # the powers are 2, 3, ...
-    starts, solve = [], verify.solve_forward
+    starts, solve = [], cli.solve_forward
 
     def spy(ctx, psi0):
         starts.append((ctx.basis, psi0))
         return solve(ctx, psi0)
 
-    monkeypatch.setattr(verify, "solve_forward", spy)
+    monkeypatch.setattr(cli, "solve_forward", spy)
     preset = {"kind": "bump"} if powers is None else {"kind": "bump", "powers": powers}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

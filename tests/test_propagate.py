@@ -33,7 +33,7 @@ from tdks import (
     vxc_rho_derivative,
     zero_control,
 )
-from tdks.propagate import Trajectory, step_vjp, write_csv
+from tdks.propagate import Trajectory, _norm, step_vjp, write_csv
 from tdks.signals import SignalError
 from tdks.system import (
     FrozenFields,
@@ -753,6 +753,20 @@ def test_fixed_point_divergence_reported():
     actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     with pytest.raises(PropagationError, match="fixed-point.*more steps"):
         solve_adjoint(actx, unit_state(basis, 0))
+
+
+def test_the_adjoint_stage_norm_is_numpys_bit_for_bit():
+    # the fixed-point sweeps' scale and change skip np.linalg.norm's dispatch, not its sums
+    rng = np.random.default_rng(34)
+    cases = [np.zeros((1, 4, 1), np.complex128), np.zeros((3, 6, 2), np.complex128)]
+    for _ in range(1000):
+        shape = tuple(int(k) for k in rng.integers(1, [4, 40, 3], endpoint=True))
+        magnitude = 10.0 ** rng.choice([-300, -299, -150, 0, 100, 149, 150])
+        x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * magnitude
+        cases.append(x if rng.random() < 0.8 else np.asfortranarray(x))
+    assert sum(len(x) == 1 for x in cases) > 100
+    mismatched = [i for i, x in enumerate(cases) if _norm(x) != float(np.linalg.norm(x))]
+    assert mismatched == []
 
 
 def test_a_non_finite_predictor_ends_the_adjoint_stage_before_any_sweep(monkeypatch):

@@ -135,11 +135,13 @@ def test_verify_evaluates_samples_in_blocks(tmp_path, monkeypatch):
 
 
 def test_verify_solves_the_gronwall_perturbations_as_one_stack(tmp_path):
-    # the base solve, the three Galerkin rungs and one stacked solve of gronwall's
-    # four perturbed starts make 5 forward solves; with the adjoint, 6 solves of
-    # 400 steps each
+    # the base solve, which also serves the middle Galerkin rung ([8] of [[4], [8], [12]],
+    # from the same lowest_modes start), the two other rungs and one stacked solve of
+    # gronwall's four perturbed starts make 4 forward solves; with the adjoint, 5 solves of
+    # 400 steps each.  The two integrable Coulomb powers share one walk of the ball's cells,
+    # and the divergence probe walks its five resolutions: 6 walks
     tracer = _load("tracer")
-    installed = tracer.Tracer(tracer.LAYER_TARGETS).install()
+    installed = tracer.Tracer(tracer.LAYER_TARGETS + ("verify._ball_quadrature",)).install()
     try:
         assert main(["verify", "--out", str(tmp_path / "out"), "--quiet", "--seed", "0"]) == 0
     finally:
@@ -149,9 +151,10 @@ def test_verify_solves_the_gronwall_perturbations_as_one_stack(tmp_path):
     steps = parse_config("{}")["domain"]["steps"]
     solves = [i for i, name in enumerate(names) if name == "propagate.solve_forward"]
     (gronwall,) = [i for i, name in enumerate(names) if name == "verify.check_uniqueness_gronwall"]
-    assert len(solves) == 5
-    assert names.count("propagate.step") == 6 * steps == 2400
+    assert len(solves) == 4
+    assert names.count("propagate.step") == 5 * steps == 2000
     assert len([i for i in solves if spans[i][3] == gronwall]) == 1
+    assert names.count("verify._ball_quadrature") == 6
 
 
 _IMPORT_SURFACE = """

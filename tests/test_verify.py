@@ -78,6 +78,14 @@ def test_coulomb_lp_divergent_cases():
     assert check_coulomb_lp(1, 2, 1.0, 8).passed
 
 
+def test_coulomb_lp_integrable_powers_share_one_walk():
+    shared = check_coulomb_lp(3, (2, 1), 1.0, 96)
+    alone = [check_coulomb_lp(3, p, 1.0, 96) for p in (2, 1)]
+    assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
+    with pytest.raises(ValueError):
+        check_coulomb_lp(3, (2, 3), 1.0, 8)
+
+
 def test_ball_quadrature_matches_oracle():
     # the slab walk adds the same numbers in the same order as the whole grid
     grid = itertools.product(
@@ -90,6 +98,15 @@ def test_ball_quadrature_matches_oracle():
         if got != ball_quadrature_whole_grid(n, p, radius, res, refine):
             mismatched.append((n, p, res, refine, radius))
     assert len(cases) >= 432 and mismatched == []
+    # several powers share one walk, and each total is the one its power gives alone
+    shared = itertools.product(((2, 1), (2.5, 0.5)), (1, 2, 3), (7, 33, 96), (True, False))
+    for powers, n, res, refine in shared:
+        got = _ball_quadrature(n, powers, 1.0, res, refine)
+        alone = [_ball_quadrature(n, p, 1.0, res, refine) for p in powers]
+        oracle = [ball_quadrature_whole_grid(n, p, 1.0, res, refine) for p in powers]
+        if not (got == alone == oracle):
+            mismatched.append((n, powers, res, refine))
+    assert mismatched == []
 
 
 @pytest.mark.parametrize("sub", [5, 11])
@@ -106,7 +123,7 @@ def test_subsample_distances_match_pointwise_oracle(n, sub):
 
 def test_ball_quadrature_runs_in_bounded_memory():
     # the divergence probe reaches a 128^3 grid; only one slab is ever held
-    for args in [(3, 3, 1.0, 8), (3, 2, 1.0, 96)]:
+    for args in [(3, 3, 1.0, 8), (3, 2, 1.0, 96), (3, (2, 1), 1.0, 96)]:
         tracemalloc.start()
         try:
             check_coulomb_lp(*args)
@@ -296,11 +313,11 @@ def test_gap_trivial_and_linear_cases():
     assert np.abs(gap - gap[0]).max() < 1e-12 * gap[0] + 1e-15
 
 
-def _convergence_builder(include_exchange=True, source_field=None):
-    """builder(modes); ``source_field`` ((B,) times -> (B, nodes, 1) grid fields) is
+def _convergence_solver(include_exchange=True, source_field=None):
+    """solve(modes); ``source_field`` ((B,) times -> (B, nodes, 1) grid fields) is
     projected onto each basis inside the source provider."""
 
-    def builder(modes):
+    def solve(modes):
         basis, pot, kernel = make_setup(
             lengths=(3.0,),
             grid=(32,),
@@ -316,31 +333,31 @@ def _convergence_builder(include_exchange=True, source_field=None):
                 return project(basis, source_field(t))
 
         ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel, source=source)
-        return ctx, unit_state(basis, 0)
+        return solve_forward(ctx, unit_state(basis, 0))
 
-    return builder
+    return solve
 
 
 def test_galerkin_convergence_invariant_subspace():
-    def builder(modes):
+    def solve(modes):
         basis, pot, _ = make_setup(
             grid=(32,), modes=modes, steps=100,
             include_hartree=False, include_exchange=False, include_correlation=False,
         )
-        return SystemContext(basis=basis, potentials=pot), unit_state(basis, 0)
+        return solve_forward(SystemContext(basis=basis, potentials=pot), unit_state(basis, 0))
 
-    r = check_galerkin_convergence(builder, [[4], [6], [8]])
+    r = check_galerkin_convergence(solve, [[4], [6], [8]])
     assert r.passed and r.measured == 0.0
 
 
 def test_galerkin_convergence_strictly_decreasing_468():
-    r = check_galerkin_convergence(_convergence_builder(), [[4], [6], [8]])
+    r = check_galerkin_convergence(_convergence_solver(), [[4], [6], [8]])
     inc = r.ingredients["increments"]
     assert inc[1] < inc[0]
 
 
 def test_galerkin_convergence_full_pass():
-    r = check_galerkin_convergence(_convergence_builder(), [[4], [8], [12]])
+    r = check_galerkin_convergence(_convergence_solver(), [[4], [8], [12]])
     assert r.passed
 
 
@@ -355,14 +372,14 @@ def test_galerkin_convergence_with_inhomogeneity():
         ).astype(np.complex128)
 
     r = check_galerkin_convergence(
-        _convergence_builder(source_field=source_field), [[4], [8], [12]]
+        _convergence_solver(source_field=source_field), [[4], [8], [12]]
     )
     assert r.passed
 
 
 def test_galerkin_convergence_needs_three(desk):
     with pytest.raises(ValueError):
-        check_galerkin_convergence(_convergence_builder(), [[4], [8]])
+        check_galerkin_convergence(_convergence_solver(), [[4], [8]])
 
 
 def test_potential_continuity(desk):
