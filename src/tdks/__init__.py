@@ -55,6 +55,7 @@ from .system import (
     bound_constants,
     nonlinear_G,
     rhs,
+    stage_fields,
 )
 from .verify import (
     EstimateReport,

@@ -519,7 +519,7 @@ def run_verification_suite(config):
 
     traj = solve_forward(fwd_ctx, psi0)
     reports.extend(check_energy_estimates(traj, seed=seed))
-    reports.extend(check_form_bounds(fwd_ctx, t=0.0, count=100, seed=seed))
+    reports.extend(check_form_bounds(traj, t=0.0, count=100, seed=seed))
 
     # adjoint instance with a nonzero inhomogeneity from a tracking objective
     objective = ObjectiveSpec(
@@ -533,7 +533,7 @@ def run_verification_suite(config):
     adj_ctx = replace(traj.ctx, alpha=0, forward=traj, source=source)
     adj = solve_adjoint(adj_ctx, terminal)
     reports.extend(check_energy_estimates(adj, seed=seed))
-    reports.extend(check_form_bounds(adj_ctx, t=0.5 * basis.spec.horizon, count=100, seed=seed))
+    reports.extend(check_form_bounds(adj, t=0.5 * basis.spec.horizon, count=100, seed=seed))
 
     reports.extend(check_uniqueness_gronwall(traj, [1e-2, 1e-3, 1e-4], seed=seed))
 

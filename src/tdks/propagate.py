@@ -12,11 +12,11 @@ sees the bounded (non-stiff) part of the operator, the stiff kinetic term
 having been split off exactly.  The fields the middle stage reads (the
 external potential of u(t), for alpha=0 the frozen forward state's, and the
 source) depend on the step midpoint only, so every step takes them once, as
-its item of ``system.stage_schedule``, and reads no time itself: a solve walks
-the schedule of its step midpoints, built one ``snapshot_blocks`` block at a
-time, and every fixed-point sweep of an alpha=0 step reuses its item.  The
-gradient's backward sweep walks the same schedule in reverse, one ``step_vjp``
-(the transpose of a source-free alpha=1 step) per item.
+its item of ``system.stage_schedule`` (a required argument), and reads no time
+itself: a solve walks the schedule of its step midpoints, built one
+``snapshot_blocks`` block at a time, and every fixed-point sweep of an alpha=0
+step reuses its item.  The gradient's backward sweep walks the same schedule in
+reverse, one ``step_vjp`` (the transpose of a source-free alpha=1 step) per item.
 
 Both stage maps are symmetric, so stepping a trajectory with the opposite
 time-step sign reproduces it (used by the reversibility tests).
@@ -43,7 +43,8 @@ measured in the trajectory's ``meta``: the envelope
 measuring the frozen-state sups again), and its ``ctx`` is the context of the
 solve, so every reader takes the trajectory alone.  The form values
 B(psi, psi; u(t)) of the stored states are left to the readers that want them,
-through ``form_values``, which evaluates them over blocks of snapshots.
+through ``form_values``, which takes one ``system.stage_fields`` stack per block
+of snapshots, as the forms do.
 """
 
 import math
@@ -54,7 +55,14 @@ import numpy as np
 from . import _kernels
 from .domain import TdksError, _as_state, check_layout, finite_norms, project, synthesize
 from .potentials import density_from_grid, hartree, vxc_rho_derivative
-from .system import _bounded_apply, bilinear_B, bound_constants, snapshot_blocks, stage_schedule
+from .system import (
+    _bounded_apply,
+    bilinear_B,
+    bound_constants,
+    snapshot_blocks,
+    stage_fields,
+    stage_schedule,
+)
 
 BLOWUP_FACTOR = 1.0e6
 MAX_EXP_ARG = 690.0  # keep assembled envelope constants inside float64
@@ -214,7 +222,7 @@ def _potential_stage_adjoint(ctx, t_mid, dt, d, fields):
     )
 
 
-def step(ctx, t, dt, d, *, fields=None):
+def step(ctx, t, dt, d, fields):
     """Second-order one-step map d(t) -> d(t+dt); dt may be negative.
 
     ``d`` is a state or a stack (B, modes, particles) of states, each item
@@ -224,8 +232,8 @@ def step(ctx, t, dt, d, *, fields=None):
 
     ``fields`` is the (external, frozen, source) item of the midpoint
     t + dt/2 in ``system.stage_schedule`` (frozen is None for alpha=1, source
-    None without one), as ``_solve`` hands it to every step; without it the
-    step takes the item from a schedule of that one midpoint.
+    None without one), as ``_solve`` hands it to every step; t itself only
+    names the step in an error.
     """
     stacked = np.ndim(d) == 3
     check_layout(np.shape(d), ctx.basis.size, PropagationError, stacked)
@@ -238,13 +246,10 @@ def step(ctx, t, dt, d, *, fields=None):
     d = np.asarray(d, dtype=np.complex128)
     half = _kinetic_phase(ctx, 0.5 * dt)
     d = half * d
-    t_mid = t + 0.5 * dt
-    if fields is None:
-        (fields,) = stage_schedule(ctx, [t_mid])
     if ctx.alpha == 1:
         d = _potential_stage_forward(ctx, dt, d, fields)
     else:
-        d = _potential_stage_adjoint(ctx, t_mid, dt, d, fields)
+        d = _potential_stage_adjoint(ctx, t + 0.5 * dt, dt, d, fields)
     return half * d
 
 
@@ -279,12 +284,12 @@ def step_vjp(ctx, dt, d, d_bar, fields):
 
 def form_values(traj):
     """B(psi, psi; u(t)) of every stored state of the solve traj in its context,
-    evaluated over blocks of snapshots."""
+    evaluated with one ``stage_fields`` stack per block of snapshots."""
     ctx = traj.ctx
     form = np.empty(len(traj.times), dtype=np.complex128)
     for block in snapshot_blocks(ctx.basis, len(traj.times)):
         psi = traj.states[block]
-        form[block] = bilinear_B(ctx, traj.times[block], psi, psi)
+        form[block] = bilinear_B(ctx, stage_fields(ctx, traj.times[block]), psi, psi)
     return form
 
 
@@ -349,7 +354,7 @@ def _solve(ctx, start):
     # each step's midpoint written as step writes it: t + 0.5 * dt
     mids = times[order[:-1]] + 0.5 * h
     for last, i, fields in zip(order, order[1:], stage_schedule(ctx, mids)):
-        d = step(ctx, times[last], h, d, fields=fields)
+        d = step(ctx, times[last], h, d, fields)
         finite = np.isfinite(d).all(axis=(1, 2))
         ok = len(d) if finite.all() else int(finite.argmin())
         l2[:ok, i], h1[:ok, i] = finite_norms(ctx.basis, d[:ok])

@@ -12,6 +12,11 @@ the pointwise real channel product and feed it back through the Hartree
 kernel and the density derivative of the local potentials; they are
 real-linear (not complex-linear), so they are applied matrix-free.
 
+The time-dependent inputs (the external potential of u(t), the frozen fields
+and the source) are evaluated as stacks over times by ``stage_fields`` alone.
+The forms take such a stack and stacks of states, and ``stage_schedule`` splits
+it into the per-time items a step takes.
+
 Inner products are linear in the first argument and conjugated in the
 second.
 """
@@ -161,27 +166,28 @@ def coupling_potentials(ctx, psi_g, frozen):
 
 
 def stage_fields(ctx, times):
-    """Fields of the non-kinetic operator at each of the (B,) ``times``.
+    """The (external, frozen, source) fields of the non-kinetic operator at each of
+    the (B,) ``times``, as stacks.
 
-    Returns the (B, nodes) stack ``ctx.external_at(times)`` and, for alpha=0,
-    the stacked ``FrozenFields`` of ``ctx.lambda_at(times)`` (None for
-    alpha=1).  Each stack item equals its own single-time evaluation exactly.
+    external is the (B, nodes) stack ``ctx.external_at(times)``, frozen the stacked
+    ``FrozenFields`` of ``ctx.lambda_at(times)`` (None for alpha=1), and source
+    ``ctx.source_coefficients(times)`` (None without one).  Each stack item equals
+    its own single-time evaluation exactly.
     """
     frozen = None if ctx.alpha == 1 else frozen_fields(ctx, ctx.lambda_at(times))
-    return ctx.external_at(times), frozen
+    return ctx.external_at(times), frozen, ctx.source_coefficients(times)
 
 
 def stage_schedule(ctx, times):
     """The (external, frozen, source) fields of each of the (B,) ``times``, in order.
 
-    Every step and sweep takes its fields from here: one ``stage_fields`` stack and one
-    ``source_coefficients`` call per ``snapshot_blocks`` block of times, so only the
-    current block's are held; frozen is None for alpha=1, source without one.
+    Every step and sweep takes its fields from here: one ``stage_fields`` stack per
+    ``snapshot_blocks`` block of times, split into its items, so only the current
+    block's are held.
     """
     times = np.asarray(times)
     for block in snapshot_blocks(ctx.basis, len(times)):
-        external, frozen = stage_fields(ctx, times[block])
-        source = ctx.source_coefficients(times[block])
+        external, frozen, source = stage_fields(ctx, times[block])
         absent = [None] * len(external)
         frozen = absent if frozen is None else map(FrozenFields._make, zip(*frozen))
         yield from zip(external, frozen, absent if source is None else source)
@@ -210,53 +216,39 @@ def _bounded_apply(ctx, fields, d):
     return project(ctx.basis, fld)
 
 
-def rhs(ctx, t, d):
-    """Time derivative d' of the coefficient state at time t.
-
-    With a (B,) array of times ``t``, ``d`` is a stack (B, modes, particles)
-    and the result is the stack of the derivatives at each time, each item
-    equal to its own single call; a single call is evaluated as the stack of
-    one.
-    """
-    stacked = np.ndim(t) == 1
-    d = _as_state(ctx.basis, d, SystemError, stacked)
-    if not stacked:
-        d = d[None]
-    times = np.atleast_1d(t)
-    h = ctx.basis.eigenvalues[:, None] * d + _bounded_apply(ctx, stage_fields(ctx, times), d)
-    if ctx.source is not None:
-        h = h + ctx.source_coefficients(times)
-    return -1j * h if stacked else -1j * h[0]
+def rhs(ctx, fields, d):
+    """Time derivatives d' of the stack (B, modes, particles) of coefficient states
+    ``d``, each at its time of the ``stage_fields`` stack ``fields``."""
+    d = _as_state(ctx.basis, d, SystemError, True)
+    h = ctx.basis.eigenvalues[:, None] * d + _bounded_apply(ctx, fields, d)
+    if fields[2] is not None:
+        h = h + fields[2]
+    return -1j * h
 
 
-def bilinear_B(ctx, t, psi, phi):
-    """Quadratic form value B(psi, phi; u(t)); sesquilinear, kinetic + external
+def bilinear_B(ctx, fields, psi, phi):
+    """Quadratic form values B(psi, phi; u(t)); sesquilinear, kinetic + external
     plus (for alpha=0) the frozen coupling potential and the adjoint terms.
 
-    With a (B,) array of times ``t``, ``psi`` and ``phi`` are stacks
-    (B, modes, particles) and the result is the (B,) array of the form at
-    each time, each item equal to its own single call; a single call is
-    evaluated as the stack of one.
+    ``psi`` and ``phi`` are stacks (B, modes, particles), and the result is the
+    (B,) array of the form, each item at its time of the ``stage_fields`` stack
+    ``fields``; a stack of one time serves every item.
     """
-    stacked = np.ndim(t) == 1
     same = phi is psi
-    psi = _as_state(ctx.basis, psi, SystemError, stacked)
-    phi = psi if same else _as_state(ctx.basis, phi, SystemError, stacked)
-    if not stacked:
-        psi, phi = psi[None], phi[None]
-    times = np.atleast_1d(t)
+    psi = _as_state(ctx.basis, psi, SystemError, True)
+    phi = psi if same else _as_state(ctx.basis, phi, SystemError, True)
     kin = np.sum(
         (ctx.basis.eigenvalues[:, None] * psi * np.conj(phi)).reshape(len(psi), -1), axis=-1
     )
     psi_g = synthesize(ctx.basis, psi)
     phi_g = psi_g if same else synthesize(ctx.basis, phi)
-    external, frozen = stage_fields(ctx, times)
+    external, frozen = fields[:2]
     total = kin + grid_inner(ctx.basis, external[..., None] * psi_g, phi_g)
     if ctx.alpha == 0:
         total += grid_inner(ctx.basis, frozen.potential[..., None] * psi_g, phi_g)
         d_h, d_xc = _coupling_forms(ctx, psi_g, phi_g, frozen)
         total += d_h + d_xc
-    return total if stacked else complex(total[0])
+    return total
 
 
 def _coupling_forms(ctx, psi_g, phi_g, frozen):
@@ -269,28 +261,21 @@ def _coupling_forms(ctx, psi_g, phi_g, frozen):
     return d_h, grid_inner(ctx.basis, v_xc[..., None] * lam_g, phi_g)
 
 
-def adjoint_D(ctx, t, psi, phi):
+def adjoint_D(ctx, fields, psi, phi):
     """Adjoint coupling form split into its Hartree and xc-derivative parts.
 
-    With a (B,) array of times ``t``, ``psi`` and ``phi`` are stacks
-    (B, modes, particles) and each part is the (B,) array of the form at each
-    time (the Hartree part is 0j without Hartree), each item equal to its own
-    single call; a single call is evaluated as the stack of one.
+    ``psi`` and ``phi`` are stacks (B, modes, particles), and each part is the
+    (B,) array of the form (the Hartree part is 0j without Hartree), each item
+    at its time of the ``stage_fields`` stack ``fields``; a stack of one time
+    serves every item.
     """
     if ctx.alpha != 0:
         raise SystemError("the coupling form belongs to the alpha=0 problem")
-    stacked = np.ndim(t) == 1
-    psi = _as_state(ctx.basis, psi, SystemError, stacked)
-    phi = _as_state(ctx.basis, phi, SystemError, stacked)
-    if not stacked:
-        psi, phi = psi[None], phi[None]
+    psi = _as_state(ctx.basis, psi, SystemError, True)
+    phi = _as_state(ctx.basis, phi, SystemError, True)
     psi_g = synthesize(ctx.basis, psi)
     phi_g = synthesize(ctx.basis, phi)
-    _, frozen = stage_fields(ctx, np.atleast_1d(t))
-    d_h, d_xc = _coupling_forms(ctx, psi_g, phi_g, frozen)
-    if stacked:
-        return d_h, d_xc
-    return (d_h if np.ndim(d_h) == 0 else complex(d_h[0])), complex(d_xc[0])
+    return _coupling_forms(ctx, psi_g, phi_g, fields[1])
 
 
 def nonlinear_G(ctx, d):

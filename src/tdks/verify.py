@@ -19,8 +19,8 @@ import numpy as np
 
 from .domain import carry_modes, grid_norm, norms, random_coefficients, synthesize
 from .potentials import density_from_grid, hartree_pair_difference, ks_potential
-from .propagate import MAX_EXP_ARG, form_values, l2_envelope, solve_forward
-from .system import adjoint_D, bilinear_B, bound_constants, nonlinear_G, rhs, snapshot_blocks
+from .propagate import MAX_EXP_ARG, l2_envelope, solve_forward
+from .system import adjoint_D, bilinear_B, nonlinear_G, rhs, snapshot_blocks, stage_fields
 
 
 @dataclass
@@ -344,7 +344,8 @@ def check_energy_estimates(traj, seed=0):
 
     The ``meta`` of the solve ``traj`` supplies the form constants and the L2
     envelope the solve checked, and every other bound uses the envelope factor
-    of ``l2_envelope``."""
+    of ``l2_envelope``.  The fields of each block of stored times are evaluated
+    once, for both the form values B(psi, psi) and the time derivatives."""
     ctx, ing = traj.ctx, traj.meta["constants"]
     alpha = ctx.alpha
     horizon = float(ctx.basis.spec.horizon)
@@ -373,6 +374,17 @@ def check_energy_estimates(traj, seed=0):
         horizon=horizon,
     )
 
+    # form values, and the dual norm of the time derivative truncated to the basis
+    form = np.empty(len(traj.times), dtype=np.complex128)
+    dual_sq = np.empty(len(traj.times))
+    inv_w = 1.0 / (1.0 + ctx.basis.eigenvalues)
+    for block in snapshot_blocks(ctx.basis, len(traj.times)):
+        fields, psi = stage_fields(ctx, traj.times[block]), traj.states[block]
+        form[block] = bilinear_B(ctx, fields, psi, psi)
+        dstate = rhs(ctx, fields, psi)
+        terms = inv_w[:, None] * (dstate.real**2 + dstate.imag**2)
+        dual_sq[block] = np.sum(terms.reshape(len(terms), -1), axis=-1)
+
     reports = []
     reports.append(
         EstimateReport(
@@ -391,7 +403,7 @@ def check_energy_estimates(traj, seed=0):
         EstimateReport(
             name=f"form-value-bound-alpha{alpha}",
             reference="quadratic-form-value-bound",
-            measured=float(np.max(form_values(traj).real)),
+            measured=float(np.max(form.real)),
             bound=c_form,
             tolerance=0.05,
             formula="max_t Re B <= (alpha*(L+a/b)+1/2)*env*(data) + sup_t|F(t)|^2/2",
@@ -431,14 +443,7 @@ def check_energy_estimates(traj, seed=0):
         )
     )
 
-    # dual norm of the time derivative, truncated to the basis (monitored)
-    dual_sq = np.empty(len(traj.times))
     chain_sq = np.empty(len(traj.times))
-    inv_w = 1.0 / (1.0 + ctx.basis.eigenvalues)
-    for block in snapshot_blocks(ctx.basis, len(traj.times)):
-        dstate = rhs(ctx, traj.times[block], traj.states[block])
-        terms = inv_w[:, None] * (dstate.real**2 + dstate.imag**2)
-        dual_sq[block] = np.sum(terms.reshape(len(terms), -1), axis=-1)
     # scalar powers, as in the hartree probe; a chain past about 1e154 squares to inf
     with np.errstate(over="ignore"):
         for i in range(len(traj.times)):
@@ -650,11 +655,13 @@ def check_coefficient_lipschitz(ctx, radius=1.0, pairs=100, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_form_bounds(ctx, t=0.0, count=100, seed=0):
-    """Sesquilinear-form inequalities on random states: |B| boundedness,
-    coercivity with the assembled c3, the imaginary-part bound, and (alpha=0)
-    the coupling-form bound with the assembled c0."""
-    ing = bound_constants(ctx)
+def check_form_bounds(traj, t=0.0, count=100, seed=0):
+    """Sesquilinear-form inequalities on random states in the context of the solve
+    traj, with its ``meta["constants"]`` and the fields of the one time t: |B|
+    boundedness, coercivity with the assembled c3, the imaginary-part bound, and
+    (alpha=0) the coupling-form bound with the assembled c0."""
+    ctx, ing = traj.ctx, traj.meta["constants"]
+    fields = stage_fields(ctx, np.array([float(t)]))
     rng = np.random.default_rng([seed, 97])
     c0_den = ing["c0"] if ing["c0"] > 0 else float("inf")
     ratio_b = 0.0
@@ -663,13 +670,12 @@ def check_form_bounds(ctx, t=0.0, count=100, seed=0):
     ratio_d = 0.0
     for block in snapshot_blocks(ctx.basis, count):
         a, b = _random_pairs(ctx.basis, rng, block.stop - block.start, 0.2, 2.0)
-        times = np.full(len(a), float(t))
         l2a, h1a = (v.tolist() for v in norms(ctx.basis, a))
         h1b = norms(ctx.basis, b)[1].tolist()
-        vals = bilinear_B(ctx, times, a, b).tolist()
-        diags = bilinear_B(ctx, times, a, a).tolist()
+        vals = bilinear_B(ctx, fields, a, b).tolist()
+        diags = bilinear_B(ctx, fields, a, a).tolist()
         if ctx.alpha == 0:
-            d_h, d_xc = adjoint_D(ctx, times, a, b)
+            d_h, d_xc = adjoint_D(ctx, fields, a, b)
             d_sum = (d_h + d_xc).tolist()
         # per pair on Python scalars: a complex abs and float powers as one pair alone
         for i, (val, diag) in enumerate(zip(vals, diags)):

@@ -27,7 +27,21 @@ from tdks.system import (
     frozen_fields,
     nonlinear_G,
     rhs,
+    stage_fields,
+    stage_schedule,
 )
+
+
+def fields_at(ctx, t):
+    """The ``stage_fields`` stack of the one time t, which the forms take with a
+    stack of one state."""
+    return stage_fields(ctx, np.array([float(t)]))
+
+
+def midpoint_fields(ctx, t, dt):
+    """The ``stage_schedule`` item of the step from t over dt, which ``step`` takes:
+    that of its midpoint t + dt/2, as a solve computes it."""
+    return next(stage_schedule(ctx, [t + 0.5 * dt]))
 
 
 def tdks_exception_classes():
@@ -214,7 +228,7 @@ def adjoint_solve_per_sweep(ctx, terminal, steps):
     the external potential and the frozen fields at the step midpoint again.
 
     Returns the states on the increasing time grid and the form values
-    B(d, d) of each stored state, one ``bilinear_B`` call per state.
+    B(d, d) of each stored state, one ``bilinear_B`` call on a stack of one per state.
     """
     basis = ctx.basis
     h = -basis.spec.horizon / steps
@@ -252,7 +266,9 @@ def adjoint_solve_per_sweep(ctx, terminal, steps):
         else:
             raise AssertionError(f"oracle sweeps did not converge at t={t_mid}")
         states[last - 1] = half * y
-    form = np.array([bilinear_B(ctx, t, d, d) for t, d in zip(times, states)])
+    form = np.array(
+        [bilinear_B(ctx, fields_at(ctx, t), d[None], d[None])[0] for t, d in zip(times, states)]
+    )
     return states, form
 
 
@@ -397,7 +413,8 @@ def coefficient_pair_ratio(ctx):
 
 def form_bounds_per_pair(ctx, t, count, seed):
     """Oracle for the measured values of ``verify.check_form_bounds``, by report
-    name: each pair is drawn and evaluated by single calls before the next."""
+    name: each pair is drawn and evaluated by calls on stacks of one before the next,
+    with the constants of ``bound_constants`` and the fields of t evaluated afresh."""
     ing = bound_constants(ctx)
     rng = np.random.default_rng([seed, 97])
     particles = ctx.basis.spec.particles
@@ -410,17 +427,18 @@ def form_bounds_per_pair(ctx, t, count, seed):
         b = random_coefficients(ctx.basis, particles, rng, rng.uniform(0.2, 2.0))
         l2a, h1a = norms(ctx.basis, a)
         _, h1b = norms(ctx.basis, b)
-        val = bilinear_B(ctx, t, a, b)
+        val = complex(bilinear_B(ctx, fields_at(ctx, t), a[None], b[None])[0])
         ratio_b = max(ratio_b, abs(val) / (ing["c1"] * h1a * h1b))
-        diag = bilinear_B(ctx, t, a, a)
+        diag = complex(bilinear_B(ctx, fields_at(ctx, t), a[None], a[None])[0])
         ratio_coerce = max(ratio_coerce, (h1a**2 - diag.real) / (ing["c3"] * l2a**2))
         if ctx.alpha == 1:
             worst_im = max(worst_im, abs(diag.imag))
         else:
             c0_den = ing["c0"] if ing["c0"] > 0 else float("inf")
             worst_im = max(worst_im, abs(diag.imag) / (c0_den * l2a**2))
-            d_h, d_xc = adjoint_D(ctx, t, a, b)
-            ratio_d = max(ratio_d, abs(d_h + d_xc) / (c0_den * l2a * np.linalg.norm(b)))
+            d_h, d_xc = adjoint_D(ctx, fields_at(ctx, t), a[None], b[None])
+            d_sum = complex((d_h + d_xc)[0])
+            ratio_d = max(ratio_d, abs(d_sum) / (c0_den * l2a * np.linalg.norm(b)))
     alpha = ctx.alpha
     measured = {
         f"form-boundedness-alpha{alpha}": ratio_b,
@@ -434,13 +452,25 @@ def form_bounds_per_pair(ctx, t, count, seed):
     return measured
 
 
+def form_value_per_snapshot(ctx, traj):
+    """Oracle for the measured value of the form-value bound of
+    ``verify.check_energy_estimates``: max Re B(psi, psi), one ``bilinear_B`` call
+    on a stack of one per stored snapshot."""
+    form = [
+        bilinear_B(ctx, fields_at(ctx, t), d[None], d[None])[0]
+        for t, d in zip(traj.times, traj.states)
+    ]
+    return float(np.max(np.real(form)))
+
+
 def dual_norm_per_snapshot(ctx, traj):
     """Oracle for the measured value of the dual-norm monitor of
-    ``verify.check_energy_estimates``: one ``rhs`` call per stored snapshot."""
+    ``verify.check_energy_estimates``: one ``rhs`` call on a stack of one per stored
+    snapshot."""
     inv_w = 1.0 / (1.0 + ctx.basis.eigenvalues)
     dual_sq = np.empty(len(traj.times))
     for i, t in enumerate(traj.times):
-        dstate = rhs(ctx, t, traj.states[i])
+        dstate = rhs(ctx, fields_at(ctx, t), traj.states[i][None])[0]
         dual_sq[i] = float(np.sum(inv_w[:, None] * (dstate.real**2 + dstate.imag**2)))
     return float(np.trapezoid(dual_sq, traj.times))
 

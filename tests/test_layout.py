@@ -27,7 +27,14 @@ from tdks.cli import ConfigError, parse_config, run
 from tdks.control import ControlError
 from tdks.system import SystemError
 
-from conftest import at_every_time, make_setup, stored_trajectory, unit_state
+from conftest import (
+    at_every_time,
+    fields_at,
+    make_setup,
+    midpoint_fields,
+    stored_trajectory,
+    unit_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,17 +55,27 @@ def contexts():
 CASES = {
     "synthesize": (DomainError, lambda b, f, a, d: synthesize(b, d)),
     "norms": (DomainError, lambda b, f, a, d: norms(b, d)),
-    "step": (PropagationError, lambda b, f, a, d: step(f, 0.0, 0.25, d)),
+    "step": (
+        PropagationError,
+        lambda b, f, a, d: step(f, 0.0, 0.25, d, midpoint_fields(f, 0.0, 0.25)),
+    ),
     "solve_forward": (PropagationError, lambda b, f, a, d: solve_forward(f, d)),
     "solve_adjoint": (PropagationError, lambda b, f, a, d: solve_adjoint(a, d)),
-    "rhs": (SystemError, lambda b, f, a, d: rhs(f, 0.0, d)),
-    "bilinear_B": (SystemError, lambda b, f, a, d: bilinear_B(f, 0.0, d, d)),
+    # the forms take stacks: a stack of one of d, or (-stacked) d itself, not promoted
+    "rhs": (SystemError, lambda b, f, a, d: rhs(f, fields_at(f, 0.0), d[None])),
+    "bilinear_B": (
+        SystemError,
+        lambda b, f, a, d: bilinear_B(f, fields_at(f, 0.0), d[None], d[None]),
+    ),
     "bilinear_B-stacked": (
         SystemError,
-        lambda b, f, a, d: bilinear_B(f, np.zeros(1), d[None], d[None]),
+        lambda b, f, a, d: bilinear_B(f, fields_at(f, 0.0), d, d),
     ),
     "nonlinear_G": (SystemError, lambda b, f, a, d: nonlinear_G(f, d)),
-    "adjoint_D": (SystemError, lambda b, f, a, d: adjoint_D(a, 0.0, d, d)),
+    "adjoint_D": (
+        SystemError,
+        lambda b, f, a, d: adjoint_D(a, fields_at(a, 0.0), d[None], d[None]),
+    ),
     "target_state": (ControlError, lambda b, f, a, d: ObjectiveSpec(j2="terminal", target_state=d)),
 }
 

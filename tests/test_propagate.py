@@ -48,9 +48,11 @@ from conftest import (
     adjoint_solve_per_sweep,
     at_every_time,
     control_value_at,
+    fields_at,
     galerkin_matrix,
     interpolate_state_at,
     make_setup,
+    midpoint_fields,
     stored_trajectory,
     unit_state,
     with_steps,
@@ -102,10 +104,10 @@ def test_step_identity_at_small_dt():
     ctx = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     rng = np.random.default_rng(0)
     d = random_coefficients(basis, 1, rng, 1.0)
-    assert np.abs(step(ctx, 0.0, 0.0, d) - d).max() == 0
-    speed = np.linalg.norm(rhs(ctx, 0.0, d))
+    assert np.abs(step(ctx, 0.0, 0.0, d, midpoint_fields(ctx, 0.0, 0.0)) - d).max() == 0
+    speed = np.linalg.norm(rhs(ctx, fields_at(ctx, 0.0), d[None]))
     for eps in (1e-4, 1e-5, 1e-6):
-        moved = np.linalg.norm(step(ctx, 0.0, eps, d) - d)
+        moved = np.linalg.norm(step(ctx, 0.0, eps, d, midpoint_fields(ctx, 0.0, eps)) - d)
         assert moved < 1.5 * speed * eps
 
 
@@ -141,7 +143,7 @@ def test_richardson_order_two_against_exponential_oracle():
         d = d0.copy()
         dt = 1.0 / steps
         for i in range(steps):
-            d = step(ctx, i * dt, dt, d)
+            d = step(ctx, i * dt, dt, d, midpoint_fields(ctx, i * dt, dt))
         return np.linalg.norm(d - exact)
 
     e = {s: err(s) for s in (125, 250, 500)}
@@ -160,7 +162,7 @@ def test_constant_potential_exponential_map_oracle():
     d = d0.copy()
     dt = horizon / 1000
     for i in range(1000):
-        d = step(ctx, i * dt, dt, d)
+        d = step(ctx, i * dt, dt, d, midpoint_fields(ctx, i * dt, dt))
     assert np.linalg.norm(d - exact) < 1e-8
 
 
@@ -181,11 +183,12 @@ def test_adjoint_frozen_state_matches_real_linear_exponential():
 
     dim = basis.size * 2
     gen = np.zeros((2 * dim, 2 * dim))
+    fields = fields_at(actx, 0.0)
     for i in range(dim):
         for shift, part in ((0, 1.0), (dim, 1.0j)):
             e = np.zeros((basis.size, 2), dtype=np.complex128)
             e[i // 2, i % 2] = part
-            r = rhs(actx, 0.0, e).reshape(-1)
+            r = rhs(actx, fields, e[None]).reshape(-1)
             gen[:dim, i + shift] = r.real
             gen[dim:, i + shift] = r.imag
     term = random_coefficients(basis, 2, rng, 1.0)
@@ -240,13 +243,14 @@ def test_time_reversal_consistency():
     # the nonlinear stage is symmetric up to the anti-aliasing truncation
     dt = traj.times[1] - traj.times[0]
     for i in (10, 75, 149):
-        back = step(ctx, traj.times[i + 1], -dt, traj.states[i + 1])
+        fields = midpoint_fields(ctx, traj.times[i + 1], -dt)
+        back = step(ctx, traj.times[i + 1], -dt, traj.states[i + 1], fields)
         assert np.abs(back - traj.states[i]).max() < 1e-6
 
     actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
     adj = solve_adjoint(actx, psi0)
     for i in (5, 80):
-        fwd = step(actx, adj.times[i], dt, adj.states[i])
+        fwd = step(actx, adj.times[i], dt, adj.states[i], midpoint_fields(actx, adj.times[i], dt))
         assert np.abs(fwd - adj.states[i + 1]).max() < 1e-8
 
 
@@ -314,7 +318,10 @@ def test_solve_form_values_match_single_calls():
     )
     adj = solve_adjoint(actx, psi0)
     for solve, solve_ctx in ((traj, ctx), (adj, actx)):
-        form = [bilinear_B(solve_ctx, t, d, d) for t, d in zip(solve.times, solve.states)]
+        form = [
+            bilinear_B(solve_ctx, fields_at(solve_ctx, t), d[None], d[None])[0]
+            for t, d in zip(solve.times, solve.states)
+        ]
         values = form_values(solve)
         assert np.array_equal(values.real, np.real(form))
         assert np.array_equal(values.imag, np.imag(form))
@@ -397,9 +404,9 @@ def spy_step_fields(monkeypatch):
     """Record the (midpoint, fields) of every ``propagate.step`` call into the returned list."""
     seen, step_one = [], propagate.step
 
-    def spy(ctx, t, dt, d, *, fields=None):
+    def spy(ctx, t, dt, d, fields):
         seen.append((t + 0.5 * dt, fields))
-        return step_one(ctx, t, dt, d, fields=fields)
+        return step_one(ctx, t, dt, d, fields)
 
     monkeypatch.setattr(propagate, "step", spy)
     return seen
@@ -669,7 +676,8 @@ def test_adjoint_solve_takes_one_terminal_state():
     with pytest.raises(PropagationError, match="not \\(modes, particles\\)"):
         solve_adjoint(actx, np.stack([terminal, terminal]))
     with pytest.raises(PropagationError, match="fixed-point sweeps stop per state"):
-        step(actx, 1.0, -0.01, np.stack([terminal, terminal]))
+        fields = midpoint_fields(actx, 1.0, -0.01)
+        step(actx, 1.0, -0.01, np.stack([terminal, terminal]), fields)
 
 
 def test_a_solve_takes_the_step_count_of_its_spec():
@@ -730,7 +738,8 @@ def test_blowup_carries_the_good_states_in_time_order(direction):
     sign = 1 if forward else -1
     index, good = (0 if forward else steps), [start]
     while True:
-        d = step(ctx, times[index], sign * basis.spec.horizon / steps, good[-1])
+        dt = sign * basis.spec.horizon / steps
+        d = step(ctx, times[index], dt, good[-1], midpoint_fields(ctx, times[index], dt))
         if np.linalg.norm(d) > propagate.BLOWUP_FACTOR:
             break
         good.append(d)
@@ -886,7 +895,11 @@ def test_potential_stage_vjp_dot_product(monkeypatch, dimension, dense_max_nodes
 
     # the oracle is the derivative of step itself in d and u ...
     eps = 1e-6
-    fwd, bwd = (step(ctx_at(u0 + e * du), t_mid - 0.5 * dt, dt, d + e * x) for e in (eps, -eps))
+    def stepped(e):
+        c = ctx_at(u0 + e * du)
+        return step(c, t_mid - 0.5 * dt, dt, d + e * x, midpoint_fields(c, t_mid - 0.5 * dt, dt))
+
+    fwd, bwd = stepped(eps), stepped(-eps)
     jx = _step_tangent(ctx, t_mid, dt, d, x, du)
     assert np.abs((fwd - bwd) / (2 * eps) - jx).max() < 1e-6 * np.abs(jx).max()
 
@@ -1015,8 +1028,8 @@ def test_a_non_finite_state_ends_the_solve_at_its_last_good_time(monkeypatch):
     good = solve_forward(ctx, start).states[:6]
     real_step = propagate.step
 
-    def poisoned(c, t, dt, d, **kwargs):
-        out = real_step(c, t, dt, d, **kwargs)
+    def poisoned(c, t, dt, d, fields):
+        out = real_step(c, t, dt, d, fields)
         return out if t < 0.5 else np.full_like(out, np.nan)
 
     monkeypatch.setattr(propagate, "step", poisoned)

@@ -32,6 +32,7 @@ from tdks.system import (
 from conftest import (
     bound_constants_per_snapshot,
     dense_basis_values,
+    fields_at,
     make_setup,
     stored_trajectory,
     unit_state,
@@ -76,43 +77,47 @@ def adjoint_pair():
 
 def test_free_single_mode_rhs(free_ctx):
     d = unit_state(free_ctx.basis, 5)
-    out = rhs(free_ctx, 0.2, d)
+    out = rhs(free_ctx, fields_at(free_ctx, 0.2), d[None])[0]
     expect = -1j * free_ctx.basis.eigenvalues[5] * d
     assert np.abs(out - expect).max() < 1e-12
 
 
 def test_rhs_zero_state(nonlinear_ctx):
-    out = rhs(nonlinear_ctx, 0.0, np.zeros((nonlinear_ctx.basis.size, 1)))
+    zero = np.zeros((1, nonlinear_ctx.basis.size, 1))
+    out = rhs(nonlinear_ctx, fields_at(nonlinear_ctx, 0.0), zero)
     assert np.abs(out).max() == 0
 
 
 def test_rhs_norm_derivative_vanishes(nonlinear_ctx):
     rng = np.random.default_rng(1)
+    fields = fields_at(nonlinear_ctx, 0.4)
     for _ in range(10):
         d = random_coefficients(nonlinear_ctx.basis, 1, rng, rng.uniform(0.3, 2.0))
-        r = rhs(nonlinear_ctx, 0.4, d)
+        r = rhs(nonlinear_ctx, fields, d[None])[0]
         ddt = 2.0 * float(np.sum(r.real * d.real + r.imag * d.imag))
         assert abs(ddt) < 1e-10
 
 
 def test_rhs_rejects_nonfinite(nonlinear_ctx):
-    bad = np.full((nonlinear_ctx.basis.size, 1), np.nan, dtype=np.complex128)
+    bad = np.full((1, nonlinear_ctx.basis.size, 1), np.nan, dtype=np.complex128)
     with pytest.raises(Exception):
-        rhs(nonlinear_ctx, 0.0, bad)
+        rhs(nonlinear_ctx, fields_at(nonlinear_ctx, 0.0), bad)
 
 
 def test_bilinear_unit_mode_gives_eigenvalue(free_ctx):
-    d = unit_state(free_ctx.basis, 0)
-    val = bilinear_B(free_ctx, 0.0, d, d)
+    d = unit_state(free_ctx.basis, 0)[None]
+    fields = fields_at(free_ctx, 0.0)
+    (val,) = bilinear_B(free_ctx, fields, d, d)
     assert abs(val - free_ctx.basis.eigenvalues[0]) < 1e-10
-    assert bilinear_B(free_ctx, 0.0, np.zeros_like(d), d) == 0
+    assert bilinear_B(free_ctx, fields, np.zeros_like(d), d) == [0]
 
 
 def test_bilinear_imag_vanishes_forward(nonlinear_ctx):
     rng = np.random.default_rng(2)
+    fields = fields_at(nonlinear_ctx, 0.1)
     for _ in range(10):
-        d = random_coefficients(nonlinear_ctx.basis, 1, rng, 1.0)
-        assert abs(bilinear_B(nonlinear_ctx, 0.1, d, d).imag) < 1e-10
+        d = random_coefficients(nonlinear_ctx.basis, 1, rng, 1.0)[None]
+        assert abs(bilinear_B(nonlinear_ctx, fields, d, d)[0].imag) < 1e-10
 
 
 def test_bilinear_sesquilinearity(nonlinear_ctx):
@@ -121,17 +126,23 @@ def test_bilinear_sesquilinearity(nonlinear_ctx):
     b = random_coefficients(nonlinear_ctx.basis, 1, rng, 1.0)
     c = random_coefficients(nonlinear_ctx.basis, 1, rng, 1.0)
     z = 0.7 - 1.2j
-    lhs = bilinear_B(nonlinear_ctx, 0.0, z * a + b, c)
-    rhs_val = z * bilinear_B(nonlinear_ctx, 0.0, a, c) + bilinear_B(nonlinear_ctx, 0.0, b, c)
+    fields = fields_at(nonlinear_ctx, 0.0)
+
+    def form(x, y):
+        return bilinear_B(nonlinear_ctx, fields, x[None], y[None])[0]
+
+    lhs = form(z * a + b, c)
+    rhs_val = z * form(a, c) + form(b, c)
     assert abs(lhs - rhs_val) < 1e-12
-    lhs2 = bilinear_B(nonlinear_ctx, 0.0, a, z * b)
-    assert abs(lhs2 - np.conj(z) * bilinear_B(nonlinear_ctx, 0.0, a, b)) < 1e-12
+    lhs2 = form(a, z * b)
+    assert abs(lhs2 - np.conj(z) * form(a, b)) < 1e-12
 
 
 def test_adjoint_coupling_trivial_cases(adjoint_pair):
     _, actx, traj = adjoint_pair
     lam = actx.lambda_at(0.5)
-    d_h, d_xc = adjoint_D(actx, 0.5, 1j * lam, random_coefficients(actx.basis, 2, np.random.default_rng(4), 1.0))
+    b = random_coefficients(actx.basis, 2, np.random.default_rng(4), 1.0)
+    (d_h,), (d_xc,) = adjoint_D(actx, fields_at(actx, 0.5), 1j * lam[None], b[None])
     assert abs(d_h) < 1e-12 and abs(d_xc) < 1e-12
 
     basis, pot, kernel = make_setup(grid=(32,), modes=(8,), particles=2)
@@ -143,7 +154,7 @@ def test_adjoint_coupling_trivial_cases(adjoint_pair):
     rng = np.random.default_rng(5)
     a = random_coefficients(basis, 2, rng, 1.0)
     b = random_coefficients(basis, 2, rng, 1.0)
-    d_h, d_xc = adjoint_D(zero_ctx, 0.1, a, b)
+    (d_h,), (d_xc,) = adjoint_D(zero_ctx, fields_at(zero_ctx, 0.1), a[None], b[None])
     assert d_h == 0 and abs(d_xc) == 0
 
 
@@ -151,10 +162,11 @@ def test_adjoint_coupling_bound(adjoint_pair):
     _, actx, _ = adjoint_pair
     ing = bound_constants(actx)
     rng = np.random.default_rng(6)
+    fields = fields_at(actx, 0.3)
     for _ in range(20):
         a = random_coefficients(actx.basis, 2, rng, rng.uniform(0.2, 2.0))
         b = random_coefficients(actx.basis, 2, rng, rng.uniform(0.2, 2.0))
-        d_h, d_xc = adjoint_D(actx, 0.3, a, b)
+        (d_h,), (d_xc,) = adjoint_D(actx, fields, a[None], b[None])
         bound = ing["c0"] * np.linalg.norm(a) * np.linalg.norm(b)
         assert abs(d_h + d_xc) <= bound
 
@@ -218,7 +230,7 @@ def test_adjoint_bilinear_matches_bounded_apply(adjoint_pair):
         kin = np.sum(actx.basis.eigenvalues[:, None] * a * np.conj(b))
         (fields,) = stage_schedule(actx, [t])
         expect = kin + np.sum(_bounded_apply(actx, fields, a) * np.conj(b))
-        val = bilinear_B(actx, t, a, b)
+        (val,) = bilinear_B(actx, fields_at(actx, t), a[None], b[None])
         assert abs(val - expect) <= 1e-13 * abs(expect)
 
 
@@ -305,13 +317,9 @@ def test_context_validation():
         SystemContext(basis=basis, potentials=pot, kernel=kernel, alpha=2)
     with pytest.raises(SystemError):
         SystemContext(basis=basis, potentials=pot, kernel=None, alpha=1)
+    fwd = SystemContext(basis=basis, potentials=pot, kernel=kernel)
     with pytest.raises(SystemError):
-        adjoint_D(
-            SystemContext(basis=basis, potentials=pot, kernel=kernel),
-            0.0,
-            unit_state(basis, 0),
-            unit_state(basis, 1),
-        )
+        adjoint_D(fwd, fields_at(fwd, 0.0), unit_state(basis, 0)[None], unit_state(basis, 1)[None])
 
 
 def test_adjoint_context_rejects_a_callable_forward():
@@ -346,15 +354,15 @@ def test_bound_constants_coercivity_and_boundedness(adjoint_pair):
     actx_u = replace(traj_u.ctx, alpha=0, forward=traj_u)
     ing = bound_constants(actx_u)
     rng = np.random.default_rng(10)
-    t = 0.6
+    fields = fields_at(actx_u, 0.6)
     for _ in range(30):
         a = random_coefficients(actx_u.basis, 2, rng, rng.uniform(0.2, 2.0))
         b = random_coefficients(actx_u.basis, 2, rng, rng.uniform(0.2, 2.0))
         l2a, h1a = norms(actx_u.basis, a)
         _, h1b = norms(actx_u.basis, b)
-        val = bilinear_B(actx_u, t, a, b)
+        (val,) = bilinear_B(actx_u, fields, a[None], b[None])
         assert abs(val) <= ing["c1"] * h1a * h1b
-        diag = bilinear_B(actx_u, t, a, a)
+        (diag,) = bilinear_B(actx_u, fields, a[None], a[None])
         assert h1a**2 - diag.real <= ing["c3"] * l2a**2
         assert abs(diag.imag) <= ing["c0"] * l2a**2
 
@@ -409,10 +417,15 @@ def test_stacked_form_matches_single_calls(monkeypatch, case, alpha, xc, branch)
     times = np.sort(rng.uniform(0.0, 1.0, 7))
     psi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])
     phi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])
-    same = bilinear_B(ctx, times, psi, psi)
-    assert np.array_equal(same, [bilinear_B(ctx, t, a, a) for t, a in zip(times, psi)])
-    pair = bilinear_B(ctx, times, psi, phi)
-    assert np.array_equal(pair, [bilinear_B(ctx, t, a, b) for t, a, b in zip(times, psi, phi)])
+    fields = stage_fields(ctx, times)
+
+    def single(t, a, b):
+        return bilinear_B(ctx, fields_at(ctx, t), a[None], b[None])[0]
+
+    same = bilinear_B(ctx, fields, psi, psi)
+    assert np.array_equal(same, [single(t, a, a) for t, a in zip(times, psi)])
+    pair = bilinear_B(ctx, fields, psi, phi)
+    assert np.array_equal(pair, [single(t, a, b) for t, a, b in zip(times, psi, phi)])
 
 
 @pytest.mark.parametrize("case, alpha, xc, branch", STACK_VARIANTS)
@@ -440,16 +453,29 @@ def test_stacked_operators_match_single_calls(monkeypatch, case, alpha, branch, 
     times = np.sort(rng.uniform(0.0, 1.0, 7))
     psi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])
     phi = np.stack([random_coefficients(ctx.basis, 2, rng, 1.0) for _ in times])
-    assert np.array_equal(rhs(ctx, times, psi), [rhs(ctx, t, d) for t, d in zip(times, psi)])
     fields = stage_fields(ctx, times)
+    single = [rhs(ctx, fields_at(ctx, t), d[None])[0] for t, d in zip(times, psi)]
+    assert np.array_equal(rhs(ctx, fields, psi), single)
     single = [_bounded_apply(ctx, item, d) for item, d in zip(stage_schedule(ctx, times), psi)]
     assert np.array_equal(_bounded_apply(ctx, fields, psi), single)
     assert np.array_equal(nonlinear_G(ctx, psi), [nonlinear_G(ctx, d) for d in psi])
     if alpha == 0:
-        d_h, d_xc = adjoint_D(ctx, times, psi, phi)
-        parts = [adjoint_D(ctx, t, a, b) for t, a, b in zip(times, psi, phi)]
-        assert np.array_equal(d_h, [p[0] for p in parts])
-        assert np.array_equal(d_xc, [p[1] for p in parts])
+        d_h, d_xc = adjoint_D(ctx, fields, psi, phi)
+        parts = [
+            adjoint_D(ctx, fields_at(ctx, t), a[None], b[None]) for t, a, b in zip(times, psi, phi)
+        ]
+        assert np.array_equal(d_h, [p[0][0] for p in parts])
+        assert np.array_equal(d_xc, [p[1][0] for p in parts])
+
+
+@pytest.mark.parametrize("form", [rhs, bilinear_B, adjoint_D], ids=lambda form: form.__name__)
+def test_the_forms_take_stacks_of_states_only(adjoint_pair, form):
+    # a single (modes, particles) state is not promoted to a stack of one
+    _, actx, _ = adjoint_pair
+    d = unit_state(actx.basis, 0, particles=2)
+    states = (d,) if form is rhs else (d, d)
+    with pytest.raises(SystemError, match=r"are not \(B, modes, particles\)"):
+        form(actx, fields_at(actx, 0.5), *states)
 
 
 def test_a_field_of_another_node_count_is_rejected(nonlinear_ctx):

@@ -96,22 +96,30 @@ def test_fixed_point_sweeps_per_adjoint_step(tmp_path, monkeypatch):
 
 
 def test_verify_evaluates_samples_in_blocks(tmp_path, monkeypatch):
-    # the dual-norm monitor (rhs) and the form bounds (bilinear_B, adjoint_D) take
-    # their stored snapshots and drawn pairs as stacks, one call per snapshot_blocks
-    # block; so do the pair probes (hartree_pair_difference, nonlinear_G)
-    calls = {}
+    # the energy estimates (bilinear_B and the dual-norm monitor's rhs) and the form
+    # bounds (bilinear_B, adjoint_D) take their stored snapshots and drawn pairs as
+    # stacks, one call per snapshot_blocks block; so do the pair probes
+    # (hartree_pair_difference, nonlinear_G).  The frozen fields are evaluated once
+    # per distinct time of each reader.
+    calls, frozen_items, frozen_fields = {}, [], system.frozen_fields
 
     def counter(name, operator):
         def counted(ctx_or_basis, *args):
             basis = getattr(ctx_or_basis, "basis", ctx_or_basis)
-            sizes = [len(a) for a in args if np.ndim(a) == 3]
+            # the forms' stage_fields stack is a tuple, whose np.ndim raises
+            sizes = [len(a) for a in args if not isinstance(a, tuple) and np.ndim(a) == 3]
             calls.setdefault(name, []).append((basis, sizes))
             return operator(ctx_or_basis, *args)
 
         return counted
 
+    def counted_fields(ctx, lam):
+        frozen_items.append(len(lam))
+        return frozen_fields(ctx, lam)
+
     for name in ("rhs", "bilinear_B", "adjoint_D", "hartree_pair_difference", "nonlinear_G"):
         monkeypatch.setattr(verify, name, counter(name, getattr(verify, name)))
+    monkeypatch.setattr(system, "frozen_fields", counted_fields)
     assert main(["verify", "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
     basis = calls["rhs"][0][0]
@@ -125,9 +133,13 @@ def test_verify_evaluates_samples_in_blocks(tmp_path, monkeypatch):
     # the forward and the adjoint solve, steps + 1 snapshots each
     assert len(calls["rhs"]) == 2 * blocks(steps + 1)
     assert sum(sizes[0] for _, sizes in calls["rhs"]) == 2 * (steps + 1)
-    # 100 pairs in each context, two forms each, and the coupling form for alpha=0
-    assert len(calls["bilinear_B"]) == 2 * 2 * blocks(100)
+    # B(psi, psi) of both solves' snapshots; then 100 pairs in each context, two forms
+    # each, and the coupling form for alpha=0
+    assert len(calls["bilinear_B"]) == 2 * blocks(steps + 1) + 2 * 2 * blocks(100)
     assert len(calls["adjoint_D"]) == blocks(100)
+    # the adjoint solve's step midpoints, its stored forward states in its constants
+    # and in its energy estimates, and the one time of its form bounds
+    assert sum(frozen_items) == steps + 2 * (steps + 1) + 1 == 1203
     # the Hartree pair probe: 2 x 50 pairs, then 40 in each energy check and in gronwall
     assert len(calls["hartree_pair_difference"]) == blocks(100) + 3 * blocks(40)
     # the coefficient probe: 2 x 100 pairs, then 100 on the wider ball, two G calls each

@@ -42,6 +42,7 @@ from conftest import (
     coefficient_pair_ratio,
     dual_norm_per_snapshot,
     form_bounds_per_pair,
+    form_value_per_snapshot,
     hartree_pair_ratio,
     make_setup,
     pair_ratios_per_pair,
@@ -431,15 +432,15 @@ def test_coefficient_lipschitz(desk):
 
 def test_form_bounds_both_instances(desk):
     basis, pot, kernel, ctx = desk
-    reports = check_form_bounds(ctx, t=0.0, count=60, seed=6)
+    traj = solve_forward(ctx, unit_state(basis, 0))
+    reports = check_form_bounds(traj, t=0.0, count=60, seed=6)
     assert all(r.passed for r in reports)
     names = {r.name for r in reports}
     assert "form-imag-vanishes-alpha1" in names
 
-
-    traj = solve_forward(ctx, unit_state(basis, 0))
     actx = SystemContext(basis=basis, potentials=pot, alpha=0, forward=traj, kernel=kernel)
-    reports0 = check_form_bounds(actx, t=0.5, count=60, seed=6)
+    adj = solve_adjoint(actx, unit_state(basis, 0))
+    reports0 = check_form_bounds(adj, t=0.5, count=60, seed=6)
     assert all(r.passed for r in reports0)
     names0 = {r.name for r in reports0}
     assert "coupling-form-bound" in names0 and "form-imag-bound-alpha0" in names0
@@ -447,8 +448,9 @@ def test_form_bounds_both_instances(desk):
 
 def test_checks_are_reproducible(desk):
     basis, pot, kernel, ctx = desk
-    a = check_form_bounds(ctx, t=0.0, count=30, seed=7)
-    b = check_form_bounds(ctx, t=0.0, count=30, seed=7)
+    traj = solve_forward(ctx, unit_state(basis, 0))
+    a = check_form_bounds(traj, t=0.0, count=30, seed=7)
+    b = check_form_bounds(traj, t=0.0, count=30, seed=7)
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
 
@@ -496,9 +498,9 @@ def oracle_instances():
 @pytest.mark.parametrize("count", ORACLE_COUNTS)
 @pytest.mark.parametrize("alpha, hartree", [(1, True), (0, True), (0, False)])
 def test_form_bounds_match_per_pair_oracle(oracle_instances, alpha, hartree, count, seed):
-    ctx, _ = oracle_instances[hartree][alpha]
+    ctx, traj = oracle_instances[hartree][alpha]
     t = 0.0 if alpha == 1 else 0.5
-    reports = check_form_bounds(ctx, t=t, count=count, seed=seed)
+    reports = check_form_bounds(traj, t=t, count=count, seed=seed)
     assert {r.name: r.measured for r in reports} == form_bounds_per_pair(ctx, t, count, seed)
 
 
@@ -555,6 +557,7 @@ def test_energy_estimates_match_per_snapshot_oracle(oracle_instances, alpha, see
         basis, rng, 40, hartree_pair_ratio(basis, ctx.kernel), 0.2, 2.0
     ))
     reports = {r.name: r for r in check_energy_estimates(traj, seed=seed)}
+    assert reports[f"form-value-bound-alpha{alpha}"].measured == form_value_per_snapshot(ctx, traj)
     monitor = reports[f"dual-norm-monitor-alpha{alpha}"]
     assert monitor.measured == dual_norm_per_snapshot(ctx, traj)
     assert monitor.ingredients["probed_xc_lipschitz"] == probed_l
